@@ -21,14 +21,18 @@ from . import routes
 from . import serialize as io
 from . import species as sp
 from . import vine as vn
-from .errors import StructureError
+from .errors import InternalInconsistencyError, StructureError
 
 
 def _validate_structure(obj) -> list[tuple[str, str]]:
     """Family-axiom validation for any kind; list of (axiom, message)."""
     kind = io.kind_of(obj)
     if kind == "matgraph":
-        return [(v.axiom, v.message) for v in mg.validate_mat_labeling(obj)]
+        out = [(v.axiom, v.message) for v in mg.validate_mat_labeling(obj)]
+        if not obj.is_complete():
+            out.append(("matgraph.complete", f"{len(obj.labels)} labeled edges, the complete graph on "
+                                              f"{obj.n} vertices has {obj.n * (obj.n - 1) // 2}"))
+        return out
     if kind == "vine":
         return [(v.axiom, v.message) for v in vn.validate_vine(obj)]
     if kind == "domain":
@@ -138,8 +142,10 @@ def cmd_analyze(args) -> int:
     }
     if io.kind_of(obj) == "domain":
         # domain-side cross-checks against the vine-side analytics
-        assert dm.richness_direct(obj) == richness, "richness cross-check failed"
-        assert dm.first_rank_distribution(obj) == first_rank, "first-rank cross-check failed"
+        if dm.richness_direct(obj) != richness:
+            raise InternalInconsistencyError("richness cross-check failed")
+        if dm.first_rank_distribution(obj) != first_rank:
+            raise InternalInconsistencyError("first-rank cross-check failed")
         info["cross_checks"] = "domain-side richness and first-rank agree"
     if args.format == "json":
         print(json.dumps(info, sort_keys=True))

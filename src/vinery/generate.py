@@ -4,6 +4,18 @@ Labeled regular vines are generated by the tree-sequence construction: pick a
 tree on the singletons, then repeatedly a spanning tree of the previous
 tree's line graph (proximity makes exactly the line-graph edges admissible).
 This produces every labeled vine exactly once, so no dedup set is needed.
+The generator works on integer node masks over the sorted labels; only
+`generate_vines` turns them into frozenset vines.
+
+Canonical forms come from one mask kernel.  It finds the covers of every
+node in the rank below it, walks the 2^(n-1) maximal chains without storing
+them, relabels the nodes by each chain's first-appearance order (one OR per
+node), and keeps the least sorted list of integer node keys together with
+the number of chains attaining it, which is |Aut|.  Only the winning list is
+turned back into the tuple form.  Vines enter the kernel as masks once, at
+the boundary; classification of all vines of one size streams the
+generator's masks, and the n = 7 classes double the n = 6 representatives
+along their chains in masks.
 
 Counting at n=7 uses the observation that the number of completions of a
 partial tree sequence depends only on the unlabeled shape of the current
@@ -16,6 +28,7 @@ import math
 import random
 import string
 from fractions import Fraction
+from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import vine as vn
@@ -133,19 +146,14 @@ class _Level(NamedTuple):
     edges: tuple        # (u, v) index pairs into nodes
 
 
-def generate_vines(ground: Iterable[str]) -> Iterator[vn.RegularVine]:
-    """Every labeled regular vine on the ground set, exactly once, in a
-    deterministic order."""
-    labels = sorted(ground)
-    n = len(labels)
+def _vine_mask_stream(n: int) -> Iterator[list[int]]:
+    """Node masks (bit i for the i-th label) of every labeled vine on n
+    labels, exactly once, in a deterministic order: atoms, then level by level."""
     if n > GENERATION_CAP:
         raise StructureError("enumerate.cap", f"generation capped at n <= {GENERATION_CAP}")
-    if n == 0:
-        yield vn.RegularVine(frozenset(), frozenset())
-        return
     atom_masks = tuple(1 << i for i in range(n))
-    if n == 1:
-        yield _masks_to_vine(labels, list(atom_masks))
+    if n <= 1:
+        yield list(atom_masks)
         return
 
     def expand(level: _Level, acc: list[int]) -> Iterator[list[int]]:
@@ -162,9 +170,15 @@ def generate_vines(ground: Iterable[str]) -> Iterator[vn.RegularVine]:
             yield from expand(nxt, acc)
 
     for t1 in prufer_trees(n):
-        base = _Level(atom_masks, t1)
-        for masks in expand(base, list(atom_masks)):
-            yield _masks_to_vine(labels, masks)
+        yield from expand(_Level(atom_masks, t1), list(atom_masks))
+
+
+def generate_vines(ground: Iterable[str]) -> Iterator[vn.RegularVine]:
+    """Every labeled regular vine on the ground set, exactly once, in a
+    deterministic order."""
+    labels = sorted(ground)
+    for masks in _vine_mask_stream(len(labels)):
+        yield _masks_to_vine(labels, masks)
 
 
 def random_vine(ground: Iterable[str], rng: random.Random) -> vn.RegularVine:
@@ -273,60 +287,105 @@ def recursive_pq_counts(n: int) -> tuple[int, int]:
 
 
 # ------------------------------------------------- canonical forms, classes
+#
+# The kernel works on a vine given as integer node masks, bit i standing for
+# the i-th smallest label.  A maximal chain orders the ground set by first
+# appearance: position 0 for its atom, position r - 1 for the one bit its
+# rank-r node adds.  In the key of a node every position p is a two-bit
+# digit, most significant first: 01 past the node's largest position, 10 for
+# a position in the node, 11 for one missing below the largest.  Integer
+# order on keys is then the lexicographic order of the nodes' sorted
+# position tuples.  The digits before the XOR with _even(n) (11 in, 10
+# missing, 00 past) are ORs of the two covers' digits, so a chain costs one
+# OR per non-atom node.
+
+def _even(n: int) -> int:
+    return sum(1 << 2 * q for q in range(n))
+
+
+def _canonical(n: int, masks: Sequence[int]) -> tuple[tuple, int]:
+    """(sorted non-atom keys of the least chain-induced encoding, chains
+    attaining it) for the node masks of a valid vine on n labels.
+
+    Every relabeling permutes the maximal chains, so the least encoding is a
+    complete isomorphism invariant and the chains attaining it are one orbit
+    of the automorphism group: their number is |Aut|.
+    """
+    if n <= 1:
+        return (), 1
+    even = _even(n)
+    weight = []  # the pre-XOR digits of an atom at position p
+    missing = 0
+    for p in range(n):
+        shift = 2 * (n - 1 - p)
+        weight.append(missing | 3 << shift)
+        missing |= 2 << shift
+    # a node covers the nodes of the rank below that it contains
+    by_rank: dict[int, list[int]] = {}
+    for m in masks:
+        by_rank.setdefault(m.bit_count(), []).append(m)
+    covers = {s: [t for t in by_rank[r - 1] if t & s == t] for r, level in by_rank.items() if r > 1 for s in level}
+    nodes = sorted(masks, key=lambda m: (m.bit_count(), m))  # atom k is bit k
+    index = {m: k for k, m in enumerate(nodes)}
+    pairs = [(index[a], index[b]) for a, b in (covers[s] for s in nodes[n:])]
+    # per node: (cover, the bit the step down removes, the cover's rank)
+    drops = {index[s]: [(index[t], (s ^ t).bit_length() - 1, s.bit_count() - 1) for t in covers[s]]
+             for s in nodes[n:]}
+
+    atom_digits = [0] * n
+    best, hits = None, 0
+    stack = drops[len(nodes) - 1].copy()
+    while stack:
+        k, bit, rank = stack.pop()
+        atom_digits[bit] = weight[rank]
+        if rank > 1:
+            stack.extend(drops[k])
+            continue
+        atom_digits[k] = weight[0]
+        digits = atom_digits.copy()
+        for a, b in pairs:
+            digits.append(digits[a] | digits[b])
+        # the atoms' keys are the same for every chain; sorted lists of equal
+        # length compare as they do without their common elements
+        keys = [d ^ even for d in digits[n:]]
+        keys.sort()
+        if best is None or keys < best:
+            best, hits = keys, 1
+        elif keys == best:
+            hits += 1
+    return tuple(best), hits
+
+
+def _form(n: int, keys: Iterable[int]) -> tuple:
+    """The encoding `tuple(sorted(tuple(sorted(positions)) ...))` of the
+    kernel's keys, with the atoms' one-element tuples merged back in."""
+    even = _even(n)
+    nodes = [tuple(p for p in range(n) if (k ^ even) >> 2 * (n - 1 - p) & 3 == 3) for k in keys]
+    return tuple(sorted(nodes + [(p,) for p in range(n)]))
+
+
+def _vine_masks(v: vn.RegularVine) -> list[int]:
+    """The vine's node masks, bit i for the i-th smallest label."""
+    bit = {x: 1 << i for i, x in enumerate(sorted(v.ground))}
+    return [sum(bit[x] for x in s) for s in v.nodes]
+
+
+def canonical_form_and_aut(v: vn.RegularVine) -> tuple[tuple, int]:
+    """(canonical_form(v), |Aut(v)|) of a valid vine, by one chain scan."""
+    keys, hits = _canonical(v.n, _vine_masks(v))
+    return _form(v.n, keys), hits
+
 
 def canonical_form(v: vn.RegularVine) -> tuple:
-    """Minimum node-set encoding over the maximal-chain-induced labelings.
-
-    Every maximal chain orders the ground set by first appearance; a
-    relabeling permutes the chain set, so the minimum over chain-induced
-    encodings is a complete isomorphism invariant.  The number of chains
-    attaining the minimum equals the automorphism group order.
+    """Minimum node-set encoding over the maximal-chain-induced labelings of
+    a valid vine: `tuple(sorted(tuple(sorted(order[x] for x in s)) ...))`,
+    where `order` numbers the ground set in a chain's first-appearance order.
     """
-    form, _ = _canonical_form_and_aut(v)
-    return form
-
-
-def _chains_unchecked(v: vn.RegularVine) -> Iterator[tuple]:
-    """Maximal chains of an already-validated vine, without re-validation."""
-    by_rank: dict[int, list[frozenset]] = {}
-    for s in v.nodes:
-        by_rank.setdefault(len(s), []).append(s)
-    covers = {s: [t for t in by_rank.get(len(s) - 1, ()) if t < s]
-              for s in v.nodes if len(s) > 1}
-    stack = [(v.ground, (v.ground,))]
-    while stack:
-        s, acc = stack.pop()
-        if len(s) == 1:
-            yield tuple(reversed(acc))
-        else:
-            for t in covers[s]:
-                stack.append((t, acc + (t,)))
-
-
-def _canonical_form_and_aut(v: vn.RegularVine) -> tuple[tuple, int]:
-    if v.n == 0:
-        return ((), 1)
-    if v.n == 1:
-        return (((0,),), 1)
-    best = None
-    hits = 0
-    for chain in _chains_unchecked(v):
-        order: dict[str, int] = {}
-        for node in chain:
-            for x in sorted(node):
-                if x not in order:
-                    order[x] = len(order)
-        enc = tuple(sorted(tuple(sorted(order[x] for x in s)) for s in v.nodes))
-        if best is None or enc < best:
-            best, hits = enc, 1
-        elif enc == best:
-            hits += 1
-    return best, hits
+    return canonical_form_and_aut(v)[0]
 
 
 def canonical_form_bruteforce(v: vn.RegularVine) -> tuple:
     """n!-scan over all relabelings; the verification oracle for canonical_form."""
-    from itertools import permutations
     ground = sorted(v.ground)
     if not ground:
         return ()
@@ -337,6 +396,17 @@ def canonical_form_bruteforce(v: vn.RegularVine) -> tuple:
         if best is None or enc < best:
             best = enc
     return best
+
+
+def automorphism_group_order_bruteforce(v: vn.RegularVine) -> int:
+    """n!-scan counting the ground bijections that fix the node set; the
+    verification oracle for the chain-scan |Aut|."""
+    ground = sorted(v.ground)
+    count = 0
+    for perm in permutations(ground):
+        if vn.relabel_vine(v, dict(zip(ground, perm))).nodes == v.nodes:
+            count += 1
+    return count
 
 
 def vine_from_form(form: tuple, labels: list[str] | None = None) -> vn.RegularVine:
@@ -357,24 +427,45 @@ class IsoClass(NamedTuple):
 
 def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
     """Group labeled vines by canonical form; assert orbit sizes n!/|Aut|."""
+    return _classify((v.n, _vine_masks(v)) for v in vines)
+
+
+def _classify(items: Iterable[tuple[int, list[int]]]) -> list[IsoClass]:
+    """classify() on (n, node masks) pairs."""
     groups: dict[tuple, list] = {}
     n = None
-    for v in vines:
+    for size, masks in items:
         if n is None:
-            n = v.n
-        elif v.n != n:
+            n = size
+        elif size != n:
             raise StructureError("enumerate.mixed", "classification requires a uniform ground size")
-        form, aut = _canonical_form_and_aut(v)
-        entry = groups.setdefault(form, [0, aut])
-        entry[0] += 1
+        keys, aut = _canonical(size, masks)
+        entry = groups.get(keys)
+        if entry is None:
+            groups[keys] = [1, aut]
+        else:
+            entry[0] += 1
     out = []
-    for form in sorted(groups):
-        orbit, aut = groups[form]
-        if n and n >= 1 and orbit * aut != math.factorial(n):
+    for keys in sorted(groups):  # key order is form order
+        orbit, aut = groups[keys]
+        if n and orbit * aut != math.factorial(n):
             raise InternalInconsistencyError(
                 f"orbit size {orbit} with |Aut|={aut} violates n!={math.factorial(n)}")
+        form = _form(n, keys)
         out.append(IsoClass(form, vine_from_form(form), orbit, aut))
     return out
+
+
+def _enumerated_classes(n: int) -> list[IsoClass]:
+    """classify(generate_vines(...)) on the generator's own masks."""
+    return _classify((n, masks) for masks in _vine_mask_stream(n))
+
+
+def _doubled_masks(n: int, masks: list[int], chain: Sequence[int]) -> list[int]:
+    """Node masks of the vine of the lattice doubled along a maximal chain:
+    the chain plus the empty bottom, each joined with the fresh bit 1 << n."""
+    fresh = 1 << n
+    return masks + [fresh] + [c | fresh for c in chain]
 
 
 def class_representatives(n: int) -> list[vn.RegularVine]:
@@ -385,17 +476,21 @@ def class_representatives(n: int) -> list[vn.RegularVine]:
     as a doubling) and deduplicating by canonical form.
     """
     from . import lattice as lt
-    labels = list(string.ascii_lowercase[:n])
     if n <= 6:
-        return [c.representative for c in classify(generate_vines(labels))]
-    reps = class_representatives(n - 1)
+        return [c.representative for c in _enumerated_classes(n)]
+    labels = list(string.ascii_lowercase[:n])
+    bit = {x: 1 << i for i, x in enumerate(labels)}
     seen: set[tuple] = set()
-    for rep in reps:
+    for rep in class_representatives(n - 1):
         L = lt.vine_to_lattice(rep)
+        masks = _vine_masks(rep)
         for chain in lt.maximal_chains_of_lattice(L):
-            v = lt.lattice_to_vine(lt.doubling(L, chain))
-            seen.add(canonical_form(v))
-    return [vine_from_form(f) for f in sorted(seen)]
+            doubled = _doubled_masks(n - 1, masks, [sum(bit[x] for x in s) for s in chain[1:]])
+            report = vn.validate_vine(_masks_to_vine(labels, doubled))
+            if report:
+                raise InternalInconsistencyError(f"doubling produced an invalid vine: {report[0].message}")
+            seen.add(_canonical(n, doubled)[0])
+    return [vine_from_form(_form(n, keys)) for keys in sorted(seen)]
 
 
 # ---------------------------------------------------------------- catalog
@@ -404,8 +499,7 @@ def catalog_entries(n: int) -> list[dict]:
     """One catalog entry per isomorphism class, in canonical-form order."""
     from . import correspond as co
     from . import lattice as lt
-    labels = list(string.ascii_lowercase[:n])
-    classes = classify(generate_vines(labels))
+    classes = _enumerated_classes(n)
     entries = []
     for idx, cls in enumerate(classes):
         v = cls.representative

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import combinations
 from typing import Iterable, Optional
 
+from . import generate as gen
 from . import vine as vn
 from .errors import StructureError
 
@@ -129,13 +130,14 @@ def is_b3_free(L: BoundedLattice) -> Optional[tuple]:
     _require_lattice(L)
     ground = L.ground
     if all(frozenset([a]) in L.elements for a in sorted(ground)):
-        tri = has_no_triangles(lattice_to_matrix(L))
+        M = lattice_to_matrix(L)
+        tri = has_no_triangles(M)
         if tri is None:
             return None
         (a1, a2, a3), cols = tri
         by_restriction = {}
         for col in cols:
-            s = _column_to_set(lattice_to_matrix(L).rows, col)
+            s = _column_to_set(M.rows, col)
             by_restriction[frozenset(s & {a1, a2, a3})] = s
         s1 = by_restriction[frozenset({a1, a2})]
         s2 = by_restriction[frozenset({a1, a3})]
@@ -285,16 +287,12 @@ def is_extremal_matrix(M: BinaryMatrix) -> bool:
 
 
 def automorphism_group_order(v: vn.RegularVine) -> int:
-    """Number of ground bijections fixing the node set; always 1 or 2."""
+    """Number of ground bijections fixing the node set; always 1 or 2.
+
+    Counted as the maximal chains whose induced labeling attains the
+    canonical form (`generate.canonical_form_and_aut`)."""
     vn.require_valid(v)
-    if v.n <= 1:
-        return 1
-    ground = sorted(v.ground)
-    count = 0
-    for perm in permutations(ground):
-        h = dict(zip(ground, perm))
-        if vn.relabel_vine(v, h).nodes == v.nodes:
-            count += 1
+    _, count = gen.canonical_form_and_aut(v)
     if count not in (1, 2):
         raise StructureError("lattice.automorphisms", f"automorphism group of order {count} found (expected 1 or 2)",
                              witness=count)

@@ -7,8 +7,10 @@ import sys
 import pytest
 
 from vinery import cli
+from vinery import domain as dm
 from vinery import lattice as lt
 from vinery import serialize as io
+from vinery.errors import InternalInconsistencyError
 
 
 @pytest.fixture
@@ -45,6 +47,14 @@ def test_verify_invalid_structure(write, capsys):
                    {"u": "a", "v": "c", "label": 1}]}))
     assert cli.main(["verify", path]) == 1
     assert "INVALID matgraph.acyclic" in capsys.readouterr().out
+
+
+def test_verify_incomplete_matgraph(write, capsys):
+    path = write("g.json", json.dumps(
+        {"kind": "matgraph", "vertices": ["a", "b", "c"],
+         "edges": [{"u": "a", "v": "b", "label": 1}]}))
+    assert cli.main(["verify", path]) == 1
+    assert capsys.readouterr().out.startswith("INVALID matgraph.complete: ")
 
 
 def test_verify_non_maximal_domain(write, capsys):
@@ -113,6 +123,13 @@ def test_analyze_domain_json(write, intro_domain, capsys):
     assert info["is_c_vine"] and not info["is_d_vine"]
     assert info["aut_order"] == 2
     assert info["cross_checks"]
+
+
+def test_analyze_cross_check_failure_raises(write, intro_domain, monkeypatch):
+    path = write("d.json", intro_domain)
+    monkeypatch.setattr(dm, "richness_direct", lambda d: -1)
+    with pytest.raises(InternalInconsistencyError):
+        cli.main(["analyze", path, "--format", "json"])
 
 
 def test_analyze_trd_examples(write, capsys):

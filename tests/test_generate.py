@@ -9,6 +9,8 @@ from vinery import generate as gen
 from vinery import vine as vn
 from vinery.errors import StructureError
 
+from conftest import sample_vines
+
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
 
@@ -159,10 +161,54 @@ def test_class_representatives_small():
 
 
 def test_chain_hit_aut_matches_explicit_scan(vines_by_n):
+    for n in range(1, 6):
+        for v in vines_by_n[n]:
+            _, hits = gen.canonical_form_and_aut(v)
+            assert hits == gen.automorphism_group_order_bruteforce(v)
+
+
+def _d_vine(order):
+    """The D-vine along a path order: its nodes are the order's intervals."""
+    n = len(order)
+    return vn.vine(order, [order[i:j] for i in range(n) for j in range(i + 1, n + 1)])
+
+
+def test_kernel_matches_oracles_sampled(seed):
+    rng = random.Random(seed)
+    for n, k in ((6, 6), (7, 2)):
+        labels = string.ascii_lowercase[:n]
+        path = "".join(rng.sample(labels, n))  # |Aut| = 2: the path's reversal
+        for v in [_d_vine(path)] + sample_vines(n, k, rng):
+            form, aut = gen.canonical_form_and_aut(v)
+            assert form == gen.canonical_form(v) == gen.canonical_form_bruteforce(v)
+            assert aut == gen.automorphism_group_order_bruteforce(v)
+
+
+def test_mask_doubling_matches_lattice_doubling():
     from vinery import lattice as lt
-    for v in vines_by_n[5][:60]:
-        _, hits = gen._canonical_form_and_aut(v)
-        assert hits == lt.automorphism_group_order(v)
+    labels = "abcde"
+    for rep in gen.class_representatives(5):
+        L = lt.vine_to_lattice(rep)
+        masks = gen._vine_masks(rep)
+        for chain in lt.maximal_chains_of_lattice(L):
+            as_masks = [sum(1 << labels.index(x) for x in s) for s in chain[1:]]
+            keys, _ = gen._canonical(6, gen._doubled_masks(5, masks, as_masks))
+            assert gen._form(6, keys) == gen.canonical_form(lt.lattice_to_vine(lt.doubling(L, chain)))
+
+
+def test_canonical_form_large_n_allocates_no_power_table(seed):
+    """The kernel streams the 2^(n-1) chains: at n = 14 its peak allocation
+    stays below one pointer per subset of the ground set."""
+    import tracemalloc
+    n = 14
+    v = gen.random_vine(string.ascii_lowercase[:n], random.Random(seed))
+    tracemalloc.start()
+    try:
+        gen.canonical_form(v)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** n
 
 
 # ---------------------------------------------------------------- catalog
