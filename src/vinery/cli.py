@@ -159,8 +159,8 @@ def cmd_analyze(args) -> int:
 def cmd_count(args) -> int:
     n = args.n
     if args.mode == "generate":
-        if n > gen.GENERATION_CAP:
-            print(f"generate mode capped at n <= {gen.GENERATION_CAP}", file=sys.stderr)
+        if not 0 <= n <= gen.COUNT_CAP:
+            print(f"generate mode capped at 0 <= n <= {gen.COUNT_CAP}", file=sys.stderr)
             return 1
         if n <= 6:
             total = 0
@@ -169,7 +169,7 @@ def cmd_count(args) -> int:
                 if total % 5000 == 0:
                     print(f"... {total} vines", file=sys.stderr)
         else:
-            print("... counting by shape-memoized DP", file=sys.stderr)
+            print("... counting by shape-weighted DP", file=sys.stderr)
             total = gen.count_vines(n)
         expected = gen.labeled_count_formula(n)
         status = "agrees with" if total == expected else "DISAGREES WITH"
@@ -253,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vinery",
                                      description="Regular vines and their equivalent structures")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap for enumeration (counting uses a DP; accepted for compatibility)")
+                        help="accepted for compatibility and ignored: generation and the "
+                             "shape-weighted counting DP run in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="validate a structure file against its family axioms")
@@ -295,6 +296,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except StructureError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InternalInconsistencyError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

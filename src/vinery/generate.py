@@ -17,9 +17,12 @@ the boundary; classification of all vines of one size streams the
 generator's masks, and the n = 7 classes double the n = 6 representatives
 along their chains in masks.
 
-Counting at n=7 uses the observation that the number of completions of a
-partial tree sequence depends only on the unlabeled shape of the current
-associated tree, which collapses the count into a tiny shape-memoized DP.
+Counting uses the observation that the number of completions of a partial
+tree sequence depends only on the unlabeled shape of the current tree, which
+collapses the count into a shape-memoized DP.  The labeled level-1 trees are
+not enumerated either: the count sums over the unlabeled trees T on n
+vertices, each standing for its n!/|Aut(T)| labelings, with |Aut(T)| read off
+the same center-rooted AHU recursion that gives the shapes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,9 @@ from . import vine as vn
 from .errors import InternalInconsistencyError, StructureError
 
 GENERATION_CAP = 7
+# Largest n that `count --mode generate` accepts: the counting DP takes about
+# 10 to 15 s at n = 9 and grows about twentyfold per step.
+COUNT_CAP = 9
 
 
 # ---------------------------------------------------------------- tree tools
@@ -108,15 +114,21 @@ def spanning_trees(nv: int, edges: list[tuple[int, int]]) -> Iterator[tuple[int,
     yield from rec(0, list(range(nv)), ())
 
 
-def tree_shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
-    """AHU canonical form of an unlabeled tree (rooted at its center)."""
-    adj: dict[int, list[int]] = {i: [] for i in range(nv)}
+def _ahu(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
+    """(AHU canonical form rooted at the center, |Aut|) of a tree on 0..nv-1.
+
+    A rooted subtree's automorphisms are its children's times m! for every
+    m children with equal codes.  Rooted at one center, that counts the
+    automorphisms fixing it; a bicentral tree has one more (the swap of its
+    centers) exactly when the codes rooted at its two centers agree.
+    """
+    adj: list[list[int]] = [[] for _ in range(nv)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
     if nv == 1:
-        return ("()",)
-    degree = {i: len(adj[i]) for i in range(nv)}
+        return ("()",), 1
+    degree = [len(a) for a in adj]
     layer = [i for i in range(nv) if degree[i] <= 1]
     remaining = nv
     while remaining > 2:
@@ -132,11 +144,42 @@ def tree_shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
         layer = nxt
     centers = [i for i in range(nv) if degree[i] >= 1] or layer
 
-    def encode(root: int, parent: int) -> str:
-        subs = sorted(encode(w, root) for w in adj[root] if w != parent)
-        return "(" + "".join(subs) + ")"
+    def encode(root: int, parent: int) -> tuple[str, int]:
+        subs = [encode(w, root) for w in adj[root] if w != parent]
+        if not subs:
+            return "()", 1
+        subs.sort()
+        aut, run, prev = 1, 0, None
+        for code, sub_aut in subs:
+            run = run + 1 if code == prev else 1
+            aut *= sub_aut * run
+            prev = code
+        return "(" + "".join([code for code, _ in subs]) + ")", aut
 
-    return tuple(sorted(encode(c, -1) for c in centers))
+    rooted = [encode(c, -1) for c in centers]
+    codes = tuple(sorted(code for code, _ in rooted))
+    return codes, rooted[0][1] * (2 if len(set(codes)) < len(codes) else 1)
+
+
+def tree_shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
+    """AHU canonical form of an unlabeled tree (rooted at its center)."""
+    return _ahu(nv, edges)[0]
+
+
+def unlabeled_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """(edges on 0..n-1, |Aut|) of one tree per unlabeled shape on n >= 1
+    vertices, in `tree_shape` order.  Each shape on n vertices is a shape on
+    n - 1 vertices with one leaf added, so the shapes grow leaf by leaf and
+    are deduplicated by `tree_shape`; a shape T has n!/|Aut(T)| labelings."""
+    trees: dict[tuple, tuple] = {tree_shape(1, ()): ()}
+    for nv in range(2, n + 1):
+        grown: dict[tuple, tuple] = {}
+        for edges in trees.values():
+            for v in range(nv - 1):
+                tree = edges + ((v, nv - 1),)
+                grown.setdefault(tree_shape(nv, tree), tree)
+        trees = grown
+    return [(trees[shape], _ahu(n, trees[shape])[1]) for shape in sorted(trees)]
 
 
 # ------------------------------------------------------------- vine streams
@@ -209,16 +252,13 @@ def _masks_to_vine(labels: list[str], masks: list[int]) -> vn.RegularVine:
     return vn.RegularVine(frozenset(labels), nodes)
 
 
-_SHAPE_COUNTS: dict[tuple, int] = {}
-
-
-def _completions(nv: int, edges: tuple) -> int:
+def _completions(nv: int, edges: tuple, memo: dict[tuple, int]) -> int:
     """Completions of a tree sequence whose current tree is the given one;
     depends only on the unlabeled shape, which keys the memo."""
     if nv <= 2:
         return 1
     shape = tree_shape(nv, edges)
-    hit = _SHAPE_COUNTS.get(shape)
+    hit = memo.get(shape)
     if hit is not None:
         return hit
     lg_vertices = len(edges)
@@ -226,19 +266,20 @@ def _completions(nv: int, edges: tuple) -> int:
                 if set(edges[i]) & set(edges[j])]
     total = 0
     for chosen in spanning_trees(lg_vertices, lg_edges):
-        total += _completions(lg_vertices, tuple(lg_edges[k] for k in chosen))
-    _SHAPE_COUNTS[shape] = total
+        total += _completions(lg_vertices, tuple(lg_edges[k] for k in chosen), memo)
+    memo[shape] = total
     return total
 
 
 def count_vines(n: int) -> int:
-    """|generate_vines(n)| via the shape-memoized DP over level-1 trees."""
+    """|generate_vines(n)|: the sum over the unlabeled trees T on n vertices
+    of n!/|Aut(T)| labelings times the completions of a level-1 tree of
+    shape T, from a shape-memoized DP local to this call."""
     if n <= 1:
         return 1
-    total = 0
-    for t1 in prufer_trees(n):
-        total += _completions(n, t1)
-    return total
+    memo: dict[tuple, int] = {}
+    return sum(math.factorial(n) // aut * _completions(n, edges, memo)
+               for edges, aut in unlabeled_trees(n))
 
 
 # ------------------------------------------------------- counting formulas

@@ -55,7 +55,7 @@ def mat_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]) ->
             raise StructureError("matgraph.simple", f"self loop at {u!r}", witness=(u, v))
         if u not in vs or v not in vs:
             raise StructureError("matgraph.vertices", f"edge {u!r}-{v!r} uses unknown vertex", witness=(u, v))
-        if not isinstance(k, int) or k < 1:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
             raise StructureError("matgraph.positive-label", f"label of {u!r}-{v!r} must be a positive integer", witness=(u, v, k))
         key = edge_key(u, v)
         if key in labels:

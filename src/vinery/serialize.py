@@ -64,27 +64,43 @@ def dumps(obj: Structure) -> str:
     return json.dumps(to_json_dict(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _strings(value, field: str) -> list:
+    """A payload field that must be a JSON array of strings.  Labels are
+    strings; a bare string is refused rather than split into characters."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise StructureError("parse.payload", f"{field} must be an array of strings")
+    return value
+
+
+def _string_lists(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise StructureError("parse.payload", f"{field} must be an array of arrays of strings")
+    return [_strings(x, f"every entry of {field}") for x in value]
+
+
 def from_json_dict(doc: dict) -> Structure:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise StructureError("parse.kind", "document has no \"kind\" field")
     kind = doc["kind"]
     try:
         if kind == "matgraph":
-            return mg.mat_graph(doc["vertices"],
+            return mg.mat_graph(_strings(doc["vertices"], "vertices"),
                                 [(e["u"], e["v"], e["label"]) for e in doc["edges"]])
         if kind == "vine":
-            return vn.vine(doc["ground"], doc["nodes"])
+            return vn.vine(_strings(doc["ground"], "ground"), _string_lists(doc["nodes"], "nodes"))
         if kind == "domain":
-            return dm.domain(doc["alternatives"], doc["preferences"])
+            return dm.domain(_strings(doc["alternatives"], "alternatives"),
+                             _string_lists(doc["preferences"], "preferences"))
         if kind == "lattice":
-            return lt.lattice(doc["nodes"])
+            return lt.lattice(_string_lists(doc["nodes"], "nodes"))
         if kind == "matrix":
-            rows = tuple(doc["rows"])
-            cols = frozenset(tuple(int(c) for c in col) for col in doc["columns"])
-            for col in cols:
-                if len(col) != len(rows) or any(b not in (0, 1) for b in col):
-                    raise StructureError("parse.matrix", f"bad column {col}")
-            if len(cols) != len(doc["columns"]):
+            rows = tuple(_strings(doc["rows"], "rows"))
+            columns = _strings(doc["columns"], "columns")
+            for col in columns:
+                if len(col) != len(rows) or not set(col) <= {"0", "1"}:
+                    raise StructureError("parse.matrix", f"bad column {col!r}")
+            cols = frozenset(tuple(int(c) for c in col) for col in columns)
+            if len(cols) != len(columns):
                 raise StructureError("parse.matrix", "duplicate columns")
             return lt.BinaryMatrix(rows, cols)
     except (KeyError, TypeError) as exc:

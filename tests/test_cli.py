@@ -10,7 +10,6 @@ from vinery import cli
 from vinery import domain as dm
 from vinery import lattice as lt
 from vinery import serialize as io
-from vinery.errors import InternalInconsistencyError
 
 
 @pytest.fixture
@@ -125,11 +124,13 @@ def test_analyze_domain_json(write, intro_domain, capsys):
     assert info["cross_checks"]
 
 
-def test_analyze_cross_check_failure_raises(write, intro_domain, monkeypatch):
+def test_analyze_cross_check_failure_raises(write, intro_domain, monkeypatch, capsys):
     path = write("d.json", intro_domain)
     monkeypatch.setattr(dm, "richness_direct", lambda d: -1)
-    with pytest.raises(InternalInconsistencyError):
-        cli.main(["analyze", path, "--format", "json"])
+    assert cli.main(["analyze", path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: richness cross-check failed\n"
 
 
 def test_analyze_trd_examples(write, capsys):
@@ -181,9 +182,17 @@ def test_count_generate_mode(capsys):
     assert capsys.readouterr().out == "n=4 labeled=24 (agrees with formula value 24)\n"
 
 
+def test_count_generate_dp_n8(capsys):
+    assert cli.main(["count", "--n", "8", "--mode", "generate"]) == 0
+    assert capsys.readouterr().out == "n=8 labeled=660602880 (agrees with formula value 660602880)\n"
+
+
 def test_count_generate_cap(capsys):
-    assert cli.main(["count", "--n", "9", "--mode", "generate"]) == 1
-    assert "capped" in capsys.readouterr().err
+    for n in ("10", "-1"):
+        assert cli.main(["count", "--n", n, "--mode", "generate"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "generate mode capped at 0 <= n <= 9\n"
 
 
 def test_count_formula_cap(capsys):

@@ -1,7 +1,9 @@
 """Enumeration, counting formulas, canonical forms and classification."""
 
+import math
 import random
 import string
+from collections import Counter
 
 import pytest
 
@@ -11,7 +13,7 @@ from vinery.errors import StructureError
 
 from conftest import sample_vines
 
-LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480}
+LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
 
 
@@ -71,6 +73,45 @@ def test_count_vines_matches_enumeration(vines_by_n):
     for n in range(1, 6):
         assert gen.count_vines(n) == len(vines_by_n[n])
     assert gen.count_vines(7) == LABELED[7]
+    assert gen.count_vines(8) == LABELED[8]
+
+
+SHAPES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}  # unlabeled trees
+
+
+def test_unlabeled_trees_counts_and_weights():
+    for n, want in SHAPES.items():
+        trees = gen.unlabeled_trees(n)
+        assert len(trees) == want
+        assert len({gen.tree_shape(n, edges) for edges, _ in trees}) == want
+        assert sum(math.factorial(n) // aut for _, aut in trees) == max(1, n ** (n - 2))
+
+
+def test_shape_weight_is_its_pruefer_tree_count():
+    for n in range(1, 7):
+        by_shape = Counter(gen.tree_shape(n, t) for t in gen.prufer_trees(n))
+        weights = {gen.tree_shape(n, edges): math.factorial(n) // aut for edges, aut in gen.unlabeled_trees(n)}
+        assert weights == dict(by_shape)
+
+
+def test_tree_automorphisms_of_named_trees():
+    def aut(n, edges):
+        (found,) = [a for e, a in gen.unlabeled_trees(n) if gen.tree_shape(n, e) == gen.tree_shape(n, edges)]
+        return found
+    assert aut(5, [(0, i) for i in range(1, 5)]) == 24                  # star: S_4 on the leaves
+    assert aut(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]) == 2        # path, bicentral
+    assert aut(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)]) == 6        # bicentral, unequal halves
+    assert aut(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]) == 8        # bicentral, swappable halves
+    assert aut(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]) == 8  # two equal cherries
+
+
+def test_shape_weighted_sum_matches_pruefer_loop():
+    """The Prüfer-loop sum over all n^(n-2) labeled level-1 trees is the
+    oracle for the shape-weighted count."""
+    for n in range(2, 8):
+        memo: dict = {}
+        oracle = sum(gen._completions(n, t, memo) for t in gen.prufer_trees(n))
+        assert gen.count_vines(n) == oracle
 
 
 def test_random_vine_is_valid(seed):

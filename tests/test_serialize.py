@@ -55,6 +55,13 @@ def test_load_file(tmp_path, intro_domain):
     ({"kind": "matgraph", "vertices": ["a"], "edges": [{"u": "a"}]}, "parse.payload"),
     ({"kind": "matrix", "rows": ["a", "b"], "columns": ["1"]}, "parse.matrix"),
     ({"kind": "matrix", "rows": ["a"], "columns": ["2"]}, "parse.matrix"),
+    ({"kind": "matgraph", "vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "label": True}]},
+     "matgraph.positive-label"),
+    ({"kind": "vine", "ground": "ab", "nodes": [["a"], ["b"], ["a", "b"]]}, "parse.payload"),
+    ({"kind": "vine", "ground": ["a", "b"], "nodes": [["a"], ["b"], "ab"]}, "parse.payload"),
+    ({"kind": "domain", "alternatives": ["a", "b"], "preferences": ["ab", "ba"]}, "parse.payload"),
+    ({"kind": "matrix", "rows": "ab", "columns": ["11"]}, "parse.payload"),
+    ({"kind": "matrix", "rows": ["a"], "columns": ["x"]}, "parse.matrix"),
 ])
 def test_parse_errors(doc, axiom):
     with pytest.raises(StructureError) as exc:
