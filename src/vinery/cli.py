@@ -24,48 +24,13 @@ from . import vine as vn
 from .errors import InternalInconsistencyError, StructureError
 
 
-def _validate_structure(obj) -> list[tuple[str, str]]:
-    """Family-axiom validation for any kind; list of (axiom, message)."""
-    kind = io.kind_of(obj)
-    if kind == "matgraph":
-        out = [(v.axiom, v.message) for v in mg.validate_mat_labeling(obj)]
-        if not obj.is_complete():
-            out.append(("matgraph.complete", f"{len(obj.labels)} labeled edges, the complete graph on "
-                                              f"{obj.n} vertices has {obj.n * (obj.n - 1) // 2}"))
-        return out
-    if kind == "vine":
-        return [(v.axiom, v.message) for v in vn.validate_vine(obj)]
-    if kind == "domain":
-        out = []
-        ok, triple = dm.is_aspd(obj)
-        if not ok:
-            out.append(("domain.never-bottom", f"every alternative of {triple} is a bottom in the restriction"))
-        expected = 1 if obj.n == 0 else 2 ** (obj.n - 1)
-        if len(obj.prefs) != expected:
-            out.append(("domain.maximal-size", f"{len(obj.prefs)} preferences, maximal ASPDs have {expected}"))
-        return out
-    if kind == "lattice":
-        out = []
-        if not lt.is_lattice(obj):
-            return [("lattice.lattice", "element family is not a lattice under inclusion")]
-        n = len(obj.ground)
-        witness = lt.is_b3_free(obj)
-        if witness is not None:
-            out.append(("lattice.b3-free", f"induced B(3) on {[sorted(s) for s in witness]}"))
-        if len(obj.elements) != 1 + n + n * (n - 1) // 2:
-            out.append(("lattice.size", f"{len(obj.elements)} elements, extremal is {1 + n + n * (n - 1) // 2}"))
-        if len(lt.join_irreducibles(obj)) > n:
-            out.append(("lattice.join-irreducibles", f"more than {n} join-irreducibles"))
-        return out
-    # matrix
-    out = []
-    witness = lt.has_no_triangles(obj)
-    if witness is not None:
-        out.append(("matrix.triangle", f"triangle at rows {witness[0]}"))
-    n = len(obj.rows)
-    if len(obj.columns) != 1 + n + n * (n - 1) // 2:
-        out.append(("matrix.size", f"{len(obj.columns)} columns, extremal is {1 + n + n * (n - 1) // 2}"))
-    return out
+_VALIDATORS = {
+    "matgraph": mg.validate_matgraph,
+    "vine": vn.validate_vine,
+    "domain": dm.validate_domain,
+    "lattice": lt.validate_lattice,
+    "matrix": lt.validate_matrix,
+}
 
 
 def _emit(obj, fmt: str) -> str:
@@ -83,10 +48,10 @@ def cmd_verify(args) -> int:
     if args.kind and io.kind_of(obj) != args.kind:
         print(f"kind mismatch: file holds {io.kind_of(obj)}, expected {args.kind}", file=sys.stderr)
         return 1
-    report = _validate_structure(obj)
+    report = _VALIDATORS[io.kind_of(obj)](obj)
     if report:
-        for axiom, message in report:
-            print(f"INVALID {axiom}: {message}")
+        for x in report:
+            print(f"INVALID {x.axiom}: {x.message}")
         return 1
     if args.strict:
         kind = io.kind_of(obj)
@@ -105,10 +70,9 @@ def cmd_verify(args) -> int:
 
 def cmd_convert(args) -> int:
     obj = io.load_file(args.path)
-    report = _validate_structure(obj)
+    report = _VALIDATORS[io.kind_of(obj)](obj)
     if report:
-        axiom, message = report[0]
-        print(f"INVALID {axiom}: {message}", file=sys.stderr)
+        print(f"INVALID {report[0].axiom}: {report[0].message}", file=sys.stderr)
         return 1
     out = routes.convert_structure(obj, args.to, args.via)
     sys.stdout.write(_emit(out, args.format))
@@ -117,10 +81,9 @@ def cmd_convert(args) -> int:
 
 def cmd_analyze(args) -> int:
     obj = io.load_file(args.path)
-    report = _validate_structure(obj)
+    report = _VALIDATORS[io.kind_of(obj)](obj)
     if report:
-        axiom, message = report[0]
-        print(f"INVALID {axiom}: {message}", file=sys.stderr)
+        print(f"INVALID {report[0].axiom}: {report[0].message}", file=sys.stderr)
         return 1
     v = routes.convert_structure(obj, "vine", "direct")
     d = routes.convert_structure(v, "domain", "direct")
@@ -252,9 +215,6 @@ def cmd_selftest(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vinery",
                                      description="Regular vines and their equivalent structures")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility and ignored: generation and the "
-                             "shape-weighted counting DP run in one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="validate a structure file against its family axioms")

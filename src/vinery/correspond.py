@@ -15,8 +15,6 @@ from .errors import StructureError
 def graph_to_vine(g: mg.MatLabeledGraph) -> vn.RegularVine:
     """Singletons plus the principal clique generated by every edge."""
     mg.require_valid(g)
-    if not g.is_complete():
-        raise StructureError("matgraph.complete", "conversion requires a complete graph")
     nodes = {frozenset([a]) for a in g.vertices}
     for (u, v), k in g.labels.items():
         clique = frozenset({u, v} | mg.triangle_partners(g, u, v))
@@ -51,8 +49,7 @@ def graph_to_domain(g: mg.MatLabeledGraph) -> dm.PreferenceDomain:
 
 def domain_to_graph(d: dm.PreferenceDomain) -> mg.MatLabeledGraph:
     """Label every pair by its topmost contiguous occurrence."""
-    if not dm.is_maximal_aspd(d):
-        raise StructureError("domain.maximal-aspd", "conversion requires a maximal ASPD")
+    dm.require_valid(d)
     labels = {}
     alts = sorted(d.alternatives)
     for i, x in enumerate(alts):
@@ -82,8 +79,7 @@ def vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
 
 def domain_to_vine(d: dm.PreferenceDomain) -> vn.RegularVine:
     """All preference prefixes, as a node set."""
-    if not dm.is_maximal_aspd(d):
-        raise StructureError("domain.maximal-aspd", "conversion requires a maximal ASPD")
+    dm.require_valid(d)
     nodes = set()
     for w in d.prefs:
         for k in range(1, len(w) + 1):

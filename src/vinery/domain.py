@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Optional
 
-from .errors import StructureError
+from .errors import StructureError, Violation
 
 Preference = tuple  # tuple of alternative labels, first-ranked first
 
@@ -65,17 +65,44 @@ def find_condorcet_cycle(d: PreferenceDomain):
 
 
 def is_aspd(d: PreferenceDomain) -> tuple[bool, Optional[tuple]]:
-    """Never-bottom check on all triples; returns (flag, violating triple)."""
-    for T in combinations(sorted(d.alternatives), 3):
-        rt = restrict_domain(d, T)
-        bottoms = {w[-1] for w in rt.prefs}
-        if bottoms >= set(T):
-            return False, T
+    """Never-bottom check on all triples; returns (flag, first violating triple).
+
+    One position table per preference; a triple violates the condition when
+    each of its three members is ranked last among them by some preference.
+    """
+    alts = sorted(d.alternatives)
+    ranks = [[w.index(x) for x in alts] for w in d.prefs]
+    for i, j, k in combinations(range(len(alts)), 3):
+        last = {i if r[i] > r[j] and r[i] > r[k] else j if r[j] > r[k] else k for r in ranks}
+        if len(last) == 3:
+            return False, (alts[i], alts[j], alts[k])
     return True, None
 
 
 def bottom_alternatives(d: PreferenceDomain) -> frozenset:
     return frozenset(w[-1] for w in d.prefs if w)
+
+
+def validate_domain(d: PreferenceDomain) -> list[Violation]:
+    """Never-bottom, then the maximal size 2^(n-1); empty report means a maximal ASPD."""
+    report: list[Violation] = []
+    ok, triple = is_aspd(d)
+    if not ok:
+        report.append(Violation("domain.never-bottom", triple,
+                                f"every alternative of {triple} is a bottom in the restriction"))
+    expected = 1 if d.n == 0 else 2 ** (d.n - 1)
+    if len(d.prefs) != expected:
+        report.append(Violation("domain.maximal-size", len(d.prefs),
+                                f"{len(d.prefs)} preferences, maximal ASPDs have {expected}"))
+    return report
+
+
+def require_valid(d: PreferenceDomain) -> None:
+    """Raise ``domain.maximal-aspd``, naming the first violation, unless d is a maximal ASPD."""
+    report = validate_domain(d)
+    if report:
+        x = report[0]
+        raise StructureError("domain.maximal-aspd", f"not a maximal ASPD: {x.message}", witness=x.witness)
 
 
 def is_maximal_aspd(d: PreferenceDomain, definitional: bool = False) -> bool:
@@ -85,29 +112,25 @@ def is_maximal_aspd(d: PreferenceDomain, definitional: bool = False) -> bool:
     instead (every absent preference breaks the never-bottom condition);
     feasible only for small n.
     """
-    ok, _ = is_aspd(d)
-    if not ok:
+    if not definitional:
+        return not validate_domain(d)
+    if not is_aspd(d)[0]:
         return False
-    if definitional:
-        for w in permutations(sorted(d.alternatives)):
-            if w not in d.prefs:
-                bigger = PreferenceDomain(d.alternatives, d.prefs | {w})
-                if is_aspd(bigger)[0]:
-                    return False
-        return True
-    if d.n == 0:
-        return d.prefs == frozenset({()})
-    return len(d.prefs) == 2 ** (d.n - 1)
-
-
-def _require_maximal(d: PreferenceDomain) -> None:
-    if not is_maximal_aspd(d):
-        raise StructureError("domain.maximal-aspd", "domain is not a maximal ASPD")
+    for w in permutations(sorted(d.alternatives)):
+        if w not in d.prefs:
+            bigger = PreferenceDomain(d.alternatives, d.prefs | {w})
+            if is_aspd(bigger)[0]:
+                return False
+    return True
 
 
 def split_domain(d: PreferenceDomain) -> tuple[PreferenceDomain, PreferenceDomain, PreferenceDomain]:
     """Split a maximal ASPD along its two bottom alternatives."""
-    _require_maximal(d)
+    require_valid(d)
+    return _split_unchecked(d)
+
+
+def _split_unchecked(d: PreferenceDomain) -> tuple[PreferenceDomain, PreferenceDomain, PreferenceDomain]:
     if d.n < 2:
         raise StructureError("domain.split", "split requires n >= 2")
     a1, a2 = sorted(bottom_alternatives(d))

@@ -1,12 +1,16 @@
-"""Error types shared across the library.
+"""Error types and the validation vocabulary shared across the library.
 
 Validation failures carry a machine-readable axiom identifier such as
 ``"vine.proximity"`` together with a witness of the violation, so that both
 the CLI and the tests can assert on *which* rule broke, not just that
-something did.
+something did.  Every family has one validator ``validate_<kind>(x)``
+returning a list of ``Violation``s (empty means valid); ``raise_first``
+turns such a report into a ``StructureError``.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 
 class StructureError(ValueError):
@@ -24,3 +28,38 @@ class InternalInconsistencyError(RuntimeError):
     This signals a bug in a species implementation (e.g. a merge failing on a
     compatible pair), never a problem with user input.
     """
+
+
+class Violation(NamedTuple):
+    axiom: str
+    witness: object
+    message: str
+
+
+def raise_first(report: list[Violation]) -> None:
+    """Raise the first violation of a validator's report, if there is one."""
+    if report:
+        x = report[0]
+        raise StructureError(x.axiom, x.message, witness=x.witness)
+
+
+class _UnionFind:
+    """Disjoint sets with path halving, for the cycle checks of the validators."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        while p[x] != x:
+            p[x] = p[p[x]]
+            x = p[x]
+        return x
+
+    def union(self, x, y) -> bool:
+        """Union the two classes; False if already joined (a cycle closed)."""
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        self.parent[rx] = ry
+        return True

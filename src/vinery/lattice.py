@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 from . import generate as gen
 from . import vine as vn
-from .errors import StructureError
+from .errors import StructureError, Violation
 
 
 @dataclass(frozen=True, eq=True)
@@ -162,6 +162,24 @@ def is_extremal_lattice(L: BoundedLattice, n: int) -> bool:
     return len(L.elements) == 1 + n + n * (n - 1) // 2
 
 
+def validate_lattice(L: BoundedLattice) -> list[Violation]:
+    """Lattice, then B(3)-freeness, the extremal size and at most n join-irreducibles
+    for n = |ground|; empty report means (n,3)-extremal."""
+    if not is_lattice(L):
+        return [Violation("lattice.lattice", None, "element family is not a lattice under inclusion")]
+    report: list[Violation] = []
+    n = len(L.ground)
+    witness = is_b3_free(L)
+    if witness is not None:
+        report.append(Violation("lattice.b3-free", witness, f"induced B(3) on {[sorted(s) for s in witness]}"))
+    size = 1 + n + n * (n - 1) // 2
+    if len(L.elements) != size:
+        report.append(Violation("lattice.size", len(L.elements), f"{len(L.elements)} elements, extremal is {size}"))
+    if len(join_irreducibles(L)) > n:
+        report.append(Violation("lattice.join-irreducibles", n, f"more than {n} join-irreducibles"))
+    return report
+
+
 def vine_to_lattice(v: vn.RegularVine) -> BoundedLattice:
     vn.require_valid(v)
     return BoundedLattice(v.nodes | {frozenset()})
@@ -281,9 +299,25 @@ def has_no_triangles(M: BinaryMatrix) -> Optional[tuple]:
     return None
 
 
-def is_extremal_matrix(M: BinaryMatrix) -> bool:
+def validate_matrix(M: BinaryMatrix) -> list[Violation]:
+    """Strictly increasing row labels, no triangle, the extremal column count;
+    empty report means extremal."""
+    report: list[Violation] = []
+    if any(a >= b for a, b in zip(M.rows, M.rows[1:])):
+        report.append(Violation("matrix.rows", list(M.rows),
+                                f"row labels {list(M.rows)} are not strictly increasing"))
+    witness = has_no_triangles(M)
+    if witness is not None:
+        report.append(Violation("matrix.triangle", witness, f"triangle at rows {witness[0]}"))
     n = len(M.rows)
-    return has_no_triangles(M) is None and len(M.columns) == 1 + n + n * (n - 1) // 2
+    size = 1 + n + n * (n - 1) // 2
+    if len(M.columns) != size:
+        report.append(Violation("matrix.size", len(M.columns), f"{len(M.columns)} columns, extremal is {size}"))
+    return report
+
+
+def is_extremal_matrix(M: BinaryMatrix) -> bool:
+    return not validate_matrix(M)
 
 
 def automorphism_group_order(v: vn.RegularVine) -> int:

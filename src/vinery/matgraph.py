@@ -11,9 +11,9 @@ endpoints of the unique edge carrying the largest label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import StructureError
+from .errors import StructureError, Violation, _UnionFind, raise_first
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -69,32 +69,6 @@ def complete_graph(labels: Mapping[tuple[str, str], int]) -> MatLabeledGraph:
     return mat_graph(vs, [(u, v, k) for (u, v), k in labels.items()])
 
 
-class Violation(NamedTuple):
-    axiom: str
-    witness: object
-    message: str
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y) -> bool:
-        """Union the two classes; False if already joined (a cycle closed)."""
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
-
-
 def validate_mat_labeling(g: MatLabeledGraph) -> list[Violation]:
     """Check the two MAT axioms level by level; empty report means valid."""
     report: list[Violation] = []
@@ -136,11 +110,18 @@ def triangle_partners(g: MatLabeledGraph, u: str, v: str) -> set:
     return out
 
 
-def require_valid(g: MatLabeledGraph) -> None:
+def validate_matgraph(g: MatLabeledGraph) -> list[Violation]:
+    """The MAT axioms, then completeness; empty report means valid."""
     report = validate_mat_labeling(g)
-    if report:
-        v = report[0]
-        raise StructureError(v.axiom, v.message, witness=v.witness)
+    if not g.is_complete():
+        full = g.n * (g.n - 1) // 2
+        report.append(Violation("matgraph.complete", (len(g.labels), full),
+                                f"{len(g.labels)} labeled edges, the complete graph on {g.n} vertices has {full}"))
+    return report
+
+
+def require_valid(g: MatLabeledGraph) -> None:
+    raise_first(validate_matgraph(g))
 
 
 def _is_mat_simplicial(g: MatLabeledGraph, a: str) -> bool:
@@ -163,7 +144,7 @@ def _is_mat_simplicial(g: MatLabeledGraph, a: str) -> bool:
 
 
 def mat_simplicial_vertices(g: MatLabeledGraph) -> frozenset:
-    require_valid(g)
+    raise_first(validate_mat_labeling(g))
     return frozenset(a for a in g.vertices if _is_mat_simplicial(g, a))
 
 
@@ -204,8 +185,6 @@ def enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
     MAT-simplicial in the induced prefix, so the search is output-polynomial.
     """
     require_valid(g)
-    if not g.is_complete():
-        raise StructureError("matgraph.complete", "MAT-PEO enumeration requires a complete graph")
     out: list[tuple[str, ...]] = []
     order = sorted(g.vertices)
 
@@ -226,9 +205,13 @@ def enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
 def split_graph(g: MatLabeledGraph) -> tuple[MatLabeledGraph, MatLabeledGraph, MatLabeledGraph]:
     """Restrictions to the complements of the two MAT-simplicial vertices."""
     require_valid(g)
-    if not g.is_complete() or g.n < 2:
-        raise StructureError("matgraph.split", "split requires a complete graph on >= 2 vertices")
-    a1, a2 = sorted(mat_simplicial_vertices(g))
+    return _split_unchecked(g)
+
+
+def _split_unchecked(g: MatLabeledGraph) -> tuple[MatLabeledGraph, MatLabeledGraph, MatLabeledGraph]:
+    if g.n < 2:
+        raise StructureError("matgraph.split", "split requires n >= 2")
+    a1, a2 = sorted(a for a in g.vertices if _is_mat_simplicial(g, a))
     g1 = induced_subgraph(g, g.vertices - {a1})
     g2 = induced_subgraph(g, g.vertices - {a2})
     gp = induced_subgraph(g, g.vertices - {a1, a2})

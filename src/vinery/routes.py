@@ -25,8 +25,6 @@ _DIRECT = {
     ("domain", "vine"): co.domain_to_vine,
 }
 
-_SPECIES = {"matgraph": sp.GRAPH, "vine": sp.VINE, "domain": sp.DOMAIN}
-
 
 def _to_vine(obj, via: str):
     kind = io.kind_of(obj)
@@ -34,7 +32,7 @@ def _to_vine(obj, via: str):
         return obj
     if kind in _CORE:
         if via == "transport":
-            return sp.transport(_SPECIES[kind], sp.VINE, obj)
+            return sp.transport(sp.SPECIES[kind], sp.VINE, obj)
         return _DIRECT[(kind, "vine")](obj)
     if kind == "lattice":
         return lt.lattice_to_vine(obj)
@@ -54,14 +52,14 @@ def convert_structure(obj, to_kind: str, via: str = "direct"):
         return obj
     if kind in _CORE and to_kind in _CORE:
         if via == "transport":
-            return sp.transport(_SPECIES[kind], _SPECIES[to_kind], obj)
+            return sp.transport(sp.SPECIES[kind], sp.SPECIES[to_kind], obj)
         return _DIRECT[(kind, to_kind)](obj)
     v = _to_vine(obj, via)
     if to_kind == "vine":
         return v
     if to_kind in _CORE:
         if via == "transport":
-            return sp.transport(sp.VINE, _SPECIES[to_kind], v)
+            return sp.transport(sp.VINE, sp.SPECIES[to_kind], v)
         return _DIRECT[("vine", to_kind)](v)
     if to_kind == "lattice":
         return lt.vine_to_lattice(v)

@@ -1,17 +1,25 @@
-"""Split/merge species interfaces and the generic transport isomorphism.
+"""Split/merge species and the generic transport isomorphism.
 
-Each of the three core families (MAT-labeled complete graphs, regular vines,
-maximal ASPDs) implements the same small interface: split a structure on A
-into its two halves on co-atoms of A, merge two compatible halves back, and
-relabel along a bijection.  Any two such species are connected by a unique
-natural isomorphism, computed recursively by ``transport``: split in the
-source, transport both halves, merge in the target.
+The three core families (MAT-labeled complete graphs, regular vines, maximal
+ASPDs) are one species each, described by a row of the ``Species`` table:
+the family's type and ground-set attribute, its validator, its trivial
+structure on a ground set of size <= 1, and its split, merge and relabel
+operations.  Splitting turns a structure on A into its two halves on
+co-atoms of A; merging is the inverse on compatible halves.  Any two species
+are connected by a unique natural isomorphism, computed recursively by
+``transport``: split in the source, transport both halves, merge in the
+target.
+
+Validation happens once, where a structure enters this layer: ``transport``,
+``merge_checked`` and ``check_proximity`` validate their inputs, and the
+split operation trusts its input, since the halves of a valid structure are
+valid.  Merging keeps its compatibility test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Callable, Mapping
 
 from . import domain as dm
 from . import matgraph as mg
@@ -32,12 +40,9 @@ class SplitPair:
 
 
 def _ground_of(x) -> frozenset:
-    if isinstance(x, mg.MatLabeledGraph):
-        return x.vertices
-    if isinstance(x, vn.RegularVine):
-        return x.ground
-    if isinstance(x, dm.PreferenceDomain):
-        return x.alternatives
+    for s in SPECIES.values():
+        if isinstance(x, s.type):
+            return getattr(x, s.ground_attr)
     raise TypeError(f"not a species structure: {type(x).__name__}")
 
 
@@ -48,86 +53,50 @@ def make_pair(x, y) -> SplitPair:
     return SplitPair(y, x)
 
 
-class GraphSpecies:
-    name = "matgraph"
+class Species:
+    """One family's split/merge operations, as a row of functions.
 
-    def ground(self, g: mg.MatLabeledGraph) -> frozenset:
-        return g.vertices
+    ``require`` raises a ``StructureError`` on an invalid structure;
+    ``split`` is the family's unchecked split, returning the two halves and
+    their shared part; ``merge`` returns None on incompatible halves.
+    """
 
-    def validate(self, g: mg.MatLabeledGraph) -> None:
-        mg.require_valid(g)
-        if not g.is_complete():
-            raise StructureError("matgraph.complete", "species operations require a complete graph")
+    def __init__(self, name: str, type_: type, ground_attr: str, require: Callable,
+                 trivial: Callable, split: Callable, merge: Callable, relabel: Callable):
+        self.name, self.type, self.ground_attr = name, type_, ground_attr
+        self._require, self._trivial, self._split = require, trivial, split
+        self._merge, self._relabel = merge, relabel
 
-    def trivial(self, ground) -> mg.MatLabeledGraph:
-        return mg.MatLabeledGraph(frozenset(ground), {})
+    def ground(self, x) -> frozenset:
+        return getattr(x, self.ground_attr)
 
-    def split(self, g: mg.MatLabeledGraph) -> SplitPair:
-        g1, g2, _ = mg.split_graph(g)
-        return make_pair(g1, g2)
+    def validate(self, x) -> None:
+        self._require(x)
 
-    def merge(self, p: SplitPair) -> Optional[mg.MatLabeledGraph]:
-        return mg.merge_graphs(p.left, p.right)
+    def trivial(self, ground):
+        return self._trivial(frozenset(ground))
 
-    def relabel(self, g, h) -> mg.MatLabeledGraph:
-        _check_bijection(g.vertices, h)
-        return mg.relabel_graph(g, h)
+    def split(self, x) -> SplitPair:
+        left, right, _ = self._split(x)
+        return make_pair(left, right)
 
+    def merge(self, p: SplitPair):
+        return self._merge(p.left, p.right)
 
-class VineSpecies:
-    name = "vine"
-
-    def ground(self, v: vn.RegularVine) -> frozenset:
-        return v.ground
-
-    def validate(self, v: vn.RegularVine) -> None:
-        vn.require_valid(v)
-
-    def trivial(self, ground) -> vn.RegularVine:
-        g = frozenset(ground)
-        return vn.RegularVine(g, frozenset({g}) if g else frozenset())
-
-    def split(self, v: vn.RegularVine) -> SplitPair:
-        v1, v2, _ = vn.split_vine(v)
-        return make_pair(v1, v2)
-
-    def merge(self, p: SplitPair) -> Optional[vn.RegularVine]:
-        return vn.merge_vines(p.left, p.right)
-
-    def relabel(self, v, h) -> vn.RegularVine:
-        _check_bijection(v.ground, h)
-        return vn.relabel_vine(v, h)
+    def relabel(self, x, h):
+        _check_bijection(self.ground(x), h)
+        return self._relabel(x, h)
 
 
-class DomainSpecies:
-    name = "domain"
-
-    def ground(self, d: dm.PreferenceDomain) -> frozenset:
-        return d.alternatives
-
-    def validate(self, d: dm.PreferenceDomain) -> None:
-        if not dm.is_maximal_aspd(d):
-            raise StructureError("domain.maximal-aspd", "species operations require a maximal ASPD")
-
-    def trivial(self, ground) -> dm.PreferenceDomain:
-        g = frozenset(ground)
-        return dm.PreferenceDomain(g, frozenset({tuple(sorted(g))}))
-
-    def split(self, d: dm.PreferenceDomain) -> SplitPair:
-        d1, d2, _ = dm.split_domain(d)
-        return make_pair(d1, d2)
-
-    def merge(self, p: SplitPair) -> Optional[dm.PreferenceDomain]:
-        return dm.merge_domains(p.left, p.right)
-
-    def relabel(self, d, h) -> dm.PreferenceDomain:
-        _check_bijection(d.alternatives, h)
-        return dm.relabel_domain(d, h)
-
-
-GRAPH = GraphSpecies()
-VINE = VineSpecies()
-DOMAIN = DomainSpecies()
+GRAPH = Species("matgraph", mg.MatLabeledGraph, "vertices", mg.require_valid,
+                lambda g: mg.MatLabeledGraph(g, {}),
+                mg._split_unchecked, mg.merge_graphs, mg.relabel_graph)
+VINE = Species("vine", vn.RegularVine, "ground", vn.require_valid,
+               lambda g: vn.RegularVine(g, frozenset({g}) if g else frozenset()),
+               vn._split_unchecked, vn.merge_vines, vn.relabel_vine)
+DOMAIN = Species("domain", dm.PreferenceDomain, "alternatives", dm.require_valid,
+                 lambda g: dm.PreferenceDomain(g, frozenset({tuple(sorted(g))})),
+                 dm._split_unchecked, dm.merge_domains, dm.relabel_domain)
 SPECIES = {s.name: s for s in (GRAPH, VINE, DOMAIN)}
 
 
@@ -180,7 +149,7 @@ def transport(F, G, x):
     Recursive: split in F, transport both halves, merge in G.  Memoized per
     invocation on the sub-ground-set, which is enough because the recursion
     below a fixed structure visits each sub-ground-set through a unique
-    substructure.
+    substructure.  Only x itself is validated.
     """
     F.validate(x)
     memo: dict[frozenset, object] = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-from .errors import StructureError
+from .errors import StructureError, Violation, _UnionFind, raise_first
 
 
 @dataclass(frozen=True, eq=True)
@@ -42,35 +42,10 @@ def vine(ground: Iterable[str], nodes: Iterable[Iterable[str]]) -> RegularVine:
     return RegularVine(g, ns)
 
 
-class Violation(NamedTuple):
-    axiom: str
-    witness: object
-    message: str
-
-
 def covered_by(v: RegularVine, s: frozenset) -> list[frozenset]:
     """Nodes covered by s in the induced subset order."""
     below = [t for t in v.nodes if t < s]
     return sorted((t for t in below if not any(t < u < s for u in below)), key=sorted)
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self.parent[rx] = ry
-        return True
 
 
 def validate_vine(v: RegularVine) -> list[Violation]:
@@ -132,10 +107,7 @@ def validate_vine(v: RegularVine) -> list[Violation]:
 
 
 def require_valid(v: RegularVine) -> None:
-    report = validate_vine(v)
-    if report:
-        x = report[0]
-        raise StructureError(x.axiom, x.message, witness=x.witness)
+    raise_first(validate_vine(v))
 
 
 class AssociatedTree(NamedTuple):
@@ -156,6 +128,10 @@ def associated_tree(v: RegularVine, i: int) -> AssociatedTree:
 def split_vine(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
     """Principal ideals of the two co-atoms covered by the top node."""
     require_valid(v)
+    return _split_unchecked(v)
+
+
+def _split_unchecked(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
     if v.n < 2:
         raise StructureError("vine.split", "split requires n >= 2")
     c1, c2 = covered_by(v, v.ground)

@@ -69,6 +69,45 @@ def test_verify_kind_mismatch(write, intro_vine, capsys):
     assert "kind mismatch" in capsys.readouterr().err
 
 
+CUBE = [[], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"], ["a", "b", "c"]]
+
+
+@pytest.mark.parametrize("doc,out", [
+    ({"kind": "lattice", "nodes": [[], ["a"], ["b"], ["c"], ["b", "c"], ["a", "b", "c"]]},
+     "INVALID lattice.size: 6 elements, extremal is 7\n"),
+    ({"kind": "lattice", "nodes": CUBE},
+     "INVALID lattice.b3-free: induced B(3) on [[], ['a'], ['b'], ['c'], ['a', 'b'], ['a', 'c'], "
+     "['b', 'c'], ['a', 'b', 'c']]\n"
+     "INVALID lattice.size: 8 elements, extremal is 7\n"),
+    ({"kind": "matrix", "rows": ["a", "b", "c"], "columns": ["000", "100", "010", "001", "110", "111"]},
+     "INVALID matrix.size: 6 columns, extremal is 7\n"),
+    ({"kind": "matrix", "rows": ["a", "b", "c"],
+      "columns": ["000", "100", "010", "001", "110", "101", "011", "111"]},
+     "INVALID matrix.triangle: triangle at rows ('a', 'b', 'c')\n"
+     "INVALID matrix.size: 8 columns, extremal is 7\n"),
+    ({"kind": "domain", "alternatives": ["a", "b", "c"],
+      "preferences": [["a", "b", "c"], ["b", "c", "a"], ["c", "a", "b"]]},
+     "INVALID domain.never-bottom: every alternative of ('a', 'b', 'c') is a bottom in the restriction\n"
+     "INVALID domain.maximal-size: 3 preferences, maximal ASPDs have 4\n"),
+])
+def test_verify_reports_every_violation_in_order(write, doc, out, capsys):
+    path = write("bad.json", json.dumps(doc))
+    assert cli.main(["verify", path]) == 1
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("rows", [["a", "a"], ["b", "a"]])
+def test_matrix_rows_must_be_strictly_increasing(write, rows, capsys):
+    path = write("m.json", json.dumps({"kind": "matrix", "rows": rows, "columns": ["00", "10", "01", "11"]}))
+    assert cli.main(["verify", path]) == 1
+    assert capsys.readouterr().out == f"INVALID matrix.rows: row labels {rows} are not strictly increasing\n"
+    for argv in (["convert", path, "--to", "lattice"], ["analyze", path]):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("INVALID matrix.rows: ")
+
+
 # ---------------------------------------------------------------- convert
 
 def test_convert_direct_equals_transport(write, intro_graph, intro_domain, capsys):
@@ -199,10 +238,6 @@ def test_count_formula_cap(capsys):
     assert cli.main(["count", "--n", "65"]) == 1
 
 
-def test_threads_flag_is_accepted(capsys):
-    assert cli.main(["--threads", "4", "count", "--n", "5"]) == 0
-
-
 # ---------------------------------------------------------------- catalog
 
 def test_catalog_writes_deterministic_files(tmp_path, capsys):
@@ -235,6 +270,11 @@ def test_malformed_json_is_parse_failure(write, capsys):
 def test_bad_envelope_is_domain_failure(write, capsys):
     path = write("nokind.json", "{}")
     assert cli.main(["verify", path]) == 1
+
+
+def test_selftest_passes(capsys):
+    assert cli.main(["selftest"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "selftest: OK"
 
 
 def test_console_script_entry_point():

@@ -1,10 +1,14 @@
 """Preference domains: restriction, Condorcet cycles, single-peakedness,
 maximality, split/merge, analytics."""
 
+import random
+from itertools import combinations, permutations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from vinery import correspond as co
 from vinery import domain as dm
 from vinery.errors import StructureError
 
@@ -47,6 +51,31 @@ def test_no_condorcet_cycle_but_not_aspd():
     assert dm.find_condorcet_cycle(d) is None
     ok, triple = dm.is_aspd(d)
     assert not ok and triple == ("a", "b", "c")
+
+
+def _is_aspd_by_restriction(d):
+    """Oracle: the never-bottom check by restricting the domain to each triple."""
+    for T in combinations(sorted(d.alternatives), 3):
+        bottoms = {w[-1] for w in dm.restrict_domain(d, T).prefs}
+        if bottoms >= set(T):
+            return False, T
+    return True, None
+
+
+def test_is_aspd_matches_restriction_oracle(classification, seed):
+    rng = random.Random(seed)
+    verdicts = set()
+    for i in range(500):
+        alts = "abcde"[:4 + i % 2]
+        perms = list(permutations(alts))
+        d = dm.domain(alts, rng.sample(perms, rng.randint(1, 2 ** (len(alts) - 1) + 2)))
+        assert dm.is_aspd(d) == _is_aspd_by_restriction(d)
+        verdicts.add(dm.is_aspd(d)[0])
+    assert verdicts == {True, False}
+    for n in range(1, 7):
+        for cls in classification.by_n[n]:
+            d = co.vine_to_domain(cls.representative)
+            assert dm.is_aspd(d) == _is_aspd_by_restriction(d) == (True, None)
 
 
 def test_worked_examples_are_maximal_aspds(intro_domain, fig_domain, trd1, trd2):

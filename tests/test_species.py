@@ -6,6 +6,7 @@ import pytest
 
 from vinery import correspond as co
 from vinery import domain as dm
+from vinery import generate as gen
 from vinery import matgraph as mg
 from vinery import species as sp
 from vinery import vine as vn
@@ -117,6 +118,24 @@ def test_transport_tiny():
     two = vn.vine("ab", ["a", "b", "ab"])
     assert sp.transport(sp.VINE, sp.GRAPH, two) == \
         mg.mat_graph("ab", [("a", "b", 1)])
+
+
+def test_transport_validates_the_source_once(monkeypatch, seed):
+    inc = incarnations(gen.random_vine("abcdef", random.Random(seed)))
+    validators = {sp.VINE: (vn, "validate_vine"), sp.GRAPH: (mg, "validate_mat_labeling"),
+                  sp.DOMAIN: (dm, "is_aspd")}
+    calls = dict.fromkeys(ALL_SPECIES, 0)
+    for S, (module, name) in validators.items():
+        def counting(x, _inner=getattr(module, name), _S=S):
+            calls[_S] += 1
+            return _inner(x)
+        monkeypatch.setattr(module, name, counting)
+    for F in ALL_SPECIES:
+        for G in ALL_SPECIES:
+            if F is not G:
+                calls.update(dict.fromkeys(ALL_SPECIES, 0))
+                assert sp.transport(F, G, inc[F]) == inc[G]
+                assert calls[F] == 1, (F.name, G.name, calls[F])
 
 
 def test_transport_validates_input():
