@@ -208,6 +208,10 @@ def cmd_selftest(args) -> int:
     check("intro matrix is extremal", lt.is_extremal_matrix(lt.lattice_to_matrix(L)))
     check("n=4 classification finds 2 classes",
           len(gen.classify(gen.generate_vines("abcd"))) == 2)
+    for n in range(1, 6):
+        enumerated = gen.classify(gen.generate_vines(string.ascii_lowercase[:n]))
+        check(f"doubling and enumeration find the same classes n={n}",
+              gen.class_representatives(n) == [c.representative for c in enumerated])
     print("selftest:", "OK" if failures == 0 else f"{failures} failures")
     return 0 if failures == 0 else 1
 

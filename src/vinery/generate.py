@@ -13,9 +13,16 @@ them, relabels the nodes by each chain's first-appearance order (one OR per
 node), and keeps the least sorted list of integer node keys together with
 the number of chains attaining it, which is |Aut|.  Only the winning list is
 turned back into the tuple form.  Vines enter the kernel as masks once, at
-the boundary; classification of all vines of one size streams the
-generator's masks, and the n = 7 classes double the n = 6 representatives
-along their chains in masks.
+the boundary.
+
+The class table at every n (`class_representatives`, `catalog_entries`)
+comes from the merge step of the split/merge recursion: every extremal
+lattice on n labels is an (n - 1)-lattice doubled along a maximal chain, so
+doubling each (n - 1)-class representative along each chain, in masks, and
+deduplicating by canonical form finds every class; the orbits n!/|Aut| must
+add up to the labeled count.  Classifying the full generator stream
+(`classify(generate_vines(...))`) is the independent route the tests and
+`selftest` check it against.
 
 Counting uses the observation that the number of completions of a partial
 tree sequence depends only on the unlabeled shape of the current tree, which
@@ -468,19 +475,14 @@ class IsoClass(NamedTuple):
 
 def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
     """Group labeled vines by canonical form; assert orbit sizes n!/|Aut|."""
-    return _classify((v.n, _vine_masks(v)) for v in vines)
-
-
-def _classify(items: Iterable[tuple[int, list[int]]]) -> list[IsoClass]:
-    """classify() on (n, node masks) pairs."""
     groups: dict[tuple, list] = {}
     n = None
-    for size, masks in items:
+    for v in vines:
         if n is None:
-            n = size
-        elif size != n:
+            n = v.n
+        elif v.n != n:
             raise StructureError("enumerate.mixed", "classification requires a uniform ground size")
-        keys, aut = _canonical(size, masks)
+        keys, aut = _canonical(n, _vine_masks(v))
         entry = groups.get(keys)
         if entry is None:
             groups[keys] = [1, aut]
@@ -497,11 +499,6 @@ def _classify(items: Iterable[tuple[int, list[int]]]) -> list[IsoClass]:
     return out
 
 
-def _enumerated_classes(n: int) -> list[IsoClass]:
-    """classify(generate_vines(...)) on the generator's own masks."""
-    return _classify((n, masks) for masks in _vine_mask_stream(n))
-
-
 def _doubled_masks(n: int, masks: list[int], chain: Sequence[int]) -> list[int]:
     """Node masks of the vine of the lattice doubled along a maximal chain:
     the chain plus the empty bottom, each joined with the fresh bit 1 << n."""
@@ -509,20 +506,24 @@ def _doubled_masks(n: int, masks: list[int], chain: Sequence[int]) -> list[int]:
     return masks + [fresh] + [c | fresh for c in chain]
 
 
-def class_representatives(n: int) -> list[vn.RegularVine]:
-    """One canonically labeled representative per isomorphism class.
+def _doubled_classes(n: int) -> list[IsoClass]:
+    """Every isomorphism class on n labels, in canonical-form order.
 
-    For n <= 6 by full enumeration; for n = 7 by doubling every n = 6 class
-    along every maximal chain (complete, since every extremal lattice arises
-    as a doubling) and deduplicating by canonical form.
+    Each (n - 1)-class representative is doubled along each maximal chain of
+    its lattice (complete, since every extremal lattice arises as a doubling)
+    and the doubled vines are deduplicated by canonical form.  |Aut| is the
+    kernel's chain hit count and the orbit n!/|Aut|; the orbits must add up
+    to the labeled count.
     """
     from . import lattice as lt
-    if n <= 6:
-        return [c.representative for c in _enumerated_classes(n)]
+    if n <= 1:
+        form = tuple((p,) for p in range(n))
+        return [IsoClass(form, vine_from_form(form), 1, 1)]
     labels = list(string.ascii_lowercase[:n])
     bit = {x: 1 << i for i, x in enumerate(labels)}
-    seen: set[tuple] = set()
-    for rep in class_representatives(n - 1):
+    auts: dict[tuple, int] = {}
+    for cls in _doubled_classes(n - 1):
+        rep = cls.representative
         L = lt.vine_to_lattice(rep)
         masks = _vine_masks(rep)
         for chain in lt.maximal_chains_of_lattice(L):
@@ -530,17 +531,37 @@ def class_representatives(n: int) -> list[vn.RegularVine]:
             report = vn.validate_vine(_masks_to_vine(labels, doubled))
             if report:
                 raise InternalInconsistencyError(f"doubling produced an invalid vine: {report[0].message}")
-            seen.add(_canonical(n, doubled)[0])
-    return [vine_from_form(_form(n, keys)) for keys in sorted(seen)]
+            keys, aut = _canonical(n, doubled)
+            auts[keys] = aut
+    total = math.factorial(n)
+    covered, expected = sum(total // aut for aut in auts.values()), labeled_count_formula(n)
+    if covered != expected:
+        raise InternalInconsistencyError(
+            f"doubled classes cover {covered} of the {expected} labeled vines at n={n}")
+    classes = []
+    for keys in sorted(auts):  # key order is form order
+        form = _form(n, keys)
+        classes.append(IsoClass(form, vine_from_form(form), total // auts[keys], auts[keys]))
+    return classes
+
+
+def class_representatives(n: int) -> list[vn.RegularVine]:
+    """One canonically labeled representative per isomorphism class, in
+    canonical-form order, by doubling the (n - 1)-classes along their
+    maximal chains at every n; `classify(generate_vines(...))` is the
+    enumeration oracle for n <= 7."""
+    return [c.representative for c in _doubled_classes(n)]
 
 
 # ---------------------------------------------------------------- catalog
 
 def catalog_entries(n: int) -> list[dict]:
-    """One catalog entry per isomorphism class, in canonical-form order."""
+    """One catalog entry per isomorphism class, in canonical-form order; the
+    classes, orbits and |Aut| come from the doubling route of
+    `class_representatives`."""
     from . import correspond as co
     from . import lattice as lt
-    classes = _enumerated_classes(n)
+    classes = _doubled_classes(n)
     entries = []
     for idx, cls in enumerate(classes):
         v = cls.representative

@@ -110,6 +110,11 @@ def direct_b3_search(L: BoundedLattice) -> Optional[tuple]:
     consists of the pairwise joins of its atoms.
     """
     _require_lattice(L)
+    return _direct_b3_witness(L)
+
+
+def _direct_b3_witness(L: BoundedLattice) -> Optional[tuple]:
+    """direct_b3_search on a lattice already checked."""
     for t1, t2, t3 in combinations(L.sorted_elements(), 3):
         j12, j13, j23 = join(L, t1, t2), join(L, t1, t3), join(L, t2, t3)
         top = join(L, j12, j23)
@@ -128,6 +133,11 @@ def is_b3_free(L: BoundedLattice) -> Optional[tuple]:
     falling back to the direct 3-generator search otherwise.
     """
     _require_lattice(L)
+    return _b3_witness(L)
+
+
+def _b3_witness(L: BoundedLattice) -> Optional[tuple]:
+    """is_b3_free on a lattice already checked."""
     ground = L.ground
     if all(frozenset([a]) in L.elements for a in sorted(ground)):
         M = lattice_to_matrix(L)
@@ -147,8 +157,8 @@ def is_b3_free(L: BoundedLattice) -> Optional[tuple]:
         witness = (bottom, frozenset([a1]), frozenset([a2]), frozenset([a3]), s1, s2, s3, top)
         if _is_induced_b3(list(witness)):
             return witness
-        return direct_b3_search(L)  # degenerate overlaps; fall back
-    return direct_b3_search(L)
+        return _direct_b3_witness(L)  # degenerate overlaps; fall back
+    return _direct_b3_witness(L)
 
 
 def is_extremal_lattice(L: BoundedLattice, n: int) -> bool:
@@ -157,7 +167,7 @@ def is_extremal_lattice(L: BoundedLattice, n: int) -> bool:
         return False
     if len(join_irreducibles(L)) > n:
         return False
-    if is_b3_free(L) is not None:
+    if _b3_witness(L) is not None:
         return False
     return len(L.elements) == 1 + n + n * (n - 1) // 2
 
@@ -169,7 +179,7 @@ def validate_lattice(L: BoundedLattice) -> list[Violation]:
         return [Violation("lattice.lattice", None, "element family is not a lattice under inclusion")]
     report: list[Violation] = []
     n = len(L.ground)
-    witness = is_b3_free(L)
+    witness = _b3_witness(L)
     if witness is not None:
         report.append(Violation("lattice.b3-free", witness, f"induced B(3) on {[sorted(s) for s in witness]}"))
     size = 1 + n + n * (n - 1) // 2

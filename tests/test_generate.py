@@ -9,7 +9,7 @@ import pytest
 
 from vinery import generate as gen
 from vinery import vine as vn
-from vinery.errors import StructureError
+from vinery.errors import InternalInconsistencyError, StructureError
 
 from conftest import sample_vines
 
@@ -235,6 +235,38 @@ def test_mask_doubling_matches_lattice_doubling():
             as_masks = [sum(1 << labels.index(x) for x in s) for s in chain[1:]]
             keys, _ = gen._canonical(6, gen._doubled_masks(5, masks, as_masks))
             assert gen._form(6, keys) == gen.canonical_form(lt.lattice_to_vine(lt.doubling(L, chain)))
+
+
+def test_doubling_route_matches_enumeration(classification):
+    """The production class table (doubling) against the oracle (full
+    enumeration plus classification): same forms in the same order, same
+    representatives, |Aut| and orbits."""
+    for n in range(1, 7):
+        enumerated = classification.by_n[n]
+        assert gen._doubled_classes(n) == enumerated
+        assert gen.class_representatives(n) == [c.representative for c in enumerated]
+
+
+def test_catalog_classes_match_enumeration(classification):
+    for n in range(1, 7):
+        entries = gen.catalog_entries(n)
+        expected = [([sorted(s) for s in c.representative.sorted_nodes()], c.aut_order, c.orbit_size)
+                    for c in classification.by_n[n]]
+        assert [(e["vine_nodes"], e["aut_order"], e["orbit_size"]) for e in entries] == expected
+
+
+def test_doubling_completeness_check(monkeypatch):
+    """A doubling that misses a class fails the orbit sum Σ n!/|Aut| =
+    labeled count, at the n where the class goes missing."""
+    from vinery import lattice as lt
+    chains = lt.maximal_chains_of_lattice
+    monkeypatch.setattr(lt, "maximal_chains_of_lattice", lambda L: chains(L)[:-1])
+    with pytest.raises(InternalInconsistencyError, match=r"cover 0 of the 1 labeled vines at n=2"):
+        gen.class_representatives(6)
+    monkeypatch.setattr(lt, "maximal_chains_of_lattice",
+                        lambda L: chains(L)[:1] if len(L.ground) == 5 else chains(L))
+    with pytest.raises(InternalInconsistencyError, match=r"of the 23040 labeled vines at n=6"):
+        gen.class_representatives(6)
 
 
 def test_canonical_form_large_n_allocates_no_power_table(seed):

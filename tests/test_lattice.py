@@ -58,6 +58,27 @@ def test_chain_is_b3_free():
     assert lt.direct_b3_search(L) is None
 
 
+def test_b3_checks_reject_non_lattices():
+    L = lt.lattice(["", "a", "b", "ab", "abx", "aby"])
+    for check in (lt.is_b3_free, lt.direct_b3_search):
+        with pytest.raises(StructureError) as err:
+            check(L)
+        assert err.value.axiom == "lattice.lattice"
+
+
+def test_validate_lattice_checks_lattice_once(monkeypatch, seed):
+    """validate_lattice and is_extremal_lattice run is_lattice once each;
+    the B(3) check below them trusts it."""
+    L = lt.vine_to_lattice(gen.random_vine("abcdefgh", random.Random(seed)))
+    calls = []
+    is_lattice = lt.is_lattice
+    monkeypatch.setattr(lt, "is_lattice", lambda x: calls.append(x) or is_lattice(x))
+    assert lt.validate_lattice(L) == []
+    assert len(calls) == 1
+    assert lt.is_extremal_lattice(L, 8)
+    assert len(calls) == 2
+
+
 def test_extremal_lattices_from_vines(intro_vine, fig_vine):
     assert lt.is_extremal_lattice(lt.vine_to_lattice(intro_vine), 4)
     assert lt.is_extremal_lattice(lt.vine_to_lattice(fig_vine), 5)
