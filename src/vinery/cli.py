@@ -8,6 +8,7 @@ All output is canonically ordered, so runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import string
@@ -87,8 +88,9 @@ def cmd_analyze(args) -> int:
         return 1
     v = routes.convert_structure(obj, "vine", "direct")
     d = routes.convert_structure(v, "domain", "direct")
-    richness = vn.richness_via_vine(v)
-    first_rank = dict(sorted(vn.chain_counts_from_atoms(v).items()))
+    # v is valid: the input passed its validator and the maps check their outputs
+    richness = vn._richness_via_vine_unchecked(v)
+    first_rank = dict(sorted(vn._chain_counts_from_atoms_unchecked(v).items()))
     axis = dm.is_bspd(d)
     info = {
         "kind": io.kind_of(obj),
@@ -97,11 +99,11 @@ def cmd_analyze(args) -> int:
         "richness_bounds_note": None if v.n >= 3 else "richness bounds apply for n >= 3 only",
         "first_rank": first_rank,
         "bottom_alternatives": sorted(dm.bottom_alternatives(d)),
-        "is_d_vine": vn.is_d_vine(v),
-        "is_c_vine": vn.is_c_vine(v),
+        "is_d_vine": vn._is_d_vine_unchecked(v),
+        "is_c_vine": vn._is_c_vine_unchecked(v),
         "is_bspd": axis is not None,
         "bspd_axis": list(axis) if axis is not None else None,
-        "aut_order": lt.automorphism_group_order(v),
+        "aut_order": lt._automorphism_group_order_unchecked(v),
     }
     if io.kind_of(obj) == "domain":
         # domain-side cross-checks against the vine-side analytics
@@ -216,7 +218,9 @@ def cmd_selftest(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="vinery",
                                      description="Regular vines and their equivalent structures")
     sub = parser.add_subparsers(dest="command", required=True)

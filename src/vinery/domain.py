@@ -4,6 +4,10 @@ A domain is a set of linear orders (preferences) over a common alternative
 set.  Arrow's single-peaked domains (ASPDs) are characterized by the
 never-bottom condition on triples; the maximal ones have size 2^(n-1),
 exactly two bottom alternatives, and split/merge along those bottoms.
+
+`is_aspd` reads the never-bottom condition off a bitset pair table built
+from the distinct (alternative, set ranked above it) pairs of the
+preferences, instead of ranking every triple in every preference.
 """
 
 from __future__ import annotations
@@ -67,14 +71,31 @@ def find_condorcet_cycle(d: PreferenceDomain):
 def is_aspd(d: PreferenceDomain) -> tuple[bool, Optional[tuple]]:
     """Never-bottom check on all triples; returns (flag, first violating triple).
 
-    One position table per preference; a triple violates the condition when
-    each of its three members is ranked last among them by some preference.
+    A triple violates the condition when each of its three members is ranked
+    last among them by some preference.  x is last among {x, y, z} iff some
+    preference ranks y and z above x, so the distinct (x, set ranked above
+    x) pairs go into a pair table: bit z of above[x][y] is set iff some
+    preference ranks both y and z above x.
     """
     alts = sorted(d.alternatives)
-    ranks = [[w.index(x) for x in alts] for w in d.prefs]
+    index = {x: i for i, x in enumerate(alts)}
+    pairs = set()
+    for w in d.prefs:
+        seen = 0
+        for x in w:
+            i = index[x]
+            pairs.add((i, seen))
+            seen |= 1 << i
+    above = [[0] * len(alts) for _ in alts]
+    for i, seen in pairs:
+        row = above[i]
+        rest = seen
+        while rest:
+            j = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            row[j] |= seen
     for i, j, k in combinations(range(len(alts)), 3):
-        last = {i if r[i] > r[j] and r[i] > r[k] else j if r[j] > r[k] else k for r in ranks}
-        if len(last) == 3:
+        if above[i][j] >> k & 1 and above[j][i] >> k & 1 and above[k][i] >> j & 1:
             return False, (alts[i], alts[j], alts[k])
     return True, None
 

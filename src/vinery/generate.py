@@ -38,7 +38,6 @@ import math
 import random
 import string
 from fractions import Fraction
-from itertools import permutations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import vine as vn
@@ -432,31 +431,6 @@ def canonical_form(v: vn.RegularVine) -> tuple:
     return canonical_form_and_aut(v)[0]
 
 
-def canonical_form_bruteforce(v: vn.RegularVine) -> tuple:
-    """n!-scan over all relabelings; the verification oracle for canonical_form."""
-    ground = sorted(v.ground)
-    if not ground:
-        return ()
-    best = None
-    for perm in permutations(range(len(ground))):
-        order = dict(zip(ground, perm))
-        enc = tuple(sorted(tuple(sorted(order[x] for x in s)) for s in v.nodes))
-        if best is None or enc < best:
-            best = enc
-    return best
-
-
-def automorphism_group_order_bruteforce(v: vn.RegularVine) -> int:
-    """n!-scan counting the ground bijections that fix the node set; the
-    verification oracle for the chain-scan |Aut|."""
-    ground = sorted(v.ground)
-    count = 0
-    for perm in permutations(ground):
-        if vn.relabel_vine(v, dict(zip(ground, perm))).nodes == v.nodes:
-            count += 1
-    return count
-
-
 def vine_from_form(form: tuple, labels: list[str] | None = None) -> vn.RegularVine:
     """Rebuild the canonically labeled vine encoded by a canonical form."""
     size = max((i for node in form for i in node), default=-1) + 1
@@ -565,7 +539,7 @@ def catalog_entries(n: int) -> list[dict]:
     entries = []
     for idx, cls in enumerate(classes):
         v = cls.representative
-        g = co.vine_to_graph(v)
+        g = co.vine_to_graph(v)  # checks v, so the analytics below take it as valid
         d = co.vine_to_domain(v)
         L = lt.vine_to_lattice(v)
         M = lt.lattice_to_matrix(L)
@@ -577,10 +551,10 @@ def catalog_entries(n: int) -> list[dict]:
             "preferences": [list(w) for w in d.sorted_prefs()],
             "lattice_size": len(L.elements),
             "matrix_columns": ["".join(str(b) for b in col) for col in sorted(M.columns)],
-            "richness": vn.richness_via_vine(v),
-            "first_rank": dict(sorted(vn.chain_counts_from_atoms(v).items())),
-            "is_d_vine": vn.is_d_vine(v),
-            "is_c_vine": vn.is_c_vine(v),
+            "richness": vn._richness_via_vine_unchecked(v),
+            "first_rank": dict(sorted(vn._chain_counts_from_atoms_unchecked(v).items())),
+            "is_d_vine": vn._is_d_vine_unchecked(v),
+            "is_c_vine": vn._is_c_vine_unchecked(v),
             "aut_order": cls.aut_order,
             "orbit_size": cls.orbit_size,
         })

@@ -5,6 +5,14 @@ of subsets of a ground set ordered by inclusion.  A regular vine plus a
 bottom element is exactly an (n,3)-extremal lattice; the characteristic
 vectors of the elements form a triangle-free binary matrix with the extremal
 column count 1 + n + C(n,2).
+
+The checks run on integer index tables.  `is_lattice` and
+`join_irreducibles` read up/down bitsets over `sorted_elements()`, a linear
+extension of inclusion, so a pair's join costs a few integer operations
+instead of a scan of the element family; `join` and `meet` stay the
+definitional pairwise versions.  `has_no_triangles` detects a triangle
+from a table of row pairs and scans row triples for the least witness only
+when there is one.
 """
 
 from __future__ import annotations
@@ -60,13 +68,38 @@ def meet(L: BoundedLattice, x: frozenset, y: frozenset) -> Optional[frozenset]:
     return maxs[0] if len(maxs) == 1 else None
 
 
+def _order_tables(elems: list[frozenset]) -> tuple[list[int], list[int]]:
+    """(up, down) bitsets over the indices of a linear extension of inclusion:
+    bit j of up[i] is set iff elems[i] <= elems[j], of down[j] iff the same."""
+    bit = {x: 1 << i for i, x in enumerate({x for s in elems for x in s})}
+    masks = [sum(bit[x] for x in s) for s in elems]
+    up = [0] * len(elems)
+    down = [0] * len(elems)
+    for i, m in enumerate(masks):
+        for j in range(i, len(masks)):
+            if masks[j] & m == m:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return up, down
+
+
 def is_lattice(L: BoundedLattice) -> bool:
+    """Every pair has a join and a meet.
+
+    Over `sorted_elements()`, a linear extension of inclusion, the common
+    upper bounds U of x and y have a least element iff U is non-empty and
+    lies above its lowest index.  When every pair has a join, every pair has
+    a meet iff the family has a least element (the join of the common lower
+    bounds is then the meet), which is index 0 if there is one."""
     if not L.elements:
         return False
-    elems = L.sorted_elements()
-    for i, x in enumerate(elems):
-        for y in elems[i + 1:]:
-            if join(L, x, y) is None or meet(L, x, y) is None:
+    up, _ = _order_tables(L.sorted_elements())
+    if up[0] != (1 << len(up)) - 1:
+        return False
+    for i, up_x in enumerate(up):
+        for j in range(i + 1, len(up)):
+            u = up_x & up[j]
+            if not u or u & up[(u & -u).bit_length() - 1] != u:
                 return False
     return True
 
@@ -82,9 +115,25 @@ def covered_elements(L: BoundedLattice, s: frozenset) -> list[frozenset]:
 
 
 def join_irreducibles(L: BoundedLattice) -> list[frozenset]:
-    """Elements covering exactly one element (the standard finite-lattice test)."""
+    """Elements covering exactly one element (the standard finite-lattice test).
+
+    s covers t iff t is strictly below s and no other element strictly below
+    s lies above t, read off the order bitsets of `is_lattice`."""
     bottom = min(L.elements, key=len)
-    return [s for s in L.sorted_elements() if s != bottom and len(covered_elements(L, s)) == 1]
+    elems = L.sorted_elements()
+    up, down = _order_tables(elems)
+    out = []
+    for k, s in enumerate(elems):
+        below = down[k] & ~(1 << k)
+        covers, rest = 0, below
+        while rest and covers < 2:
+            t = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if up[t] & below == 1 << t:
+                covers += 1
+        if s != bottom and covers == 1:
+            out.append(s)
+    return out
 
 
 _B3_PATTERN = {0: frozenset(), 1: frozenset("1"), 2: frozenset("2"), 3: frozenset("3"),
@@ -293,8 +342,29 @@ def has_no_triangles(M: BinaryMatrix) -> Optional[tuple]:
     """None if triangle-free; else ((rows), (columns)) of the least witness.
 
     A triangle is three rows and three columns whose restrictions are the
-    three weight-2 vectors in some order.
+    three weight-2 vectors in some order.  Rows a < b < c carry one iff c is
+    in miss[a][b], b in miss[a][c] and a in miss[b][c], where miss[a][b]
+    holds the rows outside some column that contains a and b; only then is
+    the least witness searched for.
     """
+    n = len(M.rows)
+    full = (1 << n) - 1
+    miss = [[0] * n for _ in range(n)]
+    for col in M.columns:
+        inside = [r for r in range(n) if col[r]]
+        outside = full & ~sum(1 << r for r in inside)
+        for i, a in enumerate(inside):
+            row = miss[a]
+            for b in inside[i + 1:]:
+                row[b] |= outside
+    for a, b, c in combinations(range(n), 3):
+        if miss[a][b] >> c & 1 and miss[a][c] >> b & 1 and miss[b][c] >> a & 1:
+            return _triangle_witness(M)
+    return None
+
+
+def _triangle_witness(M: BinaryMatrix) -> Optional[tuple]:
+    """The least triangle of has_no_triangles, by a scan over row triples."""
     cols = sorted(M.columns)
     for rows3 in combinations(range(len(M.rows)), 3):
         found = {}
@@ -336,6 +406,11 @@ def automorphism_group_order(v: vn.RegularVine) -> int:
     Counted as the maximal chains whose induced labeling attains the
     canonical form (`generate.canonical_form_and_aut`)."""
     vn.require_valid(v)
+    return _automorphism_group_order_unchecked(v)
+
+
+def _automorphism_group_order_unchecked(v: vn.RegularVine) -> int:
+    """automorphism_group_order of a vine already checked."""
     _, count = gen.canonical_form_and_aut(v)
     if count not in (1, 2):
         raise StructureError("lattice.automorphisms", f"automorphism group of order {count} found (expected 1 or 2)",

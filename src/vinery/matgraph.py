@@ -64,11 +64,6 @@ def mat_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]) ->
     return MatLabeledGraph(vs, labels)
 
 
-def complete_graph(labels: Mapping[tuple[str, str], int]) -> MatLabeledGraph:
-    vs = frozenset(x for e in labels for x in e)
-    return mat_graph(vs, [(u, v, k) for (u, v), k in labels.items()])
-
-
 def validate_mat_labeling(g: MatLabeledGraph) -> list[Violation]:
     """Check the two MAT axioms level by level; empty report means valid."""
     report: list[Violation] = []
@@ -166,39 +161,49 @@ def is_mat_peo(g: MatLabeledGraph, ordering: Sequence[str]) -> bool:
     return True
 
 
-def _can_append(g: MatLabeledGraph, prefix: Sequence[str], x: str) -> bool:
-    # incremental MAT-simplicial test for complete graphs: x against the prefix
-    labs = sorted(g.labels[edge_key(x, b)] for b in prefix)
-    if labs != list(range(1, len(prefix) + 1)):
-        return False
-    for i, b in enumerate(prefix):
-        for c in prefix[i + 1:]:
-            if g.labels[edge_key(b, c)] >= max(g.labels[edge_key(x, b)], g.labels[edge_key(x, c)]):
-                return False
-    return True
-
-
 def enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
     """All MAT-PEOs of a valid MAT-labeled complete graph, in sorted order.
 
     Grown by incremental extension: a vertex may be appended only while it is
     MAT-simplicial in the induced prefix, so the search is output-polynomial.
+    Vertices are indices into the sorted vertex list and labels one integer
+    matrix; on a complete graph, x is MAT-simplicial after a prefix of p
+    vertices iff its p labels to the prefix are 1..p and every prefix edge
+    is labeled below the larger of its two labels to x.
     """
     require_valid(g)
-    out: list[tuple[str, ...]] = []
     order = sorted(g.vertices)
+    index = {x: i for i, x in enumerate(order)}
+    lab = [[0] * len(order) for _ in order]
+    for (u, v), k in g.labels.items():
+        lab[index[u]][index[v]] = lab[index[v]][index[u]] = k
+    out: list[tuple[str, ...]] = []
 
-    def extend(prefix: tuple[str, ...]):
+    def can_append(prefix: list[int], x: int) -> bool:
+        to_x = lab[x]
+        seen = 0
+        for b in prefix:
+            seen |= 1 << to_x[b]
+        if seen != (1 << len(prefix) + 1) - 2:
+            return False
+        for i, b in enumerate(prefix):
+            to_b, xb = lab[b], to_x[b]
+            for c in prefix[i + 1:]:
+                if to_b[c] >= max(xb, to_x[c]):
+                    return False
+        return True
+
+    def extend(prefix: list[int], used: int):
         if len(prefix) == len(order):
-            out.append(prefix)
+            out.append(tuple(order[i] for i in prefix))
             return
-        for x in order:
-            if x not in prefix and _can_append(g, prefix, x):
-                extend(prefix + (x,))
+        for x in range(len(order)):
+            if not used >> x & 1 and can_append(prefix, x):
+                prefix.append(x)
+                extend(prefix, used | 1 << x)
+                prefix.pop()
 
-    extend(())
-    if not g.vertices:
-        return [()]
+    extend([], 0)
     return out
 
 

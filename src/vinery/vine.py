@@ -5,6 +5,11 @@ ordered by inclusion, that is graded with the singletons as atoms and A at
 the top, has exactly two covers below every non-atom, tree-structured levels,
 and satisfies proximity: nodes covered by a common node must themselves
 cover a common node.  The family always has n(n+1)/2 nodes.
+
+`validate_vine` finds each node's covers among the bitmasks of the rank
+below it; only a node whose covers do not come out as two such nodes with
+everything under it below one of them goes through the quadratic
+`covered_by`, so invalid families get the same report as from `covered_by`.
 """
 
 from __future__ import annotations
@@ -48,6 +53,32 @@ def covered_by(v: RegularVine, s: frozenset) -> list[frozenset]:
     return sorted((t for t in below if not any(t < u < s for u in below)), key=sorted)
 
 
+def _cover_table(v: RegularVine) -> dict[frozenset, list[frozenset]]:
+    """covered_by(v, s) for every non-atom node s, in `sorted_nodes` order.
+
+    Nodes are bitmasks over the ground set.  When s contains exactly two
+    nodes t1, t2 of the rank below and every node under s lies under one of
+    them, its covers are [t1, t2]; any other node takes `covered_by`, so an
+    invalid vine gets the same covers as from `covered_by` alone."""
+    bit = {x: 1 << i for i, x in enumerate(v.ground)}
+    by_rank: dict[int, list[tuple[int, frozenset]]] = {}
+    for s in v.sorted_nodes():
+        by_rank.setdefault(len(s), []).append((sum(bit[x] for x in s), s))
+    covers: dict[frozenset, list[frozenset]] = {}
+    lower: list[int] = []  # masks of the nodes of rank below r - 1
+    for r in range(2, max(by_rank, default=0) + 1):
+        lower.extend(m for m, _ in by_rank.get(r - 2, ()))
+        for m, s in by_rank.get(r, ()):
+            cands = [(tm, t) for tm, t in by_rank.get(r - 1, ()) if tm & m == tm]
+            if len(cands) == 2:
+                (m1, t1), (m2, t2) = cands
+                if all(u & m1 == u or u & m2 == u for u in lower if u & m == u):
+                    covers[s] = [t1, t2]
+                    continue
+            covers[s] = covered_by(v, s)
+    return covers
+
+
 def validate_vine(v: RegularVine) -> list[Violation]:
     """Check the five vine axioms; empty report means valid."""
     report: list[Violation] = []
@@ -72,12 +103,8 @@ def validate_vine(v: RegularVine) -> list[Violation]:
     if report:
         return report  # cover/tree checks assume the counts are right
 
-    covers: dict[frozenset, list[frozenset]] = {}
-    for s in v.sorted_nodes():
-        if len(s) == 1:
-            continue
-        cov = covered_by(v, s)
-        covers[s] = cov
+    covers = _cover_table(v)
+    for s, cov in covers.items():
         if len(cov) != 2 or any(len(t) != len(s) - 1 for t in cov):
             report.append(Violation("vine.two-covers", (sorted(s), [sorted(t) for t in cov]),
                                     f"node {sorted(s)} covers {len(cov)} nodes of ranks "
@@ -158,6 +185,11 @@ def merge_vines(v1: RegularVine, v2: RegularVine) -> Optional[RegularVine]:
 def is_d_vine(v: RegularVine) -> bool:
     """True iff every associated tree is a path."""
     require_valid(v)
+    return _is_d_vine_unchecked(v)
+
+
+def _is_d_vine_unchecked(v: RegularVine) -> bool:
+    """is_d_vine of a vine already checked."""
     for i in range(1, v.n):
         degs = _level_degrees(v, i)
         if degs and max(degs.values()) > 2:
@@ -168,6 +200,11 @@ def is_d_vine(v: RegularVine) -> bool:
 def is_c_vine(v: RegularVine) -> bool:
     """True iff every associated tree is a star."""
     require_valid(v)
+    return _is_c_vine_unchecked(v)
+
+
+def _is_c_vine_unchecked(v: RegularVine) -> bool:
+    """is_c_vine of a vine already checked."""
     for i in range(1, v.n):
         degs = _level_degrees(v, i)
         if len(degs) >= 3 and sum(1 for d in degs.values() if d > 1) > 1:
@@ -208,6 +245,11 @@ def maximal_chains(v: RegularVine) -> list[tuple[frozenset, ...]]:
 def chain_counts_from_atoms(v: RegularVine) -> dict[str, int]:
     """Per-atom count of maximal chains, by Pascal-style downward accumulation."""
     require_valid(v)
+    return _chain_counts_from_atoms_unchecked(v)
+
+
+def _chain_counts_from_atoms_unchecked(v: RegularVine) -> dict[str, int]:
+    """chain_counts_from_atoms of a vine already checked."""
     count = {v.ground: 1}
     for s in sorted(v.nodes, key=len, reverse=True):
         if len(s) == 1:
@@ -230,6 +272,11 @@ def join_node(v: RegularVine, a: str, b: str) -> frozenset:
 def richness_via_vine(v: RegularVine) -> int:
     """Least rank whose nodes have a non-empty common intersection."""
     require_valid(v)
+    return _richness_via_vine_unchecked(v)
+
+
+def _richness_via_vine_unchecked(v: RegularVine) -> int:
+    """richness_via_vine of a vine already checked."""
     for k in range(1, v.n + 1):
         inter = v.ground
         for s in v.rank_nodes(k):

@@ -1,15 +1,19 @@
 """The command-line front end: all subcommands, formats and exit codes."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
 from vinery import cli
+from vinery import correspond as co
 from vinery import domain as dm
+from vinery import generate as gen
 from vinery import lattice as lt
 from vinery import serialize as io
+from vinery import vine as vn
 
 
 @pytest.fixture
@@ -172,6 +176,29 @@ def test_analyze_cross_check_failure_raises(write, intro_domain, monkeypatch, ca
     assert captured.err == "error: internal: richness cross-check failed\n"
 
 
+def test_analyze_validates_the_vine_twice(write, monkeypatch, seed, capsys):
+    """Once on input or as a map's output check, once in vine_to_domain; the
+    analytics trust the vine (7 validations per op before)."""
+    v = gen.random_vine("abcdefgh", random.Random(seed))
+    L = lt.vine_to_lattice(v)
+    objs = [co.vine_to_graph(v), v, co.vine_to_domain(v), L, lt.lattice_to_matrix(L)]
+    calls = []
+    validate = vn.validate_vine
+
+    def counting(x):
+        calls.append(x)
+        return validate(x)
+
+    monkeypatch.setattr(vn, "validate_vine", counting)
+    monkeypatch.setitem(cli._VALIDATORS, "vine", counting)  # the CLI's own reference
+    for obj in objs:
+        path = write(f"{io.kind_of(obj)}.json", obj)
+        calls.clear()
+        assert cli.main(["analyze", path, "--format", "json"]) == 0
+        assert len(calls) == 2, io.kind_of(obj)
+        capsys.readouterr()
+
+
 def test_analyze_trd_examples(write, capsys):
     trd1 = {"kind": "domain", "alternatives": list("abcd"),
             "preferences": [list(w) for w in
@@ -275,6 +302,17 @@ def test_bad_envelope_is_domain_failure(write, capsys):
 def test_selftest_passes(capsys):
     assert cli.main(["selftest"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "selftest: OK"
+
+
+def test_parser_is_built_once_and_survives_a_rejected_argv(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit):
+        cli.main(["count", "--n", "four"])
+    capsys.readouterr()
+    assert cli.main(["count", "--n", "6", "--mode", "recursive"]) == 0
+    fresh = subprocess.run([sys.executable, "-m", "vinery.cli", "count", "--n", "6", "--mode", "recursive"],
+                           capture_output=True, text=True)
+    assert capsys.readouterr().out == fresh.stdout == "n=6 unlabeled=40 p=16 q=24\n"
 
 
 def test_console_script_entry_point():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from vinery import correspond as co
 from vinery import domain as dm
+from vinery import generate as gen
 from vinery.errors import StructureError
 
 
@@ -76,6 +77,22 @@ def test_is_aspd_matches_restriction_oracle(classification, seed):
         for cls in classification.by_n[n]:
             d = co.vine_to_domain(cls.representative)
             assert dm.is_aspd(d) == _is_aspd_by_restriction(d) == (True, None)
+
+
+def test_is_aspd_matches_restriction_oracle_on_swapped_domains(seed):
+    """Maximal ASPDs of seeded vines with one preference swapped for another
+    linear order."""
+    rng = random.Random(seed)
+    verdicts = set()
+    for n in range(3, 8):
+        for _ in range(10):
+            d = co.vine_to_domain(gen.random_vine("abcdefg"[:n], rng))
+            out = rng.choice(d.sorted_prefs())
+            new = tuple(rng.sample(sorted(d.alternatives), n))
+            swapped = dm.PreferenceDomain(d.alternatives, (d.prefs - {out}) | {new})
+            verdicts.add(dm.is_aspd(swapped)[0])
+            assert dm.is_aspd(swapped) == _is_aspd_by_restriction(swapped)
+    assert verdicts == {True, False}
 
 
 def test_worked_examples_are_maximal_aspds(intro_domain, fig_domain, trd1, trd2):

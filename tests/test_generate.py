@@ -12,6 +12,7 @@ from vinery import vine as vn
 from vinery.errors import InternalInconsistencyError, StructureError
 
 from conftest import sample_vines
+from oracles import automorphism_group_order_bruteforce, canonical_form_bruteforce
 
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
@@ -154,12 +155,12 @@ def test_canonical_form_tiny():
 def test_canonical_form_matches_bruteforce_exhaustive(vines_by_n):
     for n in range(1, 5):
         for v in vines_by_n[n]:
-            assert gen.canonical_form(v) == gen.canonical_form_bruteforce(v)
+            assert gen.canonical_form(v) == canonical_form_bruteforce(v)
 
 
 def test_canonical_form_matches_bruteforce_n5(vines_by_n):
     for v in vines_by_n[5]:
-        assert gen.canonical_form(v) == gen.canonical_form_bruteforce(v)
+        assert gen.canonical_form(v) == canonical_form_bruteforce(v)
 
 
 def test_canonical_form_is_relabeling_invariant(fig_vine, seed):
@@ -205,7 +206,7 @@ def test_chain_hit_aut_matches_explicit_scan(vines_by_n):
     for n in range(1, 6):
         for v in vines_by_n[n]:
             _, hits = gen.canonical_form_and_aut(v)
-            assert hits == gen.automorphism_group_order_bruteforce(v)
+            assert hits == automorphism_group_order_bruteforce(v)
 
 
 def _d_vine(order):
@@ -221,8 +222,8 @@ def test_kernel_matches_oracles_sampled(seed):
         path = "".join(rng.sample(labels, n))  # |Aut| = 2: the path's reversal
         for v in [_d_vine(path)] + sample_vines(n, k, rng):
             form, aut = gen.canonical_form_and_aut(v)
-            assert form == gen.canonical_form(v) == gen.canonical_form_bruteforce(v)
-            assert aut == gen.automorphism_group_order_bruteforce(v)
+            assert form == gen.canonical_form(v) == canonical_form_bruteforce(v)
+            assert aut == automorphism_group_order_bruteforce(v)
 
 
 def test_mask_doubling_matches_lattice_doubling():

@@ -10,6 +10,8 @@ from vinery import lattice as lt
 from vinery import vine as vn
 from vinery.errors import StructureError
 
+from oracles import is_lattice_pairwise, join_irreducibles_by_covers
+
 
 def boolean_cube():
     return lt.lattice(["", "a", "b", "c", "ab", "ac", "bc", "abc"])
@@ -39,6 +41,38 @@ def test_covered_elements_and_join_irreducibles(intro_vine):
     assert lt.covered_elements(L, frozenset("a")) == [frozenset()]
     # exactly the atoms are join-irreducible here
     assert lt.join_irreducibles(L) == [frozenset(x) for x in "abcd"]
+
+
+def _mutated_families(rng, L):
+    """L with one element dropped, without its bottom (every join exists, some
+    meets do not), and with one random subset added."""
+    ground = sorted(L.ground)
+    drop = rng.choice(L.sorted_elements())
+    add = frozenset(rng.sample(ground, rng.randint(1, len(ground))))
+    return [lt.BoundedLattice(L.elements - {drop}), lt.BoundedLattice(L.elements - {frozenset()}),
+            lt.BoundedLattice(L.elements | {add})]
+
+
+def test_order_kernels_match_pairwise_oracles_on_classes():
+    for n in range(1, 7):
+        for v in gen.class_representatives(n):
+            L = lt.vine_to_lattice(v)
+            assert lt.is_lattice(L) and is_lattice_pairwise(L)
+            assert lt.join_irreducibles(L) == join_irreducibles_by_covers(L)
+
+
+def test_order_kernels_match_pairwise_oracles_on_mutations(seed):
+    rng = random.Random(seed)
+    verdicts = []
+    for n in range(2, 7):
+        for _ in range(6):
+            L = lt.vine_to_lattice(gen.random_vine("abcdefg"[:n], rng))
+            for fam in _mutated_families(rng, L):
+                verdicts.append(lt.is_lattice(fam))
+                assert verdicts[-1] == is_lattice_pairwise(fam)
+                assert lt.join_irreducibles(fam) == join_irreducibles_by_covers(fam)
+    assert set(verdicts) == {True, False}
+    assert not lt.is_lattice(lt.BoundedLattice(frozenset()))
 
 
 # ------------------------------------------------------------ B(3) checks
@@ -207,6 +241,23 @@ def test_extremal_matrix_size_check(fig_vine):
     assert lt.is_extremal_matrix(M)
     smaller = lt.BinaryMatrix(M.rows, frozenset(list(M.columns)[:-1]))
     assert not lt.is_extremal_matrix(smaller)
+
+
+def test_triangle_detection_matches_witness_scan(monkeypatch, seed):
+    """Same result as the row-triple scan, which runs only on a triangle."""
+    rng = random.Random(seed)
+    scan = lt._triangle_witness
+    scans = []
+    monkeypatch.setattr(lt, "_triangle_witness", lambda M: scans.append(M) or scan(M))
+    found = []
+    for _ in range(300):
+        r = rng.randint(4, 7)
+        cols = frozenset(tuple(rng.randint(0, 1) for _ in range(r)) for _ in range(rng.randint(1, 3 * r)))
+        M = lt.BinaryMatrix(tuple("abcdefg"[:r]), cols)
+        found.append(lt.has_no_triangles(M))
+        assert found[-1] == scan(M)
+    assert None in found and any(w is not None for w in found)
+    assert len(scans) == sum(w is not None for w in found)
 
 
 # ---------------------------------------------------------- automorphisms

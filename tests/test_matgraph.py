@@ -1,8 +1,12 @@
 """MAT-labeled graphs: construction, validation, simplicial vertices,
 elimination orderings, split/merge."""
 
+from itertools import permutations
+
 import pytest
 
+from vinery import correspond as co
+from vinery import generate as gen
 from vinery import matgraph as mg
 from vinery.errors import StructureError
 
@@ -137,6 +141,16 @@ def test_enumerate_mat_peos_agrees_with_pointwise_check(intro_graph):
     expected = [w for w in permutations(sorted(intro_graph.vertices))
                 if mg.is_mat_peo(intro_graph, w)]
     assert mg.enumerate_mat_peos(intro_graph) == expected
+
+
+def test_enumerate_mat_peos_matches_permutation_filter():
+    """The index-prefix search equals the is_mat_peo filter over all
+    orderings, for the graph of every class with n <= 6."""
+    for n in range(1, 7):
+        for v in gen.class_representatives(n):
+            g = co.vine_to_graph(v)
+            expected = [w for w in permutations(sorted(g.vertices)) if mg.is_mat_peo(g, w)]
+            assert mg.enumerate_mat_peos(g) == expected
 
 
 def test_enumerate_mat_peos_requires_complete():

@@ -1,7 +1,11 @@
 """Regular vines: axioms, associated trees, split/merge, chains, analytics."""
 
+import random
+import string
+
 import pytest
 
+from vinery import generate as gen
 from vinery import vine as vn
 from vinery.errors import StructureError
 
@@ -84,6 +88,44 @@ def test_two_covers_implies_tree_and_proximity_at_n4():
             v = vn.RegularVine(frozenset(atoms), frozenset(nodes))
             axioms = {x.axiom for x in vn.validate_vine(v)}
             assert not (axioms and axioms <= {"vine.tree", "vine.proximity"})
+
+
+def _mutations(rng, v):
+    """v with one node dropped, one subset added, and one node replaced:
+    by another subset of its rank, and by the union of two nodes of the rank
+    below that differ in one element (which keeps two covers per node)."""
+    ground = sorted(v.ground)
+    node = rng.choice(v.sorted_nodes())
+    extra = frozenset(rng.sample(ground, rng.randint(1, len(ground))))
+    out = [v.nodes - {node}, v.nodes | {extra}, (v.nodes - {node}) | {frozenset(rng.sample(ground, len(node)))}]
+    r = rng.randint(2, v.n - 1)
+    unions = [a | b for a in v.rank_nodes(r - 1) for b in v.rank_nodes(r - 1) if len(a | b) == r]
+    fresh = sorted(set(unions) - v.nodes, key=sorted)
+    if fresh:
+        out.append((v.nodes - {rng.choice(v.rank_nodes(r))}) | {rng.choice(fresh)})
+    return [vn.RegularVine(v.ground, nodes) for nodes in out]
+
+
+def test_mask_covers_report_like_covered_by(monkeypatch, seed):
+    """validate_vine's mask cover table equals the plain covered_by table,
+    so it gives the same reports, on valid and mutated vines."""
+    rng = random.Random(seed)
+    cases = []
+    for n in range(4, 9):
+        for _ in range(12):
+            v = gen.random_vine(string.ascii_lowercase[:n], rng)
+            cases += [v] + _mutations(rng, v)
+    def plain(v):
+        return {s: vn.covered_by(v, s) for s in v.sorted_nodes() if len(s) > 1}
+
+    for v in cases:
+        # the order of the table is the order of the two-covers reports
+        assert list(vn._cover_table(v).items()) == list(plain(v).items())
+    fast = [vn.validate_vine(v) for v in cases]
+    monkeypatch.setattr(vn, "_cover_table", plain)
+    assert fast == [vn.validate_vine(v) for v in cases]
+    assert {x.axiom for report in fast for x in report} >= {"vine.grading", "vine.two-covers"}
+    assert [] in fast
 
 
 def test_require_valid(intro_vine):
