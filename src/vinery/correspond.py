@@ -50,12 +50,8 @@ def graph_to_domain(g: mg.MatLabeledGraph) -> dm.PreferenceDomain:
 def domain_to_graph(d: dm.PreferenceDomain) -> mg.MatLabeledGraph:
     """Label every pair by its topmost contiguous occurrence."""
     dm.require_valid(d)
-    labels = {}
-    alts = sorted(d.alternatives)
-    for i, x in enumerate(alts):
-        for y in alts[i + 1:]:
-            labels[mg.edge_key(x, y)] = dm.topmost_contiguous_position(d, x, y)
-    out = mg.MatLabeledGraph(d.alternatives, labels)
+    # in a maximal ASPD every pair is contiguous somewhere; the keys are edge keys
+    out = mg.MatLabeledGraph(d.alternatives, dict(sorted(dm._contiguous_positions(d).items())))
     mg.require_valid(out)
     return out
 

@@ -196,14 +196,20 @@ def topmost_contiguous_position(d: PreferenceDomain, x: str, y: str) -> int:
     """Minimum position at which x and y occur adjacently in some preference."""
     if x == y or x not in d.alternatives or y not in d.alternatives:
         raise StructureError("domain.labels", f"need two distinct alternatives, got {x!r}, {y!r}")
-    best = None
-    for w in d.prefs:
-        for i in range(len(w) - 1):
-            if {w[i], w[i + 1]} == {x, y}:
-                best = i + 1 if best is None else min(best, i + 1)
-                break
-    if best is None:
+    pos = _contiguous_positions(d).get((x, y) if x < y else (y, x))
+    if pos is None:
         raise StructureError("domain.contiguity", f"{x!r} and {y!r} are never contiguous", witness=(x, y))
+    return pos
+
+
+def _contiguous_positions(d: PreferenceDomain) -> dict[tuple, int]:
+    """topmost_contiguous_position of every pair ever contiguous, keyed by
+    the sorted pair, from one pass over each preference's adjacent pairs."""
+    best: dict[tuple, int] = {}
+    for w in d.prefs:
+        for i, pair in enumerate(zip(w, w[1:]), 1):
+            pair = min(pair), max(pair)
+            best[pair] = min(best.get(pair, i), i)
     return best
 
 

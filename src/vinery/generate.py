@@ -7,8 +7,8 @@ This produces every labeled vine exactly once, so no dedup set is needed.
 The generator works on integer node masks over the sorted labels; only
 `generate_vines` turns them into frozenset vines.
 
-Canonical forms come from one mask kernel.  It finds the covers of every
-node in the rank below it, walks the 2^(n-1) maximal chains without storing
+Canonical forms come from one mask kernel.  It reads every node's covers
+off `vine._mask_covers`, walks the 2^(n-1) maximal chains without storing
 them, relabels the nodes by each chain's first-appearance order (one OR per
 node), and keeps the least sorted list of integer node keys together with
 the number of chains attaining it, which is |Aut|.  Only the winning list is
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 import string
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -367,17 +368,11 @@ def _canonical(n: int, masks: Sequence[int]) -> tuple[tuple, int]:
         shift = 2 * (n - 1 - p)
         weight.append(missing | 3 << shift)
         missing |= 2 << shift
-    # a node covers the nodes of the rank below that it contains
-    by_rank: dict[int, list[int]] = {}
-    for m in masks:
-        by_rank.setdefault(m.bit_count(), []).append(m)
-    covers = {s: [t for t in by_rank[r - 1] if t & s == t] for r, level in by_rank.items() if r > 1 for s in level}
     nodes = sorted(masks, key=lambda m: (m.bit_count(), m))  # atom k is bit k
-    index = {m: k for k, m in enumerate(nodes)}
-    pairs = [(index[a], index[b]) for a, b in (covers[s] for s in nodes[n:])]
+    covers = [list(vn._bits(c)) for c in vn._mask_covers(nodes)[1]]
     # per node: (cover, the bit the step down removes, the cover's rank)
-    drops = {index[s]: [(index[t], (s ^ t).bit_length() - 1, s.bit_count() - 1) for t in covers[s]]
-             for s in nodes[n:]}
+    drops = {k: [(j, (nodes[k] ^ nodes[j]).bit_length() - 1, nodes[k].bit_count() - 1) for j in covers[k]]
+             for k in range(n, len(nodes))}
 
     atom_digits = [0] * n
     best, hits = None, 0
@@ -390,7 +385,7 @@ def _canonical(n: int, masks: Sequence[int]) -> tuple[tuple, int]:
             continue
         atom_digits[k] = weight[0]
         digits = atom_digits.copy()
-        for a, b in pairs:
+        for a, b in covers[n:]:
             digits.append(digits[a] | digits[b])
         # the atoms' keys are the same for every chain; sorted lists of equal
         # length compare as they do without their common elements
@@ -487,7 +482,8 @@ def _doubled_classes(n: int) -> list[IsoClass]:
     its lattice (complete, since every extremal lattice arises as a doubling)
     and the doubled vines are deduplicated by canonical form.  |Aut| is the
     kernel's chain hit count and the orbit n!/|Aut|; the orbits must add up
-    to the labeled count.
+    to the labeled count, the classes to the unlabeled count formula and
+    their |Aut| tally to the recursion's (p_n, q_n).
     """
     from . import lattice as lt
     if n <= 1:
@@ -512,6 +508,11 @@ def _doubled_classes(n: int) -> list[IsoClass]:
     if covered != expected:
         raise InternalInconsistencyError(
             f"doubled classes cover {covered} of the {expected} labeled vines at n={n}")
+    (p, q), tally = recursive_pq_counts(n), Counter(auts.values())
+    if len(auts) != unlabeled_count_formula(n) or tally != Counter({2: p, 1: q}):
+        raise InternalInconsistencyError(
+            f"{len(auts)} doubled classes with |Aut| tally {dict(sorted(tally.items()))} at n={n}, the closed "
+            f"forms give {unlabeled_count_formula(n)} classes, p={p} with |Aut|=2 and q={q} with |Aut|=1")
     classes = []
     for keys in sorted(auts):  # key order is form order
         form = _form(n, keys)

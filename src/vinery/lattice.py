@@ -6,13 +6,13 @@ bottom element is exactly an (n,3)-extremal lattice; the characteristic
 vectors of the elements form a triangle-free binary matrix with the extremal
 column count 1 + n + C(n,2).
 
-The checks run on integer index tables.  `is_lattice` and
-`join_irreducibles` read up/down bitsets over `sorted_elements()`, a linear
-extension of inclusion, so a pair's join costs a few integer operations
-instead of a scan of the element family; `join` and `meet` stay the
-definitional pairwise versions.  `has_no_triangles` detects a triangle
-from a table of row pairs and scans row triples for the least witness only
-when there is one.
+The order checks read the below-sets and covers of `vine._mask_covers`
+over `sorted_elements()`, a linear extension of inclusion: `is_lattice`
+finds a pair's meet in a few integer operations instead of a scan of the
+element family, and `join_irreducibles`, the maximal chains and `undouble`
+read the covers.  `join` and `meet` stay the definitional pairwise
+versions.  `has_no_triangles` detects a triangle from a table of row pairs
+and scans row triples for the least witness only when there is one.
 """
 
 from __future__ import annotations
@@ -68,38 +68,24 @@ def meet(L: BoundedLattice, x: frozenset, y: frozenset) -> Optional[frozenset]:
     return maxs[0] if len(maxs) == 1 else None
 
 
-def _order_tables(elems: list[frozenset]) -> tuple[list[int], list[int]]:
-    """(up, down) bitsets over the indices of a linear extension of inclusion:
-    bit j of up[i] is set iff elems[i] <= elems[j], of down[j] iff the same."""
-    bit = {x: 1 << i for i, x in enumerate({x for s in elems for x in s})}
-    masks = [sum(bit[x] for x in s) for s in elems]
-    up = [0] * len(elems)
-    down = [0] * len(elems)
-    for i, m in enumerate(masks):
-        for j in range(i, len(masks)):
-            if masks[j] & m == m:
-                up[i] |= 1 << j
-                down[j] |= 1 << i
-    return up, down
-
-
 def is_lattice(L: BoundedLattice) -> bool:
     """Every pair has a join and a meet.
 
     Over `sorted_elements()`, a linear extension of inclusion, the common
-    upper bounds U of x and y have a least element iff U is non-empty and
-    lies above its lowest index.  When every pair has a join, every pair has
-    a meet iff the family has a least element (the join of the common lower
-    bounds is then the meet), which is index 0 if there is one."""
+    lower bounds D of x and y have a greatest element iff D is non-empty and
+    lies below its highest index.  When every pair has a meet, every pair
+    has a join iff the family has a greatest element (the meet of the common
+    upper bounds is then the join), which is the last index if there is one."""
     if not L.elements:
         return False
-    up, _ = _order_tables(L.sorted_elements())
-    if up[0] != (1 << len(up)) - 1:
+    below, _ = vn._mask_covers(vn._masks(L.sorted_elements()))
+    down = [b | 1 << i for i, b in enumerate(below)]
+    if down[-1] != (1 << len(down)) - 1:
         return False
-    for i, up_x in enumerate(up):
-        for j in range(i + 1, len(up)):
-            u = up_x & up[j]
-            if not u or u & up[(u & -u).bit_length() - 1] != u:
+    for i, down_x in enumerate(down):
+        for j in range(i + 1, len(down)):
+            d = down_x & down[j]
+            if not d or d & ~down[d.bit_length() - 1]:
                 return False
     return True
 
@@ -109,31 +95,12 @@ def _require_lattice(L: BoundedLattice) -> None:
         raise StructureError("lattice.lattice", "element family is not a lattice under inclusion")
 
 
-def covered_elements(L: BoundedLattice, s: frozenset) -> list[frozenset]:
-    below = [t for t in L.elements if t < s]
-    return sorted((t for t in below if not any(t < u < s for u in below)), key=lambda t: (len(t), sorted(t)))
-
-
 def join_irreducibles(L: BoundedLattice) -> list[frozenset]:
-    """Elements covering exactly one element (the standard finite-lattice test).
-
-    s covers t iff t is strictly below s and no other element strictly below
-    s lies above t, read off the order bitsets of `is_lattice`."""
+    """Elements covering exactly one element (the standard finite-lattice test)."""
     bottom = min(L.elements, key=len)
     elems = L.sorted_elements()
-    up, down = _order_tables(elems)
-    out = []
-    for k, s in enumerate(elems):
-        below = down[k] & ~(1 << k)
-        covers, rest = 0, below
-        while rest and covers < 2:
-            t = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if up[t] & below == 1 << t:
-                covers += 1
-        if s != bottom and covers == 1:
-            out.append(s)
-    return out
+    _, covers = vn._mask_covers(vn._masks(elems))
+    return [s for s, cov in zip(elems, covers) if s != bottom and cov.bit_count() == 1]
 
 
 _B3_PATTERN = {0: frozenset(), 1: frozenset("1"), 2: frozenset("2"), 3: frozenset("3"),
@@ -255,21 +222,7 @@ def lattice_to_vine(L: BoundedLattice) -> vn.RegularVine:
 def maximal_chains_of_lattice(L: BoundedLattice) -> list[tuple]:
     """All bottom-to-top saturated chains, lexicographically ordered."""
     _require_lattice(L)
-    top = max(L.sorted_elements(), key=lambda s: (len(s), sorted(s)))
-    chains = []
-
-    def descend(s, acc):
-        acc.append(s)
-        cov = covered_elements(L, s)
-        if not cov:
-            chains.append(tuple(reversed(acc)))
-        for t in cov:
-            descend(t, acc)
-        acc.pop()
-
-    descend(top, [])
-    chains.sort(key=lambda c: [(len(s), sorted(s)) for s in c])
-    return chains
+    return sorted(vn._maximal_chains(L.sorted_elements()), key=lambda c: [(len(s), sorted(s)) for s in c])
 
 
 def fresh_label(ground: frozenset) -> str:
@@ -313,15 +266,13 @@ def undouble(L: BoundedLattice) -> tuple[BoundedLattice, tuple]:
     v = lattice_to_vine(L)
     if v.n < 2:
         raise StructureError("lattice.undouble", "undoubling requires n >= 2")
-    bottom = min(L.elements, key=len)
-    c1, c2 = vn.covered_by(v, v.ground)
-    keep = min((c1, c2), key=sorted)
-    ideal = frozenset(s for s in L.elements if s <= keep) | {bottom}
-    removed = L.elements - ideal
-    chain_elems = {x for x in ideal if any(x in covered_elements(L, r) for r in removed)}
-    L1 = BoundedLattice(ideal)
-    chain = tuple(sorted(chain_elems, key=len))
-    return L1, chain
+    elems = L.sorted_elements()
+    below, covers = vn._mask_covers(vn._masks(elems))
+    keep = next(vn._bits(covers[-1]))  # the top's covers are of one rank, so in sorted order
+    ideal = below[keep] | 1 << keep
+    removed = [cov for k, cov in enumerate(covers) if not ideal >> k & 1]
+    chain = tuple(elems[j] for j in vn._bits(ideal) if any(cov >> j & 1 for cov in removed))
+    return BoundedLattice(frozenset(elems[j] for j in vn._bits(ideal))), chain
 
 
 def lattice_to_matrix(L: BoundedLattice) -> BinaryMatrix:

@@ -3,7 +3,8 @@
 Every file holds one structure in a self-describing JSON envelope whose
 "kind" field is one of matgraph, vine, domain, lattice, matrix.  All emitted
 documents are canonically sorted so identical structures serialize to
-identical bytes.
+identical bytes.  A DOT rendering of a vine or lattice draws one edge per
+cover, read off `vine._mask_covers`.
 """
 
 from __future__ import annotations
@@ -157,11 +158,9 @@ def to_dot(obj: Structure) -> str:
         lines = [f"digraph {kind} {{", "  rankdir=BT;"]
         for s in nodes:
             lines.append(f'  "{name[s]}";')
-        for s in nodes:
-            below = [t for t in nodes if t < s]
-            for t in below:
-                if not any(t < u < s for u in below):
-                    lines.append(f'  "{name[t]}" -> "{name[s]}";')
+        _, covers = vn._mask_covers(vn._masks(nodes))
+        for s, cov in zip(nodes, covers):
+            lines.extend(f'  "{name[nodes[j]]}" -> "{name[s]}";' for j in vn._bits(cov))
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise StructureError("format.dot", f"no DOT form for kind {kind!r}")

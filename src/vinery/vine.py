@@ -6,16 +6,15 @@ the top, has exactly two covers below every non-atom, tree-structured levels,
 and satisfies proximity: nodes covered by a common node must themselves
 cover a common node.  The family always has n(n+1)/2 nodes.
 
-`validate_vine` finds each node's covers among the bitmasks of the rank
-below it; only a node whose covers do not come out as two such nodes with
-everything under it below one of them goes through the quadratic
-`covered_by`, so invalid families get the same report as from `covered_by`.
+Which members of a set family lie under or cover which is decided in one
+place, `_mask_covers`, exactly for any family, valid or not; every cover
+and below-set in the package (vines, lattices, DOT, canonical forms) reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import StructureError, Violation, _UnionFind, raise_first
 
@@ -47,36 +46,58 @@ def vine(ground: Iterable[str], nodes: Iterable[Iterable[str]]) -> RegularVine:
     return RegularVine(g, ns)
 
 
-def covered_by(v: RegularVine, s: frozenset) -> list[frozenset]:
-    """Nodes covered by s in the induced subset order."""
-    below = [t for t in v.nodes if t < s]
-    return sorted((t for t in below if not any(t < u < s for u in below)), key=sorted)
+def _masks(family: Sequence[frozenset]) -> list[int]:
+    """One bitmask per member of a set family, one bit per label."""
+    bit = {x: 1 << i for i, x in enumerate({x for s in family for x in s})}
+    return [sum(map(bit.__getitem__, s)) for s in family]
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The indices of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+def _mask_covers(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(below, covers) of distinct masks listed in a linear extension of
+    inclusion: bit j of below[i] is set iff masks[j] is a proper subset of
+    masks[i], and of covers[i] iff moreover no member lies strictly between.
+
+    The members under masks[i] are those of lower index holding no label
+    outside it, read off one column bitset per label.  The highest index
+    left in a below-set is a cover; taking it clears everything under it."""
+    width = max(masks, default=0).bit_length()
+    cols = [sum(1 << i for i, m in enumerate(masks) if m >> b & 1) for b in range(width)]  # per label
+    below: list[int] = []
+    covers: list[int] = []
+    for i, m in enumerate(masks):
+        under = (1 << i) - 1
+        for b, col in enumerate(cols):
+            if not m >> b & 1:
+                under &= ~col
+        below.append(under)
+        cov = 0
+        while under:
+            j = under.bit_length() - 1
+            cov |= 1 << j
+            under &= ~(below[j] | 1 << j)
+        covers.append(cov)
+    return below, covers
 
 
 def _cover_table(v: RegularVine) -> dict[frozenset, list[frozenset]]:
-    """covered_by(v, s) for every non-atom node s, in `sorted_nodes` order.
-
-    Nodes are bitmasks over the ground set.  When s contains exactly two
-    nodes t1, t2 of the rank below and every node under s lies under one of
-    them, its covers are [t1, t2]; any other node takes `covered_by`, so an
-    invalid vine gets the same covers as from `covered_by` alone."""
-    bit = {x: 1 << i for i, x in enumerate(v.ground)}
-    by_rank: dict[int, list[tuple[int, frozenset]]] = {}
-    for s in v.sorted_nodes():
-        by_rank.setdefault(len(s), []).append((sum(bit[x] for x in s), s))
-    covers: dict[frozenset, list[frozenset]] = {}
-    lower: list[int] = []  # masks of the nodes of rank below r - 1
-    for r in range(2, max(by_rank, default=0) + 1):
-        lower.extend(m for m, _ in by_rank.get(r - 2, ()))
-        for m, s in by_rank.get(r, ()):
-            cands = [(tm, t) for tm, t in by_rank.get(r - 1, ()) if tm & m == tm]
-            if len(cands) == 2:
-                (m1, t1), (m2, t2) = cands
-                if all(u & m1 == u or u & m2 == u for u in lower if u & m == u):
-                    covers[s] = [t1, t2]
-                    continue
-            covers[s] = covered_by(v, s)
-    return covers
+    """The nodes each non-atom node covers, in `sorted_nodes` order; each
+    list is ordered by `sorted`, the order of the two-covers reports."""
+    nodes = v.sorted_nodes()
+    _, covers = _mask_covers(_masks(nodes))
+    table: dict[frozenset, list[frozenset]] = {}
+    for s, cov in zip(nodes, covers):
+        if len(s) > 1:
+            below = [nodes[j] for j in _bits(cov)]  # by rank, then by sorted
+            table[s] = sorted(below, key=sorted) if below and len(below[0]) != len(below[-1]) else below
+    return table
 
 
 def validate_vine(v: RegularVine) -> list[Violation]:
@@ -87,12 +108,14 @@ def validate_vine(v: RegularVine) -> list[Violation]:
         if v.nodes:
             report.append(Violation("vine.grading", sorted(map(sorted, v.nodes)), "empty ground set admits only the empty vine"))
         return report
-    singletons = {frozenset([a]) for a in v.ground}
     missing = sorted(a for a in v.ground if frozenset([a]) not in v.nodes)
     if missing:
         report.append(Violation("vine.atoms", missing, f"missing singleton nodes {missing}"))
+    levels: dict[int, list[frozenset]] = {}
+    for s in v.sorted_nodes():
+        levels.setdefault(len(s), []).append(s)
     for i in range(1, n + 1):
-        level = v.rank_nodes(i)
+        level = levels.get(i, [])
         if len(level) != n + 1 - i:
             report.append(Violation("vine.grading", [sorted(s) for s in level],
                                     f"rank {i} has {len(level)} nodes, expected {n + 1 - i}"))
@@ -115,8 +138,8 @@ def validate_vine(v: RegularVine) -> list[Violation]:
     # each level graph (vertices V(i), edges V(i+1)) must be a tree; with the
     # counts already verified, acyclicity is equivalent to connectedness
     for i in range(1, n):
-        uf = _UnionFind(v.rank_nodes(i))
-        for s in v.rank_nodes(i + 1):
+        uf = _UnionFind(levels[i])
+        for s in levels[i + 1]:
             t1, t2 = covers[s]
             if not uf.union(t1, t2):
                 report.append(Violation("vine.tree", (i, sorted(s)),
@@ -148,7 +171,8 @@ def associated_tree(v: RegularVine, i: int) -> AssociatedTree:
     if not 1 <= i <= v.n - 1:
         raise StructureError("vine.level", f"level {i} out of range 1..{v.n - 1}")
     verts = tuple(v.rank_nodes(i))
-    edges = tuple((s, tuple(covered_by(v, s))) for s in v.rank_nodes(i + 1))
+    covers = _cover_table(v)
+    edges = tuple((s, tuple(covers[s])) for s in v.rank_nodes(i + 1))
     return AssociatedTree(i, verts, edges)
 
 
@@ -161,12 +185,12 @@ def split_vine(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
 def _split_unchecked(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
     if v.n < 2:
         raise StructureError("vine.split", "split requires n >= 2")
-    c1, c2 = covered_by(v, v.ground)
-    v1 = RegularVine(c1, frozenset(s for s in v.nodes if s <= c1))
-    v2 = RegularVine(c2, frozenset(s for s in v.nodes if s <= c2))
-    shared = c1 & c2
-    vp = RegularVine(shared, frozenset(s for s in v.nodes if s <= shared))
-    return v1, v2, vp
+    nodes = sorted(v.nodes, key=len)  # a linear extension of inclusion, the top last
+    below, covers = _mask_covers(_masks(nodes))
+    i, j = sorted(_bits(covers[-1]), key=lambda k: sorted(nodes[k]))
+    d1, d2 = below[i] | 1 << i, below[j] | 1 << j
+    return tuple(RegularVine(top, frozenset(nodes[k] for k in _bits(ideal)))
+                 for top, ideal in ((nodes[i], d1), (nodes[j], d2), (nodes[i] & nodes[j], d1 & d2)))
 
 
 def merge_vines(v1: RegularVine, v2: RegularVine) -> Optional[RegularVine]:
@@ -190,11 +214,7 @@ def is_d_vine(v: RegularVine) -> bool:
 
 def _is_d_vine_unchecked(v: RegularVine) -> bool:
     """is_d_vine of a vine already checked."""
-    for i in range(1, v.n):
-        degs = _level_degrees(v, i)
-        if degs and max(degs.values()) > 2:
-            return False
-    return True
+    return all(d <= 2 for level in _level_degrees(v) for d in level)
 
 
 def is_c_vine(v: RegularVine) -> bool:
@@ -205,19 +225,16 @@ def is_c_vine(v: RegularVine) -> bool:
 
 def _is_c_vine_unchecked(v: RegularVine) -> bool:
     """is_c_vine of a vine already checked."""
-    for i in range(1, v.n):
-        degs = _level_degrees(v, i)
-        if len(degs) >= 3 and sum(1 for d in degs.values() if d > 1) > 1:
-            return False
-    return True
+    return not any(len(level) >= 3 and sum(1 for d in level if d > 1) > 1 for level in _level_degrees(v))
 
 
-def _level_degrees(v: RegularVine, i: int) -> dict[frozenset, int]:
-    degs = {s: 0 for s in v.rank_nodes(i)}
-    for s in v.rank_nodes(i + 1):
-        for t in covered_by(v, s):
-            degs[t] += 1
-    return degs
+def _level_degrees(v: RegularVine) -> list[list[int]]:
+    """Vertex degrees of the associated trees 1..n-1: the nodes covering each node."""
+    degree = dict.fromkeys(v.nodes, 0)
+    for cov in _cover_table(v).values():
+        for t in cov:
+            degree[t] += 1
+    return [[d for s, d in degree.items() if len(s) == i] for i in range(1, v.n)]
 
 
 def maximal_chains(v: RegularVine) -> list[tuple[frozenset, ...]]:
@@ -225,20 +242,24 @@ def maximal_chains(v: RegularVine) -> list[tuple[frozenset, ...]]:
     require_valid(v)
     if v.n == 0:
         return []
-    covers = {s: covered_by(v, s) for s in v.nodes if len(s) > 1}
-    chains: list[tuple[frozenset, ...]] = []
+    return sorted(_maximal_chains(v.sorted_nodes()), key=lambda c: [sorted(s) for s in c])
 
-    def descend(s: frozenset, acc: list[frozenset]):
-        acc.append(s)
-        if len(s) == 1:
+
+def _maximal_chains(family: list[frozenset]) -> list[tuple]:
+    """The saturated chains from a minimal member up to the last one of a
+    family listed in a linear extension of inclusion, bottom first."""
+    _, covers = _mask_covers(_masks(family))
+    chains: list[tuple] = []
+
+    def descend(k: int, acc: list[frozenset]):
+        acc.append(family[k])
+        if not covers[k]:
             chains.append(tuple(reversed(acc)))
-        else:
-            for t in covers[s]:
-                descend(t, acc)
+        for j in _bits(covers[k]):
+            descend(j, acc)
         acc.pop()
 
-    descend(v.ground, [])
-    chains.sort(key=lambda c: [sorted(s) for s in c])
+    descend(len(family) - 1, [])
     return chains
 
 
@@ -251,10 +272,8 @@ def chain_counts_from_atoms(v: RegularVine) -> dict[str, int]:
 def _chain_counts_from_atoms_unchecked(v: RegularVine) -> dict[str, int]:
     """chain_counts_from_atoms of a vine already checked."""
     count = {v.ground: 1}
-    for s in sorted(v.nodes, key=len, reverse=True):
-        if len(s) == 1:
-            continue
-        for t in covered_by(v, s):
+    for s, cov in reversed(_cover_table(v).items()):  # every node after the nodes covering it
+        for t in cov:
             count[t] = count.get(t, 0) + count[s]
     return {a: count.get(frozenset([a]), 1 if v.n == 1 else 0) for a in v.ground}
 

@@ -2,16 +2,21 @@
 
 Each oracle computes from the definition what a kernel computes from index
 tables or bitmasks: the n!-relabeling scans behind the canonical form and
-|Aut|, and the pairwise join/meet and covered-element tests behind the
-lattice order checks.  They are slow and used by the tests only.
+|Aut|; the quadratic `covered_by` and `covered_elements` scans behind
+`vine._mask_covers`, and the DOT rendering built on them; the pairwise
+join/meet tests behind the lattice order checks; and the per-pair domain
+scan behind the one-pass topmost contiguous positions.  They are slow and
+used by the tests only.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+from vinery import domain as dm
 from vinery import lattice as lt
 from vinery import vine as vn
+from vinery.errors import StructureError
 
 
 def canonical_form_bruteforce(v: vn.RegularVine) -> tuple:
@@ -39,6 +44,51 @@ def automorphism_group_order_bruteforce(v: vn.RegularVine) -> int:
     return count
 
 
+def covered_by(v: vn.RegularVine, s: frozenset) -> list[frozenset]:
+    """Nodes covered by s in the induced subset order."""
+    below = [t for t in v.nodes if t < s]
+    return sorted((t for t in below if not any(t < u < s for u in below)), key=sorted)
+
+
+def covered_elements(L: lt.BoundedLattice, s: frozenset) -> list[frozenset]:
+    below = [t for t in L.elements if t < s]
+    return sorted((t for t in below if not any(t < u < s for u in below)), key=lambda t: (len(t), sorted(t)))
+
+
+def to_dot_by_scan(obj) -> str:
+    """`serialize.to_dot` of a vine or lattice, with every cover found by a
+    scan of the nodes below it."""
+    kind = "vine" if isinstance(obj, vn.RegularVine) else "lattice"
+    nodes = obj.sorted_nodes() if kind == "vine" else obj.sorted_elements()
+    name = {s: "{" + ",".join(sorted(s)) + "}" for s in nodes}
+    lines = [f"digraph {kind} {{", "  rankdir=BT;"]
+    for s in nodes:
+        lines.append(f'  "{name[s]}";')
+    for s in nodes:
+        below = [t for t in nodes if t < s]
+        for t in below:
+            if not any(t < u < s for u in below):
+                lines.append(f'  "{name[t]}" -> "{name[s]}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def topmost_contiguous_position_by_scan(d: dm.PreferenceDomain, x: str, y: str) -> int:
+    """Minimum position at which x and y occur adjacently in some
+    preference, by a scan of the whole domain for this one pair."""
+    if x == y or x not in d.alternatives or y not in d.alternatives:
+        raise StructureError("domain.labels", f"need two distinct alternatives, got {x!r}, {y!r}")
+    best = None
+    for w in d.prefs:
+        for i in range(len(w) - 1):
+            if {w[i], w[i + 1]} == {x, y}:
+                best = i + 1 if best is None else min(best, i + 1)
+                break
+    if best is None:
+        raise StructureError("domain.contiguity", f"{x!r} and {y!r} are never contiguous", witness=(x, y))
+    return best
+
+
 def is_lattice_pairwise(L: lt.BoundedLattice) -> bool:
     """Every pair has a join and a meet, by `lattice.join` and `lattice.meet`."""
     if not L.elements:
@@ -54,4 +104,4 @@ def is_lattice_pairwise(L: lt.BoundedLattice) -> bool:
 def join_irreducibles_by_covers(L: lt.BoundedLattice) -> list[frozenset]:
     """Elements other than the bottom with exactly one `covered_elements`."""
     bottom = min(L.elements, key=len)
-    return [s for s in L.sorted_elements() if s != bottom and len(lt.covered_elements(L, s)) == 1]
+    return [s for s in L.sorted_elements() if s != bottom and len(covered_elements(L, s)) == 1]

@@ -13,6 +13,8 @@ from vinery import domain as dm
 from vinery import generate as gen
 from vinery.errors import StructureError
 
+from oracles import topmost_contiguous_position_by_scan
+
 
 def mkdom(alts, words):
     return dm.domain(alts, [tuple(w) for w in words])
@@ -190,6 +192,39 @@ def test_topmost_contiguous_position(intro_domain, fig_domain):
     with pytest.raises(StructureError) as exc:
         dm.topmost_contiguous_position(mkdom("abc", ["abc"]), "a", "c")
     assert exc.value.axiom == "domain.contiguity"
+
+
+def _same_position_or_error(d, x, y):
+    try:
+        want = topmost_contiguous_position_by_scan(d, x, y)
+    except StructureError as exc:
+        with pytest.raises(StructureError) as got:
+            dm.topmost_contiguous_position(d, x, y)
+        assert (got.value.axiom, str(got.value)) == (exc.axiom, str(exc))
+        return None
+    assert dm.topmost_contiguous_position(d, x, y) == want
+    return want
+
+
+def test_topmost_contiguous_position_matches_per_pair_scan(seed):
+    """The one-pass positions equal the per-pair domain scan, errors
+    included, on every class domain n <= 6 and on seeded domains with
+    preferences dropped, so that some pairs are never contiguous."""
+    rng = random.Random(seed)
+    domains = []
+    for n in range(2, 7):
+        for v in gen.class_representatives(n):
+            d = co.vine_to_domain(v)
+            domains.append(d)
+            prefs = sorted(d.prefs)
+            domains.append(dm.PreferenceDomain(d.alternatives, frozenset(rng.sample(prefs, max(1, len(prefs) // 4)))))
+    errors = 0
+    for d in domains:
+        alts = sorted(d.alternatives)
+        for x in alts:
+            for y in alts:
+                errors += _same_position_or_error(d, x, y) is None
+    assert errors > sum(d.n for d in domains)  # more than the x == y cases
 
 
 # ------------------------------------------------------------------ BSPD

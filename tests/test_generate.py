@@ -270,6 +270,27 @@ def test_doubling_completeness_check(monkeypatch):
         gen.class_representatives(6)
 
 
+def test_doubling_class_count_check(monkeypatch):
+    """A class count other than the unlabeled count formula's fails, naming n."""
+    formula = gen.unlabeled_count_formula
+    monkeypatch.setattr(gen, "unlabeled_count_formula", lambda n: formula(n) + (n == 5))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^6 doubled classes with \|Aut\| tally \{1: 2, 2: 4\} at n=5, "
+                             r"the closed forms give 7 classes, p=4 with \|Aut\|=2 and q=2 with \|Aut\|=1$"):
+        gen.class_representatives(6)
+
+
+def test_doubling_aut_tally_check(monkeypatch):
+    """An |Aut| tally other than the recursion's (p_n, q_n) fails, naming n."""
+    recursion = gen.recursive_pq_counts
+    monkeypatch.setattr(gen, "recursive_pq_counts",
+                        lambda n: recursion(n)[::-1] if n == 5 else recursion(n))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^6 doubled classes with \|Aut\| tally \{1: 2, 2: 4\} at n=5, "
+                             r"the closed forms give 6 classes, p=2 with \|Aut\|=2 and q=4 with \|Aut\|=1$"):
+        gen.class_representatives(5)
+
+
 def test_canonical_form_large_n_allocates_no_power_table(seed):
     """The kernel streams the 2^(n-1) chains: at n = 14 its peak allocation
     stays below one pointer per subset of the ground set."""

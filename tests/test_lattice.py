@@ -10,7 +10,7 @@ from vinery import lattice as lt
 from vinery import vine as vn
 from vinery.errors import StructureError
 
-from oracles import is_lattice_pairwise, join_irreducibles_by_covers
+from oracles import covered_elements, is_lattice_pairwise, join_irreducibles_by_covers
 
 
 def boolean_cube():
@@ -37,8 +37,8 @@ def test_non_lattice_family():
 
 def test_covered_elements_and_join_irreducibles(intro_vine):
     L = lt.vine_to_lattice(intro_vine)
-    assert lt.covered_elements(L, frozenset("abcd")) == [frozenset("abc"), frozenset("bcd")]
-    assert lt.covered_elements(L, frozenset("a")) == [frozenset()]
+    assert covered_elements(L, frozenset("abcd")) == [frozenset("abc"), frozenset("bcd")]
+    assert covered_elements(L, frozenset("a")) == [frozenset()]
     # exactly the atoms are join-irreducible here
     assert lt.join_irreducibles(L) == [frozenset(x) for x in "abcd"]
 
@@ -73,6 +73,52 @@ def test_order_kernels_match_pairwise_oracles_on_mutations(seed):
                 assert lt.join_irreducibles(fam) == join_irreducibles_by_covers(fam)
     assert set(verdicts) == {True, False}
     assert not lt.is_lattice(lt.BoundedLattice(frozenset()))
+
+
+def _assert_covers_match_oracle(L):
+    """_mask_covers over sorted_elements: each below-set is every element
+    strictly under the element, each cover list the covered_elements list."""
+    elems = L.sorted_elements()
+    below, covers = vn._mask_covers(vn._masks(elems))
+    for s, under, cov in zip(elems, below, covers):
+        assert [elems[j] for j in vn._bits(under)] == [t for t in elems if t < s]
+        assert [elems[j] for j in vn._bits(cov)] == covered_elements(L, s)
+
+
+def test_mask_covers_match_covered_elements():
+    """Every class lattice n <= 6, and non-graded families: a chain with a
+    side element, and each class lattice n <= 5 with one subset added."""
+    rng = random.Random(5)
+    for n in range(1, 7):
+        for v in gen.class_representatives(n):
+            L = lt.vine_to_lattice(v)
+            _assert_covers_match_oracle(L)
+            if n <= 5:
+                extra = frozenset(rng.sample(sorted(L.ground), rng.randint(1, n)))
+                _assert_covers_match_oracle(lt.BoundedLattice(L.elements | {extra}))
+    _assert_covers_match_oracle(lt.lattice(["", "a", "ab", "abc", "c"]))
+    _assert_covers_match_oracle(lt.lattice(["a", "b", "abx", "aby", "abcxy"]))
+
+
+def test_dual_is_lattice_on_one_sided_families(seed):
+    """is_lattice tests a greatest element and then meets, so families with
+    a least element and no greatest one (and the reverse) get the pairwise
+    oracle's verdict."""
+    rng = random.Random(seed)
+    families = [lt.lattice(["", "a", "b"]), lt.lattice(["", "a", "b", "ab", "abc", "abd"]),
+                lt.lattice(["a", "b", "ab"]), lt.lattice(["", "a"])]
+    for n in range(2, 7):
+        for _ in range(4):
+            L = lt.vine_to_lattice(gen.random_vine("abcdefg"[:n], rng))
+            top = max(L.elements, key=len)
+            extra = frozenset(rng.sample(sorted(L.ground), n - 1)) | {"z"}
+            families += [lt.BoundedLattice(L.elements - {top}),
+                         lt.BoundedLattice(L.elements - {top} | {extra}),
+                         lt.BoundedLattice(L.elements | {extra}),
+                         lt.BoundedLattice(L.elements - {frozenset()})]
+    verdicts = [lt.is_lattice(fam) for fam in families]
+    assert verdicts == [is_lattice_pairwise(fam) for fam in families]
+    assert set(verdicts) == {True, False}
 
 
 # ------------------------------------------------------------ B(3) checks

@@ -1,12 +1,17 @@
 """JSON envelope, text and DOT rendering: round trips and determinism."""
 
 import json
+import random
+import string
 
 import pytest
 
+from vinery import generate as gen
 from vinery import lattice as lt
 from vinery import serialize as io
 from vinery.errors import StructureError
+
+from oracles import to_dot_by_scan
 
 
 def all_kinds(intro_graph, intro_vine, intro_domain):
@@ -88,3 +93,15 @@ def test_to_dot(intro_graph, intro_vine, intro_domain):
     with pytest.raises(StructureError) as exc:
         io.to_dot(intro_domain)
     assert exc.value.axiom == "format.dot"
+
+
+def test_to_dot_matches_cover_scan(seed):
+    """The DOT edges of vines and their lattices are the covers a scan of
+    the nodes below each node finds, in the same order."""
+    rng = random.Random(seed)
+    for n in range(4, 9):
+        for _ in range(4):
+            v = gen.random_vine(string.ascii_lowercase[:n], rng)
+            L = lt.vine_to_lattice(v)
+            assert io.to_dot(v) == to_dot_by_scan(v)
+            assert io.to_dot(L) == to_dot_by_scan(L)

@@ -9,6 +9,8 @@ from vinery import generate as gen
 from vinery import vine as vn
 from vinery.errors import StructureError
 
+from oracles import covered_by
+
 
 def nodes_of(*words):
     return frozenset(frozenset(w) for w in words)
@@ -116,7 +118,7 @@ def test_mask_covers_report_like_covered_by(monkeypatch, seed):
             v = gen.random_vine(string.ascii_lowercase[:n], rng)
             cases += [v] + _mutations(rng, v)
     def plain(v):
-        return {s: vn.covered_by(v, s) for s in v.sorted_nodes() if len(s) > 1}
+        return {s: covered_by(v, s) for s in v.sorted_nodes() if len(s) > 1}
 
     for v in cases:
         # the order of the table is the order of the two-covers reports
@@ -126,6 +128,37 @@ def test_mask_covers_report_like_covered_by(monkeypatch, seed):
     assert fast == [vn.validate_vine(v) for v in cases]
     assert {x.axiom for report in fast for x in report} >= {"vine.grading", "vine.two-covers"}
     assert [] in fast
+
+
+def _assert_covers_match_oracle(v):
+    """_mask_covers over sorted_nodes: each below-set is every node strictly
+    under the node, each cover list the covered_by list."""
+    nodes = v.sorted_nodes()
+    below, covers = vn._mask_covers(vn._masks(nodes))
+    for s, under, cov in zip(nodes, below, covers):
+        assert [nodes[j] for j in vn._bits(under)] == [t for t in nodes if t < s]
+        assert sorted((nodes[j] for j in vn._bits(cov)), key=sorted) == covered_by(v, s)
+    assert list(vn._cover_table(v).items()) == [(s, covered_by(v, s)) for s in nodes if len(s) > 1]
+
+
+def test_mask_covers_match_covered_by_on_classes():
+    for n in range(1, 7):
+        for v in gen.class_representatives(n):
+            _assert_covers_match_oracle(v)
+
+
+def test_mask_covers_match_covered_by_on_mutations(seed):
+    """Seeded vines n = 4..12 with a node dropped, added or replaced; most
+    of them are invalid and some have covers of mixed ranks."""
+    rng = random.Random(seed)
+    mixed = 0
+    for n in range(4, 13):
+        for _ in range(3):
+            v = gen.random_vine(string.ascii_lowercase[:n], rng)
+            for w in [v] + _mutations(rng, v):
+                _assert_covers_match_oracle(w)
+                mixed += any(len({len(t) for t in cov}) > 1 for cov in vn._cover_table(w).values())
+    assert mixed
 
 
 def test_require_valid(intro_vine):
