@@ -25,15 +25,6 @@ from . import vine as vn
 from .errors import InternalInconsistencyError, StructureError
 
 
-_VALIDATORS = {
-    "matgraph": mg.validate_matgraph,
-    "vine": vn.validate_vine,
-    "domain": dm.validate_domain,
-    "lattice": lt.validate_lattice,
-    "matrix": lt.validate_matrix,
-}
-
-
 def _emit(obj, fmt: str) -> str:
     if fmt == "json":
         return io.dumps(obj)
@@ -49,7 +40,7 @@ def cmd_verify(args) -> int:
     if args.kind and io.kind_of(obj) != args.kind:
         print(f"kind mismatch: file holds {io.kind_of(obj)}, expected {args.kind}", file=sys.stderr)
         return 1
-    report = _VALIDATORS[io.kind_of(obj)](obj)
+    report = routes._VALIDATORS[io.kind_of(obj)](obj)
     if report:
         for x in report:
             print(f"INVALID {x.axiom}: {x.message}")
@@ -58,7 +49,8 @@ def cmd_verify(args) -> int:
         kind = io.kind_of(obj)
         targets = [k for k in io.KINDS if k != kind]
         for to_kind in targets:
-            converted = routes.convert_structure(obj, to_kind, "direct")
+            # the public back leg checks every intermediate before converting it back
+            converted = routes._convert_structure(obj, to_kind, "direct")
             back = routes.convert_structure(converted, kind, "direct")
             if io.dumps(back) != io.dumps(obj):
                 print(f"INVALID roundtrip.{to_kind}: conversion does not round-trip")
@@ -71,45 +63,40 @@ def cmd_verify(args) -> int:
 
 def cmd_convert(args) -> int:
     obj = io.load_file(args.path)
-    report = _VALIDATORS[io.kind_of(obj)](obj)
+    report = routes._VALIDATORS[io.kind_of(obj)](obj)
     if report:
         print(f"INVALID {report[0].axiom}: {report[0].message}", file=sys.stderr)
         return 1
-    out = routes.convert_structure(obj, args.to, args.via)
+    out = routes._convert_structure(obj, args.to, args.via)
     sys.stdout.write(_emit(out, args.format))
     return 0
 
 
 def cmd_analyze(args) -> int:
     obj = io.load_file(args.path)
-    report = _VALIDATORS[io.kind_of(obj)](obj)
+    report = routes._VALIDATORS[io.kind_of(obj)](obj)
     if report:
         print(f"INVALID {report[0].axiom}: {report[0].message}", file=sys.stderr)
         return 1
-    v = routes.convert_structure(obj, "vine", "direct")
-    d = routes.convert_structure(v, "domain", "direct")
     # v is valid: the input passed its validator and the maps check their outputs
-    richness = vn._richness_via_vine_unchecked(v)
-    first_rank = dict(sorted(vn._chain_counts_from_atoms_unchecked(v).items()))
+    v = routes._convert_structure(obj, "vine", "direct")
+    d = routes._convert_structure(v, "domain", "direct")
     axis = dm.is_bspd(d)
     info = {
         "kind": io.kind_of(obj),
         "n": v.n,
-        "richness": richness,
         "richness_bounds_note": None if v.n >= 3 else "richness bounds apply for n >= 3 only",
-        "first_rank": first_rank,
         "bottom_alternatives": sorted(dm.bottom_alternatives(d)),
-        "is_d_vine": vn._is_d_vine_unchecked(v),
-        "is_c_vine": vn._is_c_vine_unchecked(v),
         "is_bspd": axis is not None,
         "bspd_axis": list(axis) if axis is not None else None,
-        "aut_order": lt._automorphism_group_order_unchecked(v),
+        "aut_order": lt._automorphism_group_order(v),
+        **vn._analytics(v),
     }
     if io.kind_of(obj) == "domain":
         # domain-side cross-checks against the vine-side analytics
-        if dm.richness_direct(obj) != richness:
+        if dm.richness_direct(obj) != info["richness"]:
             raise InternalInconsistencyError("richness cross-check failed")
-        if dm.first_rank_distribution(obj) != first_rank:
+        if dm.first_rank_distribution(obj) != info["first_rank"]:
             raise InternalInconsistencyError("first-rank cross-check failed")
         info["cross_checks"] = "domain-side richness and first-rank agree"
     if args.format == "json":

@@ -2,6 +2,8 @@
 
 These are the direct, non-recursive maps; the generic ``species.transport``
 computes the same functions and the test suite holds the two routes equal.
+Each map is a private core that trusts its input and checks what it builds
+where that can fail; the public name checks the input first.
 """
 
 from __future__ import annotations
@@ -9,12 +11,11 @@ from __future__ import annotations
 from . import domain as dm
 from . import matgraph as mg
 from . import vine as vn
-from .errors import StructureError
+from .errors import StructureError, checked
 
 
-def graph_to_vine(g: mg.MatLabeledGraph) -> vn.RegularVine:
+def _graph_to_vine(g: mg.MatLabeledGraph) -> vn.RegularVine:
     """Singletons plus the principal clique generated by every edge."""
-    mg.require_valid(g)
     nodes = {frozenset([a]) for a in g.vertices}
     for (u, v), k in g.labels.items():
         clique = frozenset({u, v} | mg.triangle_partners(g, u, v))
@@ -28,9 +29,8 @@ def graph_to_vine(g: mg.MatLabeledGraph) -> vn.RegularVine:
     return out
 
 
-def vine_to_graph(v: vn.RegularVine) -> mg.MatLabeledGraph:
+def _vine_to_graph(v: vn.RegularVine) -> mg.MatLabeledGraph:
     """Label every pair by the rank of the join of its atoms, minus one."""
-    vn.require_valid(v)
     labels = {}
     ground = sorted(v.ground)
     for i, a in enumerate(ground):
@@ -41,26 +41,23 @@ def vine_to_graph(v: vn.RegularVine) -> mg.MatLabeledGraph:
     return out
 
 
-def graph_to_domain(g: mg.MatLabeledGraph) -> dm.PreferenceDomain:
+def _graph_to_domain(g: mg.MatLabeledGraph) -> dm.PreferenceDomain:
     """All MAT-PEOs, read directly as preferences (first eliminated = first ranked)."""
-    peos = mg.enumerate_mat_peos(g)
-    return dm.PreferenceDomain(g.vertices, frozenset(peos))
+    return dm.PreferenceDomain(g.vertices, frozenset(mg._enumerate_mat_peos(g)))
 
 
-def domain_to_graph(d: dm.PreferenceDomain) -> mg.MatLabeledGraph:
+def _domain_to_graph(d: dm.PreferenceDomain) -> mg.MatLabeledGraph:
     """Label every pair by its topmost contiguous occurrence."""
-    dm.require_valid(d)
     # in a maximal ASPD every pair is contiguous somewhere; the keys are edge keys
     out = mg.MatLabeledGraph(d.alternatives, dict(sorted(dm._contiguous_positions(d).items())))
     mg.require_valid(out)
     return out
 
 
-def vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
+def _vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
     """One preference per maximal chain: rank the elements in chain order."""
-    chains = vn.maximal_chains(v)
     prefs = set()
-    for chain in chains:
+    for chain in vn._maximal_chains(v):
         w = []
         seen: frozenset = frozenset()
         for node in chain:
@@ -73,9 +70,8 @@ def vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
     return dm.PreferenceDomain(v.ground, frozenset(prefs))
 
 
-def domain_to_vine(d: dm.PreferenceDomain) -> vn.RegularVine:
+def _domain_to_vine(d: dm.PreferenceDomain) -> vn.RegularVine:
     """All preference prefixes, as a node set."""
-    dm.require_valid(d)
     nodes = set()
     for w in d.prefs:
         for k in range(1, len(w) + 1):
@@ -83,3 +79,11 @@ def domain_to_vine(d: dm.PreferenceDomain) -> vn.RegularVine:
     out = vn.RegularVine(d.alternatives, frozenset(nodes))
     vn.require_valid(out)
     return out
+
+
+graph_to_vine = checked(mg.require_valid, _graph_to_vine)
+vine_to_graph = checked(vn.require_valid, _vine_to_graph)
+graph_to_domain = checked(mg.require_valid, _graph_to_domain)
+domain_to_graph = checked(dm.require_valid, _domain_to_graph)
+vine_to_domain = checked(vn.require_valid, _vine_to_domain)
+domain_to_vine = checked(dm.require_valid, _domain_to_vine)

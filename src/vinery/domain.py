@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Optional
 
-from .errors import StructureError, Violation
+from .errors import StructureError, Violation, checked
 
 Preference = tuple  # tuple of alternative labels, first-ranked first
 
@@ -126,32 +126,13 @@ def require_valid(d: PreferenceDomain) -> None:
         raise StructureError("domain.maximal-aspd", f"not a maximal ASPD: {x.message}", witness=x.witness)
 
 
-def is_maximal_aspd(d: PreferenceDomain, definitional: bool = False) -> bool:
-    """ASPD of the maximal size 2^(n-1).
-
-    With ``definitional=True`` the literal no-extension property is checked
-    instead (every absent preference breaks the never-bottom condition);
-    feasible only for small n.
-    """
-    if not definitional:
-        return not validate_domain(d)
-    if not is_aspd(d)[0]:
-        return False
-    for w in permutations(sorted(d.alternatives)):
-        if w not in d.prefs:
-            bigger = PreferenceDomain(d.alternatives, d.prefs | {w})
-            if is_aspd(bigger)[0]:
-                return False
-    return True
+def is_maximal_aspd(d: PreferenceDomain) -> bool:
+    """ASPD of the maximal size 2^(n-1)."""
+    return not validate_domain(d)
 
 
-def split_domain(d: PreferenceDomain) -> tuple[PreferenceDomain, PreferenceDomain, PreferenceDomain]:
+def _split_domain(d: PreferenceDomain) -> tuple[PreferenceDomain, PreferenceDomain, PreferenceDomain]:
     """Split a maximal ASPD along its two bottom alternatives."""
-    require_valid(d)
-    return _split_unchecked(d)
-
-
-def _split_unchecked(d: PreferenceDomain) -> tuple[PreferenceDomain, PreferenceDomain, PreferenceDomain]:
     if d.n < 2:
         raise StructureError("domain.split", "split requires n >= 2")
     a1, a2 = sorted(bottom_alternatives(d))
@@ -286,3 +267,6 @@ def render_table(d: PreferenceDomain) -> str:
     for r in range(d.n):
         lines.append(" ".join(str(w[r]).rjust(width) for w in cols))
     return "\n".join(lines) + "\n"
+
+
+split_domain = checked(require_valid, _split_domain)

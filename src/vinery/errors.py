@@ -6,11 +6,16 @@ the CLI and the tests can assert on *which* rule broke, not just that
 something did.  Every family has one validator ``validate_<kind>(x)``
 returning a list of ``Violation``s (empty means valid); ``raise_first``
 turns such a report into a ``StructureError``.
+
+A structure is checked once, where it enters: an operation on valid input is
+a private core, its public name is ``checked(require, core)``, and package
+code that holds a checked structure calls the core.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import functools
+from typing import Callable, NamedTuple
 
 
 class StructureError(ValueError):
@@ -41,6 +46,19 @@ def raise_first(report: list[Violation]) -> None:
     if report:
         x = report[0]
         raise StructureError(x.axiom, x.message, witness=x.witness)
+
+
+def checked(require: Callable, core: Callable) -> Callable:
+    """The public form of a core: ``require(x)`` on the first argument, then
+    ``core(x, ...)``; it carries the core's docstring, module and signature,
+    and the core's name without its leading underscore."""
+    @functools.wraps(core)
+    def public(x, *args, **kwargs):
+        require(x)
+        return core(x, *args, **kwargs)
+
+    public.__name__ = public.__qualname__ = core.__name__.removeprefix("_")
+    return public
 
 
 class _UnionFind:

@@ -196,6 +196,13 @@ class _Level(NamedTuple):
     edges: tuple        # (u, v) index pairs into nodes
 
 
+def _line_graph(edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Edges (i, j), i < j in lexicographic order, of the line graph of a
+    tree given by its edge list: the pairs of edges sharing an endpoint."""
+    return [(i, j) for i in range(len(edges)) for j in range(i + 1, len(edges))
+            if set(edges[i]) & set(edges[j])]
+
+
 def _vine_mask_stream(n: int) -> Iterator[list[int]]:
     """Node masks (bit i for the i-th label) of every labeled vine on n
     labels, exactly once, in a deterministic order: atoms, then level by level."""
@@ -212,9 +219,7 @@ def _vine_mask_stream(n: int) -> Iterator[list[int]]:
         if len(new_nodes) == 1:
             yield acc
             return
-        # line graph of the current tree: edges sharing an endpoint
-        lg_edges = [(i, j) for i in range(len(level.edges)) for j in range(i + 1, len(level.edges))
-                    if set(level.edges[i]) & set(level.edges[j])]
+        lg_edges = _line_graph(level.edges)
         for chosen in spanning_trees(len(new_nodes), lg_edges):
             nxt = _Level(new_nodes, tuple(lg_edges[k] for k in chosen))
             yield from expand(nxt, acc)
@@ -248,8 +253,7 @@ def random_vine(ground: Iterable[str], rng: random.Random) -> vn.RegularVine:
         masks.extend(new_nodes)
         if len(new_nodes) == 1:
             return _masks_to_vine(labels, masks)
-        lg_edges = [(i, j) for i in range(len(edges)) for j in range(i + 1, len(edges))
-                    if set(edges[i]) & set(edges[j])]
+        lg_edges = _line_graph(edges)
         chosen = rng.choice(list(spanning_trees(len(new_nodes), lg_edges)))
         nodes, edges = new_nodes, tuple(lg_edges[k] for k in chosen)
 
@@ -269,8 +273,7 @@ def _completions(nv: int, edges: tuple, memo: dict[tuple, int]) -> int:
     if hit is not None:
         return hit
     lg_vertices = len(edges)
-    lg_edges = [(i, j) for i in range(lg_vertices) for j in range(i + 1, lg_vertices)
-                if set(edges[i]) & set(edges[j])]
+    lg_edges = _line_graph(edges)
     total = 0
     for chosen in spanning_trees(lg_vertices, lg_edges):
         total += _completions(lg_vertices, tuple(lg_edges[k] for k in chosen), memo)
@@ -540,9 +543,9 @@ def catalog_entries(n: int) -> list[dict]:
     entries = []
     for idx, cls in enumerate(classes):
         v = cls.representative
-        g = co.vine_to_graph(v)  # checks v, so the analytics below take it as valid
-        d = co.vine_to_domain(v)
-        L = lt.vine_to_lattice(v)
+        g = co.vine_to_graph(v)  # checks v, so the cores below take it as valid
+        d = co._vine_to_domain(v)
+        L = lt._vine_to_lattice(v)
         M = lt.lattice_to_matrix(L)
         entries.append({
             "index": idx,
@@ -552,11 +555,8 @@ def catalog_entries(n: int) -> list[dict]:
             "preferences": [list(w) for w in d.sorted_prefs()],
             "lattice_size": len(L.elements),
             "matrix_columns": ["".join(str(b) for b in col) for col in sorted(M.columns)],
-            "richness": vn._richness_via_vine_unchecked(v),
-            "first_rank": dict(sorted(vn._chain_counts_from_atoms_unchecked(v).items())),
-            "is_d_vine": vn._is_d_vine_unchecked(v),
-            "is_c_vine": vn._is_c_vine_unchecked(v),
             "aut_order": cls.aut_order,
             "orbit_size": cls.orbit_size,
+            **vn._analytics(v),
         })
     return entries

@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 
 from . import generate as gen
 from . import vine as vn
-from .errors import StructureError, Violation
+from .errors import StructureError, Violation, checked
 
 
 @dataclass(frozen=True, eq=True)
@@ -46,9 +46,6 @@ class BoundedLattice:
 class BinaryMatrix:
     rows: tuple            # sorted row labels
     columns: frozenset     # frozenset of 0/1 tuples, one per column
-
-    def sorted_columns(self) -> list[tuple]:
-        return sorted(self.columns, reverse=True)
 
 
 def lattice(elements: Iterable[Iterable[str]]) -> BoundedLattice:
@@ -119,18 +116,12 @@ def _is_induced_b3(candidates: list[frozenset]) -> bool:
     return True
 
 
-def direct_b3_search(L: BoundedLattice) -> Optional[tuple]:
+def _direct_b3_search(L: BoundedLattice) -> Optional[tuple]:
     """3-generator search for an induced B(3): triples with their joins.
 
     Complete: any induced B(3) copy can be replaced by one whose middle layer
     consists of the pairwise joins of its atoms.
     """
-    _require_lattice(L)
-    return _direct_b3_witness(L)
-
-
-def _direct_b3_witness(L: BoundedLattice) -> Optional[tuple]:
-    """direct_b3_search on a lattice already checked."""
     for t1, t2, t3 in combinations(L.sorted_elements(), 3):
         j12, j13, j23 = join(L, t1, t2), join(L, t1, t3), join(L, t2, t3)
         top = join(L, j12, j23)
@@ -142,18 +133,12 @@ def _direct_b3_witness(L: BoundedLattice) -> Optional[tuple]:
     return None
 
 
-def is_b3_free(L: BoundedLattice) -> Optional[tuple]:
+def _is_b3_free(L: BoundedLattice) -> Optional[tuple]:
     """None if B(3)-free, else an 8-element induced-B(3) witness.
 
     Uses the matrix triangle criterion when all singletons are elements,
     falling back to the direct 3-generator search otherwise.
     """
-    _require_lattice(L)
-    return _b3_witness(L)
-
-
-def _b3_witness(L: BoundedLattice) -> Optional[tuple]:
-    """is_b3_free on a lattice already checked."""
     ground = L.ground
     if all(frozenset([a]) in L.elements for a in sorted(ground)):
         M = lattice_to_matrix(L)
@@ -173,8 +158,8 @@ def _b3_witness(L: BoundedLattice) -> Optional[tuple]:
         witness = (bottom, frozenset([a1]), frozenset([a2]), frozenset([a3]), s1, s2, s3, top)
         if _is_induced_b3(list(witness)):
             return witness
-        return _direct_b3_witness(L)  # degenerate overlaps; fall back
-    return _direct_b3_witness(L)
+        return _direct_b3_search(L)  # degenerate overlaps; fall back
+    return _direct_b3_search(L)
 
 
 def is_extremal_lattice(L: BoundedLattice, n: int) -> bool:
@@ -183,7 +168,7 @@ def is_extremal_lattice(L: BoundedLattice, n: int) -> bool:
         return False
     if len(join_irreducibles(L)) > n:
         return False
-    if _b3_witness(L) is not None:
+    if _is_b3_free(L) is not None:
         return False
     return len(L.elements) == 1 + n + n * (n - 1) // 2
 
@@ -195,7 +180,7 @@ def validate_lattice(L: BoundedLattice) -> list[Violation]:
         return [Violation("lattice.lattice", None, "element family is not a lattice under inclusion")]
     report: list[Violation] = []
     n = len(L.ground)
-    witness = _b3_witness(L)
+    witness = _is_b3_free(L)
     if witness is not None:
         report.append(Violation("lattice.b3-free", witness, f"induced B(3) on {[sorted(s) for s in witness]}"))
     size = 1 + n + n * (n - 1) // 2
@@ -206,8 +191,8 @@ def validate_lattice(L: BoundedLattice) -> list[Violation]:
     return report
 
 
-def vine_to_lattice(v: vn.RegularVine) -> BoundedLattice:
-    vn.require_valid(v)
+def _vine_to_lattice(v: vn.RegularVine) -> BoundedLattice:
+    """The vine's nodes plus the empty bottom."""
     return BoundedLattice(v.nodes | {frozenset()})
 
 
@@ -222,7 +207,7 @@ def lattice_to_vine(L: BoundedLattice) -> vn.RegularVine:
 def maximal_chains_of_lattice(L: BoundedLattice) -> list[tuple]:
     """All bottom-to-top saturated chains, lexicographically ordered."""
     _require_lattice(L)
-    return sorted(vn._maximal_chains(L.sorted_elements()), key=lambda c: [(len(s), sorted(s)) for s in c])
+    return sorted(vn._saturated_chains(L.sorted_elements()), key=lambda c: [(len(s), sorted(s)) for s in c])
 
 
 def fresh_label(ground: frozenset) -> str:
@@ -351,19 +336,19 @@ def is_extremal_matrix(M: BinaryMatrix) -> bool:
     return not validate_matrix(M)
 
 
-def automorphism_group_order(v: vn.RegularVine) -> int:
+def _automorphism_group_order(v: vn.RegularVine) -> int:
     """Number of ground bijections fixing the node set; always 1 or 2.
 
     Counted as the maximal chains whose induced labeling attains the
     canonical form (`generate.canonical_form_and_aut`)."""
-    vn.require_valid(v)
-    return _automorphism_group_order_unchecked(v)
-
-
-def _automorphism_group_order_unchecked(v: vn.RegularVine) -> int:
-    """automorphism_group_order of a vine already checked."""
     _, count = gen.canonical_form_and_aut(v)
     if count not in (1, 2):
         raise StructureError("lattice.automorphisms", f"automorphism group of order {count} found (expected 1 or 2)",
                              witness=count)
     return count
+
+
+direct_b3_search = checked(_require_lattice, _direct_b3_search)
+is_b3_free = checked(_require_lattice, _is_b3_free)
+vine_to_lattice = checked(vn.require_valid, _vine_to_lattice)
+automorphism_group_order = checked(vn.require_valid, _automorphism_group_order)

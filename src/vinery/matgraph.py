@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .errors import StructureError, Violation, _UnionFind, raise_first
+from .errors import StructureError, Violation, _UnionFind, checked, raise_first
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -161,7 +161,7 @@ def is_mat_peo(g: MatLabeledGraph, ordering: Sequence[str]) -> bool:
     return True
 
 
-def enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
+def _enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
     """All MAT-PEOs of a valid MAT-labeled complete graph, in sorted order.
 
     Grown by incremental extension: a vertex may be appended only while it is
@@ -171,7 +171,6 @@ def enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
     vertices iff its p labels to the prefix are 1..p and every prefix edge
     is labeled below the larger of its two labels to x.
     """
-    require_valid(g)
     order = sorted(g.vertices)
     index = {x: i for i, x in enumerate(order)}
     lab = [[0] * len(order) for _ in order]
@@ -207,13 +206,8 @@ def enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
     return out
 
 
-def split_graph(g: MatLabeledGraph) -> tuple[MatLabeledGraph, MatLabeledGraph, MatLabeledGraph]:
+def _split_graph(g: MatLabeledGraph) -> tuple[MatLabeledGraph, MatLabeledGraph, MatLabeledGraph]:
     """Restrictions to the complements of the two MAT-simplicial vertices."""
-    require_valid(g)
-    return _split_unchecked(g)
-
-
-def _split_unchecked(g: MatLabeledGraph) -> tuple[MatLabeledGraph, MatLabeledGraph, MatLabeledGraph]:
     if g.n < 2:
         raise StructureError("matgraph.split", "split requires n >= 2")
     a1, a2 = sorted(a for a in g.vertices if _is_mat_simplicial(g, a))
@@ -253,3 +247,7 @@ def merge_graphs(g1: MatLabeledGraph, g2: MatLabeledGraph) -> Optional[MatLabele
 def relabel_graph(g: MatLabeledGraph, h: Mapping[str, str]) -> MatLabeledGraph:
     labels = {edge_key(h[u], h[v]): k for (u, v), k in g.labels.items()}
     return MatLabeledGraph(frozenset(h[v] for v in g.vertices), labels)
+
+
+enumerate_mat_peos = checked(require_valid, _enumerate_mat_peos)
+split_graph = checked(require_valid, _split_graph)

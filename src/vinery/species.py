@@ -11,9 +11,9 @@ are connected by a unique natural isomorphism, computed recursively by
 target.
 
 Validation happens once, where a structure enters this layer: ``transport``,
-``merge_checked`` and ``check_proximity`` validate their inputs, and the
-split operation trusts its input, since the halves of a valid structure are
-valid.  Merging keeps its compatibility test.
+``merge_checked`` and ``check_proximity`` validate their inputs; the split
+cores and ``_transport`` trust theirs, since the halves of a valid structure
+are valid.  Merging keeps its compatibility test.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ class Species:
     """One family's split/merge operations, as a row of functions.
 
     ``require`` raises a ``StructureError`` on an invalid structure;
-    ``split`` is the family's unchecked split, returning the two halves and
+    ``split`` is the family's split core, returning the two halves and
     their shared part; ``merge`` returns None on incompatible halves.
     """
 
@@ -90,13 +90,13 @@ class Species:
 
 GRAPH = Species("matgraph", mg.MatLabeledGraph, "vertices", mg.require_valid,
                 lambda g: mg.MatLabeledGraph(g, {}),
-                mg._split_unchecked, mg.merge_graphs, mg.relabel_graph)
+                mg._split_graph, mg.merge_graphs, mg.relabel_graph)
 VINE = Species("vine", vn.RegularVine, "ground", vn.require_valid,
                lambda g: vn.RegularVine(g, frozenset({g}) if g else frozenset()),
-               vn._split_unchecked, vn.merge_vines, vn.relabel_vine)
+               vn._split_vine, vn.merge_vines, vn.relabel_vine)
 DOMAIN = Species("domain", dm.PreferenceDomain, "alternatives", dm.require_valid,
                  lambda g: dm.PreferenceDomain(g, frozenset({tuple(sorted(g))})),
-                 dm._split_unchecked, dm.merge_domains, dm.relabel_domain)
+                 dm._split_domain, dm.merge_domains, dm.relabel_domain)
 SPECIES = {s.name: s for s in (GRAPH, VINE, DOMAIN)}
 
 
@@ -152,6 +152,11 @@ def transport(F, G, x):
     substructure.  Only x itself is validated.
     """
     F.validate(x)
+    return _transport(F, G, x)
+
+
+def _transport(F, G, x):
+    """transport of a structure already checked as an F-structure."""
     memo: dict[frozenset, object] = {}
 
     def go(y):

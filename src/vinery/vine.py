@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import StructureError, Violation, _UnionFind, raise_first
+from .errors import StructureError, Violation, _UnionFind, checked, raise_first
 
 
 @dataclass(frozen=True, eq=True)
@@ -176,13 +176,8 @@ def associated_tree(v: RegularVine, i: int) -> AssociatedTree:
     return AssociatedTree(i, verts, edges)
 
 
-def split_vine(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
+def _split_vine(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
     """Principal ideals of the two co-atoms covered by the top node."""
-    require_valid(v)
-    return _split_unchecked(v)
-
-
-def _split_unchecked(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
     if v.n < 2:
         raise StructureError("vine.split", "split requires n >= 2")
     nodes = sorted(v.nodes, key=len)  # a linear extension of inclusion, the top last
@@ -206,25 +201,13 @@ def merge_vines(v1: RegularVine, v2: RegularVine) -> Optional[RegularVine]:
     return RegularVine(A, v1.nodes | v2.nodes | {A})
 
 
-def is_d_vine(v: RegularVine) -> bool:
+def _is_d_vine(v: RegularVine) -> bool:
     """True iff every associated tree is a path."""
-    require_valid(v)
-    return _is_d_vine_unchecked(v)
-
-
-def _is_d_vine_unchecked(v: RegularVine) -> bool:
-    """is_d_vine of a vine already checked."""
     return all(d <= 2 for level in _level_degrees(v) for d in level)
 
 
-def is_c_vine(v: RegularVine) -> bool:
+def _is_c_vine(v: RegularVine) -> bool:
     """True iff every associated tree is a star."""
-    require_valid(v)
-    return _is_c_vine_unchecked(v)
-
-
-def _is_c_vine_unchecked(v: RegularVine) -> bool:
-    """is_c_vine of a vine already checked."""
     return not any(len(level) >= 3 and sum(1 for d in level if d > 1) > 1 for level in _level_degrees(v))
 
 
@@ -237,15 +220,14 @@ def _level_degrees(v: RegularVine) -> list[list[int]]:
     return [[d for s, d in degree.items() if len(s) == i] for i in range(1, v.n)]
 
 
-def maximal_chains(v: RegularVine) -> list[tuple[frozenset, ...]]:
+def _maximal_chains(v: RegularVine) -> list[tuple[frozenset, ...]]:
     """All maximal chains, singleton to A, in lexicographic order (2^(n-1) of them)."""
-    require_valid(v)
     if v.n == 0:
         return []
-    return sorted(_maximal_chains(v.sorted_nodes()), key=lambda c: [sorted(s) for s in c])
+    return sorted(_saturated_chains(v.sorted_nodes()), key=lambda c: [sorted(s) for s in c])
 
 
-def _maximal_chains(family: list[frozenset]) -> list[tuple]:
+def _saturated_chains(family: list[frozenset]) -> list[tuple]:
     """The saturated chains from a minimal member up to the last one of a
     family listed in a linear extension of inclusion, bottom first."""
     _, covers = _mask_covers(_masks(family))
@@ -263,14 +245,8 @@ def _maximal_chains(family: list[frozenset]) -> list[tuple]:
     return chains
 
 
-def chain_counts_from_atoms(v: RegularVine) -> dict[str, int]:
+def _chain_counts_from_atoms(v: RegularVine) -> dict[str, int]:
     """Per-atom count of maximal chains, by Pascal-style downward accumulation."""
-    require_valid(v)
-    return _chain_counts_from_atoms_unchecked(v)
-
-
-def _chain_counts_from_atoms_unchecked(v: RegularVine) -> dict[str, int]:
-    """chain_counts_from_atoms of a vine already checked."""
     count = {v.ground: 1}
     for s, cov in reversed(_cover_table(v).items()):  # every node after the nodes covering it
         for t in cov:
@@ -288,14 +264,8 @@ def join_node(v: RegularVine, a: str, b: str) -> frozenset:
     raise StructureError("vine.join", f"no node contains both {a!r} and {b!r}")
 
 
-def richness_via_vine(v: RegularVine) -> int:
+def _richness_via_vine(v: RegularVine) -> int:
     """Least rank whose nodes have a non-empty common intersection."""
-    require_valid(v)
-    return _richness_via_vine_unchecked(v)
-
-
-def _richness_via_vine_unchecked(v: RegularVine) -> int:
-    """richness_via_vine of a vine already checked."""
     for k in range(1, v.n + 1):
         inter = v.ground
         for s in v.rank_nodes(k):
@@ -305,6 +275,22 @@ def _richness_via_vine_unchecked(v: RegularVine) -> int:
     return v.n
 
 
+def _analytics(v: RegularVine) -> dict:
+    """Richness, first-rank distribution and the D-/C-vine flags of a vine
+    already checked, keyed as `analyze` and the catalog report them."""
+    return {"richness": _richness_via_vine(v),
+            "first_rank": dict(sorted(_chain_counts_from_atoms(v).items())),
+            "is_d_vine": _is_d_vine(v), "is_c_vine": _is_c_vine(v)}
+
+
 def relabel_vine(v: RegularVine, h: Mapping[str, str]) -> RegularVine:
     return RegularVine(frozenset(h[a] for a in v.ground),
                        frozenset(frozenset(h[a] for a in s) for s in v.nodes))
+
+
+split_vine = checked(require_valid, _split_vine)
+is_d_vine = checked(require_valid, _is_d_vine)
+is_c_vine = checked(require_valid, _is_c_vine)
+maximal_chains = checked(require_valid, _maximal_chains)
+chain_counts_from_atoms = checked(require_valid, _chain_counts_from_atoms)
+richness_via_vine = checked(require_valid, _richness_via_vine)

@@ -4,8 +4,9 @@ Each oracle computes from the definition what a kernel computes from index
 tables or bitmasks: the n!-relabeling scans behind the canonical form and
 |Aut|; the quadratic `covered_by` and `covered_elements` scans behind
 `vine._mask_covers`, and the DOT rendering built on them; the pairwise
-join/meet tests behind the lattice order checks; and the per-pair domain
-scan behind the one-pass topmost contiguous positions.  They are slow and
+join/meet tests behind the lattice order checks; the per-pair domain scan
+behind the one-pass topmost contiguous positions; and the no-extension scan
+behind the size criterion of maximal ASPDs.  They are slow and
 used by the tests only.
 """
 
@@ -87,6 +88,20 @@ def topmost_contiguous_position_by_scan(d: dm.PreferenceDomain, x: str, y: str) 
     if best is None:
         raise StructureError("domain.contiguity", f"{x!r} and {y!r} are never contiguous", witness=(x, y))
     return best
+
+
+def is_maximal_aspd_by_extension(d: dm.PreferenceDomain) -> bool:
+    """The literal maximality of an ASPD: every absent preference breaks the
+    never-bottom condition; the oracle for `domain.is_maximal_aspd`'s size
+    criterion, feasible only for small n."""
+    if not dm.is_aspd(d)[0]:
+        return False
+    for w in permutations(sorted(d.alternatives)):
+        if w not in d.prefs:
+            bigger = dm.PreferenceDomain(d.alternatives, d.prefs | {w})
+            if dm.is_aspd(bigger)[0]:
+                return False
+    return True
 
 
 def is_lattice_pairwise(L: lt.BoundedLattice) -> bool:

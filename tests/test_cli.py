@@ -12,6 +12,7 @@ from vinery import correspond as co
 from vinery import domain as dm
 from vinery import generate as gen
 from vinery import lattice as lt
+from vinery import routes
 from vinery import serialize as io
 from vinery import vine as vn
 
@@ -176,9 +177,9 @@ def test_analyze_cross_check_failure_raises(write, intro_domain, monkeypatch, ca
     assert captured.err == "error: internal: richness cross-check failed\n"
 
 
-def test_analyze_validates_the_vine_twice(write, monkeypatch, seed, capsys):
-    """Once on input or as a map's output check, once in vine_to_domain; the
-    analytics trust the vine (7 validations per op before)."""
+def test_analyze_validates_the_vine_once(write, monkeypatch, seed, capsys):
+    """On input or as a map's output check; the map to the domain and the
+    analytics run on the cores (7 validations per op, then 2, before)."""
     v = gen.random_vine("abcdefgh", random.Random(seed))
     L = lt.vine_to_lattice(v)
     objs = [co.vine_to_graph(v), v, co.vine_to_domain(v), L, lt.lattice_to_matrix(L)]
@@ -190,12 +191,12 @@ def test_analyze_validates_the_vine_twice(write, monkeypatch, seed, capsys):
         return validate(x)
 
     monkeypatch.setattr(vn, "validate_vine", counting)
-    monkeypatch.setitem(cli._VALIDATORS, "vine", counting)  # the CLI's own reference
+    monkeypatch.setitem(routes._VALIDATORS, "vine", counting)  # the table's own reference
     for obj in objs:
         path = write(f"{io.kind_of(obj)}.json", obj)
         calls.clear()
         assert cli.main(["analyze", path, "--format", "json"]) == 0
-        assert len(calls) == 2, io.kind_of(obj)
+        assert len(calls) == 1, io.kind_of(obj)
         capsys.readouterr()
 
 

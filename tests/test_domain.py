@@ -13,7 +13,7 @@ from vinery import domain as dm
 from vinery import generate as gen
 from vinery.errors import StructureError
 
-from oracles import topmost_contiguous_position_by_scan
+from oracles import is_maximal_aspd_by_extension, topmost_contiguous_position_by_scan
 
 
 def mkdom(alts, words):
@@ -104,11 +104,11 @@ def test_worked_examples_are_maximal_aspds(intro_domain, fig_domain, trd1, trd2)
 
 
 def test_definitional_maximality_matches_size_criterion(intro_domain):
-    assert dm.is_maximal_aspd(intro_domain, definitional=True)
+    assert is_maximal_aspd_by_extension(intro_domain)
     smaller = dm.PreferenceDomain(intro_domain.alternatives,
                                   intro_domain.prefs - {("a", "b", "c", "d")})
     assert not dm.is_maximal_aspd(smaller)
-    assert not dm.is_maximal_aspd(smaller, definitional=True)
+    assert not is_maximal_aspd_by_extension(smaller)
 
 
 def test_tiny_maximality():

@@ -1,0 +1,167 @@
+"""Validation happens once: the `checked` public forms of the cores, and the
+validator traffic of `convert`, `analyze`, `verify --strict` and the catalog."""
+
+import inspect
+import random
+from collections import Counter
+
+import pytest
+
+from vinery import cli
+from vinery import correspond as co
+from vinery import domain as dm
+from vinery import generate as gen
+from vinery import lattice as lt
+from vinery import matgraph as mg
+from vinery import routes
+from vinery import serialize as io
+from vinery import vine as vn
+from vinery.errors import StructureError
+
+MODULES = (co, dm, lt, mg, routes, vn)
+
+# one invalid structure per family
+BAD = {
+    "matgraph": mg.mat_graph("abc", [("a", "b", 1), ("b", "c", 1)]),  # a MAT-labeled path, not complete
+    "vine": vn.vine("abc", ["a", "b", "c", "abc"]),                   # no rank-2 nodes
+    "domain": dm.domain("ab", [("a", "b")]),                          # an ASPD, not maximal
+    "lattice": lt.lattice([[], ["a"], ["b"]]),                        # no top
+    "matrix": lt.BinaryMatrix(("a", "b", "c"), frozenset({
+        (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)})),  # a triangle
+}
+
+# (module, public name, invalid input, further arguments, axiom raised)
+CASES = [
+    (co, "graph_to_vine", "matgraph", (), "matgraph.complete"),
+    (co, "vine_to_graph", "vine", (), "vine.grading"),
+    (co, "graph_to_domain", "matgraph", (), "matgraph.complete"),
+    (co, "domain_to_graph", "domain", (), "domain.maximal-aspd"),
+    (co, "vine_to_domain", "vine", (), "vine.grading"),
+    (co, "domain_to_vine", "domain", (), "domain.maximal-aspd"),
+    (vn, "split_vine", "vine", (), "vine.grading"),
+    (vn, "is_d_vine", "vine", (), "vine.grading"),
+    (vn, "is_c_vine", "vine", (), "vine.grading"),
+    (vn, "maximal_chains", "vine", (), "vine.grading"),
+    (vn, "chain_counts_from_atoms", "vine", (), "vine.grading"),
+    (vn, "richness_via_vine", "vine", (), "vine.grading"),
+    (mg, "split_graph", "matgraph", (), "matgraph.complete"),
+    (mg, "enumerate_mat_peos", "matgraph", (), "matgraph.complete"),
+    (dm, "split_domain", "domain", (), "domain.maximal-aspd"),
+    (lt, "is_b3_free", "lattice", (), "lattice.lattice"),
+    (lt, "direct_b3_search", "lattice", (), "lattice.lattice"),
+    (lt, "vine_to_lattice", "vine", (), "vine.grading"),
+    (lt, "automorphism_group_order", "vine", (), "vine.grading"),
+    # routes checks by the kind -> validator table and raises its first violation
+    (routes, "convert_structure", "matgraph", ("vine",), "matgraph.complete"),
+    (routes, "convert_structure", "vine", ("matgraph",), "vine.grading"),
+    (routes, "convert_structure", "domain", ("vine",), "domain.maximal-size"),
+    (routes, "convert_structure", "lattice", ("vine",), "lattice.lattice"),
+    (routes, "convert_structure", "matrix", ("vine",), "matrix.triangle"),
+]
+
+
+def test_every_checked_function_has_a_case():
+    found = {(mod.__name__, name) for mod in MODULES for name, f in vars(mod).items()
+             if inspect.isfunction(f) and hasattr(f, "__wrapped__") and f.__module__ == mod.__name__}
+    assert found == {(mod.__name__, name) for mod, name, *_ in CASES}
+
+
+@pytest.mark.parametrize("mod, name, kind, args, axiom", CASES,
+                         ids=[f"{mod.__name__.split('.')[-1]}.{name}-{kind}" for mod, name, kind, *_ in CASES])
+def test_checked_raises_the_family_axiom_and_looks_public(mod, name, kind, args, axiom):
+    fn, core = getattr(mod, name), getattr(mod, "_" + name)
+    with pytest.raises(StructureError) as exc:
+        fn(BAD[kind], *args)
+    assert exc.value.axiom == axiom
+    assert fn.__wrapped__ is core
+    assert fn.__name__ == fn.__qualname__ == name
+    assert fn.__doc__ == core.__doc__ and fn.__doc__
+    assert fn.__module__ == mod.__name__
+    assert inspect.signature(fn) == inspect.signature(core)
+
+
+# ---------------------------------------------------------- validator traffic
+
+VALIDATORS = ((vn, "validate_vine"), (mg, "validate_mat_labeling"), (dm, "is_aspd"),
+              (lt, "is_lattice"), (lt, "has_no_triangles"))
+
+
+@pytest.fixture
+def traffic(monkeypatch) -> list:
+    """(validator, object) of every call of the five family validators, through
+    their modules or the routes table; the list keeps every object alive, so
+    ids are not reused."""
+    calls = []
+    for mod, name in VALIDATORS:
+        validate = getattr(mod, name)
+
+        def recording(x, _validate=validate, _name=name):
+            calls.append((_name, x))
+            return _validate(x)
+
+        monkeypatch.setattr(mod, name, recording)
+        for kind, f in routes._VALIDATORS.items():
+            if f is validate:
+                monkeypatch.setitem(routes._VALIDATORS, kind, recording)
+    return calls
+
+
+@pytest.fixture
+def five_files(tmp_path, seed) -> dict:
+    """One seeded n = 6 vine in all five representations, one file each."""
+    v = gen.random_vine("abcdef", random.Random(seed))
+    L = lt.vine_to_lattice(v)
+    paths = {}
+    for obj in (co.vine_to_graph(v), v, co.vine_to_domain(v), L, lt.lattice_to_matrix(L)):
+        path = tmp_path / f"{io.kind_of(obj)}.json"
+        path.write_text(io.dumps(obj))
+        paths[io.kind_of(obj)] = str(path)
+    return paths
+
+
+def test_convert_and_analyze_validate_no_object_twice(five_files, traffic, capsys):
+    argvs = [["convert", path, "--to", to, "--via", via]
+             for path in five_files.values() for to in io.KINDS for via in ("direct", "transport")]
+    argvs += [["analyze", path] for path in five_files.values()]
+    for argv in argvs:
+        traffic.clear()
+        assert cli.main(argv) == 0, argv
+        assert traffic, argv  # the input is checked
+        assert max(Counter(id(x) for _, x in traffic).values()) == 1, argv
+    capsys.readouterr()
+
+
+def test_verify_strict_validates_every_first_leg_output(five_files, traffic, monkeypatch, capsys):
+    convert, legs = routes._convert_structure, []
+
+    def first_leg(obj, to_kind, via="direct"):
+        out = convert(obj, to_kind, via)
+        legs.append(out)
+        return out
+
+    # the public back leg keeps its own reference to the core, so only first legs are seen
+    monkeypatch.setattr(routes, "_convert_structure", first_leg)
+    for kind, path in five_files.items():
+        traffic.clear()
+        legs.clear()
+        assert cli.main(["verify", "--strict", path]) == 0
+        assert len(legs) == len(io.KINDS) - 1
+        validated = {id(x) for _, x in traffic}
+        assert all(id(out) in validated for out in legs), kind
+    capsys.readouterr()
+
+
+def test_catalog_validates_each_representative_once(traffic, monkeypatch):
+    doubled, reps = gen._doubled_classes, []
+
+    def recording(n):
+        classes = doubled(n)
+        if n == 5:
+            reps.extend(c.representative for c in classes)
+        return classes
+
+    monkeypatch.setattr(gen, "_doubled_classes", recording)
+    entries = gen.catalog_entries(5)
+    assert len(reps) == len(entries) == gen.unlabeled_count_formula(5)
+    counts = Counter(id(x) for name, x in traffic if name == "validate_vine")
+    assert [counts[id(v)] for v in reps] == [1] * len(reps)
