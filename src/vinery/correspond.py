@@ -8,6 +8,8 @@ where that can fail; the public name checks the input first.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import domain as dm
 from . import matgraph as mg
 from . import vine as vn
@@ -30,12 +32,11 @@ def _graph_to_vine(g: mg.MatLabeledGraph) -> vn.RegularVine:
 
 
 def _vine_to_graph(v: vn.RegularVine) -> mg.MatLabeledGraph:
-    """Label every pair by the rank of the join of its atoms, minus one."""
-    labels = {}
-    ground = sorted(v.ground)
-    for i, a in enumerate(ground):
-        for b in ground[i + 1:]:
-            labels[mg.edge_key(a, b)] = len(vn.join_node(v, a, b)) - 1
+    """Label every pair by the rank of its join, the first node holding it, minus one."""
+    labels: dict[tuple[str, str], int] = {}
+    for s in v.sorted_nodes():
+        for e in combinations(sorted(s), 2):
+            labels.setdefault(e, len(s) - 1)
     out = mg.MatLabeledGraph(v.ground, labels)
     mg.require_valid(out)
     return out
@@ -56,8 +57,10 @@ def _domain_to_graph(d: dm.PreferenceDomain) -> mg.MatLabeledGraph:
 
 def _vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
     """One preference per maximal chain: rank the elements in chain order."""
+    if v.n == 0:
+        return dm.PreferenceDomain(v.ground, frozenset({()}))
     prefs = set()
-    for chain in vn._maximal_chains(v):
+    for chain in vn._saturated_chains(v.sorted_nodes()):
         w = []
         seen: frozenset = frozenset()
         for node in chain:
@@ -65,8 +68,6 @@ def _vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
             w.append(x)
             seen = node
         prefs.add(tuple(w))
-    if v.n == 0:
-        prefs = {()}
     return dm.PreferenceDomain(v.ground, frozenset(prefs))
 
 

@@ -19,8 +19,9 @@ The class table at every n (`class_representatives`, `catalog_entries`)
 comes from the merge step of the split/merge recursion: every extremal
 lattice on n labels is an (n - 1)-lattice doubled along a maximal chain, so
 doubling each (n - 1)-class representative along each chain, in masks, and
-deduplicating by canonical form finds every class; the orbits n!/|Aut| must
-add up to the labeled count.  Classifying the full generator stream
+deduplicating by canonical form finds every class (a lattice's chains are
+its vine's plus the bottom); the orbits n!/|Aut| must add up to the
+labeled count.  Classifying the full generator stream
 (`classify(generate_vines(...))`) is the independent route the tests and
 `selftest` check it against.
 
@@ -429,13 +430,12 @@ def canonical_form(v: vn.RegularVine) -> tuple:
     return canonical_form_and_aut(v)[0]
 
 
-def vine_from_form(form: tuple, labels: list[str] | None = None) -> vn.RegularVine:
+def vine_from_form(form: tuple) -> vn.RegularVine:
     """Rebuild the canonically labeled vine encoded by a canonical form."""
     size = max((i for node in form for i in node), default=-1) + 1
-    if labels is None:
-        labels = list(string.ascii_lowercase[:size])
+    labels = string.ascii_lowercase[:size]
     nodes = frozenset(frozenset(labels[i] for i in node) for node in form)
-    return vn.RegularVine(frozenset(labels[:size]), nodes)
+    return vn.RegularVine(frozenset(labels), nodes)
 
 
 class IsoClass(NamedTuple):
@@ -488,7 +488,6 @@ def _doubled_classes(n: int) -> list[IsoClass]:
     to the labeled count, the classes to the unlabeled count formula and
     their |Aut| tally to the recursion's (p_n, q_n).
     """
-    from . import lattice as lt
     if n <= 1:
         form = tuple((p,) for p in range(n))
         return [IsoClass(form, vine_from_form(form), 1, 1)]
@@ -497,10 +496,9 @@ def _doubled_classes(n: int) -> list[IsoClass]:
     auts: dict[tuple, int] = {}
     for cls in _doubled_classes(n - 1):
         rep = cls.representative
-        L = lt.vine_to_lattice(rep)
         masks = _vine_masks(rep)
-        for chain in lt.maximal_chains_of_lattice(L):
-            doubled = _doubled_masks(n - 1, masks, [sum(bit[x] for x in s) for s in chain[1:]])
+        for chain in vn._saturated_chains(rep.sorted_nodes()):
+            doubled = _doubled_masks(n - 1, masks, [sum(bit[x] for x in s) for s in chain])
             report = vn.validate_vine(_masks_to_vine(labels, doubled))
             if report:
                 raise InternalInconsistencyError(f"doubling produced an invalid vine: {report[0].message}")

@@ -9,10 +9,11 @@ column count 1 + n + C(n,2).
 The order checks read the below-sets and covers of `vine._mask_covers`
 over `sorted_elements()`, a linear extension of inclusion: `is_lattice`
 finds a pair's meet in a few integer operations instead of a scan of the
-element family, and `join_irreducibles`, the maximal chains and `undouble`
-read the covers.  `join` and `meet` stay the definitional pairwise
-versions.  `has_no_triangles` detects a triangle from a table of row pairs
-and scans row triples for the least witness only when there is one.
+element family, and `join_irreducibles` and the maximal chains read the
+covers.  `undouble` is the vine split of the lattice's vine.  `join` and
+`meet` stay the definitional pairwise versions.  `has_no_triangles` detects
+a triangle from a table of row pairs and scans row triples for the least
+witness only when there is one.
 """
 
 from __future__ import annotations
@@ -204,9 +205,8 @@ def lattice_to_vine(L: BoundedLattice) -> vn.RegularVine:
     return out
 
 
-def maximal_chains_of_lattice(L: BoundedLattice) -> list[tuple]:
+def _maximal_chains_of_lattice(L: BoundedLattice) -> list[tuple]:
     """All bottom-to-top saturated chains, lexicographically ordered."""
-    _require_lattice(L)
     return sorted(vn._saturated_chains(L.sorted_elements()), key=lambda c: [(len(s), sorted(s)) for s in c])
 
 
@@ -231,7 +231,7 @@ def doubling(L: BoundedLattice, chain: Iterable[frozenset]) -> BoundedLattice:
     """
     _require_lattice(L)
     chain = tuple(chain)
-    if chain not in set(maximal_chains_of_lattice(L)):
+    if chain not in set(_maximal_chains_of_lattice(L)):
         raise StructureError("lattice.chain", "not a maximal chain of the lattice",
                              witness=[sorted(s) for s in chain])
     f = fresh_label(L.ground)
@@ -242,22 +242,20 @@ def doubling(L: BoundedLattice, chain: Iterable[frozenset]) -> BoundedLattice:
 def undouble(L: BoundedLattice) -> tuple[BoundedLattice, tuple]:
     """One decomposition (L1, C) with doubling(L1, C) isomorphic to L.
 
-    Mirrors the vine split: keep the principal ideal of the lexicographically
-    smaller co-atom under the top; the chain is read off as the elements of
-    that ideal covered by a removed element.  The other co-atom induces a
+    The vine split: L1 is the first half of `vine._split_vine`, the
+    principal ideal of the lexicographically smaller co-atom, plus the
+    bottom; the one label a outside it is the fresh label, and C holds the
+    x in L1 whose dotted copy x | {a} is in L.  The other co-atom induces a
     second, equally valid decomposition.
     """
     _require_lattice(L)
     v = lattice_to_vine(L)
     if v.n < 2:
         raise StructureError("lattice.undouble", "undoubling requires n >= 2")
-    elems = L.sorted_elements()
-    below, covers = vn._mask_covers(vn._masks(elems))
-    keep = next(vn._bits(covers[-1]))  # the top's covers are of one rank, so in sorted order
-    ideal = below[keep] | 1 << keep
-    removed = [cov for k, cov in enumerate(covers) if not ideal >> k & 1]
-    chain = tuple(elems[j] for j in vn._bits(ideal) if any(cov >> j & 1 for cov in removed))
-    return BoundedLattice(frozenset(elems[j] for j in vn._bits(ideal))), chain
+    half = vn._split_vine(v)[0]
+    (a,) = v.ground - half.ground
+    L1 = _vine_to_lattice(half)
+    return L1, tuple(x for x in L1.sorted_elements() if x | {a} in L.elements)
 
 
 def lattice_to_matrix(L: BoundedLattice) -> BinaryMatrix:
@@ -351,4 +349,5 @@ def _automorphism_group_order(v: vn.RegularVine) -> int:
 direct_b3_search = checked(_require_lattice, _direct_b3_search)
 is_b3_free = checked(_require_lattice, _is_b3_free)
 vine_to_lattice = checked(vn.require_valid, _vine_to_lattice)
+maximal_chains_of_lattice = checked(_require_lattice, _maximal_chains_of_lattice)
 automorphism_group_order = checked(vn.require_valid, _automorphism_group_order)

@@ -207,10 +207,11 @@ def _enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
 
 
 def _split_graph(g: MatLabeledGraph) -> tuple[MatLabeledGraph, MatLabeledGraph, MatLabeledGraph]:
-    """Restrictions to the complements of the two MAT-simplicial vertices."""
+    """Restrictions to the complements of the two MAT-simplicial vertices,
+    the ends of the edge with the top label."""
     if g.n < 2:
         raise StructureError("matgraph.split", "split requires n >= 2")
-    a1, a2 = sorted(a for a in g.vertices if _is_mat_simplicial(g, a))
+    a1, a2 = max(g.labels, key=g.labels.__getitem__)
     g1 = induced_subgraph(g, g.vertices - {a1})
     g2 = induced_subgraph(g, g.vertices - {a2})
     gp = induced_subgraph(g, g.vertices - {a1, a2})

@@ -8,7 +8,8 @@ cover a common node.  The family always has n(n+1)/2 nodes.
 
 Which members of a set family lie under or cover which is decided in one
 place, `_mask_covers`, exactly for any family, valid or not; every cover
-and below-set in the package (vines, lattices, DOT, canonical forms) reads it.
+and below-set in the package (vines, lattices, DOT, canonical forms) reads it;
+the split reads no covers, since the top covers the two rank-(n-1) nodes.
 """
 
 from __future__ import annotations
@@ -177,15 +178,12 @@ def associated_tree(v: RegularVine, i: int) -> AssociatedTree:
 
 
 def _split_vine(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
-    """Principal ideals of the two co-atoms covered by the top node."""
+    """Principal ideals of the two co-atoms covered by the top node, which
+    are its two rank-(n-1) nodes, and of their intersection."""
     if v.n < 2:
         raise StructureError("vine.split", "split requires n >= 2")
-    nodes = sorted(v.nodes, key=len)  # a linear extension of inclusion, the top last
-    below, covers = _mask_covers(_masks(nodes))
-    i, j = sorted(_bits(covers[-1]), key=lambda k: sorted(nodes[k]))
-    d1, d2 = below[i] | 1 << i, below[j] | 1 << j
-    return tuple(RegularVine(top, frozenset(nodes[k] for k in _bits(ideal)))
-                 for top, ideal in ((nodes[i], d1), (nodes[j], d2), (nodes[i] & nodes[j], d1 & d2)))
+    c1, c2 = v.rank_nodes(v.n - 1)
+    return tuple(RegularVine(top, frozenset(s for s in v.nodes if s <= top)) for top in (c1, c2, c1 & c2))
 
 
 def merge_vines(v1: RegularVine, v2: RegularVine) -> Optional[RegularVine]:

@@ -259,13 +259,12 @@ def test_catalog_classes_match_enumeration(classification):
 def test_doubling_completeness_check(monkeypatch):
     """A doubling that misses a class fails the orbit sum Σ n!/|Aut| =
     labeled count, at the n where the class goes missing."""
-    from vinery import lattice as lt
-    chains = lt.maximal_chains_of_lattice
-    monkeypatch.setattr(lt, "maximal_chains_of_lattice", lambda L: chains(L)[:-1])
+    chains = vn._saturated_chains
+    monkeypatch.setattr(vn, "_saturated_chains", lambda family: chains(family)[:-1])
     with pytest.raises(InternalInconsistencyError, match=r"cover 0 of the 1 labeled vines at n=2"):
         gen.class_representatives(6)
-    monkeypatch.setattr(lt, "maximal_chains_of_lattice",
-                        lambda L: chains(L)[:1] if len(L.ground) == 5 else chains(L))
+    monkeypatch.setattr(vn, "_saturated_chains",
+                        lambda family: chains(family)[:1] if len(family[-1]) == 5 else chains(family))
     with pytest.raises(InternalInconsistencyError, match=r"of the 23040 labeled vines at n=6"):
         gen.class_representatives(6)
 

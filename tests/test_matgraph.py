@@ -1,6 +1,7 @@
 """MAT-labeled graphs: construction, validation, simplicial vertices,
 elimination orderings, split/merge."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from vinery import correspond as co
 from vinery import generate as gen
 from vinery import matgraph as mg
+from vinery import vine as vn
 from vinery.errors import StructureError
 
-from conftest import INTRO_PREFS, FIG_PREFS
+from conftest import INTRO_PREFS, FIG_PREFS, random_relabeling
 
 
 # ----------------------------------------------------------- construction
@@ -172,6 +174,18 @@ def test_split_intro(intro_graph):
 def test_split_fig_shared_part(fig_graph):
     g1, g2, gp = mg.split_graph(fig_graph)
     assert gp == mg.mat_graph("bcd", [("b", "c", 1), ("b", "d", 2), ("c", "d", 1)])
+
+
+def test_split_removes_the_mat_simplicial_vertices(seed):
+    """On every class n <= 6 under a random relabeling."""
+    rng = random.Random(seed)
+    for n in range(2, 7):
+        for rep in gen.class_representatives(n):
+            g = co.vine_to_graph(vn.relabel_vine(rep, random_relabeling(rep.ground, rng)))
+            a1, a2 = sorted(mg.mat_simplicial_vertices(g))
+            g1, g2, gp = mg.split_graph(g)
+            assert (g1.vertices, g2.vertices, gp.vertices) == (g.vertices - {a1}, g.vertices - {a2},
+                                                               g.vertices - {a1, a2})
 
 
 def test_merge_recovers_split(intro_graph, fig_graph):

@@ -50,6 +50,7 @@ CASES = [
     (lt, "is_b3_free", "lattice", (), "lattice.lattice"),
     (lt, "direct_b3_search", "lattice", (), "lattice.lattice"),
     (lt, "vine_to_lattice", "vine", (), "vine.grading"),
+    (lt, "maximal_chains_of_lattice", "lattice", (), "lattice.lattice"),
     (lt, "automorphism_group_order", "vine", (), "vine.grading"),
     # routes checks by the kind -> validator table and raises its first violation
     (routes, "convert_structure", "matgraph", ("vine",), "matgraph.complete"),
@@ -165,3 +166,11 @@ def test_catalog_validates_each_representative_once(traffic, monkeypatch):
     assert len(reps) == len(entries) == gen.unlabeled_count_formula(5)
     counts = Counter(id(x) for name, x in traffic if name == "validate_vine")
     assert [counts[id(v)] for v in reps] == [1] * len(reps)
+
+
+def test_doubling_checks_its_lattice_once(traffic, seed):
+    L = lt.vine_to_lattice(gen.random_vine("abcde", random.Random(seed)))
+    chain = lt.maximal_chains_of_lattice(L)[0]
+    traffic.clear()
+    lt.doubling(L, chain)
+    assert [name for name, x in traffic if x is L] == ["is_lattice"]

@@ -9,6 +9,7 @@ from vinery import generate as gen
 from vinery import vine as vn
 from vinery.errors import StructureError
 
+from conftest import random_relabeling
 from oracles import covered_by
 
 
@@ -196,6 +197,20 @@ def test_split_intro(intro_vine):
 def test_split_fig_shared_part(fig_vine):
     _, _, vp = vn.split_vine(fig_vine)
     assert vp == vn.vine("bcd", ["b", "c", "d", "bc", "cd", "bcd"])
+
+
+def test_split_halves_are_the_ideals_of_the_tops_covers(seed):
+    """On every class n <= 6 under a random relabeling: the halves are the
+    principal ideals of the top's two covers, in `sorted` order, and the
+    shared part holds the nodes of both."""
+    rng = random.Random(seed)
+    for n in range(2, 7):
+        for rep in gen.class_representatives(n):
+            v = vn.relabel_vine(rep, random_relabeling(rep.ground, rng))
+            v1, v2, vp = vn.split_vine(v)
+            for half, top in zip((v1, v2), covered_by(v, v.ground)):
+                assert half == vn.RegularVine(top, frozenset(s for s in v.nodes if s <= top))
+            assert vp == vn.RegularVine(v1.ground & v2.ground, v1.nodes & v2.nodes)
 
 
 def test_merge_recovers_split(intro_vine, fig_vine):
