@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

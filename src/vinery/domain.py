@@ -138,31 +138,15 @@ def _split_domain(d: PreferenceDomain) -> tuple[PreferenceDomain, PreferenceDoma
     a1, a2 = sorted(bottom_alternatives(d))
     d1 = PreferenceDomain(d.alternatives - {a1}, frozenset(w[:-1] for w in d.prefs if w[-1] == a1))
     d2 = PreferenceDomain(d.alternatives - {a2}, frozenset(w[:-1] for w in d.prefs if w[-1] == a2))
-    dp = _second_block(d1, a2)
+    dp = PreferenceDomain(d1.alternatives - {a2}, frozenset(w[:-1] for w in d1.prefs if w[-1] == a2))
     return d1, d2, dp
 
 
-def _second_block(di: PreferenceDomain, other_bottom: str) -> PreferenceDomain:
-    """Restriction of the preferences of d_i ending in the other removed alternative."""
-    return PreferenceDomain(di.alternatives - {other_bottom},
-                            frozenset(w[:-1] for w in di.prefs if w and w[-1] == other_bottom))
-
-
-def merge_domains(d1: PreferenceDomain, d2: PreferenceDomain) -> Optional[PreferenceDomain]:
-    """Re-append the removed bottoms; succeeds when the second-level blocks agree."""
-    A = d1.alternatives | d2.alternatives
-    if len(d1.alternatives) != len(d2.alternatives) or len(d1.alternatives) != len(A) - 1:
-        raise StructureError("domain.coatoms", "alternative sets are not distinct co-atoms of a common set",
-                             witness=(sorted(d1.alternatives), sorted(d2.alternatives)))
-    (a1,) = A - d1.alternatives
-    (a2,) = A - d2.alternatives
-    if len(A) >= 2:
-        if a2 not in bottom_alternatives(d1) or a1 not in bottom_alternatives(d2):
-            return None
-        if _second_block(d1, a2) != _second_block(d2, a1):
-            return None
+def _glue_domains(d1: PreferenceDomain, d2: PreferenceDomain, a1: str, a2: str) -> PreferenceDomain:
+    """The domain of two compatible halves missing a1 and a2: each half's
+    preferences with its own missing alternative appended."""
     merged = frozenset(w + (a1,) for w in d1.prefs) | frozenset(w + (a2,) for w in d2.prefs)
-    return PreferenceDomain(A, merged)
+    return PreferenceDomain(d1.alternatives | {a1}, merged)
 
 
 def first_rank_distribution(d: PreferenceDomain) -> dict[str, int]:

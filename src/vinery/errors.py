@@ -30,8 +30,9 @@ class StructureError(ValueError):
 class InternalInconsistencyError(RuntimeError):
     """Raised when an operation that is guaranteed to succeed fails.
 
-    This signals a bug in a species implementation (e.g. a merge failing on a
-    compatible pair), never a problem with user input.
+    This signals a bug in a species implementation (e.g. ``transport``'s
+    merge refusing the halves it transported), never a problem with user
+    input.
     """
 
 

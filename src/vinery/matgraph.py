@@ -218,31 +218,13 @@ def _split_graph(g: MatLabeledGraph) -> tuple[MatLabeledGraph, MatLabeledGraph, 
     return g1, g2, gp
 
 
-def merge_graphs(g1: MatLabeledGraph, g2: MatLabeledGraph) -> Optional[MatLabeledGraph]:
-    """Union of two co-atom restrictions, joined by a top-label edge.
-
-    Returns None when the shared restrictions disagree.
-    """
-    A = g1.vertices | g2.vertices
-    if len(g1.vertices) != len(g2.vertices) or len(g1.vertices) != len(A) - 1:
-        raise StructureError("matgraph.coatoms", "ground sets are not distinct co-atoms of a common set",
-                             witness=(sorted(g1.vertices), sorted(g2.vertices)))
-    (a1,) = A - g1.vertices
-    (a2,) = A - g2.vertices
-    shared = g1.vertices & g2.vertices
-    for e, k in g1.labels.items():
-        if e[0] in shared and e[1] in shared and g2.labels.get(e) != k:
-            return None
-    for e in g2.labels:
-        if e[0] in shared and e[1] in shared and e not in g1.labels:
-            return None
+def _glue_graphs(g1: MatLabeledGraph, g2: MatLabeledGraph, a1: str, a2: str) -> MatLabeledGraph:
+    """The graph of two compatible halves missing a1 and a2: their labels
+    plus the top-label edge a1-a2."""
     labels = dict(g1.labels)
     labels.update(g2.labels)
-    labels[edge_key(a1, a2)] = len(A) - 1
-    merged = MatLabeledGraph(A, labels)
-    if validate_mat_labeling(merged):
-        return None
-    return merged
+    labels[edge_key(a1, a2)] = g1.n
+    return MatLabeledGraph(g1.vertices | {a1}, labels)
 
 
 def relabel_graph(g: MatLabeledGraph, h: Mapping[str, str]) -> MatLabeledGraph:

@@ -110,7 +110,11 @@ def from_json_dict(doc: dict) -> Structure:
 
 
 def loads(text: str) -> Structure:
-    return from_json_dict(json.loads(text))
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+    return from_json_dict(doc)
 
 
 def load_file(path: str) -> Structure:

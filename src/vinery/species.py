@@ -2,18 +2,22 @@
 
 The three core families (MAT-labeled complete graphs, regular vines, maximal
 ASPDs) are one species each, described by a row of the ``Species`` table:
-the family's type and ground-set attribute, its validator, its trivial
-structure on a ground set of size <= 1, and its split, merge and relabel
-operations.  Splitting turns a structure on A into its two halves on
+the family's ground-set attribute, its validator, its trivial structure
+on a ground set of size <= 1, and its split, glue and relabel operations.  Splitting turns a structure on A into its two halves on
 co-atoms of A; merging is the inverse on compatible halves.  Any two species
 are connected by a unique natural isomorphism, computed recursively by
 ``transport``: split in the source, transport both halves, merge in the
 target.
 
+Compatibility is decided once, here, from the splits: halves x on A - {a}
+and y on A - {b} merge exactly when x's half on A - {a, b} equals y's (always
+when |A| = 2).  Each family supplies only its split core and a glue that
+assembles the merged structure from compatible halves without checking them.
+
 Validation happens once, where a structure enters this layer: ``transport``,
 ``merge_checked`` and ``check_proximity`` validate their inputs; the split
-cores and ``_transport`` trust theirs, since the halves of a valid structure
-are valid.  Merging keeps its compatibility test.
+cores, the glues and ``_transport`` trust theirs, since the halves of a
+valid structure are valid.
 """
 
 from __future__ import annotations
@@ -33,39 +37,21 @@ class SplitPair:
     left: object
     right: object
 
-    @property
-    def removed(self) -> frozenset:
-        gl, gr = _ground_of(self.left), _ground_of(self.right)
-        return frozenset((gl | gr) - (gl & gr))
-
-
-def _ground_of(x) -> frozenset:
-    for s in SPECIES.values():
-        if isinstance(x, s.type):
-            return getattr(x, s.ground_attr)
-    raise TypeError(f"not a species structure: {type(x).__name__}")
-
-
-def make_pair(x, y) -> SplitPair:
-    """Normalized pair: halves ordered by their sorted ground sets."""
-    if sorted(_ground_of(x)) <= sorted(_ground_of(y)):
-        return SplitPair(x, y)
-    return SplitPair(y, x)
-
 
 class Species:
     """One family's split/merge operations, as a row of functions.
 
     ``require`` raises a ``StructureError`` on an invalid structure;
     ``split`` is the family's split core, returning the two halves and
-    their shared part; ``merge`` returns None on incompatible halves.
+    their shared part; ``glue(x, y, a, b)`` assembles the structure on
+    A = ground(x) + {a} = ground(y) + {b} from compatible halves.
     """
 
-    def __init__(self, name: str, type_: type, ground_attr: str, require: Callable,
-                 trivial: Callable, split: Callable, merge: Callable, relabel: Callable):
-        self.name, self.type, self.ground_attr = name, type_, ground_attr
+    def __init__(self, name: str, ground_attr: str, require: Callable,
+                 trivial: Callable, split: Callable, glue: Callable, relabel: Callable):
+        self.name, self.ground_attr = name, ground_attr
         self._require, self._trivial, self._split = require, trivial, split
-        self._merge, self._relabel = merge, relabel
+        self._glue, self._relabel = glue, relabel
 
     def ground(self, x) -> frozenset:
         return getattr(x, self.ground_attr)
@@ -76,27 +62,56 @@ class Species:
     def trivial(self, ground):
         return self._trivial(frozenset(ground))
 
+    def pair(self, x, y) -> SplitPair:
+        """Normalized pair: halves ordered by their sorted ground sets."""
+        if sorted(getattr(x, self.ground_attr)) <= sorted(getattr(y, self.ground_attr)):
+            return SplitPair(x, y)
+        return SplitPair(y, x)
+
     def split(self, x) -> SplitPair:
         left, right, _ = self._split(x)
-        return make_pair(left, right)
+        return self.pair(left, right)
 
     def merge(self, p: SplitPair):
-        return self._merge(p.left, p.right)
+        """The structure splitting into p, or None when the halves are incompatible."""
+        x, y = p.left, p.right
+        gx, gy = getattr(x, self.ground_attr), getattr(y, self.ground_attr)
+        A = gx | gy
+        if not len(gx) == len(gy) == len(A) - 1:
+            raise StructureError(f"{self.name}.coatoms", "ground sets are not distinct co-atoms of a common set",
+                                 witness=(sorted(gx), sorted(gy)))
+        if not self._compatible(x, y, gx & gy):
+            return None
+        (a,), (b,) = A - gx, A - gy
+        return self._glue(x, y, a, b)
+
+    def _compatible(self, x, y, shared: frozenset) -> bool:
+        """Do x and y, on distinct co-atoms meeting in ``shared``, split off
+        the same half on it?"""
+        if not shared:
+            return True
+        half = self._half(x, shared)
+        return half is not None and half == self._half(y, shared)
+
+    def _half(self, x, ground: frozenset):
+        """The half of x's split on the given ground set, or None."""
+        left, right, _ = self._split(x)
+        return next((h for h in (left, right) if getattr(h, self.ground_attr) == ground), None)
 
     def relabel(self, x, h):
         _check_bijection(self.ground(x), h)
         return self._relabel(x, h)
 
 
-GRAPH = Species("matgraph", mg.MatLabeledGraph, "vertices", mg.require_valid,
+GRAPH = Species("matgraph", "vertices", mg.require_valid,
                 lambda g: mg.MatLabeledGraph(g, {}),
-                mg._split_graph, mg.merge_graphs, mg.relabel_graph)
-VINE = Species("vine", vn.RegularVine, "ground", vn.require_valid,
+                mg._split_graph, mg._glue_graphs, mg.relabel_graph)
+VINE = Species("vine", "ground", vn.require_valid,
                lambda g: vn.RegularVine(g, frozenset({g}) if g else frozenset()),
-               vn._split_vine, vn.merge_vines, vn.relabel_vine)
-DOMAIN = Species("domain", dm.PreferenceDomain, "alternatives", dm.require_valid,
+               vn._split_vine, vn._glue_vines, vn.relabel_vine)
+DOMAIN = Species("domain", "alternatives", dm.require_valid,
                  lambda g: dm.PreferenceDomain(g, frozenset({tuple(sorted(g))})),
-                 dm._split_domain, dm.merge_domains, dm.relabel_domain)
+                 dm._split_domain, dm._glue_domains, dm.relabel_domain)
 SPECIES = {s.name: s for s in (GRAPH, VINE, DOMAIN)}
 
 
@@ -106,41 +121,20 @@ def _check_bijection(ground: frozenset, h: Mapping) -> None:
                              witness=sorted(h.items()))
 
 
-def _split_image(S, x) -> list:
-    """The splitting image as a comparable list: the halves, or the bare
-    ground set for structures with n <= 1 (where splitting is the identity)."""
-    if len(S.ground(x)) <= 1:
-        return [("trivial", tuple(sorted(S.ground(x))))]
-    p = S.split(x)
-    return [p.left, p.right]
-
-
 def check_proximity(S, x) -> bool:
-    """Do the split images of the two halves differ in exactly two structures?"""
+    """Are the two halves of x compatible, i.e. do their splits share a half?"""
     S.validate(x)
     if len(S.ground(x)) < 2:
         raise StructureError("species.split", "proximity is defined for n >= 2 only")
     p = S.split(x)
-    return _image_symmetric_difference(S, p.left, p.right) == 2
-
-
-def _image_symmetric_difference(S, x, y) -> int:
-    ix, iy = _split_image(S, x), _split_image(S, y)
-    common = sum(1 for a in ix if any(a == b for b in iy))
-    return len(ix) + len(iy) - 2 * common
+    return S._compatible(p.left, p.right, S.ground(p.left) & S.ground(p.right))
 
 
 def merge_checked(S, p: SplitPair):
     """The unique structure splitting into p, or None when incompatible."""
     S.validate(p.left)
     S.validate(p.right)
-    if _image_symmetric_difference(S, p.left, p.right) != 2:
-        return None
-    out = S.merge(p)
-    if out is None:
-        raise InternalInconsistencyError(
-            f"{S.name}: merge failed on a pair passing the compatibility condition")
-    return out
+    return S.merge(p)
 
 
 def transport(F, G, x):
@@ -168,7 +162,7 @@ def _transport(F, G, x):
             out = G.trivial(key)
         else:
             p = F.split(y)
-            out = G.merge(make_pair(go(p.left), go(p.right)))
+            out = G.merge(G.pair(go(p.left), go(p.right)))
             if out is None:
                 raise InternalInconsistencyError(
                     f"transport {F.name}->{G.name}: merge failed on transported halves")

@@ -15,7 +15,7 @@ the split reads no covers, since the top covers the two rank-(n-1) nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import StructureError, Violation, _UnionFind, checked, raise_first
 
@@ -186,16 +186,10 @@ def _split_vine(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
     return tuple(RegularVine(top, frozenset(s for s in v.nodes if s <= top)) for top in (c1, c2, c1 & c2))
 
 
-def merge_vines(v1: RegularVine, v2: RegularVine) -> Optional[RegularVine]:
-    """Union plus the full ground set, when the intersection is itself a vine."""
-    A = v1.ground | v2.ground
-    if len(v1.ground) != len(v2.ground) or len(v1.ground) != len(A) - 1:
-        raise StructureError("vine.coatoms", "ground sets are not distinct co-atoms of a common set",
-                             witness=(sorted(v1.ground), sorted(v2.ground)))
-    shared = v1.ground & v2.ground
-    inter = RegularVine(shared, v1.nodes & v2.nodes)
-    if validate_vine(inter):
-        return None
+def _glue_vines(v1: RegularVine, v2: RegularVine, a1: str, a2: str) -> RegularVine:
+    """The vine of two compatible halves missing a1 and a2: their nodes
+    plus the full ground set."""
+    A = v1.ground | {a1}
     return RegularVine(A, v1.nodes | v2.nodes | {A})
 
 

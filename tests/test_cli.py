@@ -295,6 +295,17 @@ def test_malformed_json_is_parse_failure(write, capsys):
     assert cli.main(["verify", path]) == 2
 
 
+@pytest.mark.parametrize("content", [b"[" * 200_000, b"\xff\xfe{}"], ids=["deep-nesting", "not-utf8"])
+@pytest.mark.parametrize("command", [["verify"], ["convert", "--to", "vine"], ["analyze"]],
+                         ids=["verify", "convert", "analyze"])
+def test_undecodable_json_is_parse_failure(tmp_path, capsys, content, command):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert cli.main([command[0], str(path), *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_bad_envelope_is_domain_failure(write, capsys):
     path = write("nokind.json", "{}")
     assert cli.main(["verify", path]) == 1

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from vinery import correspond as co
 from vinery import domain as dm
 from vinery import generate as gen
+from vinery import species as sp
 from vinery.errors import StructureError
 
 from oracles import is_maximal_aspd_by_extension, topmost_contiguous_position_by_scan
@@ -137,14 +138,14 @@ def test_split_fig(fig_domain):
 def test_merge_recovers_split(intro_domain, fig_domain):
     for d in (intro_domain, fig_domain):
         d1, d2, _ = dm.split_domain(d)
-        assert dm.merge_domains(d1, d2) == d
-        assert dm.merge_domains(d2, d1) == d
+        assert sp.DOMAIN.merge(sp.SplitPair(d1, d2)) == d
+        assert sp.DOMAIN.merge(sp.SplitPair(d2, d1)) == d
 
 
 def test_merge_requires_coatoms(fig_domain):
     d1, _, dp = dm.split_domain(fig_domain)
     with pytest.raises(StructureError) as exc:
-        dm.merge_domains(d1, dp)
+        sp.DOMAIN.merge(sp.SplitPair(d1, dp))
     assert exc.value.axiom == "domain.coatoms"
 
 
@@ -153,13 +154,13 @@ def test_merge_wrong_bottom_is_none(fig_domain):
     other = mkdom("abcd", ["acbd", "cabd", "bacd", "abcd",
                            "badc", "abdc", "adbc", "dabc"])
     # 'a' is not a bottom alternative of the second part
-    assert dm.merge_domains(d1, other) is None
+    assert sp.DOMAIN.merge(sp.SplitPair(d1, other)) is None
 
 
 def test_merge_mismatching_second_blocks_is_none(fig_domain):
     d1, d2, _ = dm.split_domain(fig_domain)
     swapped = dm.relabel_domain(d2, {"a": "a", "b": "c", "c": "b", "d": "d"})
-    assert dm.merge_domains(d1, swapped) is None
+    assert sp.DOMAIN.merge(sp.SplitPair(d1, swapped)) is None
 
 
 def test_split_requires_maximal_aspd():

@@ -9,6 +9,7 @@ import pytest
 from vinery import correspond as co
 from vinery import generate as gen
 from vinery import matgraph as mg
+from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
@@ -191,28 +192,29 @@ def test_split_removes_the_mat_simplicial_vertices(seed):
 def test_merge_recovers_split(intro_graph, fig_graph):
     for g in (intro_graph, fig_graph):
         g1, g2, _ = mg.split_graph(g)
-        assert mg.merge_graphs(g1, g2) == g
-        assert mg.merge_graphs(g2, g1) == g
+        assert sp.GRAPH.merge(sp.SplitPair(g1, g2)) == g
+        assert sp.GRAPH.merge(sp.SplitPair(g2, g1)) == g
 
 
 def test_merge_requires_coatoms(intro_graph):
     g1, _, gp = mg.split_graph(intro_graph)
     with pytest.raises(StructureError) as exc:
-        mg.merge_graphs(g1, gp)
+        sp.GRAPH.merge(sp.SplitPair(g1, gp))
     assert exc.value.axiom == "matgraph.coatoms"
 
 
 def test_merge_disagreeing_restrictions_is_none():
     g1 = mg.mat_graph("abc", [("a", "b", 1), ("a", "c", 2), ("b", "c", 1)])
     g2 = mg.mat_graph("abd", [("a", "b", 2), ("a", "d", 1), ("b", "d", 1)])
-    # shared restriction to {a, b} carries labels 1 vs 2
-    assert mg.merge_graphs(g1, g2) is None
+    # g2's top edge is a-b, so its split has no half on the shared {a, b}
+    # (and the shared restrictions carry labels 1 vs 2)
+    assert sp.GRAPH.merge(sp.SplitPair(g1, g2)) is None
 
 
 def test_merge_k1_halves():
     g1 = mg.mat_graph("a", [])
     g2 = mg.mat_graph("b", [])
-    merged = mg.merge_graphs(g1, g2)
+    merged = sp.GRAPH.merge(sp.SplitPair(g1, g2))
     assert merged == mg.mat_graph("ab", [("a", "b", 1)])
 
 

@@ -1,6 +1,8 @@
 """The split/merge species layer and the generic transport isomorphism."""
 
 import random
+import string
+from itertools import permutations
 
 import pytest
 
@@ -38,9 +40,8 @@ def test_trivial_structures():
 def test_make_pair_orders_by_ground():
     x = vn.vine("bcd", ["b", "c", "d", "bc", "cd", "bcd"])
     y = vn.vine("abc", ["a", "b", "c", "ab", "bc", "abc"])
-    p = sp.make_pair(x, y)
+    p = sp.VINE.pair(x, y)
     assert p.left is y and p.right is x
-    assert p.removed == frozenset("ad")
 
 
 def test_validate_rejects_incomplete_graph():
@@ -85,14 +86,14 @@ def test_merge_checked_round_trip(fig_vine):
 def test_merge_checked_incompatible_is_none():
     v1 = vn.vine("abc", ["a", "b", "c", "ab", "bc", "abc"])
     v2 = vn.vine("abd", ["a", "b", "d", "ad", "bd", "abd"])
-    # the split images share nothing, so the compatibility count is four
-    p = sp.make_pair(v1, v2)
+    # v1 splits off {a, b} and {b, c}, v2 {a, d} and {b, d}: no shared half
+    p = sp.VINE.pair(v1, v2)
     assert sp.merge_checked(sp.VINE, p) is None
     assert sp.VINE.merge(p) is None
 
 
 def test_merge_checked_singletons():
-    p = sp.make_pair(vn.vine("a", ["a"]), vn.vine("b", ["b"]))
+    p = sp.VINE.pair(vn.vine("a", ["a"]), vn.vine("b", ["b"]))
     assert sp.merge_checked(sp.VINE, p) == vn.vine("ab", ["a", "b", "ab"])
 
 
@@ -136,6 +137,7 @@ def test_transport_validates_the_source_once(monkeypatch, seed):
                 calls.update(dict.fromkeys(ALL_SPECIES, 0))
                 assert sp.transport(F, G, inc[F]) == inc[G]
                 assert calls[F] == 1, (F.name, G.name, calls[F])
+                assert calls[G] == 0, (F.name, G.name, calls[G])
 
 
 def test_transport_validates_input():
@@ -150,6 +152,25 @@ def test_split_merge_identity_exhaustive_small(vines_by_n):
         for v in vines_by_n[n]:
             for S, x in incarnations(v).items():
                 assert sp.merge_checked(S, S.split(x)) == x
+
+
+def test_merge_is_the_inverse_of_split_exhaustive_small(vines_by_n):
+    """For |A| <= 5, every ordered pair of distinct co-atoms and every pair of
+    valid halves on them: the merge is the unique valid structure on A whose
+    split is that pair, or None when there is none."""
+    for n in range(2, 6):
+        A = string.ascii_lowercase[:n]
+        halves = {a: list(gen.generate_vines(A.replace(a, ""))) for a in A}
+        for S in ALL_SPECIES:
+            whole = [FROM_VINE[S](v) for v in vines_by_n[n]]
+            by_split = {S.split(z): z for z in whole}
+            assert len(by_split) == len(whole)
+            on = {a: [FROM_VINE[S](v) for v in vs] for a, vs in halves.items()}
+            for a, b in permutations(A, 2):
+                for x in on[a]:
+                    for y in on[b]:
+                        p = S.pair(x, y)
+                        assert S.merge(p) == by_split.get(p), (S.name, x, y)
 
 
 def test_transport_equals_explicit_exhaustive_small(vines_by_n):

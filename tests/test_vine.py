@@ -6,6 +6,7 @@ import string
 import pytest
 
 from vinery import generate as gen
+from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
@@ -216,22 +217,22 @@ def test_split_halves_are_the_ideals_of_the_tops_covers(seed):
 def test_merge_recovers_split(intro_vine, fig_vine):
     for v in (intro_vine, fig_vine):
         v1, v2, _ = vn.split_vine(v)
-        assert vn.merge_vines(v1, v2) == v
-        assert vn.merge_vines(v2, v1) == v
+        assert sp.VINE.merge(sp.SplitPair(v1, v2)) == v
+        assert sp.VINE.merge(sp.SplitPair(v2, v1)) == v
 
 
 def test_merge_requires_coatoms(intro_vine):
     v1, _, vp = vn.split_vine(intro_vine)
     with pytest.raises(StructureError) as exc:
-        vn.merge_vines(v1, vp)
+        sp.VINE.merge(sp.SplitPair(v1, vp))
     assert exc.value.axiom == "vine.coatoms"
 
 
 def test_merge_incompatible_is_none():
     v1 = vn.vine("abc", ["a", "b", "c", "ab", "bc", "abc"])
     v2 = vn.vine("abd", ["a", "b", "d", "ad", "bd", "abd"])
-    # the intersection {a, b} lacks the pair node, so it is not a vine
-    assert vn.merge_vines(v1, v2) is None
+    # v2 splits off {a, d} and {b, d}, so it has no half on the shared {a, b}
+    assert sp.VINE.merge(sp.SplitPair(v1, v2)) is None
 
 
 def test_split_requires_two_elements():
