@@ -176,7 +176,7 @@ def cmd_selftest(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'} {name}")
         failures += 0 if ok else 1
 
-    for n in range(1, 6):
+    for n in range(1, 7):
         got = sum(1 for _ in gen.generate_vines(string.ascii_lowercase[:n]))
         check(f"labeled count n={n}", got == gen.labeled_count_formula(n))
     for n in range(1, 13):

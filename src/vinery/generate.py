@@ -4,8 +4,16 @@ Labeled regular vines are generated by the tree-sequence construction: pick a
 tree on the singletons, then repeatedly a spanning tree of the previous
 tree's line graph (proximity makes exactly the line-graph edges admissible).
 This produces every labeled vine exactly once, so no dedup set is needed.
-The generator works on integer node masks over the sorted labels; only
-`generate_vines` turns them into frozenset vines.
+The next level's trees of a tree come from one helper, `_next_trees`, which
+the stream, `random_vine` and the counting DP share.  A tree's successors
+depend only on its edge tuple, and below level 1 few tuples recur (144 at
+n = 6, under 1,296 level-1 trees that are each visited once), so every call
+of the stream memoizes the successors of the trees below level 1 in a dict
+of its own.  The stream works on integer node masks over the sorted labels,
+extends and truncates one list in place, and yields a copy at every leaf.
+Only `generate_vines` turns the masks into frozenset vines, through a table
+of the 2^n label sets indexed by mask that is built once per call, so its
+vines share their node sets and those sets' cached hashes.
 
 Canonical forms come from one mask kernel.  It reads every node's covers
 off `vine._mask_covers`, walks the 2^(n-1) maximal chains without storing
@@ -35,6 +43,7 @@ the same center-rooted AHU recursion that gives the shapes.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import string
@@ -192,11 +201,6 @@ def unlabeled_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
 
 # ------------------------------------------------------------- vine streams
 
-class _Level(NamedTuple):
-    nodes: tuple        # bitmask per tree vertex
-    edges: tuple        # (u, v) index pairs into nodes
-
-
 def _line_graph(edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
     """Edges (i, j), i < j in lexicographic order, of the line graph of a
     tree given by its edge list: the pairs of edges sharing an endpoint."""
@@ -204,64 +208,90 @@ def _line_graph(edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
             if set(edges[i]) & set(edges[j])]
 
 
+def _next_trees(edges: Sequence[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
+    """The next level's trees of a tree given by its edge list: the spanning
+    trees of its line graph, as edge tuples, in `spanning_trees` order."""
+    lg_edges = _line_graph(edges)
+    for chosen in spanning_trees(len(edges), lg_edges):
+        yield tuple(lg_edges[k] for k in chosen)
+
+
 def _vine_mask_stream(n: int) -> Iterator[list[int]]:
     """Node masks (bit i for the i-th label) of every labeled vine on n
-    labels, exactly once, in a deterministic order: atoms, then level by level."""
+    labels, exactly once, in a deterministic order: atoms, then level by
+    level.  Each yielded list is a fresh object."""
     if n > GENERATION_CAP:
         raise StructureError("enumerate.cap", f"generation capped at n <= {GENERATION_CAP}")
-    atom_masks = tuple(1 << i for i in range(n))
+    acc = [1 << i for i in range(n)]
     if n <= 1:
-        yield list(atom_masks)
+        yield acc
         return
+    successors: dict[tuple, list[tuple]] = {}  # of the trees below level 1
 
-    def expand(level: _Level, acc: list[int]) -> Iterator[list[int]]:
-        new_nodes = tuple(level.nodes[u] | level.nodes[v] for u, v in level.edges)
-        acc = acc + list(new_nodes)
+    def expand(nodes: list[int], edges: tuple, level: int) -> Iterator[list[int]]:
+        new_nodes = [nodes[u] | nodes[v] for u, v in edges]
+        acc.extend(new_nodes)
         if len(new_nodes) == 1:
-            yield acc
-            return
-        lg_edges = _line_graph(level.edges)
-        for chosen in spanning_trees(len(new_nodes), lg_edges):
-            nxt = _Level(new_nodes, tuple(lg_edges[k] for k in chosen))
-            yield from expand(nxt, acc)
+            yield acc.copy()
+        else:
+            if level == 1:  # visited once each: not memoized
+                trees = _next_trees(edges)
+            else:
+                trees = successors.get(edges)
+                if trees is None:
+                    trees = successors[edges] = list(_next_trees(edges))
+            for tree in trees:
+                yield from expand(new_nodes, tree, level + 1)
+        del acc[-len(new_nodes):]
 
+    atoms = acc.copy()
     for t1 in prufer_trees(n):
-        yield from expand(_Level(atom_masks, t1), list(atom_masks))
+        yield from expand(atoms, t1, 1)
+
+
+def _label_sets(labels: Sequence[str]) -> list[frozenset]:
+    """The set of labels of every mask over the labels, indexed by mask."""
+    table = [frozenset()]
+    for x in labels:
+        table += [s | {x} for s in table]
+    return table
+
+
+def _masks_to_vine(table: list[frozenset], masks: Iterable[int]) -> vn.RegularVine:
+    """The vine with the given node masks, its sets looked up in a
+    `_label_sets` table, so all vines built from one table share them."""
+    return vn.RegularVine(table[-1], frozenset(map(table.__getitem__, masks)))
 
 
 def generate_vines(ground: Iterable[str]) -> Iterator[vn.RegularVine]:
     """Every labeled regular vine on the ground set, exactly once, in a
     deterministic order."""
-    labels = sorted(ground)
-    for masks in _vine_mask_stream(len(labels)):
-        yield _masks_to_vine(labels, masks)
+    labels = sorted(set(ground))
+    stream = _vine_mask_stream(len(labels))
+    first = next(stream)  # the cap check, before the 2^n table is built
+    table = _label_sets(labels)
+    for masks in itertools.chain((first,), stream):
+        yield _masks_to_vine(table, masks)
 
 
 def random_vine(ground: Iterable[str], rng: random.Random) -> vn.RegularVine:
     """One labeled vine, drawn by uniform choices along the tree-sequence
     construction (uniform per level, not over all vines)."""
-    labels = sorted(ground)
+    labels = sorted(set(ground))
     n = len(labels)
-    if n == 0:
-        return vn.RegularVine(frozenset(), frozenset())
-    masks = [1 << i for i in range(n)]
-    if n == 1:
-        return _masks_to_vine(labels, masks)
-    nodes = tuple(masks)
-    edges = _decode_prufer(n, [rng.randrange(n) for _ in range(n - 2)])
-    while True:
-        new_nodes = tuple(nodes[u] | nodes[v] for u, v in edges)
-        masks.extend(new_nodes)
-        if len(new_nodes) == 1:
-            return _masks_to_vine(labels, masks)
-        lg_edges = _line_graph(edges)
-        chosen = rng.choice(list(spanning_trees(len(new_nodes), lg_edges)))
-        nodes, edges = new_nodes, tuple(lg_edges[k] for k in chosen)
-
-
-def _masks_to_vine(labels: list[str], masks: list[int]) -> vn.RegularVine:
-    nodes = frozenset(frozenset(labels[i] for i in range(len(labels)) if m >> i & 1) for m in masks)
-    return vn.RegularVine(frozenset(labels), nodes)
+    # each node's set is the union of its two covers' sets: no 2^n table,
+    # since n is not capped here
+    nodes = [frozenset((x,)) for x in labels]
+    found = nodes.copy()
+    if n > 1:
+        edges = _decode_prufer(n, [rng.randrange(n) for _ in range(n - 2)])
+        while True:
+            nodes = [nodes[u] | nodes[v] for u, v in edges]
+            found += nodes
+            if len(nodes) == 1:
+                break
+            edges = rng.choice(list(_next_trees(edges)))
+    return vn.RegularVine(frozenset(labels), frozenset(found))
 
 
 def _completions(nv: int, edges: tuple, memo: dict[tuple, int]) -> int:
@@ -273,11 +303,7 @@ def _completions(nv: int, edges: tuple, memo: dict[tuple, int]) -> int:
     hit = memo.get(shape)
     if hit is not None:
         return hit
-    lg_vertices = len(edges)
-    lg_edges = _line_graph(edges)
-    total = 0
-    for chosen in spanning_trees(lg_vertices, lg_edges):
-        total += _completions(lg_vertices, tuple(lg_edges[k] for k in chosen), memo)
+    total = sum(_completions(nv - 1, tree, memo) for tree in _next_trees(edges))
     memo[shape] = total
     return total
 
@@ -493,13 +519,14 @@ def _doubled_classes(n: int) -> list[IsoClass]:
         return [IsoClass(form, vine_from_form(form), 1, 1)]
     labels = list(string.ascii_lowercase[:n])
     bit = {x: 1 << i for i, x in enumerate(labels)}
+    table = _label_sets(labels)
     auts: dict[tuple, int] = {}
     for cls in _doubled_classes(n - 1):
         rep = cls.representative
         masks = _vine_masks(rep)
         for chain in vn._saturated_chains(rep.sorted_nodes()):
             doubled = _doubled_masks(n - 1, masks, [sum(bit[x] for x in s) for s in chain])
-            report = vn.validate_vine(_masks_to_vine(labels, doubled))
+            report = vn.validate_vine(_masks_to_vine(table, doubled))
             if report:
                 raise InternalInconsistencyError(f"doubling produced an invalid vine: {report[0].message}")
             keys, aut = _canonical(n, doubled)

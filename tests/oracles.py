@@ -6,15 +6,20 @@ tables or bitmasks: the n!-relabeling scans behind the canonical form and
 `vine._mask_covers`, and the DOT rendering built on them; the pairwise
 join/meet tests behind the lattice order checks; the per-pair domain scan
 behind the one-pass topmost contiguous positions; and the no-extension scan
-behind the size criterion of maximal ASPDs.  They are slow and
-used by the tests only.
+behind the size criterion of maximal ASPDs; and the vine stream that
+enumerates every line graph's spanning trees afresh at every node and finds
+every node's labels by a scan, behind the successor memo, the shared
+accumulator and the mask table of `generate_vines`.  They are slow and used
+by the tests only.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+from typing import Iterable, Iterator
 
 from vinery import domain as dm
+from vinery import generate as gen
 from vinery import lattice as lt
 from vinery import vine as vn
 from vinery.errors import StructureError
@@ -120,3 +125,35 @@ def join_irreducibles_by_covers(L: lt.BoundedLattice) -> list[frozenset]:
     """Elements other than the bottom with exactly one `covered_elements`."""
     bottom = min(L.elements, key=len)
     return [s for s in L.sorted_elements() if s != bottom and len(covered_elements(L, s)) == 1]
+
+
+def vine_mask_stream_by_recursion(n: int) -> Iterator[list[int]]:
+    """The node masks of every labeled vine on n labels, each line graph's
+    spanning trees enumerated anew at every node of the recursion; the
+    oracle for `generate._vine_mask_stream`."""
+    atom_masks = [1 << i for i in range(n)]
+    if n <= 1:
+        yield atom_masks
+        return
+
+    def expand(nodes: tuple, edges: tuple, acc: list[int]) -> Iterator[list[int]]:
+        new_nodes = tuple(nodes[u] | nodes[v] for u, v in edges)
+        acc = acc + list(new_nodes)
+        if len(new_nodes) == 1:
+            yield acc
+            return
+        lg_edges = gen._line_graph(edges)
+        for chosen in gen.spanning_trees(len(new_nodes), lg_edges):
+            yield from expand(new_nodes, tuple(lg_edges[k] for k in chosen), acc)
+
+    for t1 in gen.prufer_trees(n):
+        yield from expand(tuple(atom_masks), t1, atom_masks)
+
+
+def generate_vines_by_scan(ground: Iterable[str]) -> Iterator[vn.RegularVine]:
+    """The vines of `vine_mask_stream_by_recursion`, each node's labels found
+    by a scan of all labels; the oracle for `generate.generate_vines`."""
+    labels = sorted(set(ground))
+    for masks in vine_mask_stream_by_recursion(len(labels)):
+        nodes = frozenset(frozenset(labels[i] for i in range(len(labels)) if m >> i & 1) for m in masks)
+        yield vn.RegularVine(frozenset(labels), nodes)

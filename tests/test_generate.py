@@ -1,5 +1,7 @@
 """Enumeration, counting formulas, canonical forms and classification."""
 
+import hashlib
+import json
 import math
 import random
 import string
@@ -12,7 +14,8 @@ from vinery import vine as vn
 from vinery.errors import InternalInconsistencyError, StructureError
 
 from conftest import sample_vines
-from oracles import automorphism_group_order_bruteforce, canonical_form_bruteforce
+from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce,
+                     generate_vines_by_scan, vine_mask_stream_by_recursion)
 
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
@@ -33,6 +36,20 @@ def test_spanning_trees():
     k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     assert len(list(gen.spanning_trees(4, k4))) == 16
     assert list(gen.spanning_trees(1, [])) == [()]
+
+
+def test_next_trees_are_the_line_graph_spanning_trees():
+    """The line graph of a tree is one clique K_d per vertex of degree d, so
+    it has prod d^(d-2) spanning trees (Cayley per clique); `_next_trees`
+    yields each once, in the lexicographic order of their `spanning_trees`
+    index tuples, which `random_vine`'s draws depend on."""
+    for nv in range(2, 7):
+        for edges in gen.prufer_trees(nv):
+            degrees = Counter(x for e in edges for x in e).values()
+            index = {e: k for k, e in enumerate(gen._line_graph(edges))}
+            found = [tuple(index[e] for e in tree) for tree in gen._next_trees(edges)]
+            assert len(found) == math.prod(d ** (d - 2) for d in degrees if d > 1)
+            assert all(a < b for a, b in zip(found, found[1:]))
 
 
 def test_tree_shape_distinguishes_path_and_star():
@@ -62,6 +79,30 @@ def test_generation_is_deterministic():
     first = [v.nodes for v in gen.generate_vines("abcd")]
     second = [v.nodes for v in gen.generate_vines("abcd")]
     assert first == second
+
+
+def test_mask_stream_matches_unmemoized_recursion(vines_by_n):
+    for n in range(6):
+        assert list(gen._vine_mask_stream(n)) == list(vine_mask_stream_by_recursion(n))
+        assert vines_by_n[n] == list(generate_vines_by_scan(string.ascii_lowercase[:n]))
+
+
+def test_generators_advanced_in_lockstep_agree():
+    """Each stream keeps its own successor memo and accumulator."""
+    pairs = list(zip(gen.generate_vines("abcde"), gen.generate_vines("abcde")))
+    assert len(pairs) == LABELED[5]
+    assert all(a == b for a, b in pairs)
+
+
+def test_mask_stream_yields_distinct_lists():
+    streamed = list(gen._vine_mask_stream(5))
+    assert len({id(masks) for masks in streamed}) == len(streamed) == LABELED[5]
+
+
+def test_repeated_labels_count_once(seed):
+    assert list(gen.generate_vines("aabb")) == list(gen.generate_vines("ab"))
+    assert list(gen.generate_vines("dcbabd")) == list(gen.generate_vines("abcd"))
+    assert gen.random_vine("aabc", random.Random(seed)) == gen.random_vine("abc", random.Random(seed))
 
 
 def test_generation_cap():
@@ -121,6 +162,22 @@ def test_random_vine_is_valid(seed):
         for _ in range(5):
             v = gen.random_vine(string.ascii_lowercase[:n], rng)
             assert vn.validate_vine(v) == []
+
+
+# SHA-256 of the sorted node lists drawn below, recorded before the vine
+# stream shared `_next_trees`; the sampled tests and the benchmark corpora
+# are built from these draws.
+RANDOM_VINE_DIGEST = "dfb3ad609d3ba49ee5c9dcfc5c72a251f99ee9ca1ce6d095df6a85f8b2a0217e"
+
+
+def test_random_vine_draws_are_pinned():
+    draws = []
+    for seed in range(30):
+        rng = random.Random(seed)
+        for n in range(2, 10):
+            v = gen.random_vine(string.ascii_lowercase[:n], rng)
+            draws.append([sorted(s) for s in v.sorted_nodes()])
+    assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == RANDOM_VINE_DIGEST
 
 
 # --------------------------------------------------------------- formulas
