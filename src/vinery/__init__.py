@@ -16,7 +16,7 @@ from .matgraph import MatLabeledGraph, mat_graph
 from .vine import RegularVine
 from .domain import PreferenceDomain
 from .lattice import BinaryMatrix, BoundedLattice
-from .species import DOMAIN, GRAPH, VINE, SplitPair, transport
+from .species import DOMAIN, GRAPH, LATTICE, MATRIX, VINE, SplitPair, transport
 
 __all__ = [
     "InternalInconsistencyError", "StructureError",
@@ -24,5 +24,5 @@ __all__ = [
     "RegularVine",
     "PreferenceDomain",
     "BinaryMatrix", "BoundedLattice",
-    "DOMAIN", "GRAPH", "VINE", "SplitPair", "transport",
+    "DOMAIN", "GRAPH", "LATTICE", "MATRIX", "VINE", "SplitPair", "transport",
 ]

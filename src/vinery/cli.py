@@ -193,8 +193,12 @@ def cmd_selftest(args) -> int:
     d = routes.convert_structure(intro, "domain", "transport")
     check("intro domain is a maximal ASPD", dm.is_maximal_aspd(d))
     L = lt.vine_to_lattice(v)
+    M = lt.lattice_to_matrix(L)
     check("intro lattice is (4,3)-extremal", lt.is_extremal_lattice(L, 4))
-    check("intro matrix is extremal", lt.is_extremal_matrix(lt.lattice_to_matrix(L)))
+    check("intro matrix is extremal", lt.is_extremal_matrix(M))
+    check("transport equals explicit map: lattice -> matrix", sp.transport(sp.LATTICE, sp.MATRIX, L) == M)
+    check("transport equals explicit map: matrix -> domain",
+          sp.transport(sp.MATRIX, sp.DOMAIN, M) == routes.convert_structure(M, "domain", "direct") == d)
     check("n=4 classification finds 2 classes",
           len(gen.classify(gen.generate_vines("abcd"))) == 2)
     for n in range(1, 6):

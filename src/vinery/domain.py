@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Optional
 
-from .errors import StructureError, Violation, checked
+from .errors import StructureError, Violation
 
 Preference = tuple  # tuple of alternative labels, first-ranked first
 
@@ -131,17 +131,6 @@ def is_maximal_aspd(d: PreferenceDomain) -> bool:
     return not validate_domain(d)
 
 
-def _split_domain(d: PreferenceDomain) -> tuple[PreferenceDomain, PreferenceDomain, PreferenceDomain]:
-    """Split a maximal ASPD along its two bottom alternatives."""
-    if d.n < 2:
-        raise StructureError("domain.split", "split requires n >= 2")
-    a1, a2 = sorted(bottom_alternatives(d))
-    d1 = PreferenceDomain(d.alternatives - {a1}, frozenset(w[:-1] for w in d.prefs if w[-1] == a1))
-    d2 = PreferenceDomain(d.alternatives - {a2}, frozenset(w[:-1] for w in d.prefs if w[-1] == a2))
-    dp = PreferenceDomain(d1.alternatives - {a2}, frozenset(w[:-1] for w in d1.prefs if w[-1] == a2))
-    return d1, d2, dp
-
-
 def _glue_domains(d1: PreferenceDomain, d2: PreferenceDomain, a1: str, a2: str) -> PreferenceDomain:
     """The domain of two compatible halves missing a1 and a2: each half's
     preferences with its own missing alternative appended."""
@@ -251,6 +240,3 @@ def render_table(d: PreferenceDomain) -> str:
     for r in range(d.n):
         lines.append(" ".join(str(w[r]).rjust(width) for w in cols))
     return "\n".join(lines) + "\n"
-
-
-split_domain = checked(require_valid, _split_domain)

@@ -10,10 +10,14 @@ The order checks read the below-sets and covers of `vine._mask_covers`
 over `sorted_elements()`, a linear extension of inclusion: `is_lattice`
 finds a pair's meet in a few integer operations instead of a scan of the
 element family, and `join_irreducibles` and the maximal chains read the
-covers.  `undouble` is the vine split of the lattice's vine.  `join` and
-`meet` stay the definitional pairwise versions.  `has_no_triangles` detects
-a triangle from a table of row pairs and scans row triples for the least
-witness only when there is one.
+covers.  `join` and `meet` stay the definitional pairwise versions.
+`has_no_triangles` detects a triangle from a table of row pairs and scans
+row triples for the least witness only when there is one.
+
+Lattices and matrices are the last two rows of the split/merge table in
+`species`: the half of a lattice on A - {a} is its elements without a, that
+of a matrix its columns with 0 at row a, row a deleted.  `undouble` is the
+lattice restriction to the smaller co-atom.
 """
 
 from __future__ import annotations
@@ -34,10 +38,7 @@ class BoundedLattice:
 
     @property
     def ground(self) -> frozenset:
-        out: frozenset = frozenset()
-        for e in self.elements:
-            out = out | e
-        return out
+        return frozenset().union(*self.elements)
 
     def sorted_elements(self) -> list[frozenset]:
         return sorted(self.elements, key=lambda s: (len(s), sorted(s)))
@@ -47,6 +48,10 @@ class BoundedLattice:
 class BinaryMatrix:
     rows: tuple            # sorted row labels
     columns: frozenset     # frozenset of 0/1 tuples, one per column
+
+    @property
+    def ground(self) -> frozenset:
+        return frozenset(self.rows)
 
 
 def lattice(elements: Iterable[Iterable[str]]) -> BoundedLattice:
@@ -242,20 +247,23 @@ def doubling(L: BoundedLattice, chain: Iterable[frozenset]) -> BoundedLattice:
 def undouble(L: BoundedLattice) -> tuple[BoundedLattice, tuple]:
     """One decomposition (L1, C) with doubling(L1, C) isomorphic to L.
 
-    The vine split: L1 is the first half of `vine._split_vine`, the
-    principal ideal of the lexicographically smaller co-atom, plus the
-    bottom; the one label a outside it is the fresh label, and C holds the
-    x in L1 whose dotted copy x | {a} is in L.  The other co-atom induces a
-    second, equally valid decomposition.
+    The lattice split: L1 is the restriction to the lexicographically
+    smaller co-atom, the elements without the one label a outside it; a is
+    the fresh label, and C holds the x in L1 whose dotted copy x | {a} is
+    in L.  The other co-atom induces a second, equally valid decomposition.
     """
     _require_lattice(L)
     v = lattice_to_vine(L)
     if v.n < 2:
         raise StructureError("lattice.undouble", "undoubling requires n >= 2")
-    half = vn._split_vine(v)[0]
-    (a,) = v.ground - half.ground
-    L1 = _vine_to_lattice(half)
+    (a,) = v.ground - v.rank_nodes(v.n - 1)[0]
+    L1 = _restrict_lattice(L, a)
     return L1, tuple(x for x in L1.sorted_elements() if x | {a} in L.elements)
+
+
+def _restrict_lattice(L: BoundedLattice, a: str) -> BoundedLattice:
+    """The half on the ground set without a: the elements without a."""
+    return BoundedLattice(frozenset(s for s in L.elements if a not in s))
 
 
 def lattice_to_matrix(L: BoundedLattice) -> BinaryMatrix:
@@ -270,6 +278,30 @@ def matrix_to_lattice(M: BinaryMatrix) -> BoundedLattice:
 
 def _column_to_set(rows: tuple, col: tuple) -> frozenset:
     return frozenset(r for r, bit in zip(rows, col) if bit)
+
+
+def _coatom_rows(M: BinaryMatrix) -> list:
+    """The rows whose co-atom column, 0 at that row only, is present: the
+    labels missing from the lattice's co-atoms."""
+    n = len(M.rows)
+    return [a for i, a in enumerate(M.rows) if (1,) * i + (0,) + (1,) * (n - 1 - i) in M.columns]
+
+
+def _restrict_matrix(M: BinaryMatrix, a: str) -> BinaryMatrix:
+    """The half on the rows without a: the columns with 0 at row a, row a deleted."""
+    i = M.rows.index(a)
+    return BinaryMatrix(M.rows[:i] + M.rows[i + 1:], frozenset(c[:i] + c[i + 1:] for c in M.columns if not c[i]))
+
+
+def _glue_matrices(M1: BinaryMatrix, M2: BinaryMatrix, a1: str, a2: str) -> BinaryMatrix:
+    """The matrix of two compatible halves missing rows a1 and a2: each
+    half's columns with 0 at its missing row, plus the all-ones column."""
+    rows = tuple(sorted(M1.ground | {a1}))
+    cols = {(1,) * len(rows)}
+    for M, a in ((M1, a1), (M2, a2)):
+        i = rows.index(a)
+        cols.update(c[:i] + (0,) + c[i:] for c in M.columns)
+    return BinaryMatrix(rows, frozenset(cols))
 
 
 def has_no_triangles(M: BinaryMatrix) -> Optional[tuple]:

@@ -206,18 +206,6 @@ def _enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
     return out
 
 
-def _split_graph(g: MatLabeledGraph) -> tuple[MatLabeledGraph, MatLabeledGraph, MatLabeledGraph]:
-    """Restrictions to the complements of the two MAT-simplicial vertices,
-    the ends of the edge with the top label."""
-    if g.n < 2:
-        raise StructureError("matgraph.split", "split requires n >= 2")
-    a1, a2 = max(g.labels, key=g.labels.__getitem__)
-    g1 = induced_subgraph(g, g.vertices - {a1})
-    g2 = induced_subgraph(g, g.vertices - {a2})
-    gp = induced_subgraph(g, g.vertices - {a1, a2})
-    return g1, g2, gp
-
-
 def _glue_graphs(g1: MatLabeledGraph, g2: MatLabeledGraph, a1: str, a2: str) -> MatLabeledGraph:
     """The graph of two compatible halves missing a1 and a2: their labels
     plus the top-label edge a1-a2."""
@@ -233,4 +221,3 @@ def relabel_graph(g: MatLabeledGraph, h: Mapping[str, str]) -> MatLabeledGraph:
 
 
 enumerate_mat_peos = checked(require_valid, _enumerate_mat_peos)
-split_graph = checked(require_valid, _split_graph)

@@ -1,9 +1,12 @@
 """Conversion routing between all five representations.
 
-Graph, vine and domain convert among each other either through the explicit
-maps or through the generic species transport; lattices and matrices are
-structural re-packagings of a vine (add/remove the bottom; characteristic
-vectors) and compose with either route.
+``via="transport"`` is the generic species transport between any two of the
+five split/merge rows of `species`.  ``via="direct"`` is the explicit hub:
+graph, vine and domain convert among each other by the six explicit maps,
+and lattices and matrices are structural re-packagings of a vine (add/remove
+the bottom; characteristic vectors) that compose with them.  A lattice or
+matrix source is first read as its vine, which checks that its set
+realization has the vine shape, before either route.
 
 The kind -> validator table `_VALIDATORS` is read by the CLI and checks the
 input of `convert_structure`; its core composes the maps' cores, so a
@@ -29,8 +32,6 @@ _VALIDATORS = {
     "matrix": lt.validate_matrix,
 }
 
-_CORE = ("matgraph", "vine", "domain")
-
 _DIRECT = {
     ("matgraph", "vine"): co._graph_to_vine,
     ("vine", "matgraph"): co._vine_to_graph,
@@ -46,16 +47,6 @@ def _require_valid(obj) -> None:
     raise_first(_VALIDATORS[io.kind_of(obj)](obj))
 
 
-def _core_map(source: str, target: str, via: str, x):
-    """x, one of the graph/vine/domain kinds, as another by the explicit map
-    or by transport."""
-    if source == target:
-        return x
-    if via == "transport":
-        return sp._transport(sp.SPECIES[source], sp.SPECIES[target], x)
-    return _DIRECT[(source, target)](x)
-
-
 def _convert_structure(obj, to_kind: str, via: str = "direct"):
     """Convert any structure to any target kind; via is direct or transport."""
     if via not in ("direct", "transport"):
@@ -65,16 +56,17 @@ def _convert_structure(obj, to_kind: str, via: str = "direct"):
     kind = io.kind_of(obj)
     if kind == to_kind:
         return obj
-    if kind in _CORE and to_kind in _CORE:
-        return _core_map(kind, to_kind, via, obj)
-    if kind in _CORE:
-        v = _core_map(kind, "vine", via, obj)
-    else:
+    if kind in ("lattice", "matrix"):
+        # reading the source as a vine checks the vine shape of its realization
         v = lt.lattice_to_vine(obj if kind == "lattice" else lt.matrix_to_lattice(obj))
-    if to_kind in _CORE:
-        return _core_map("vine", to_kind, via, v)
-    L = lt._vine_to_lattice(v)
-    return L if to_kind == "lattice" else lt.lattice_to_matrix(L)
+        if via == "direct":
+            obj, kind = v, "vine"
+    if via == "transport":
+        return sp._transport(sp.SPECIES[kind], sp.SPECIES[to_kind], obj)
+    if to_kind in ("lattice", "matrix"):
+        L = lt._vine_to_lattice(obj if kind == "vine" else _DIRECT[(kind, "vine")](obj))
+        return L if to_kind == "lattice" else lt.lattice_to_matrix(L)
+    return obj if kind == to_kind else _DIRECT[(kind, to_kind)](obj)
 
 
 convert_structure = checked(_require_valid, _convert_structure)

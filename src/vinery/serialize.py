@@ -93,7 +93,12 @@ def from_json_dict(doc: dict) -> Structure:
             return dm.domain(_strings(doc["alternatives"], "alternatives"),
                              _string_lists(doc["preferences"], "preferences"))
         if kind == "lattice":
-            return lt.lattice(_string_lists(doc["nodes"], "nodes"))
+            ground = _strings(doc["ground"], "ground")
+            out = lt.lattice(_string_lists(doc["nodes"], "nodes"))
+            if set(ground) != out.ground:
+                raise StructureError("lattice.ground", f"ground {sorted(set(ground))} is not the union "
+                                     f"{sorted(out.ground)} of the nodes", witness=sorted(set(ground) ^ out.ground))
+            return out
         if kind == "matrix":
             rows = tuple(_strings(doc["rows"], "rows"))
             columns = _strings(doc["columns"], "columns")

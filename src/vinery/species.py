@@ -1,34 +1,37 @@
 """Split/merge species and the generic transport isomorphism.
 
-The three core families (MAT-labeled complete graphs, regular vines, maximal
-ASPDs) are one species each, described by a row of the ``Species`` table:
-the family's ground-set attribute, its validator, its trivial structure
-on a ground set of size <= 1, and its split, glue and relabel operations.  Splitting turns a structure on A into its two halves on
-co-atoms of A; merging is the inverse on compatible halves.  Any two species
-are connected by a unique natural isomorphism, computed recursively by
-``transport``: split in the source, transport both halves, merge in the
-target.
+Each of the five families (MAT-labeled complete graphs, regular vines,
+maximal ASPDs, (n,3)-extremal lattices, triangle-free extremal binary
+matrices) is a row of the ``Species`` table: its ground-set attribute, its
+validator, its trivial structure on a ground set of size <= 1, and what the
+axioms name.  ``top(x)`` is the removed pair, read off the top of the
+structure: the ends of the top-label edge, the labels missing from the two
+co-atoms, or the two bottoms.  ``restrict(x, a)`` is the half on A - {a}, for
+a in ``top(x)``; ``glue(x, y, a, b)`` assembles the structure on A from
+halves x on A - {a} and y on A - {b} without checking them.
 
-Compatibility is decided once, here, from the splits: halves x on A - {a}
-and y on A - {b} merge exactly when x's half on A - {a, b} equals y's (always
-when |A| = 2).  Each family supplies only its split core and a glue that
-assembles the merged structure from compatible halves without checking them.
+Splitting is the two restrictions.  Halves x on A - {a} and y on A - {b}
+merge exactly when |A| = 2, or b is in top(x), a is in top(y) and
+restrict(x, b) equals restrict(y, a).  Any two species are connected by a
+unique natural isomorphism, computed recursively by ``transport``: split in
+the source, transport both halves, merge in the target.
 
 Validation happens once, where a structure enters this layer: ``transport``,
-``merge_checked`` and ``check_proximity`` validate their inputs; the split
-cores, the glues and ``_transport`` trust theirs, since the halves of a
-valid structure are valid.
+``merge_checked`` and ``check_proximity`` validate their inputs; splits,
+merges and ``_transport`` trust theirs, since the halves of a valid
+structure are valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 from . import domain as dm
+from . import lattice as lt
 from . import matgraph as mg
 from . import vine as vn
-from .errors import InternalInconsistencyError, StructureError
+from .errors import InternalInconsistencyError, StructureError, raise_first
 
 
 @dataclass(frozen=True)
@@ -42,16 +45,14 @@ class Species:
     """One family's split/merge operations, as a row of functions.
 
     ``require`` raises a ``StructureError`` on an invalid structure;
-    ``split`` is the family's split core, returning the two halves and
-    their shared part; ``glue(x, y, a, b)`` assembles the structure on
-    A = ground(x) + {a} = ground(y) + {b} from compatible halves.
+    ``top``, ``restrict`` and ``glue`` are as in the module docstring.
     """
 
     def __init__(self, name: str, ground_attr: str, require: Callable,
-                 trivial: Callable, split: Callable, glue: Callable, relabel: Callable):
+                 trivial: Callable, top: Callable, restrict: Callable, glue: Callable):
         self.name, self.ground_attr = name, ground_attr
-        self._require, self._trivial, self._split = require, trivial, split
-        self._glue, self._relabel = glue, relabel
+        self._require, self._trivial = require, trivial
+        self._top, self._restrict, self._glue = top, restrict, glue
 
     def ground(self, x) -> frozenset:
         return getattr(x, self.ground_attr)
@@ -68,9 +69,15 @@ class Species:
             return SplitPair(x, y)
         return SplitPair(y, x)
 
+    def restrict(self, x, a):
+        """The half of x on its ground set without a, for a in the removed pair."""
+        return self._restrict(x, a)
+
     def split(self, x) -> SplitPair:
-        left, right, _ = self._split(x)
-        return self.pair(left, right)
+        if len(getattr(x, self.ground_attr)) < 2:
+            raise StructureError(f"{self.name}.split", "split requires n >= 2")
+        a1, a2 = self._top(x)
+        return self.pair(self._restrict(x, a1), self._restrict(x, a2))
 
     def merge(self, p: SplitPair):
         """The structure splitting into p, or None when the halves are incompatible."""
@@ -80,54 +87,48 @@ class Species:
         if not len(gx) == len(gy) == len(A) - 1:
             raise StructureError(f"{self.name}.coatoms", "ground sets are not distinct co-atoms of a common set",
                                  witness=(sorted(gx), sorted(gy)))
-        if not self._compatible(x, y, gx & gy):
-            return None
         (a,), (b,) = A - gx, A - gy
+        if len(A) > 2 and not (b in self._top(x) and a in self._top(y)
+                               and self._restrict(x, b) == self._restrict(y, a)):
+            return None
         return self._glue(x, y, a, b)
 
-    def _compatible(self, x, y, shared: frozenset) -> bool:
-        """Do x and y, on distinct co-atoms meeting in ``shared``, split off
-        the same half on it?"""
-        if not shared:
-            return True
-        half = self._half(x, shared)
-        return half is not None and half == self._half(y, shared)
 
-    def _half(self, x, ground: frozenset):
-        """The half of x's split on the given ground set, or None."""
-        left, right, _ = self._split(x)
-        return next((h for h in (left, right) if getattr(h, self.ground_attr) == ground), None)
-
-    def relabel(self, x, h):
-        _check_bijection(self.ground(x), h)
-        return self._relabel(x, h)
+def _coatom_labels(ground: frozenset, family) -> list:
+    """The labels missing from the co-atoms, the members one short of the ground set."""
+    return [a for s in family if len(s) == len(ground) - 1 for a in ground - s]
 
 
 GRAPH = Species("matgraph", "vertices", mg.require_valid,
                 lambda g: mg.MatLabeledGraph(g, {}),
-                mg._split_graph, mg._glue_graphs, mg.relabel_graph)
+                lambda g: max(g.labels, key=g.labels.__getitem__),
+                lambda g, a: mg.induced_subgraph(g, g.vertices - {a}), mg._glue_graphs)
 VINE = Species("vine", "ground", vn.require_valid,
                lambda g: vn.RegularVine(g, frozenset({g}) if g else frozenset()),
-               vn._split_vine, vn._glue_vines, vn.relabel_vine)
+               lambda v: _coatom_labels(v.ground, v.nodes),
+               lambda v, a: vn.RegularVine(v.ground - {a}, frozenset(s for s in v.nodes if a not in s)),
+               vn._glue_vines)
 DOMAIN = Species("domain", "alternatives", dm.require_valid,
                  lambda g: dm.PreferenceDomain(g, frozenset({tuple(sorted(g))})),
-                 dm._split_domain, dm._glue_domains, dm.relabel_domain)
-SPECIES = {s.name: s for s in (GRAPH, VINE, DOMAIN)}
-
-
-def _check_bijection(ground: frozenset, h: Mapping) -> None:
-    if set(h) != set(ground) or len(set(h.values())) != len(ground):
-        raise StructureError("species.bijection", "relabeling map is not a bijection on the ground set",
-                             witness=sorted(h.items()))
+                 dm.bottom_alternatives,
+                 lambda d, a: dm.PreferenceDomain(d.alternatives - {a},
+                                                  frozenset(w[:-1] for w in d.prefs if w[-1] == a)),
+                 dm._glue_domains)
+LATTICE = Species("lattice", "ground", lambda L: raise_first(lt.validate_lattice(L)),
+                  lambda g: lt.BoundedLattice(frozenset({frozenset(), g})),
+                  lambda L: _coatom_labels(L.ground, L.elements), lt._restrict_lattice,
+                  lambda x, y, a, b: lt.BoundedLattice(x.elements | y.elements | {x.ground | {a}}))
+MATRIX = Species("matrix", "ground", lambda M: raise_first(lt.validate_matrix(M)),
+                 lambda g: lt.BinaryMatrix(tuple(sorted(g)), frozenset({(0,) * len(g), (1,) * len(g)})),
+                 lt._coatom_rows, lt._restrict_matrix, lt._glue_matrices)
+SPECIES = {s.name: s for s in (GRAPH, VINE, DOMAIN, LATTICE, MATRIX)}
 
 
 def check_proximity(S, x) -> bool:
-    """Are the two halves of x compatible, i.e. do their splits share a half?"""
+    """Are the two halves of x compatible, i.e. do they restrict to the same
+    structure on their common ground set?"""
     S.validate(x)
-    if len(S.ground(x)) < 2:
-        raise StructureError("species.split", "proximity is defined for n >= 2 only")
-    p = S.split(x)
-    return S._compatible(p.left, p.right, S.ground(p.left) & S.ground(p.right))
+    return S.merge(S.split(x)) is not None
 
 
 def merge_checked(S, p: SplitPair):

@@ -177,15 +177,6 @@ def associated_tree(v: RegularVine, i: int) -> AssociatedTree:
     return AssociatedTree(i, verts, edges)
 
 
-def _split_vine(v: RegularVine) -> tuple[RegularVine, RegularVine, RegularVine]:
-    """Principal ideals of the two co-atoms covered by the top node, which
-    are its two rank-(n-1) nodes, and of their intersection."""
-    if v.n < 2:
-        raise StructureError("vine.split", "split requires n >= 2")
-    c1, c2 = v.rank_nodes(v.n - 1)
-    return tuple(RegularVine(top, frozenset(s for s in v.nodes if s <= top)) for top in (c1, c2, c1 & c2))
-
-
 def _glue_vines(v1: RegularVine, v2: RegularVine, a1: str, a2: str) -> RegularVine:
     """The vine of two compatible halves missing a1 and a2: their nodes
     plus the full ground set."""
@@ -280,7 +271,6 @@ def relabel_vine(v: RegularVine, h: Mapping[str, str]) -> RegularVine:
                        frozenset(frozenset(h[a] for a in s) for s in v.nodes))
 
 
-split_vine = checked(require_valid, _split_vine)
 is_d_vine = checked(require_valid, _is_d_vine)
 is_c_vine = checked(require_valid, _is_c_vine)
 maximal_chains = checked(require_valid, _maximal_chains)

@@ -141,3 +141,11 @@ def random_relabeling(ground, rng: random.Random) -> dict[str, str]:
     dst = list(src)
     rng.shuffle(dst)
     return dict(zip(src, dst))
+
+
+def split_with_shared(S, x) -> tuple:
+    """The two halves of x by the row's split, left then right, and their
+    shared part: the left half restricted to the right half's ground set."""
+    p = S.split(x)
+    (b,) = S.ground(x) - S.ground(p.right)
+    return p.left, p.right, S.restrict(p.left, b)

@@ -9,8 +9,9 @@ behind the one-pass topmost contiguous positions; and the no-extension scan
 behind the size criterion of maximal ASPDs; and the vine stream that
 enumerates every line graph's spanning trees afresh at every node and finds
 every node's labels by a scan, behind the successor memo, the shared
-accumulator and the mask table of `generate_vines`.  They are slow and used
-by the tests only.
+accumulator and the mask table of `generate_vines`; and the undoubling by
+the vine split of the lattice's vine, behind the lattice restriction of
+`lattice.undouble`.  They are slow and used by the tests only.
 """
 
 from __future__ import annotations
@@ -157,3 +158,18 @@ def generate_vines_by_scan(ground: Iterable[str]) -> Iterator[vn.RegularVine]:
     for masks in vine_mask_stream_by_recursion(len(labels)):
         nodes = frozenset(frozenset(labels[i] for i in range(len(labels)) if m >> i & 1) for m in masks)
         yield vn.RegularVine(frozenset(labels), nodes)
+
+
+def undouble_by_vine_split(L: lt.BoundedLattice) -> tuple[lt.BoundedLattice, tuple]:
+    """(L1, C) from the first half of the lattice's vine split, the principal
+    ideal of the lexicographically smaller co-atom, plus the bottom; the
+    oracle for `lattice.undouble`."""
+    lt._require_lattice(L)
+    v = lt.lattice_to_vine(L)
+    if v.n < 2:
+        raise StructureError("lattice.undouble", "undoubling requires n >= 2")
+    top = v.rank_nodes(v.n - 1)[0]
+    half = vn.RegularVine(top, frozenset(s for s in v.nodes if s <= top))
+    (a,) = v.ground - half.ground
+    L1 = lt._vine_to_lattice(half)
+    return L1, tuple(x for x in L1.sorted_elements() if x | {a} in L.elements)

@@ -78,9 +78,9 @@ CUBE = [[], ["a"], ["b"], ["c"], ["a", "b"], ["a", "c"], ["b", "c"], ["a", "b", 
 
 
 @pytest.mark.parametrize("doc,out", [
-    ({"kind": "lattice", "nodes": [[], ["a"], ["b"], ["c"], ["b", "c"], ["a", "b", "c"]]},
+    ({"kind": "lattice", "ground": ["a", "b", "c"], "nodes": [[], ["a"], ["b"], ["c"], ["b", "c"], ["a", "b", "c"]]},
      "INVALID lattice.size: 6 elements, extremal is 7\n"),
-    ({"kind": "lattice", "nodes": CUBE},
+    ({"kind": "lattice", "ground": ["a", "b", "c"], "nodes": CUBE},
      "INVALID lattice.b3-free: induced B(3) on [[], ['a'], ['b'], ['c'], ['a', 'b'], ['a', 'c'], "
      "['b', 'c'], ['a', 'b', 'c']]\n"
      "INVALID lattice.size: 8 elements, extremal is 7\n"),
@@ -111,6 +111,19 @@ def test_matrix_rows_must_be_strictly_increasing(write, rows, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("INVALID matrix.rows: ")
+
+
+@pytest.mark.parametrize("doc, err", [
+    ({"kind": "lattice", "ground": ["a", "b", "z"], "nodes": [[], ["a"], ["b"], ["a", "b"]]},
+     "error: lattice.ground: ground ['a', 'b', 'z'] is not the union ['a', 'b'] of the nodes\n"),
+    ({"kind": "lattice", "nodes": [[], ["a"], ["b"], ["a", "b"]]},
+     "error: parse.payload: malformed lattice payload: 'ground'\n"),
+], ids=["mismatch", "missing"])
+def test_lattice_ground_must_be_the_union_of_the_nodes(write, doc, err, capsys):
+    path = write("L.json", json.dumps(doc))
+    for argv in (["verify", "--strict", path], ["convert", path, "--to", "vine"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", err)
 
 
 # ---------------------------------------------------------------- convert

@@ -14,6 +14,7 @@ from vinery import generate as gen
 from vinery import species as sp
 from vinery.errors import StructureError
 
+from conftest import split_with_shared
 from oracles import is_maximal_aspd_by_extension, topmost_contiguous_position_by_scan
 
 
@@ -127,30 +128,30 @@ def test_bottom_alternatives(intro_domain, trd2):
 # ------------------------------------------------------------ split/merge
 
 def test_split_fig(fig_domain):
-    d1, d2, dp = dm.split_domain(fig_domain)
-    assert d1 == mkdom("bcde", ["bcde", "cbde", "cdbe", "dcbe",
-                                "cdeb", "dceb", "cedb", "ecdb"])
-    assert d2 == mkdom("abcd", ["abcd", "bacd", "bcad", "cbad",
+    d1, d2, dp = split_with_shared(sp.DOMAIN, fig_domain)
+    assert d1 == mkdom("abcd", ["abcd", "bacd", "bcad", "cbad",
                                 "bcda", "cbda", "cdba", "dcba"])
+    assert d2 == mkdom("bcde", ["bcde", "cbde", "cdbe", "dcbe",
+                                "cdeb", "dceb", "cedb", "ecdb"])
     assert dp == mkdom("bcd", ["bcd", "cbd", "cdb", "dcb"])
 
 
 def test_merge_recovers_split(intro_domain, fig_domain):
     for d in (intro_domain, fig_domain):
-        d1, d2, _ = dm.split_domain(d)
+        d1, d2, _ = split_with_shared(sp.DOMAIN, d)
         assert sp.DOMAIN.merge(sp.SplitPair(d1, d2)) == d
         assert sp.DOMAIN.merge(sp.SplitPair(d2, d1)) == d
 
 
 def test_merge_requires_coatoms(fig_domain):
-    d1, _, dp = dm.split_domain(fig_domain)
+    d1, _, dp = split_with_shared(sp.DOMAIN, fig_domain)
     with pytest.raises(StructureError) as exc:
         sp.DOMAIN.merge(sp.SplitPair(d1, dp))
     assert exc.value.axiom == "domain.coatoms"
 
 
 def test_merge_wrong_bottom_is_none(fig_domain):
-    d1, _, _ = dm.split_domain(fig_domain)
+    d1 = sp.DOMAIN.restrict(fig_domain, "a")
     other = mkdom("abcd", ["acbd", "cabd", "bacd", "abcd",
                            "badc", "abdc", "adbc", "dabc"])
     # 'a' is not a bottom alternative of the second part
@@ -158,14 +159,15 @@ def test_merge_wrong_bottom_is_none(fig_domain):
 
 
 def test_merge_mismatching_second_blocks_is_none(fig_domain):
-    d1, d2, _ = dm.split_domain(fig_domain)
+    d1, d2 = sp.DOMAIN.restrict(fig_domain, "a"), sp.DOMAIN.restrict(fig_domain, "e")
     swapped = dm.relabel_domain(d2, {"a": "a", "b": "c", "c": "b", "d": "d"})
     assert sp.DOMAIN.merge(sp.SplitPair(d1, swapped)) is None
 
 
 def test_split_requires_maximal_aspd():
+    # the split is reached from checked entries only; check_proximity is the one that splits
     with pytest.raises(StructureError) as exc:
-        dm.split_domain(mkdom("abc", ["abc", "bca", "cab"]))
+        sp.check_proximity(sp.DOMAIN, mkdom("abc", ["abc", "bca", "cab"]))
     assert exc.value.axiom == "domain.maximal-aspd"
 
 

@@ -7,10 +7,12 @@ import pytest
 
 from vinery import generate as gen
 from vinery import lattice as lt
+from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
-from oracles import covered_elements, is_lattice_pairwise, join_irreducibles_by_covers
+from conftest import random_relabeling, split_with_shared
+from oracles import covered_elements, is_lattice_pairwise, join_irreducibles_by_covers, undouble_by_vine_split
 
 
 def boolean_cube():
@@ -262,6 +264,54 @@ def test_undouble_round_trip():
 def test_undouble_requires_two_elements():
     with pytest.raises(StructureError):
         lt.undouble(lt.lattice(["", "a"]))
+
+
+def test_undouble_matches_the_vine_split_oracle(seed):
+    """On every class n <= 6 and a seeded relabeling of each."""
+    rng = random.Random(seed)
+    for n in range(2, 7):
+        for rep in gen.class_representatives(n):
+            for v in (rep, vn.relabel_vine(rep, random_relabeling(rep.ground, rng))):
+                L = lt.vine_to_lattice(v)
+                assert lt.undouble(L) == undouble_by_vine_split(L)
+
+
+# ------------------------------------------------------------ split/merge
+
+def test_lattice_and_matrix_split_intro(intro_vine):
+    L = lt.vine_to_lattice(intro_vine)
+    L1, L2, Lp = split_with_shared(sp.LATTICE, L)
+    assert L1 == lt.lattice(["", "a", "b", "c", "ab", "bc", "abc"])
+    assert L2 == lt.lattice(["", "b", "c", "d", "bc", "bd", "bcd"])
+    assert Lp == lt.lattice(["", "b", "c", "bc"])
+    M1, M2, Mp = split_with_shared(sp.MATRIX, lt.lattice_to_matrix(L))
+    assert (M1, M2, Mp) == tuple(lt.lattice_to_matrix(h) for h in (L1, L2, Lp))
+    assert Mp == lt.BinaryMatrix(("b", "c"), frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
+
+
+def test_lattice_and_matrix_splits_follow_the_vine_split(seed):
+    """On every class n <= 6 under a random relabeling: the halves and the
+    shared part are the vine's plus the bottom, as lattices and as matrices."""
+    rng = random.Random(seed)
+    for n in range(2, 7):
+        for rep in gen.class_representatives(n):
+            v = vn.relabel_vine(rep, random_relabeling(rep.ground, rng))
+            L = lt.vine_to_lattice(v)
+            lattices = split_with_shared(sp.LATTICE, L)
+            assert lattices == tuple(lt._vine_to_lattice(h) for h in split_with_shared(sp.VINE, v))
+            assert split_with_shared(sp.MATRIX, lt.lattice_to_matrix(L)) == \
+                tuple(lt.lattice_to_matrix(h) for h in lattices)
+
+
+def test_lattice_and_matrix_merge_recover_split(intro_vine, fig_vine):
+    for v in (intro_vine, fig_vine):
+        L = lt.vine_to_lattice(v)
+        for S, x in ((sp.LATTICE, L), (sp.MATRIX, lt.lattice_to_matrix(L))):
+            x1, x2, xp = split_with_shared(S, x)
+            assert S.merge(sp.SplitPair(x1, x2)) == S.merge(sp.SplitPair(x2, x1)) == x
+            with pytest.raises(StructureError) as exc:
+                S.merge(sp.SplitPair(x1, xp))
+            assert exc.value.axiom == f"{S.name}.coatoms"
 
 
 # --------------------------------------------------------------- matrices

@@ -13,7 +13,7 @@ from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
-from conftest import INTRO_PREFS, FIG_PREFS, random_relabeling
+from conftest import INTRO_PREFS, FIG_PREFS, random_relabeling, split_with_shared
 
 
 # ----------------------------------------------------------- construction
@@ -166,14 +166,14 @@ def test_enumerate_mat_peos_requires_complete():
 # ------------------------------------------------------------ split/merge
 
 def test_split_intro(intro_graph):
-    g1, g2, gp = mg.split_graph(intro_graph)
-    assert g1 == mg.mat_graph("bcd", [("b", "c", 1), ("b", "d", 1), ("c", "d", 2)])
-    assert g2 == mg.mat_graph("abc", [("a", "b", 1), ("a", "c", 2), ("b", "c", 1)])
+    g1, g2, gp = split_with_shared(sp.GRAPH, intro_graph)
+    assert g1 == mg.mat_graph("abc", [("a", "b", 1), ("a", "c", 2), ("b", "c", 1)])
+    assert g2 == mg.mat_graph("bcd", [("b", "c", 1), ("b", "d", 1), ("c", "d", 2)])
     assert gp == mg.mat_graph("bc", [("b", "c", 1)])
 
 
 def test_split_fig_shared_part(fig_graph):
-    g1, g2, gp = mg.split_graph(fig_graph)
+    g1, g2, gp = split_with_shared(sp.GRAPH, fig_graph)
     assert gp == mg.mat_graph("bcd", [("b", "c", 1), ("b", "d", 2), ("c", "d", 1)])
 
 
@@ -184,20 +184,20 @@ def test_split_removes_the_mat_simplicial_vertices(seed):
         for rep in gen.class_representatives(n):
             g = co.vine_to_graph(vn.relabel_vine(rep, random_relabeling(rep.ground, rng)))
             a1, a2 = sorted(mg.mat_simplicial_vertices(g))
-            g1, g2, gp = mg.split_graph(g)
-            assert (g1.vertices, g2.vertices, gp.vertices) == (g.vertices - {a1}, g.vertices - {a2},
+            g1, g2, gp = split_with_shared(sp.GRAPH, g)
+            assert (g1.vertices, g2.vertices, gp.vertices) == (g.vertices - {a2}, g.vertices - {a1},
                                                                g.vertices - {a1, a2})
 
 
 def test_merge_recovers_split(intro_graph, fig_graph):
     for g in (intro_graph, fig_graph):
-        g1, g2, _ = mg.split_graph(g)
+        g1, g2, _ = split_with_shared(sp.GRAPH, g)
         assert sp.GRAPH.merge(sp.SplitPair(g1, g2)) == g
         assert sp.GRAPH.merge(sp.SplitPair(g2, g1)) == g
 
 
 def test_merge_requires_coatoms(intro_graph):
-    g1, _, gp = mg.split_graph(intro_graph)
+    g1, _, gp = split_with_shared(sp.GRAPH, intro_graph)
     with pytest.raises(StructureError) as exc:
         sp.GRAPH.merge(sp.SplitPair(g1, gp))
     assert exc.value.axiom == "matgraph.coatoms"
@@ -219,8 +219,10 @@ def test_merge_k1_halves():
 
 
 def test_split_requires_valid_complete():
-    with pytest.raises(StructureError):
-        mg.split_graph(mg.mat_graph("abc", [("a", "b", 1), ("b", "c", 1)]))
+    # the split is reached from checked entries only; check_proximity is the one that splits
+    with pytest.raises(StructureError) as exc:
+        sp.check_proximity(sp.GRAPH, mg.mat_graph("abc", [("a", "b", 1), ("b", "c", 1)]))
+    assert exc.value.axiom == "matgraph.complete"
 
 
 # --------------------------------------------------------------- relabeling

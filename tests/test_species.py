@@ -9,21 +9,24 @@ import pytest
 from vinery import correspond as co
 from vinery import domain as dm
 from vinery import generate as gen
+from vinery import lattice as lt
 from vinery import matgraph as mg
+from vinery import routes
+from vinery import serialize as io
 from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
-from conftest import random_relabeling
+from conftest import random_relabeling, sample_vines
 
-ALL_SPECIES = (sp.GRAPH, sp.VINE, sp.DOMAIN)
+ALL_SPECIES = (sp.GRAPH, sp.VINE, sp.DOMAIN, sp.LATTICE, sp.MATRIX)
 
-TO_VINE = {sp.GRAPH: co.graph_to_vine, sp.VINE: lambda v: v, sp.DOMAIN: co.domain_to_vine}
-FROM_VINE = {sp.GRAPH: co.vine_to_graph, sp.VINE: lambda v: v, sp.DOMAIN: co.vine_to_domain}
+FROM_VINE = {sp.GRAPH: co.vine_to_graph, sp.VINE: lambda v: v, sp.DOMAIN: co.vine_to_domain,
+             sp.LATTICE: lt.vine_to_lattice, sp.MATRIX: lambda v: lt.lattice_to_matrix(lt.vine_to_lattice(v))}
 
 
 def incarnations(v):
-    """The vine v in all three species."""
+    """The vine v in all five species."""
     return {S: FROM_VINE[S](v) for S in ALL_SPECIES}
 
 
@@ -35,6 +38,15 @@ def test_trivial_structures():
     assert sp.VINE.trivial("") == vn.vine("", [])
     assert sp.DOMAIN.trivial("") == dm.domain("", [()])
     assert sp.DOMAIN.trivial("a") == dm.domain("a", [("a",)])
+    assert sp.LATTICE.trivial("") == lt.lattice([[]])
+    assert sp.LATTICE.trivial("a") == lt.lattice([[], ["a"]])
+    assert sp.MATRIX.trivial("") == lt.BinaryMatrix((), frozenset({()}))
+    assert sp.MATRIX.trivial("a") == lt.BinaryMatrix(("a",), frozenset({(0,), (1,)}))
+
+
+def test_species_table_holds_the_five_rows():
+    assert sp.SPECIES == {S.name: S for S in ALL_SPECIES}
+    assert tuple(sp.SPECIES) == io.KINDS
 
 
 def test_make_pair_orders_by_ground():
@@ -57,20 +69,20 @@ def test_validate_rejects_non_maximal_domain():
     assert exc.value.axiom == "domain.maximal-aspd"
 
 
-def test_relabel_requires_bijection(intro_vine):
-    with pytest.raises(StructureError) as exc:
-        sp.VINE.relabel(intro_vine, {"a": "x", "b": "x", "c": "y", "d": "z"})
-    assert exc.value.axiom == "species.bijection"
-    with pytest.raises(StructureError):
-        sp.VINE.relabel(intro_vine, {"a": "x"})
-
-
 # ----------------------------------------------- proximity and merging
 
 def test_check_proximity_on_examples(intro_vine, fig_vine):
     for v in (intro_vine, fig_vine):
         for S, x in incarnations(v).items():
             assert sp.check_proximity(S, x)
+
+
+def test_split_requires_two_elements():
+    for S in ALL_SPECIES:
+        for ground in ("", "a"):
+            with pytest.raises(StructureError) as exc:
+                S.split(S.trivial(ground))
+            assert exc.value.axiom == f"{S.name}.split"
 
 
 def test_check_proximity_requires_two_elements():
@@ -124,7 +136,8 @@ def test_transport_tiny():
 def test_transport_validates_the_source_once(monkeypatch, seed):
     inc = incarnations(gen.random_vine("abcdef", random.Random(seed)))
     validators = {sp.VINE: (vn, "validate_vine"), sp.GRAPH: (mg, "validate_mat_labeling"),
-                  sp.DOMAIN: (dm, "is_aspd")}
+                  sp.DOMAIN: (dm, "is_aspd"), sp.LATTICE: (lt, "validate_lattice"),
+                  sp.MATRIX: (lt, "validate_matrix")}
     calls = dict.fromkeys(ALL_SPECIES, 0)
     for S, (module, name) in validators.items():
         def counting(x, _inner=getattr(module, name), _S=S):
@@ -173,20 +186,37 @@ def test_merge_is_the_inverse_of_split_exhaustive_small(vines_by_n):
                         assert S.merge(p) == by_split.get(p), (S.name, x, y)
 
 
+def _assert_transport_equals_direct(v):
+    """On all 20 ordered pairs of distinct kinds, transport equals the
+    explicit hub of `routes` (and both give v's incarnation).  The
+    incarnations are checked once, so the cores are compared."""
+    inc = incarnations(v)
+    for F in ALL_SPECIES:
+        for G in ALL_SPECIES:
+            if F is not G:
+                direct = routes._convert_structure(inc[F], G.name, "direct")
+                assert sp._transport(F, G, inc[F]) == direct == inc[G], (F.name, G.name)
+
+
 def test_transport_equals_explicit_exhaustive_small(vines_by_n):
-    for n in range(5):
+    for n in range(6):
         for v in vines_by_n[n]:
-            inc = incarnations(v)
-            for F in ALL_SPECIES:
-                for G in ALL_SPECIES:
-                    if F is not G:
-                        assert sp.transport(F, G, inc[F]) == inc[G]
+            _assert_transport_equals_direct(v)
+
+
+def test_transport_equals_explicit_sampled(seed):
+    rng = random.Random(seed)
+    for n in (6, 7):
+        for v in sample_vines(n, 5, rng):
+            _assert_transport_equals_direct(v)
 
 
 def test_transport_naturality_sampled(vines_by_n, seed):
     rng = random.Random(seed)
     relabel = {sp.GRAPH: mg.relabel_graph, sp.VINE: vn.relabel_vine,
-               sp.DOMAIN: dm.relabel_domain}
+               sp.DOMAIN: dm.relabel_domain,
+               sp.LATTICE: lambda L, h: lt.lattice([[h[a] for a in s] for s in L.elements]),
+               sp.MATRIX: lambda M, h: lt.lattice_to_matrix(relabel[sp.LATTICE](lt.matrix_to_lattice(M), h))}
     for v in vines_by_n[4]:
         h = random_relabeling(v.ground, rng)
         inc = incarnations(v)

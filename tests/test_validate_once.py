@@ -38,15 +38,12 @@ CASES = [
     (co, "domain_to_graph", "domain", (), "domain.maximal-aspd"),
     (co, "vine_to_domain", "vine", (), "vine.grading"),
     (co, "domain_to_vine", "domain", (), "domain.maximal-aspd"),
-    (vn, "split_vine", "vine", (), "vine.grading"),
     (vn, "is_d_vine", "vine", (), "vine.grading"),
     (vn, "is_c_vine", "vine", (), "vine.grading"),
     (vn, "maximal_chains", "vine", (), "vine.grading"),
     (vn, "chain_counts_from_atoms", "vine", (), "vine.grading"),
     (vn, "richness_via_vine", "vine", (), "vine.grading"),
-    (mg, "split_graph", "matgraph", (), "matgraph.complete"),
     (mg, "enumerate_mat_peos", "matgraph", (), "matgraph.complete"),
-    (dm, "split_domain", "domain", (), "domain.maximal-aspd"),
     (lt, "is_b3_free", "lattice", (), "lattice.lattice"),
     (lt, "direct_b3_search", "lattice", (), "lattice.lattice"),
     (lt, "vine_to_lattice", "vine", (), "vine.grading"),

@@ -10,7 +10,7 @@ from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
-from conftest import random_relabeling
+from conftest import random_relabeling, split_with_shared
 from oracles import covered_by
 
 
@@ -189,14 +189,14 @@ def test_associated_tree_range(intro_vine):
 # ------------------------------------------------------------ split/merge
 
 def test_split_intro(intro_vine):
-    v1, v2, vp = vn.split_vine(intro_vine)
+    v1, v2, vp = split_with_shared(sp.VINE, intro_vine)
     assert v1 == vn.vine("abc", ["a", "b", "c", "ab", "bc", "abc"])
     assert v2 == vn.vine("bcd", ["b", "c", "d", "bc", "bd", "bcd"])
     assert vp == vn.vine("bc", ["b", "c", "bc"])
 
 
 def test_split_fig_shared_part(fig_vine):
-    _, _, vp = vn.split_vine(fig_vine)
+    _, _, vp = split_with_shared(sp.VINE, fig_vine)
     assert vp == vn.vine("bcd", ["b", "c", "d", "bc", "cd", "bcd"])
 
 
@@ -208,7 +208,7 @@ def test_split_halves_are_the_ideals_of_the_tops_covers(seed):
     for n in range(2, 7):
         for rep in gen.class_representatives(n):
             v = vn.relabel_vine(rep, random_relabeling(rep.ground, rng))
-            v1, v2, vp = vn.split_vine(v)
+            v1, v2, vp = split_with_shared(sp.VINE, v)
             for half, top in zip((v1, v2), covered_by(v, v.ground)):
                 assert half == vn.RegularVine(top, frozenset(s for s in v.nodes if s <= top))
             assert vp == vn.RegularVine(v1.ground & v2.ground, v1.nodes & v2.nodes)
@@ -216,13 +216,13 @@ def test_split_halves_are_the_ideals_of_the_tops_covers(seed):
 
 def test_merge_recovers_split(intro_vine, fig_vine):
     for v in (intro_vine, fig_vine):
-        v1, v2, _ = vn.split_vine(v)
+        v1, v2, _ = split_with_shared(sp.VINE, v)
         assert sp.VINE.merge(sp.SplitPair(v1, v2)) == v
         assert sp.VINE.merge(sp.SplitPair(v2, v1)) == v
 
 
 def test_merge_requires_coatoms(intro_vine):
-    v1, _, vp = vn.split_vine(intro_vine)
+    v1, _, vp = split_with_shared(sp.VINE, intro_vine)
     with pytest.raises(StructureError) as exc:
         sp.VINE.merge(sp.SplitPair(v1, vp))
     assert exc.value.axiom == "vine.coatoms"
@@ -236,8 +236,9 @@ def test_merge_incompatible_is_none():
 
 
 def test_split_requires_two_elements():
-    with pytest.raises(StructureError):
-        vn.split_vine(vn.vine("a", ["a"]))
+    with pytest.raises(StructureError) as exc:
+        sp.VINE.split(vn.vine("a", ["a"]))
+    assert exc.value.axiom == "vine.split"
 
 
 # -------------------------------------------------------- shape predicates
