@@ -179,6 +179,8 @@ def cmd_selftest(args) -> int:
     for n in range(1, 7):
         got = sum(1 for _ in gen.generate_vines(string.ascii_lowercase[:n]))
         check(f"labeled count n={n}", got == gen.labeled_count_formula(n))
+    for n in range(7, gen.COUNT_CAP + 1):
+        check(f"counting DP agrees with formula n={n}", gen.count_vines(n) == gen.labeled_count_formula(n))
     for n in range(1, 13):
         p, q = gen.recursive_pq_counts(n)
         check(f"formula/recursion agree n={n}", p + q == gen.unlabeled_count_formula(n))

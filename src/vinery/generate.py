@@ -5,7 +5,7 @@ tree on the singletons, then repeatedly a spanning tree of the previous
 tree's line graph (proximity makes exactly the line-graph edges admissible).
 This produces every labeled vine exactly once, so no dedup set is needed.
 The next level's trees of a tree come from one helper, `_next_trees`, which
-the stream, `random_vine` and the counting DP share.  A tree's successors
+the stream and `random_vine` share.  A tree's successors
 depend only on its edge tuple, and below level 1 few tuples recur (144 at
 n = 6, under 1,296 level-1 trees that are each visited once), so every call
 of the stream memoizes the successors of the trees below level 1 in a dict
@@ -35,14 +35,21 @@ labeled count.  Classifying the full generator stream
 
 Counting uses the observation that the number of completions of a partial
 tree sequence depends only on the unlabeled shape of the current tree, which
-collapses the count into a shape-memoized DP.  The labeled level-1 trees are
-not enumerated either: the count sums over the unlabeled trees T on n
-vertices, each standing for its n!/|Aut(T)| labelings, with |Aut(T)| read off
-the same center-rooted AHU recursion that gives the shapes.
+collapses the count into a shape-memoized DP that starts from the star with
+n edges (its line graph K_n has the labeled level-1 trees as its spanning
+trees).  The DP never enumerates a line graph's spanning trees.  The line
+graph of a tree is one clique per vertex of degree >= 2, and a spanning tree
+picks one labeled tree per clique.  A pendant clique (at most one of its
+edges leads to another such clique) affects the next shape only through its
+tree rooted at that edge, so it contributes its rooted shapes
+(`rooted_trees`), each weighted by the (d - 1)!/|Aut_root| labeled trees it
+stands for; any other clique contributes all its Prüfer trees.  Rooted and
+unrooted shapes come from one AHU encoder.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -56,8 +63,8 @@ from .errors import InternalInconsistencyError, StructureError
 
 GENERATION_CAP = 7
 # Largest n that `count --mode generate` accepts: the counting DP takes about
-# 10 to 15 s at n = 9 and grows about twentyfold per step.
-COUNT_CAP = 9
+# 1 s at n = 10 and grows ten- to fifteenfold per step.
+COUNT_CAP = 10
 
 
 # ---------------------------------------------------------------- tree tools
@@ -131,18 +138,38 @@ def spanning_trees(nv: int, edges: list[tuple[int, int]]) -> Iterator[tuple[int,
     yield from rec(0, list(range(nv)), ())
 
 
-def _ahu(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
-    """(AHU canonical form rooted at the center, |Aut|) of a tree on 0..nv-1.
-
-    A rooted subtree's automorphisms are its children's times m! for every
-    m children with equal codes.  Rooted at one center, that counts the
-    automorphisms fixing it; a bicentral tree has one more (the swap of its
-    centers) exactly when the codes rooted at its two centers agree.
-    """
+def _adjacency(nv: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     adj: list[list[int]] = [[] for _ in range(nv)]
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
+    return adj
+
+
+def _encode(adj: list[list[int]], root: int, parent: int) -> tuple[str, int]:
+    """(AHU code, automorphisms fixing the root) of the subtree at root that
+    leads away from parent.  A rooted subtree's automorphisms are its
+    children's times m! for every m children with equal codes."""
+    subs = [_encode(adj, w, root) for w in adj[root] if w != parent]
+    if not subs:
+        return "()", 1
+    subs.sort()
+    aut, run, prev = 1, 0, None
+    for code, sub_aut in subs:
+        run = run + 1 if code == prev else 1
+        aut *= sub_aut * run
+        prev = code
+    return "(" + "".join([code for code, _ in subs]) + ")", aut
+
+
+def _ahu(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
+    """(AHU canonical form rooted at the center, |Aut|) of a tree on 0..nv-1.
+
+    Rooted at one center, `_encode` counts the automorphisms fixing it; a
+    bicentral tree has one more (the swap of its centers) exactly when the
+    codes rooted at its two centers agree.
+    """
+    adj = _adjacency(nv, edges)
     if nv == 1:
         return ("()",), 1
     degree = [len(a) for a in adj]
@@ -160,20 +187,7 @@ def _ahu(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
                         nxt.append(w)
         layer = nxt
     centers = [i for i in range(nv) if degree[i] >= 1] or layer
-
-    def encode(root: int, parent: int) -> tuple[str, int]:
-        subs = [encode(w, root) for w in adj[root] if w != parent]
-        if not subs:
-            return "()", 1
-        subs.sort()
-        aut, run, prev = 1, 0, None
-        for code, sub_aut in subs:
-            run = run + 1 if code == prev else 1
-            aut *= sub_aut * run
-            prev = code
-        return "(" + "".join([code for code, _ in subs]) + ")", aut
-
-    rooted = [encode(c, -1) for c in centers]
+    rooted = [_encode(adj, c, -1) for c in centers]
     codes = tuple(sorted(code for code, _ in rooted))
     return codes, rooted[0][1] * (2 if len(set(codes)) < len(codes) else 1)
 
@@ -183,20 +197,22 @@ def tree_shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
     return _ahu(nv, edges)[0]
 
 
-def unlabeled_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
-    """(edges on 0..n-1, |Aut|) of one tree per unlabeled shape on n >= 1
-    vertices, in `tree_shape` order.  Each shape on n vertices is a shape on
-    n - 1 vertices with one leaf added, so the shapes grow leaf by leaf and
-    are deduplicated by `tree_shape`; a shape T has n!/|Aut(T)| labelings."""
-    trees: dict[tuple, tuple] = {tree_shape(1, ()): ()}
-    for nv in range(2, n + 1):
-        grown: dict[tuple, tuple] = {}
-        for edges in trees.values():
+def rooted_trees(d: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """(edges on 0..d-1, |Aut_root|) of one tree per rooted shape on d >= 1
+    vertices, rooted at 0, in AHU code order.  Each rooted shape on d
+    vertices is one on d - 1 vertices with a leaf added, so the shapes grow
+    leaf by leaf and are deduplicated by the root's AHU code; a shape S
+    stands for (d - 1)!/|Aut_root(S)| labeled trees on 0..d-1 rooted at 0."""
+    trees = {"()": ((), 1)}
+    for nv in range(2, d + 1):
+        grown: dict[str, tuple] = {}
+        for edges, _ in trees.values():
             for v in range(nv - 1):
                 tree = edges + ((v, nv - 1),)
-                grown.setdefault(tree_shape(nv, tree), tree)
+                code, aut = _encode(_adjacency(nv, tree), 0, -1)
+                grown.setdefault(code, (tree, aut))
         trees = grown
-    return [(trees[shape], _ahu(n, trees[shape])[1]) for shape in sorted(trees)]
+    return [trees[code] for code in sorted(trees)]
 
 
 # ------------------------------------------------------------- vine streams
@@ -294,29 +310,64 @@ def random_vine(ground: Iterable[str], rng: random.Random) -> vn.RegularVine:
     return vn.RegularVine(frozenset(labels), frozenset(found))
 
 
-def _completions(nv: int, edges: tuple, memo: dict[tuple, int]) -> int:
+# ------------------------------------------------------------ counting DP
+
+@functools.cache
+def _pendant_trees(d: int) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+    """(edges, (d - 1)!/|Aut_root|) of every `rooted_trees(d)` shape: the
+    choices of a pendant clique of d edges, each with the number of labeled
+    trees it stands for.  Immutable, so one table serves every call."""
+    return tuple((edges, math.factorial(d - 1) // aut) for edges, aut in rooted_trees(d))
+
+
+def _completions(nv: int, edges: Sequence[tuple[int, int]], memo: dict[tuple, int]) -> int:
     """Completions of a tree sequence whose current tree is the given one;
-    depends only on the unlabeled shape, which keys the memo."""
+    depends only on the unlabeled shape, which keys the memo.
+
+    The next tree is a spanning tree of the line graph, one clique per
+    vertex of degree d >= 2 (its d edges), so it picks one labeled tree per
+    clique, independently.  A clique is pendant when at most one of its
+    edges, the attachment, leads to another vertex of degree >= 2 (a star
+    has none, and any edge stands in): its other edges lie in no other
+    clique, so the next tree's shape depends only on the clique's tree
+    rooted at the attachment, and each rooted shape is weighted by the
+    labeled trees it stands for.  Any other clique takes all its trees.
+    """
     if nv <= 2:
         return 1
     shape = tree_shape(nv, edges)
     hit = memo.get(shape)
     if hit is not None:
         return hit
-    total = sum(_completions(nv - 1, tree, memo) for tree in _next_trees(edges))
+    at: list[list[int]] = [[] for _ in range(nv)]
+    for k, (u, v) in enumerate(edges):
+        at[u].append(k)
+        at[v].append(k)
+    choices = []
+    for v, clique in enumerate(at):
+        if len(clique) < 2:
+            continue
+        inner = [k for k in clique if len(at[sum(edges[k]) - v]) > 1]  # other end not a leaf
+        if len(inner) <= 1:
+            order = inner + [k for k in clique if k not in inner]  # the root first
+            choices.append([(tuple((order[i], order[j]) for i, j in tree), weight)
+                            for tree, weight in _pendant_trees(len(clique))])
+        else:
+            choices.append([(tuple((clique[i], clique[j]) for i, j in tree), 1)
+                            for tree in prufer_trees(len(clique))])
+    total = 0
+    for picked in itertools.product(*choices):
+        tree = tuple(e for part, _ in picked for e in part)
+        total += math.prod(weight for _, weight in picked) * _completions(nv - 1, tree, memo)
     memo[shape] = total
     return total
 
 
 def count_vines(n: int) -> int:
-    """|generate_vines(n)|: the sum over the unlabeled trees T on n vertices
-    of n!/|Aut(T)| labelings times the completions of a level-1 tree of
-    shape T, from a shape-memoized DP local to this call."""
-    if n <= 1:
-        return 1
-    memo: dict[tuple, int] = {}
-    return sum(math.factorial(n) // aut * _completions(n, edges, memo)
-               for edges, aut in unlabeled_trees(n))
+    """|generate_vines(n)|: the completions of the star with n edges, whose
+    line graph K_n has the labeled level-1 trees as its spanning trees, from
+    a shape-memoized DP local to this call."""
+    return _completions(n + 1, tuple((0, k) for k in range(1, n + 1)), {})
 
 
 # ------------------------------------------------------- counting formulas

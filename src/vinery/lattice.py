@@ -22,6 +22,7 @@ lattice restriction to the smaller co-atom.
 
 from __future__ import annotations
 
+import functools
 import string
 from dataclasses import dataclass
 from itertools import combinations
@@ -36,7 +37,7 @@ from .errors import StructureError, Violation, checked
 class BoundedLattice:
     elements: frozenset  # frozenset of frozensets, ordered by inclusion
 
-    @property
+    @functools.cached_property  # outside the fields: == and hash ignore it
     def ground(self) -> frozenset:
         return frozenset().union(*self.elements)
 
@@ -49,7 +50,7 @@ class BinaryMatrix:
     rows: tuple            # sorted row labels
     columns: frozenset     # frozenset of 0/1 tuples, one per column
 
-    @property
+    @functools.cached_property
     def ground(self) -> frozenset:
         return frozenset(self.rows)
 

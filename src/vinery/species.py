@@ -96,7 +96,8 @@ class Species:
 
 def _coatom_labels(ground: frozenset, family) -> list:
     """The labels missing from the co-atoms, the members one short of the ground set."""
-    return [a for s in family if len(s) == len(ground) - 1 for a in ground - s]
+    size = len(ground) - 1
+    return [a for s in family if len(s) == size for a in ground - s]
 
 
 GRAPH = Species("matgraph", "vertices", mg.require_valid,

@@ -11,7 +11,9 @@ enumerates every line graph's spanning trees afresh at every node and finds
 every node's labels by a scan, behind the successor memo, the shared
 accumulator and the mask table of `generate_vines`; and the undoubling by
 the vine split of the lattice's vine, behind the lattice restriction of
-`lattice.undouble`.  They are slow and used by the tests only.
+`lattice.undouble`; and the unrooted tree shapes and the counting DP that
+enumerates every line graph's spanning trees, behind the clique-weighted
+`generate._completions`.  They are slow and used by the tests only.
 """
 
 from __future__ import annotations
@@ -173,3 +175,34 @@ def undouble_by_vine_split(L: lt.BoundedLattice) -> tuple[lt.BoundedLattice, tup
     (a,) = v.ground - half.ground
     L1 = lt._vine_to_lattice(half)
     return L1, tuple(x for x in L1.sorted_elements() if x | {a} in L.elements)
+
+
+def unlabeled_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """(edges on 0..n-1, |Aut|) of one tree per unlabeled shape on n >= 1
+    vertices, in `tree_shape` order.  Each shape on n vertices is a shape on
+    n - 1 vertices with one leaf added, so the shapes grow leaf by leaf and
+    are deduplicated by `tree_shape`; a shape T has n!/|Aut(T)| labelings."""
+    trees: dict[tuple, tuple] = {gen.tree_shape(1, ()): ()}
+    for nv in range(2, n + 1):
+        grown: dict[tuple, tuple] = {}
+        for edges in trees.values():
+            for v in range(nv - 1):
+                tree = edges + ((v, nv - 1),)
+                grown.setdefault(gen.tree_shape(nv, tree), tree)
+        trees = grown
+    return [(trees[shape], gen._ahu(n, trees[shape])[1]) for shape in sorted(trees)]
+
+
+def completions_by_spanning_trees(nv: int, edges: tuple, memo: dict[tuple, int]) -> int:
+    """Completions of a tree sequence whose current tree is the given one,
+    summed over every spanning tree of its line graph, memoized by shape;
+    the oracle for `generate._completions`."""
+    if nv <= 2:
+        return 1
+    shape = gen.tree_shape(nv, edges)
+    hit = memo.get(shape)
+    if hit is not None:
+        return hit
+    total = sum(completions_by_spanning_trees(nv - 1, tree, memo) for tree in gen._next_trees(edges))
+    memo[shape] = total
+    return total

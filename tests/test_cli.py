@@ -267,12 +267,17 @@ def test_count_generate_dp_n8(capsys):
     assert capsys.readouterr().out == "n=8 labeled=660602880 (agrees with formula value 660602880)\n"
 
 
+def test_count_generate_dp_n10(capsys):
+    assert cli.main(["count", "--n", "10", "--mode", "generate"]) == 0
+    assert capsys.readouterr().out == "n=10 labeled=487049291366400 (agrees with formula value 487049291366400)\n"
+
+
 def test_count_generate_cap(capsys):
-    for n in ("10", "-1"):
+    for n in ("11", "-1"):
         assert cli.main(["count", "--n", n, "--mode", "generate"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "generate mode capped at 0 <= n <= 9\n"
+        assert captured.err == "generate mode capped at 0 <= n <= 10\n"
 
 
 def test_count_formula_cap(capsys):

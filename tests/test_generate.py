@@ -15,7 +15,8 @@ from vinery.errors import InternalInconsistencyError, StructureError
 
 from conftest import sample_vines
 from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce,
-                     generate_vines_by_scan, vine_mask_stream_by_recursion)
+                     completions_by_spanning_trees, generate_vines_by_scan, unlabeled_trees,
+                     vine_mask_stream_by_recursion)
 
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
@@ -123,7 +124,7 @@ SHAPES = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47}  # unlabeled 
 
 def test_unlabeled_trees_counts_and_weights():
     for n, want in SHAPES.items():
-        trees = gen.unlabeled_trees(n)
+        trees = unlabeled_trees(n)
         assert len(trees) == want
         assert len({gen.tree_shape(n, edges) for edges, _ in trees}) == want
         assert sum(math.factorial(n) // aut for _, aut in trees) == max(1, n ** (n - 2))
@@ -132,19 +133,59 @@ def test_unlabeled_trees_counts_and_weights():
 def test_shape_weight_is_its_pruefer_tree_count():
     for n in range(1, 7):
         by_shape = Counter(gen.tree_shape(n, t) for t in gen.prufer_trees(n))
-        weights = {gen.tree_shape(n, edges): math.factorial(n) // aut for edges, aut in gen.unlabeled_trees(n)}
+        weights = {gen.tree_shape(n, edges): math.factorial(n) // aut for edges, aut in unlabeled_trees(n)}
         assert weights == dict(by_shape)
 
 
 def test_tree_automorphisms_of_named_trees():
     def aut(n, edges):
-        (found,) = [a for e, a in gen.unlabeled_trees(n) if gen.tree_shape(n, e) == gen.tree_shape(n, edges)]
+        (found,) = [a for e, a in unlabeled_trees(n) if gen.tree_shape(n, e) == gen.tree_shape(n, edges)]
         return found
     assert aut(5, [(0, i) for i in range(1, 5)]) == 24                  # star: S_4 on the leaves
     assert aut(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]) == 2        # path, bicentral
     assert aut(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)]) == 6        # bicentral, unequal halves
     assert aut(6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]) == 8        # bicentral, swappable halves
     assert aut(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)]) == 8  # two equal cherries
+
+
+ROOTED_SHAPES = {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115, 9: 286}
+
+
+def test_rooted_trees_counts_and_weights():
+    for d, want in ROOTED_SHAPES.items():
+        trees = gen.rooted_trees(d)
+        assert len(trees) == want
+        assert len({gen._encode(gen._adjacency(d, edges), 0, -1)[0] for edges, _ in trees}) == want
+        assert sum(math.factorial(d - 1) // aut for _, aut in trees) == max(1, d ** (d - 2))
+
+
+def test_rooted_shape_weight_is_its_pruefer_tree_count():
+    """(d - 1)!/|Aut_root| is the number of labeled trees on 0..d-1 that,
+    rooted at 0, have that rooted shape."""
+    def code(d, edges):
+        return gen._encode(gen._adjacency(d, edges), 0, -1)[0]
+    for d in range(1, 7):
+        by_code = Counter(code(d, t) for t in gen.prufer_trees(d))
+        weights = {code(d, edges): math.factorial(d - 1) // aut for edges, aut in gen.rooted_trees(d)}
+        assert weights == dict(by_code)
+
+
+def test_completions_match_spanning_tree_dp():
+    """Every tree on up to 8 vertices, pendant cliques or not: the
+    clique-weighted DP equals the one over all line-graph spanning trees."""
+    memo: dict = {}
+    oracle_memo: dict = {}
+    non_pendant = 0
+    for nv in range(1, 9):
+        for edges, _ in unlabeled_trees(nv):
+            adj = gen._adjacency(nv, edges)
+            non_pendant += any(sum(len(adj[w]) > 1 for w in a) > 1 for a in adj)
+            assert gen._completions(nv, edges, memo) == completions_by_spanning_trees(nv, edges, oracle_memo)
+    assert non_pendant > 0
+
+
+def test_count_vines_nine_matches_formula():
+    assert gen.count_vines(9) == gen.labeled_count_formula(9)
 
 
 def test_shape_weighted_sum_matches_pruefer_loop():

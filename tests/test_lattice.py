@@ -37,6 +37,17 @@ def test_non_lattice_family():
     assert not lt.is_lattice(L)
 
 
+def test_cached_ground_leaves_equality_and_hash_alone(intro_vine):
+    L = lt.vine_to_lattice(intro_vine)
+    M = lt.lattice_to_matrix(L)
+    fresh_L, fresh_M = lt.BoundedLattice(L.elements), lt.BinaryMatrix(M.rows, M.columns)
+    before = (hash(L), hash(M), L == fresh_L, M == fresh_M, repr(L), repr(M))
+    assert L.ground == M.ground == intro_vine.ground
+    assert L.ground is L.ground and M.ground is M.ground
+    assert (hash(L), hash(M), L == fresh_L, M == fresh_M, repr(L), repr(M)) == before
+    assert before[:4] == (hash(fresh_L), hash(fresh_M), True, True)
+
+
 def test_covered_elements_and_join_irreducibles(intro_vine):
     L = lt.vine_to_lattice(intro_vine)
     assert covered_elements(L, frozenset("abcd")) == [frozenset("abc"), frozenset("bcd")]
