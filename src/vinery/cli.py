@@ -142,8 +142,8 @@ def cmd_count(args) -> int:
 
 def cmd_catalog(args) -> int:
     n = args.n
-    if not 1 <= n <= 6:
-        print("catalog supports 1 <= n <= 6", file=sys.stderr)
+    if not 1 <= n <= 7:
+        print("catalog supports 1 <= n <= 7", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
     entries = gen.catalog_entries(n)

@@ -29,7 +29,8 @@ lattice on n labels is an (n - 1)-lattice doubled along a maximal chain, so
 doubling each (n - 1)-class representative along each chain, in masks, and
 deduplicating by canonical form finds every class (a lattice's chains are
 its vine's plus the bottom); the orbits n!/|Aut| must add up to the
-labeled count.  Classifying the full generator stream
+labeled count.  Each doubling is checked by `vine._mask_violations` on the
+kernel's own sorted masks and covers.  Classifying the full generator stream
 (`classify(generate_vines(...))`) is the independent route the tests and
 `selftest` check it against.
 
@@ -273,12 +274,6 @@ def _label_sets(labels: Sequence[str]) -> list[frozenset]:
     return table
 
 
-def _masks_to_vine(table: list[frozenset], masks: Iterable[int]) -> vn.RegularVine:
-    """The vine with the given node masks, its sets looked up in a
-    `_label_sets` table, so all vines built from one table share them."""
-    return vn.RegularVine(table[-1], frozenset(map(table.__getitem__, masks)))
-
-
 def generate_vines(ground: Iterable[str]) -> Iterator[vn.RegularVine]:
     """Every labeled regular vine on the ground set, exactly once, in a
     deterministic order."""
@@ -286,8 +281,8 @@ def generate_vines(ground: Iterable[str]) -> Iterator[vn.RegularVine]:
     stream = _vine_mask_stream(len(labels))
     first = next(stream)  # the cap check, before the 2^n table is built
     table = _label_sets(labels)
-    for masks in itertools.chain((first,), stream):
-        yield _masks_to_vine(table, masks)
+    for masks in itertools.chain((first,), stream):  # all vines share the table's sets
+        yield vn.RegularVine(table[-1], frozenset(map(table.__getitem__, masks)))
 
 
 def random_vine(ground: Iterable[str], rng: random.Random) -> vn.RegularVine:
@@ -432,9 +427,15 @@ def _even(n: int) -> int:
     return sum(1 << 2 * q for q in range(n))
 
 
-def _canonical(n: int, masks: Sequence[int]) -> tuple[tuple, int]:
+def _sorted_covers(masks: Iterable[int]) -> tuple[list[int], list[int]]:
+    """A vine's node masks in (rank, mask) order and their covers: `_canonical`'s input."""
+    nodes = sorted(masks, key=lambda m: (m.bit_count(), m))
+    return nodes, vn._mask_covers(nodes)[1]
+
+
+def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, int]:
     """(sorted non-atom keys of the least chain-induced encoding, chains
-    attaining it) for the node masks of a valid vine on n labels.
+    attaining it) for the `_sorted_covers` masks and covers of a valid vine.
 
     Every relabeling permutes the maximal chains, so the least encoding is a
     complete isomorphism invariant and the chains attaining it are one orbit
@@ -449,8 +450,7 @@ def _canonical(n: int, masks: Sequence[int]) -> tuple[tuple, int]:
         shift = 2 * (n - 1 - p)
         weight.append(missing | 3 << shift)
         missing |= 2 << shift
-    nodes = sorted(masks, key=lambda m: (m.bit_count(), m))  # atom k is bit k
-    covers = [list(vn._bits(c)) for c in vn._mask_covers(nodes)[1]]
+    covers = [list(vn._bits(c)) for c in cover_bits]
     # per node: (cover, the bit the step down removes, the cover's rank)
     drops = {k: [(j, (nodes[k] ^ nodes[j]).bit_length() - 1, nodes[k].bit_count() - 1) for j in covers[k]]
              for k in range(n, len(nodes))}
@@ -487,15 +487,9 @@ def _form(n: int, keys: Iterable[int]) -> tuple:
     return tuple(sorted(nodes + [(p,) for p in range(n)]))
 
 
-def _vine_masks(v: vn.RegularVine) -> list[int]:
-    """The vine's node masks, bit i for the i-th smallest label."""
-    bit = {x: 1 << i for i, x in enumerate(sorted(v.ground))}
-    return [sum(bit[x] for x in s) for s in v.nodes]
-
-
 def canonical_form_and_aut(v: vn.RegularVine) -> tuple[tuple, int]:
     """(canonical_form(v), |Aut(v)|) of a valid vine, by one chain scan."""
-    keys, hits = _canonical(v.n, _vine_masks(v))
+    keys, hits = _canonical(v.n, *_sorted_covers(vn._masks(v.nodes)))
     return _form(v.n, keys), hits
 
 
@@ -531,7 +525,7 @@ def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
             n = v.n
         elif v.n != n:
             raise StructureError("enumerate.mixed", "classification requires a uniform ground size")
-        keys, aut = _canonical(n, _vine_masks(v))
+        keys, aut = _canonical(n, *_sorted_covers(vn._masks(v.nodes)))
         entry = groups.get(keys)
         if entry is None:
             groups[keys] = [1, aut]
@@ -568,19 +562,15 @@ def _doubled_classes(n: int) -> list[IsoClass]:
     if n <= 1:
         form = tuple((p,) for p in range(n))
         return [IsoClass(form, vine_from_form(form), 1, 1)]
-    labels = list(string.ascii_lowercase[:n])
-    bit = {x: 1 << i for i, x in enumerate(labels)}
-    table = _label_sets(labels)
     auts: dict[tuple, int] = {}
     for cls in _doubled_classes(n - 1):
         rep = cls.representative
-        masks = _vine_masks(rep)
+        masks = vn._masks(rep.nodes)
         for chain in vn._saturated_chains(rep.sorted_nodes()):
-            doubled = _doubled_masks(n - 1, masks, [sum(bit[x] for x in s) for s in chain])
-            report = vn.validate_vine(_masks_to_vine(table, doubled))
-            if report:
-                raise InternalInconsistencyError(f"doubling produced an invalid vine: {report[0].message}")
-            keys, aut = _canonical(n, doubled)
+            nodes, covers = _sorted_covers(_doubled_masks(n - 1, masks, vn._masks(chain)))  # a chain holds every label
+            if records := vn._mask_violations((1 << n) - 1, nodes, covers):
+                raise InternalInconsistencyError(f"doubling produced an invalid vine at n={n}: {records[0][0]}")
+            keys, aut = _canonical(n, nodes, covers)
             auts[keys] = aut
     total = math.factorial(n)
     covered, expected = sum(total // aut for aut in auts.values()), labeled_count_formula(n)

@@ -10,12 +10,14 @@ Which members of a set family lie under or cover which is decided in one
 place, `_mask_covers`, exactly for any family, valid or not; every cover
 and below-set in the package (vines, lattices, DOT, canonical forms) reads it;
 the split reads no covers, since the top covers the two rank-(n-1) nodes.
+The axioms are checked in one place too, `_mask_violations`, which
+`validate_vine` formats and `generate` runs on each doubling's masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import StructureError, Violation, _UnionFind, checked, raise_first
 
@@ -47,9 +49,9 @@ def vine(ground: Iterable[str], nodes: Iterable[Iterable[str]]) -> RegularVine:
     return RegularVine(g, ns)
 
 
-def _masks(family: Sequence[frozenset]) -> list[int]:
-    """One bitmask per member of a set family, one bit per label."""
-    bit = {x: 1 << i for i, x in enumerate({x for s in family for x in s})}
+def _masks(family: Collection[frozenset]) -> list[int]:
+    """One bitmask per member of a set family, bit i for the i-th smallest label."""
+    bit = {x: 1 << i for i, x in enumerate(sorted({x for s in family for x in s}))}
     return [sum(map(bit.__getitem__, s)) for s in family]
 
 
@@ -101,59 +103,67 @@ def _cover_table(v: RegularVine) -> dict[frozenset, list[frozenset]]:
     return table
 
 
-def validate_vine(v: RegularVine) -> list[Violation]:
-    """Check the five vine axioms; empty report means valid."""
-    report: list[Violation] = []
-    n = v.n
-    if n == 0:
-        if v.nodes:
-            report.append(Violation("vine.grading", sorted(map(sorted, v.nodes)), "empty ground set admits only the empty vine"))
-        return report
-    missing = sorted(a for a in v.ground if frozenset([a]) not in v.nodes)
-    if missing:
-        report.append(Violation("vine.atoms", missing, f"missing singleton nodes {missing}"))
-    levels: dict[int, list[frozenset]] = {}
-    for s in v.sorted_nodes():
-        levels.setdefault(len(s), []).append(s)
-    for i in range(1, n + 1):
-        level = levels.get(i, [])
-        if len(level) != n + 1 - i:
-            report.append(Violation("vine.grading", [sorted(s) for s in level],
-                                    f"rank {i} has {len(level)} nodes, expected {n + 1 - i}"))
-    extra = [s for s in v.nodes if len(s) > n]
-    if extra or len(v.nodes) != n * (n + 1) // 2:
-        report.append(Violation("vine.grading", len(v.nodes),
-                                f"{len(v.nodes)} nodes in total, expected {n * (n + 1) // 2}"))
-    if report:
-        return report  # cover/tree checks assume the counts are right
-
-    covers = _cover_table(v)
-    for s, cov in covers.items():
-        if len(cov) != 2 or any(len(t) != len(s) - 1 for t in cov):
-            report.append(Violation("vine.two-covers", (sorted(s), [sorted(t) for t in cov]),
-                                    f"node {sorted(s)} covers {len(cov)} nodes of ranks "
-                                    f"{[len(t) for t in cov]}, expected two of rank {len(s) - 1}"))
-    if report:
-        return report
-
-    # each level graph (vertices V(i), edges V(i+1)) must be a tree; with the
-    # counts already verified, acyclicity is equivalent to connectedness
-    for i in range(1, n):
-        uf = _UnionFind(levels[i])
-        for s in levels[i + 1]:
-            t1, t2 = covers[s]
-            if not uf.union(t1, t2):
-                report.append(Violation("vine.tree", (i, sorted(s)),
-                                        f"rank-{i + 1} node {sorted(s)} closes a cycle in the level-{i} graph"))
-
+def _mask_violations(ground: int, masks: Sequence[int], covers: Sequence[int]) -> list[tuple]:
+    """Records of the vine axioms, in report order, for distinct node masks
+    in a linear extension of inclusion, their `_mask_covers` covers and the
+    ground's mask: (axiom, ...) with node indices; empty means valid."""
+    n = ground.bit_count()
+    missing = ground & ~sum(m for m in masks if m.bit_count() == 1)
+    records: list[tuple] = [("vine.atoms", missing)] if missing else []
+    levels: list[list[int]] = [[] for _ in range(n + 2)]
+    for k, m in enumerate(masks):
+        levels[min(m.bit_count(), n + 1)].append(k)
+    records += [("vine.grading", i, levels[i]) for i in range(1, n + 1) if len(levels[i]) != n + 1 - i]
+    if levels[n + 1] or len(masks) != n * (n + 1) // 2:
+        records.append(("vine.grading", None))
+    if records:
+        return records  # cover/tree checks assume the counts are right
+    records = [("vine.two-covers", k) for i in range(2, n + 1) for k in levels[i]
+               if covers[k].bit_count() != 2 or any(masks[j].bit_count() != i - 1 for j in _bits(covers[k]))]
+    if records:
+        return records
+    # each level graph (vertices rank i, edges rank i + 1) must be a tree;
+    # with the counts already verified, acyclicity is equivalent to connectedness
+    uf = _UnionFind(range(len(masks)))
+    records = [("vine.tree", i - 1, k) for i in range(2, n + 1) for k in levels[i] if not uf.union(*_bits(covers[k]))]
     # proximity: nodes covered by a common node cover a common node
-    for s, (t1, t2) in covers.items():
-        if len(s) >= 3:
-            c1 = set(covers[t1])
-            c2 = set(covers[t2])
-            if not c1 & c2:
-                report.append(Violation("vine.proximity", (sorted(s), sorted(t1), sorted(t2)),
-                                        f"{sorted(t1)} and {sorted(t2)} under {sorted(s)} cover no common node"))
+    return records + [("vine.proximity", k, t1, t2) for i in range(3, n + 1) for k in levels[i]
+                      for t1, t2 in [_bits(covers[k])] if not covers[t1] & covers[t2]]
+
+
+def validate_vine(v: RegularVine) -> list[Violation]:
+    """Check the five vine axioms, by `_mask_violations`; empty report means valid."""
+    n = v.n
+    if n == 0 and v.nodes:
+        return [Violation("vine.grading", sorted(map(sorted, v.nodes)), "empty ground set admits only the empty vine")]
+    labels = sorted(v.ground.union(*v.nodes))  # a node may hold labels outside the ground set
+    bit = {x: 1 << i for i, x in enumerate(reversed(labels))}
+    node = {sum(map(bit.__getitem__, s)): s for s in v.nodes}
+    masks = sorted(node, key=lambda m: (m.bit_count(), -m))  # `sorted_nodes` order, by the reversed bits
+    _, covers = _mask_covers(masks)
+    records = _mask_violations(sum(map(bit.__getitem__, v.ground)), masks, covers)
+    named = [sorted(node[m]) for m in masks] if records else []
+    report = []
+    for axiom, *at in records:
+        if axiom == "vine.atoms":
+            witness = sorted(labels[-1 - b] for b in _bits(at[0]))
+            message = f"missing singleton nodes {witness}"
+        elif at == [None]:
+            witness, message = len(v.nodes), f"{len(v.nodes)} nodes in total, expected {n * (n + 1) // 2}"
+        elif axiom == "vine.grading":
+            witness = [named[k] for k in at[1]]
+            message = f"rank {at[0]} has {len(witness)} nodes, expected {n + 1 - at[0]}"
+        elif axiom == "vine.two-covers":
+            witness = s, cov = named[at[0]], sorted(named[j] for j in _bits(covers[at[0]]))
+            message = (f"node {s} covers {len(cov)} nodes of ranks {[len(t) for t in cov]}, "
+                       f"expected two of rank {len(s) - 1}")
+        elif axiom == "vine.tree":
+            witness = (at[0], named[at[1]])
+            message = f"rank-{at[0] + 1} node {named[at[1]]} closes a cycle in the level-{at[0]} graph"
+        else:
+            witness = s, t1, t2 = tuple(named[k] for k in at)
+            message = f"{t1} and {t2} under {s} cover no common node"
+        report.append(Violation(axiom, witness, message))
     return report
 
 

@@ -13,7 +13,9 @@ accumulator and the mask table of `generate_vines`; and the undoubling by
 the vine split of the lattice's vine, behind the lattice restriction of
 `lattice.undouble`; and the unrooted tree shapes and the counting DP that
 enumerates every line graph's spanning trees, behind the clique-weighted
-`generate._completions`.  They are slow and used by the tests only.
+`generate._completions`; and the vine axioms checked on frozenset nodes,
+behind the mask check of `vine.validate_vine`.  They are slow and used by
+the tests only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from vinery import domain as dm
 from vinery import generate as gen
 from vinery import lattice as lt
 from vinery import vine as vn
-from vinery.errors import StructureError
+from vinery.errors import StructureError, Violation, _UnionFind
 
 
 def canonical_form_bruteforce(v: vn.RegularVine) -> tuple:
@@ -57,6 +59,63 @@ def covered_by(v: vn.RegularVine, s: frozenset) -> list[frozenset]:
     """Nodes covered by s in the induced subset order."""
     below = [t for t in v.nodes if t < s]
     return sorted((t for t in below if not any(t < u < s for u in below)), key=sorted)
+
+
+def validate_vine_by_sets(v: vn.RegularVine) -> list[Violation]:
+    """The five vine axioms checked on the frozenset nodes, levels and
+    `_cover_table`; the oracle for `vine.validate_vine`'s mask check."""
+    report: list[Violation] = []
+    n = v.n
+    if n == 0:
+        if v.nodes:
+            report.append(Violation("vine.grading", sorted(map(sorted, v.nodes)), "empty ground set admits only the empty vine"))
+        return report
+    missing = sorted(a for a in v.ground if frozenset([a]) not in v.nodes)
+    if missing:
+        report.append(Violation("vine.atoms", missing, f"missing singleton nodes {missing}"))
+    levels: dict[int, list[frozenset]] = {}
+    for s in v.sorted_nodes():
+        levels.setdefault(len(s), []).append(s)
+    for i in range(1, n + 1):
+        level = levels.get(i, [])
+        if len(level) != n + 1 - i:
+            report.append(Violation("vine.grading", [sorted(s) for s in level],
+                                    f"rank {i} has {len(level)} nodes, expected {n + 1 - i}"))
+    extra = [s for s in v.nodes if len(s) > n]
+    if extra or len(v.nodes) != n * (n + 1) // 2:
+        report.append(Violation("vine.grading", len(v.nodes),
+                                f"{len(v.nodes)} nodes in total, expected {n * (n + 1) // 2}"))
+    if report:
+        return report  # cover/tree checks assume the counts are right
+
+    covers = vn._cover_table(v)
+    for s, cov in covers.items():
+        if len(cov) != 2 or any(len(t) != len(s) - 1 for t in cov):
+            report.append(Violation("vine.two-covers", (sorted(s), [sorted(t) for t in cov]),
+                                    f"node {sorted(s)} covers {len(cov)} nodes of ranks "
+                                    f"{[len(t) for t in cov]}, expected two of rank {len(s) - 1}"))
+    if report:
+        return report
+
+    # each level graph (vertices V(i), edges V(i+1)) must be a tree; with the
+    # counts already verified, acyclicity is equivalent to connectedness
+    for i in range(1, n):
+        uf = _UnionFind(levels[i])
+        for s in levels[i + 1]:
+            t1, t2 = covers[s]
+            if not uf.union(t1, t2):
+                report.append(Violation("vine.tree", (i, sorted(s)),
+                                        f"rank-{i + 1} node {sorted(s)} closes a cycle in the level-{i} graph"))
+
+    # proximity: nodes covered by a common node cover a common node
+    for s, (t1, t2) in covers.items():
+        if len(s) >= 3:
+            c1 = set(covers[t1])
+            c2 = set(covers[t2])
+            if not c1 & c2:
+                report.append(Violation("vine.proximity", (sorted(s), sorted(t1), sorted(t2)),
+                                        f"{sorted(t1)} and {sorted(t2)} under {sorted(s)} cover no common node"))
+    return report
 
 
 def covered_elements(L: lt.BoundedLattice, s: frozenset) -> list[frozenset]:

@@ -299,7 +299,18 @@ def test_catalog_writes_deterministic_files(tmp_path, capsys):
 
 
 def test_catalog_range(capsys, tmp_path):
-    assert cli.main(["catalog", "--n", "7", "--out", str(tmp_path)]) == 1
+    assert cli.main(["catalog", "--n", "8", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "catalog supports 1 <= n <= 7\n"
+
+
+def test_catalog_at_its_cap(tmp_path, capsys, reps7):
+    """catalog --n 7: one line per class, in the order of
+    `class_representatives(7)`, with orbits adding up to the labeled count."""
+    assert cli.main(["catalog", "--n", "7", "--out", str(tmp_path)]) == 0
+    entries = [json.loads(line) for line in (tmp_path / "catalog_n7.jsonl").read_text().splitlines()]
+    assert len(entries) == 560
+    assert sum(e["orbit_size"] for e in entries) == gen.labeled_count_formula(7)
+    assert [e["vine_nodes"] for e in entries] == [[sorted(s) for s in v.sorted_nodes()] for v in reps7]
 
 
 # ------------------------------------------------------- errors, selftest

@@ -329,10 +329,10 @@ def test_mask_doubling_matches_lattice_doubling():
     labels = "abcde"
     for rep in gen.class_representatives(5):
         L = lt.vine_to_lattice(rep)
-        masks = gen._vine_masks(rep)
+        masks = vn._masks(rep.nodes)
         for chain in lt.maximal_chains_of_lattice(L):
             as_masks = [sum(1 << labels.index(x) for x in s) for s in chain[1:]]
-            keys, _ = gen._canonical(6, gen._doubled_masks(5, masks, as_masks))
+            keys, _ = gen._canonical(6, *gen._sorted_covers(gen._doubled_masks(5, masks, as_masks)))
             assert gen._form(6, keys) == gen.canonical_form(lt.lattice_to_vine(lt.doubling(L, chain)))
 
 
@@ -365,6 +365,43 @@ def test_doubling_completeness_check(monkeypatch):
                         lambda family: chains(family)[:1] if len(family[-1]) == 5 else chains(family))
     with pytest.raises(InternalInconsistencyError, match=r"of the 23040 labeled vines at n=6"):
         gen.class_representatives(6)
+
+
+def _off_chain_atom(family, chain):
+    """The chain with its atom swapped for one outside its rank-2 node."""
+    return (next(a for a in family if not a <= chain[1]),) + chain[1:]
+
+
+def _off_chain_rank3(family, chain):
+    """The chain with its rank-3 node swapped for one of the family's not
+    holding the chain's rank-2 node, if there is one."""
+    return chain[:2] + (next((s for s in family if len(s) == 3 and not chain[1] <= s), chain[2]),) + chain[3:]
+
+
+@pytest.mark.parametrize("perturb", [_off_chain_atom, _off_chain_rank3], ids=["atom", "rank-3"])
+def test_doubling_check_rejects_an_unsaturated_chain(monkeypatch, perturb):
+    """Doubling the n = 5 classes along chains with two incomparable
+    consecutive nodes fails the mask check of the doubled vine, naming the
+    axiom and n."""
+    chains = vn._saturated_chains
+    monkeypatch.setattr(vn, "_saturated_chains", lambda family: [perturb(family, c) for c in chains(family)]
+                        if len(family[-1]) == 5 else chains(family))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^doubling produced an invalid vine at n=6: vine\.(two-covers|proximity)$"):
+        gen.class_representatives(6)
+
+
+def test_doubling_shares_one_cover_table_per_doubled_vine(monkeypatch):
+    """One `_mask_covers` call per doubled vine, read by the axiom check and
+    by the kernel, plus one per representative for its chains."""
+    calls = []
+    mask_covers = vn._mask_covers
+    monkeypatch.setattr(vn, "_mask_covers", lambda masks: calls.append(masks) or mask_covers(masks))
+    gen._doubled_classes(6)
+    reps = [gen.unlabeled_count_formula(m) for m in range(1, 6)]  # 1, 1, 1, 2, 6
+    doubled = sum(r * 2 ** (m - 1) for m, r in enumerate(reps, 1))  # 2^(m-1) chains per class on m labels
+    assert doubled == 119
+    assert len(calls) == sum(reps) + doubled
 
 
 def test_doubling_class_count_check(monkeypatch):

@@ -11,7 +11,7 @@ from vinery import vine as vn
 from vinery.errors import StructureError
 
 from conftest import random_relabeling, split_with_shared
-from oracles import covered_by
+from oracles import covered_by, validate_vine_by_sets
 
 
 def nodes_of(*words):
@@ -110,15 +110,23 @@ def _mutations(rng, v):
     return [vn.RegularVine(v.ground, nodes) for nodes in out]
 
 
-def test_mask_covers_report_like_covered_by(monkeypatch, seed):
-    """validate_vine's mask cover table equals the plain covered_by table,
-    so it gives the same reports, on valid and mutated vines."""
+def _sampled_cases(seed):
+    """Seeded vines n = 4..8 and their `_mutations`."""
     rng = random.Random(seed)
     cases = []
     for n in range(4, 9):
         for _ in range(12):
             v = gen.random_vine(string.ascii_lowercase[:n], rng)
             cases += [v] + _mutations(rng, v)
+    return cases
+
+
+def test_mask_covers_report_like_covered_by(monkeypatch, seed):
+    """The mask cover table equals the plain covered_by table, and the set
+    oracle reading the plain table gives validate_vine's reports, on valid
+    and mutated vines."""
+    cases = _sampled_cases(seed)
+
     def plain(v):
         return {s: covered_by(v, s) for s in v.sorted_nodes() if len(s) > 1}
 
@@ -127,9 +135,57 @@ def test_mask_covers_report_like_covered_by(monkeypatch, seed):
         assert list(vn._cover_table(v).items()) == list(plain(v).items())
     fast = [vn.validate_vine(v) for v in cases]
     monkeypatch.setattr(vn, "_cover_table", plain)
-    assert fast == [vn.validate_vine(v) for v in cases]
+    assert fast == [validate_vine_by_sets(v) for v in cases]
     assert {x.axiom for report in fast for x in report} >= {"vine.grading", "vine.two-covers"}
     assert [] in fast
+
+
+def _odd_families():
+    """Families no factory builds: nodes with labels outside the ground set
+    (first in `sorted` order or not), an empty node, an oversized node, and
+    nodes over an empty ground set."""
+    ab, abc = frozenset("ab"), frozenset("abc")
+    return [vn.RegularVine(ab, nodes_of("a", "b", "ax")), vn.RegularVine(ab, nodes_of("a", "b", "xy")),
+            vn.RegularVine(frozenset("bc"), nodes_of("b", "c", "ab")),
+            vn.RegularVine(abc, nodes_of("a", "b", "c", "ab", "xy", "abc")),
+            vn.RegularVine(abc, nodes_of("a", "b", "c", "ab", "bc", "abcd")),
+            vn.RegularVine(frozenset("a"), nodes_of("", "a")), vn.RegularVine(frozenset(), nodes_of("x"))]
+
+
+def test_validate_vine_matches_set_oracle(vines_by_n, seed):
+    """The same Violations in the same order, witnesses and messages
+    included, as the axioms checked on frozensets: on every labeled vine
+    n <= 5, on seeded vines n = 4..8 and their mutations, and on families
+    no factory builds."""
+    cases = [v for n in range(6) for v in vines_by_n[n]] + _sampled_cases(seed) + _odd_families()
+    reports = [vn.validate_vine(v) for v in cases]
+    assert reports == [validate_vine_by_sets(v) for v in cases]
+    assert {x.axiom for report in reports for x in report} == {"vine.atoms", "vine.grading", "vine.two-covers"}
+
+
+def test_validate_vine_matches_set_oracle_on_forced_covers(monkeypatch, seed):
+    """No family with the right counts and two covers fails a later check at
+    n <= 5, and none of the sampled ones does, so forced covers reach the
+    tree and proximity reports: the last node of each rank >= 3 is made to
+    cover the first two of the rank below, in both validators."""
+    mask_covers = vn._mask_covers
+
+    def forced(masks):
+        below, covers = mask_covers(masks)
+        ranks: dict[int, list[int]] = {}
+        for k, m in enumerate(masks):
+            ranks.setdefault(m.bit_count(), []).append(k)
+        for r, ks in ranks.items():
+            if r >= 3:
+                a, b = ranks[r - 1][:2]
+                covers[ks[-1]] = 1 << a | 1 << b
+        return below, covers
+
+    monkeypatch.setattr(vn, "_mask_covers", forced)
+    cases = [gen.random_vine(string.ascii_lowercase[:n], random.Random(seed + n)) for n in range(5, 9)]
+    reports = [vn.validate_vine(v) for v in cases]
+    assert reports == [validate_vine_by_sets(v) for v in cases]
+    assert {x.axiom for report in reports for x in report} == {"vine.tree", "vine.proximity"}
 
 
 def _assert_covers_match_oracle(v):
