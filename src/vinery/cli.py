@@ -49,9 +49,11 @@ def cmd_verify(args) -> int:
         kind = io.kind_of(obj)
         targets = [k for k in io.KINDS if k != kind]
         for to_kind in targets:
-            # the public back leg checks every intermediate before converting it back
             converted = routes._convert_structure(obj, to_kind, "direct")
-            back = routes.convert_structure(converted, kind, "direct")
+            # the cores into graphs and vines check what they build; every
+            # other intermediate is checked by the public back leg
+            back_leg = routes._convert_structure if to_kind in ("matgraph", "vine") else routes.convert_structure
+            back = back_leg(converted, kind, "direct")
             if io.dumps(back) != io.dumps(obj):
                 print(f"INVALID roundtrip.{to_kind}: conversion does not round-trip")
                 return 1
@@ -80,13 +82,13 @@ def cmd_analyze(args) -> int:
         return 1
     # v is valid: the input passed its validator and the maps check their outputs
     v = routes._convert_structure(obj, "vine", "direct")
-    d = routes._convert_structure(v, "domain", "direct")
-    axis = dm.is_bspd(d)
+    # the domain's bottoms and Black axis are read off the vine
+    axis = vn._bspd_axis(v)
     info = {
         "kind": io.kind_of(obj),
         "n": v.n,
         "richness_bounds_note": None if v.n >= 3 else "richness bounds apply for n >= 3 only",
-        "bottom_alternatives": sorted(dm.bottom_alternatives(d)),
+        "bottom_alternatives": vn._bottom_alternatives(v),
         "is_bspd": axis is not None,
         "bspd_axis": list(axis) if axis is not None else None,
         "aut_order": lt._automorphism_group_order(v),

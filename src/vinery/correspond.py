@@ -59,15 +59,18 @@ def _vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
     """One preference per maximal chain: rank the elements in chain order."""
     if v.n == 0:
         return dm.PreferenceDomain(v.ground, frozenset({()}))
+    _, bit, _, masks, covers = v._view
+    label = {b: x for x, b in bit.items()}
     prefs = set()
-    for chain in vn._saturated_chains(v.sorted_nodes()):
-        w = []
-        seen: frozenset = frozenset()
-        for node in chain:
-            (x,) = node - seen
-            w.append(x)
-            seen = node
-        prefs.add(tuple(w))
+
+    def descend(k: int, later: tuple):
+        """The chains down from node k, which the labels in `later` follow."""
+        if not covers[k]:
+            prefs.add((label[masks[k]],) + later)
+        for j in vn._bits(covers[k]):
+            descend(j, (label[masks[k] ^ masks[j]],) + later)
+
+    descend(len(masks) - 1, ())
     return dm.PreferenceDomain(v.ground, frozenset(prefs))
 
 

@@ -16,10 +16,11 @@ of the 2^n label sets indexed by mask that is built once per call, so its
 vines share their node sets and those sets' cached hashes.
 
 Canonical forms come from one mask kernel.  It reads every node's covers
-off `vine._mask_covers`, walks the 2^(n-1) maximal chains without storing
-them, relabels the nodes by each chain's first-appearance order (one OR per
-node), and keeps the least sorted list of integer node keys together with
-the number of chains attaining it, which is |Aut|.  Only the winning list is
+off `vine._mask_covers` (a vine object's off its cached index view), walks
+the 2^(n-1) maximal chains without storing them, relabels the nodes by each
+chain's first-appearance order (one OR per node), and keeps the least sorted
+list of integer node keys together with the number of chains attaining it,
+which is |Aut|.  Only the winning list is
 turned back into the tuple form.  Vines enter the kernel as masks once, at
 the boundary.
 
@@ -412,10 +413,10 @@ def recursive_pq_counts(n: int) -> tuple[int, int]:
 
 # ------------------------------------------------- canonical forms, classes
 #
-# The kernel works on a vine given as integer node masks, bit i standing for
-# the i-th smallest label.  A maximal chain orders the ground set by first
-# appearance: position 0 for its atom, position r - 1 for the one bit its
-# rank-r node adds.  In the key of a node every position p is a two-bit
+# The kernel works on a vine given as integer node masks by rank, one bit per
+# label, so its atoms come first.  A maximal chain orders the ground set by
+# first appearance: position 0 for its atom, position r - 1 for the one bit
+# its rank-r node adds.  In the key of a node every position p is a two-bit
 # digit, most significant first: 01 past the node's largest position, 10 for
 # a position in the node, 11 for one missing below the largest.  Integer
 # order on keys is then the lexicographic order of the nodes' sorted
@@ -435,7 +436,8 @@ def _sorted_covers(masks: Iterable[int]) -> tuple[list[int], list[int]]:
 
 def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, int]:
     """(sorted non-atom keys of the least chain-induced encoding, chains
-    attaining it) for the `_sorted_covers` masks and covers of a valid vine.
+    attaining it) for the node masks of a valid vine, by rank, and their
+    covers: those of `_sorted_covers` or of the vine's index view.
 
     Every relabeling permutes the maximal chains, so the least encoding is a
     complete isomorphism invariant and the chains attaining it are one orbit
@@ -451,16 +453,17 @@ def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple
         weight.append(missing | 3 << shift)
         missing |= 2 << shift
     covers = [list(vn._bits(c)) for c in cover_bits]
-    # per node: (cover, the bit the step down removes, the cover's rank)
-    drops = {k: [(j, (nodes[k] ^ nodes[j]).bit_length() - 1, nodes[k].bit_count() - 1) for j in covers[k]]
+    atom = {nodes[i]: i for i in range(n)}
+    # per node: (cover, the atom the step down removes, the cover's rank)
+    drops = {k: [(j, atom[nodes[k] ^ nodes[j]], nodes[k].bit_count() - 1) for j in covers[k]]
              for k in range(n, len(nodes))}
 
     atom_digits = [0] * n
     best, hits = None, 0
     stack = drops[len(nodes) - 1].copy()
     while stack:
-        k, bit, rank = stack.pop()
-        atom_digits[bit] = weight[rank]
+        k, a, rank = stack.pop()
+        atom_digits[a] = weight[rank]
         if rank > 1:
             stack.extend(drops[k])
             continue
@@ -489,7 +492,7 @@ def _form(n: int, keys: Iterable[int]) -> tuple:
 
 def canonical_form_and_aut(v: vn.RegularVine) -> tuple[tuple, int]:
     """(canonical_form(v), |Aut(v)|) of a valid vine, by one chain scan."""
-    keys, hits = _canonical(v.n, *_sorted_covers(vn._masks(v.nodes)))
+    keys, hits = _canonical(v.n, v._view.masks, v._view.covers)
     return _form(v.n, keys), hits
 
 

@@ -4,7 +4,8 @@ Every file holds one structure in a self-describing JSON envelope whose
 "kind" field is one of matgraph, vine, domain, lattice, matrix.  All emitted
 documents are canonically sorted so identical structures serialize to
 identical bytes.  A DOT rendering of a vine or lattice draws one edge per
-cover, read off `vine._mask_covers`.
+cover, read off the vine's cached index view or, for a lattice,
+`vine._mask_covers`.
 """
 
 from __future__ import annotations
@@ -162,12 +163,15 @@ def to_dot(obj: Structure) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if kind in ("vine", "lattice"):
-        nodes = obj.sorted_nodes() if kind == "vine" else obj.sorted_elements()
+        if kind == "vine":
+            _, _, nodes, _, covers = obj._view
+        else:
+            nodes = obj.sorted_elements()
+            _, covers = vn._mask_covers(vn._masks(nodes))
         name = {s: "{" + ",".join(sorted(s)) + "}" for s in nodes}
         lines = [f"digraph {kind} {{", "  rankdir=BT;"]
         for s in nodes:
             lines.append(f'  "{name[s]}";')
-        _, covers = vn._mask_covers(vn._masks(nodes))
         for s, cov in zip(nodes, covers):
             lines.extend(f'  "{name[nodes[j]]}" -> "{name[s]}";' for j in vn._bits(cov))
         lines.append("}")

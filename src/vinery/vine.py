@@ -12,12 +12,22 @@ and below-set in the package (vines, lattices, DOT, canonical forms) reads it;
 the split reads no covers, since the top covers the two rank-(n-1) nodes.
 The axioms are checked in one place too, `_mask_violations`, which
 `validate_vine` formats and `generate` runs on each doubling's masks.
+
+Each vine object computes its covers once: `RegularVine._view`, cached on
+first use, holds its labels, their bits, the nodes in `sorted_nodes` order,
+their masks and their covers, for any family, valid or not.  The validator,
+the cover table, the level degrees, the chain counts and walks, the map to
+the domain, the DOT covers and the canonical form all read it.  So do the
+domain facts that `analyze` reads off the vine: the bottom alternatives are
+the labels missing from the two co-atoms, and the domain is Black
+single-peaked iff the vine is a D-vine, on the axis of its level-1 path.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import StructureError, Violation, _UnionFind, checked, raise_first
 
@@ -36,6 +46,28 @@ class RegularVine:
 
     def sorted_nodes(self) -> list[frozenset]:
         return sorted(self.nodes, key=lambda s: (len(s), sorted(s)))
+
+    @functools.cached_property  # outside the fields: ==, hash and repr ignore it
+    def _view(self) -> _View:
+        return _index_view(self)
+
+
+class _View(NamedTuple):
+    """A vine's index view: `bit` gives the i-th largest label bit i, so the
+    masks sorted by (rank, -mask) list the nodes in `sorted_nodes` order."""
+    labels: list          # sorted labels of the ground set and of the nodes
+    bit: dict             # label -> its one-bit mask
+    nodes: list           # frozensets, in `sorted_nodes` order
+    masks: list           # their masks, a linear extension of inclusion
+    covers: list          # their `_mask_covers` covers, as index bitsets
+
+
+def _index_view(v: RegularVine) -> _View:
+    labels = sorted(v.ground.union(*v.nodes))  # a node may hold labels outside the ground set
+    bit = {x: 1 << i for i, x in enumerate(reversed(labels))}
+    node = {sum(map(bit.__getitem__, s)): s for s in v.nodes}
+    masks = sorted(node, key=lambda m: (m.bit_count(), -m))
+    return _View(labels, bit, [node[m] for m in masks], masks, _mask_covers(masks)[1])
 
 
 def vine(ground: Iterable[str], nodes: Iterable[Iterable[str]]) -> RegularVine:
@@ -93,10 +125,9 @@ def _mask_covers(masks: Sequence[int]) -> tuple[list[int], list[int]]:
 def _cover_table(v: RegularVine) -> dict[frozenset, list[frozenset]]:
     """The nodes each non-atom node covers, in `sorted_nodes` order; each
     list is ordered by `sorted`, the order of the two-covers reports."""
-    nodes = v.sorted_nodes()
-    _, covers = _mask_covers(_masks(nodes))
+    nodes = v._view.nodes
     table: dict[frozenset, list[frozenset]] = {}
-    for s, cov in zip(nodes, covers):
+    for s, cov in zip(nodes, v._view.covers):
         if len(s) > 1:
             below = [nodes[j] for j in _bits(cov)]  # by rank, then by sorted
             table[s] = sorted(below, key=sorted) if below and len(below[0]) != len(below[-1]) else below
@@ -136,13 +167,9 @@ def validate_vine(v: RegularVine) -> list[Violation]:
     n = v.n
     if n == 0 and v.nodes:
         return [Violation("vine.grading", sorted(map(sorted, v.nodes)), "empty ground set admits only the empty vine")]
-    labels = sorted(v.ground.union(*v.nodes))  # a node may hold labels outside the ground set
-    bit = {x: 1 << i for i, x in enumerate(reversed(labels))}
-    node = {sum(map(bit.__getitem__, s)): s for s in v.nodes}
-    masks = sorted(node, key=lambda m: (m.bit_count(), -m))  # `sorted_nodes` order, by the reversed bits
-    _, covers = _mask_covers(masks)
+    labels, bit, nodes, masks, covers = v._view
     records = _mask_violations(sum(map(bit.__getitem__, v.ground)), masks, covers)
-    named = [sorted(node[m]) for m in masks] if records else []
+    named = [sorted(s) for s in nodes] if records else []
     report = []
     for axiom, *at in records:
         if axiom == "vine.atoms":
@@ -196,37 +223,80 @@ def _glue_vines(v1: RegularVine, v2: RegularVine, a1: str, a2: str) -> RegularVi
 
 def _is_d_vine(v: RegularVine) -> bool:
     """True iff every associated tree is a path."""
-    return all(d <= 2 for level in _level_degrees(v) for d in level)
+    return _all_paths(_level_degrees(v))
 
 
 def _is_c_vine(v: RegularVine) -> bool:
     """True iff every associated tree is a star."""
-    return not any(len(level) >= 3 and sum(1 for d in level if d > 1) > 1 for level in _level_degrees(v))
+    return _all_stars(_level_degrees(v))
+
+
+def _all_paths(levels: list[list[int]]) -> bool:
+    return all(d <= 2 for level in levels for d in level)
+
+
+def _all_stars(levels: list[list[int]]) -> bool:
+    return not any(len(level) >= 3 and sum(1 for d in level if d > 1) > 1 for level in levels)
 
 
 def _level_degrees(v: RegularVine) -> list[list[int]]:
     """Vertex degrees of the associated trees 1..n-1: the nodes covering each node."""
-    degree = dict.fromkeys(v.nodes, 0)
-    for cov in _cover_table(v).values():
-        for t in cov:
-            degree[t] += 1
-    return [[d for s, d in degree.items() if len(s) == i] for i in range(1, v.n)]
+    _, _, _, masks, covers = v._view
+    degree = [0] * len(masks)
+    for cov in covers:
+        for j in _bits(cov):
+            degree[j] += 1
+    levels: list[list[int]] = [[] for _ in range(v.n + 1)]
+    for m, d in zip(masks, degree):
+        levels[m.bit_count()].append(d)
+    return levels[1:v.n]
+
+
+def _bottom_alternatives(v: RegularVine) -> list[str]:
+    """The bottom alternatives of the vine's domain, sorted: the labels
+    missing from the two co-atoms, the pair the split removes."""
+    if v.n <= 1:
+        return sorted(v.ground)
+    _, _, nodes, _, covers = v._view
+    return sorted(x for j in _bits(covers[-1]) for x in v.ground - nodes[j])
+
+
+def _bspd_axis(v: RegularVine) -> Optional[tuple]:
+    """The axis of the vine's domain if it is Black single-peaked, else None:
+    the level-1 path of a D-vine, read from its smaller endpoint."""
+    if v.n <= 1:
+        return tuple(sorted(v.ground))
+    if not _is_d_vine(v):
+        return None
+    nbrs: dict[str, list[str]] = {}
+    for s in v._view.nodes[v.n:2 * v.n - 1]:  # the rank-2 nodes, the level-1 edges
+        a, b = s
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    path = [min(x for x, ys in nbrs.items() if len(ys) == 1)]
+    while len(path) < v.n:
+        path.append(next(y for y in nbrs[path[-1]] if len(path) < 2 or y != path[-2]))
+    return tuple(path)
 
 
 def _maximal_chains(v: RegularVine) -> list[tuple[frozenset, ...]]:
     """All maximal chains, singleton to A, in lexicographic order (2^(n-1) of them)."""
     if v.n == 0:
         return []
-    return sorted(_saturated_chains(v.sorted_nodes()), key=lambda c: [sorted(s) for s in c])
+    return sorted(_chains(v._view.nodes, v._view.covers), key=lambda c: [sorted(s) for s in c])
 
 
 def _saturated_chains(family: list[frozenset]) -> list[tuple]:
     """The saturated chains from a minimal member up to the last one of a
     family listed in a linear extension of inclusion, bottom first."""
-    _, covers = _mask_covers(_masks(family))
+    return _chains(family, _mask_covers(_masks(family))[1])
+
+
+def _chains(family: list, covers: Sequence[int]) -> list[tuple]:
+    """The saturated chains of `_saturated_chains`, over the family's covers."""
     chains: list[tuple] = []
 
-    def descend(k: int, acc: list[frozenset]):
+    def descend(k: int, acc: list):
         acc.append(family[k])
         if not covers[k]:
             chains.append(tuple(reversed(acc)))
@@ -240,11 +310,12 @@ def _saturated_chains(family: list[frozenset]) -> list[tuple]:
 
 def _chain_counts_from_atoms(v: RegularVine) -> dict[str, int]:
     """Per-atom count of maximal chains, by Pascal-style downward accumulation."""
-    count = {v.ground: 1}
-    for s, cov in reversed(_cover_table(v).items()):  # every node after the nodes covering it
-        for t in cov:
-            count[t] = count.get(t, 0) + count[s]
-    return {a: count.get(frozenset([a]), 1 if v.n == 1 else 0) for a in v.ground}
+    _, _, nodes, _, covers = v._view
+    count = [0] * (len(nodes) - 1) + [1]  # one chain from the top down to itself
+    for k in reversed(range(len(nodes))):  # every node after the nodes covering it
+        for j in _bits(covers[k]):
+            count[j] += count[k]
+    return {x: count[k] for k in range(v.n) for x in nodes[k]}
 
 
 def join_node(v: RegularVine, a: str, b: str) -> frozenset:
@@ -259,21 +330,19 @@ def join_node(v: RegularVine, a: str, b: str) -> frozenset:
 
 def _richness_via_vine(v: RegularVine) -> int:
     """Least rank whose nodes have a non-empty common intersection."""
-    for k in range(1, v.n + 1):
-        inter = v.ground
-        for s in v.rank_nodes(k):
-            inter = inter & s
-        if inter:
-            return k
-    return v.n
+    common: dict[int, int] = {}
+    for m in v._view.masks:
+        common[m.bit_count()] = common.get(m.bit_count(), m) & m
+    return next((k for k in range(1, v.n + 1) if common[k]), v.n)
 
 
 def _analytics(v: RegularVine) -> dict:
     """Richness, first-rank distribution and the D-/C-vine flags of a vine
     already checked, keyed as `analyze` and the catalog report them."""
+    levels = _level_degrees(v)
     return {"richness": _richness_via_vine(v),
             "first_rank": dict(sorted(_chain_counts_from_atoms(v).items())),
-            "is_d_vine": _is_d_vine(v), "is_c_vine": _is_c_vine(v)}
+            "is_d_vine": _all_paths(levels), "is_c_vine": _all_stars(levels)}
 
 
 def relabel_vine(v: RegularVine, h: Mapping[str, str]) -> RegularVine:

@@ -136,6 +136,12 @@ def sample_vines(n: int, k: int, rng: random.Random) -> list[vn.RegularVine]:
     return [gen.random_vine(labels, rng) for _ in range(k)]
 
 
+def d_vine(order: str) -> vn.RegularVine:
+    """The D-vine along a path order: its nodes are the order's intervals."""
+    n = len(order)
+    return vn.vine(order, [order[i:j] for i in range(n) for j in range(i + 1, n + 1)])
+
+
 def random_relabeling(ground, rng: random.Random) -> dict[str, str]:
     src = sorted(ground)
     dst = list(src)

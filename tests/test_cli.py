@@ -191,8 +191,8 @@ def test_analyze_cross_check_failure_raises(write, intro_domain, monkeypatch, ca
 
 
 def test_analyze_validates_the_vine_once(write, monkeypatch, seed, capsys):
-    """On input or as a map's output check; the map to the domain and the
-    analytics run on the cores (7 validations per op, then 2, before)."""
+    """On input or as a map's output check; the analytics run on the cores
+    (7 validations per op, then 2, before)."""
     v = gen.random_vine("abcdefgh", random.Random(seed))
     L = lt.vine_to_lattice(v)
     objs = [co.vine_to_graph(v), v, co.vine_to_domain(v), L, lt.lattice_to_matrix(L)]
@@ -224,6 +224,23 @@ def test_analyze_trd_examples(write, capsys):
     assert info["first_rank"] == {"a": 1, "b": 3, "c": 3, "d": 1}
     assert info["is_bspd"] and info["bspd_axis"] == ["a", "b", "c", "d"]
     assert info["is_d_vine"]
+
+
+def test_analyze_trd1_prints_its_axis(write, trd1, capsys):
+    path = write("trd1.json", trd1)
+    assert cli.main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert "bspd_axis: ['a', 'b', 'c', 'd']\n" in out
+    assert "bottom_alternatives: ['a', 'd']\n" in out
+
+
+def test_analyze_c_vine_has_no_axis(write, intro_vine, capsys):
+    path = write("v.json", intro_vine)
+    assert cli.main(["analyze", path, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"bspd_axis": null' in out and '"is_bspd": false' in out
+    info = json.loads(out)
+    assert info["is_c_vine"] and not info["is_d_vine"]
 
 
 def test_analyze_small_n_richness_note(write, capsys):

@@ -13,7 +13,7 @@ from vinery import generate as gen
 from vinery import vine as vn
 from vinery.errors import InternalInconsistencyError, StructureError
 
-from conftest import sample_vines
+from conftest import d_vine, sample_vines
 from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce,
                      completions_by_spanning_trees, generate_vines_by_scan, unlabeled_trees,
                      vine_mask_stream_by_recursion)
@@ -307,18 +307,12 @@ def test_chain_hit_aut_matches_explicit_scan(vines_by_n):
             assert hits == automorphism_group_order_bruteforce(v)
 
 
-def _d_vine(order):
-    """The D-vine along a path order: its nodes are the order's intervals."""
-    n = len(order)
-    return vn.vine(order, [order[i:j] for i in range(n) for j in range(i + 1, n + 1)])
-
-
 def test_kernel_matches_oracles_sampled(seed):
     rng = random.Random(seed)
     for n, k in ((6, 6), (7, 2)):
         labels = string.ascii_lowercase[:n]
         path = "".join(rng.sample(labels, n))  # |Aut| = 2: the path's reversal
-        for v in [_d_vine(path)] + sample_vines(n, k, rng):
+        for v in [d_vine(path)] + sample_vines(n, k, rng):
             form, aut = gen.canonical_form_and_aut(v)
             assert form == gen.canonical_form(v) == canonical_form_bruteforce(v)
             assert aut == automorphism_group_order_bruteforce(v)

@@ -129,23 +129,40 @@ def test_convert_and_analyze_validate_no_object_twice(five_files, traffic, capsy
     capsys.readouterr()
 
 
+def test_analyze_finds_each_vines_covers_once(five_files, monkeypatch, capsys):
+    """One `_mask_covers` call on the vine's 21 nodes per op, whatever the
+    input kind; a lattice's validator reads the covers of its 22 elements twice."""
+    sizes = []
+    mask_covers = vn._mask_covers
+    monkeypatch.setattr(vn, "_mask_covers", lambda masks: sizes.append(len(masks)) or mask_covers(masks))
+    for kind, path in five_files.items():
+        sizes.clear()
+        assert cli.main(["analyze", path, "--format", "json"]) == 0
+        assert sorted(sizes) == ([21, 22, 22] if kind == "lattice" else [21]), kind
+    capsys.readouterr()
+
+
 def test_verify_strict_validates_every_first_leg_output(five_files, traffic, monkeypatch, capsys):
+    """Every first-leg output is validated once, by the core that built it or
+    by the public back leg, and no object is validated twice."""
     convert, legs = routes._convert_structure, []
 
-    def first_leg(obj, to_kind, via="direct"):
+    def recording(obj, to_kind, via="direct"):
         out = convert(obj, to_kind, via)
-        legs.append(out)
+        legs.append((io.kind_of(obj), out))
         return out
 
-    # the public back leg keeps its own reference to the core, so only first legs are seen
-    monkeypatch.setattr(routes, "_convert_structure", first_leg)
+    # back legs that run the core are recorded too; the first legs leave the file's kind
+    monkeypatch.setattr(routes, "_convert_structure", recording)
     for kind, path in five_files.items():
         traffic.clear()
         legs.clear()
         assert cli.main(["verify", "--strict", path]) == 0
-        assert len(legs) == len(io.KINDS) - 1
-        validated = {id(x) for _, x in traffic}
-        assert all(id(out) in validated for out in legs), kind
+        first = [out for source, out in legs if source == kind]
+        assert len(first) == len(io.KINDS) - 1
+        validated = Counter(id(x) for _, x in traffic)
+        assert [validated[id(out)] for out in first] == [1] * len(first), kind
+        assert max(validated.values()) == 1, kind
     capsys.readouterr()
 
 

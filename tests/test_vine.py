@@ -5,12 +5,14 @@ import string
 
 import pytest
 
+from vinery import correspond as co
+from vinery import domain as dm
 from vinery import generate as gen
 from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
-from conftest import random_relabeling, split_with_shared
+from conftest import d_vine, random_relabeling, split_with_shared
 from oracles import covered_by, validate_vine_by_sets
 
 
@@ -308,6 +310,45 @@ def test_shape_predicates(intro_vine, fig_vine):
     assert not vn.is_c_vine(path)
     tiny = vn.vine("abc", ["a", "b", "c", "ab", "bc", "abc"])
     assert vn.is_d_vine(tiny) and vn.is_c_vine(tiny)
+
+
+def test_domain_facts_read_off_the_vine(vines_by_n, seed):
+    """The bottoms are the labels missing from the co-atoms, and the Black
+    axis is a D-vine's level-1 path from its smaller endpoint: both equal the
+    domain-side definitions on every labeled vine n <= 5, and on seeded
+    vines and D-vines n = 6..10."""
+    rng = random.Random(seed)
+    cases = [v for n in range(6) for v in vines_by_n[n]]
+    for n in range(6, 11):
+        labels = string.ascii_lowercase[:n]
+        cases += [gen.random_vine(labels, rng) for _ in range(8)] + [d_vine("".join(rng.sample(labels, n)))]
+    domains = [co._vine_to_domain(v) for v in cases]
+    assert [vn._bottom_alternatives(v) for v in cases] == [sorted(dm.bottom_alternatives(d)) for d in domains]
+    axes = [vn._bspd_axis(v) for v in cases]
+    assert axes == [dm.is_bspd(d) for d in domains]
+    assert [axis is not None for axis in axes] == [vn._is_d_vine(v) for v in cases]
+    assert None in axes and sum(axis is not None for v, axis in zip(cases, axes) if v.n >= 6) >= 5
+
+
+def test_domain_facts_of_the_smallest_vines():
+    cases = [vn.vine("", []), vn.vine("x", ["x"]), vn.vine("yx", ["x", "y", "xy"])]
+    assert [vn._bottom_alternatives(v) for v in cases] == [[], ["x"], ["x", "y"]]
+    assert [vn._bspd_axis(v) for v in cases] == [(), ("x",), ("x", "y")]
+    for v in cases:
+        d = co._vine_to_domain(v)
+        assert (vn._bottom_alternatives(v), vn._bspd_axis(v)) == (sorted(dm.bottom_alternatives(d)), dm.is_bspd(d))
+
+
+# ------------------------------------------------------------- index view
+
+def test_cached_view_leaves_equality_hash_and_repr_alone(fig_vine):
+    fresh = vn.RegularVine(fig_vine.ground, fig_vine.nodes)
+    before = (hash(fig_vine), fig_vine == fresh, repr(fig_vine))
+    view = fig_vine._view
+    assert fig_vine._view is view and view.nodes == fig_vine.sorted_nodes()
+    assert (hash(fig_vine), fig_vine == fresh, repr(fig_vine)) == before
+    assert before == (hash(fresh), True, repr(fresh))
+    assert "_view" not in fresh.__dict__
 
 
 # --------------------------------------------------------- chains, joins
