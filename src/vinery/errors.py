@@ -1,7 +1,7 @@
 """Error types and the validation vocabulary shared across the library.
 
 Validation failures carry a machine-readable axiom identifier such as
-``"vine.proximity"`` together with a witness of the violation, so that both
+``"vine.two-covers"`` together with a witness of the violation, so that both
 the CLI and the tests can assert on *which* rule broke, not just that
 something did.  Every family has one validator ``validate_<kind>(x)``
 returning a list of ``Violation``s (empty means valid); ``raise_first``
@@ -63,7 +63,8 @@ def checked(require: Callable, core: Callable) -> Callable:
 
 
 class _UnionFind:
-    """Disjoint sets with path halving, for the cycle checks of the validators."""
+    """Disjoint sets with path halving, for the acyclicity check of MAT
+    labelings and the tree check of the vine test oracle."""
 
     def __init__(self, items):
         self.parent = {x: x for x in items}

@@ -7,10 +7,11 @@ vectors of the elements form a triangle-free binary matrix with the extremal
 column count 1 + n + C(n,2).
 
 The order checks read the below-sets and covers of `vine._mask_covers`
-over `sorted_elements()`, a linear extension of inclusion: `is_lattice`
-finds a pair's meet in a few integer operations instead of a scan of the
-element family, and `join_irreducibles` and the maximal chains read the
-covers.  `join` and `meet` stay the definitional pairwise versions.
+over `sorted_elements()`, a linear extension of inclusion, computed once
+per lattice and cached as `BoundedLattice._order`: `is_lattice` finds a
+pair's meet in a few integer operations instead of a scan of the element
+family, and `join_irreducibles`, the maximal chains and the DOT rendering
+read the covers.  `join` and `meet` stay the definitional pairwise versions.
 `has_no_triangles` detects a triangle from a table of row pairs and scans
 row triples for the least witness only when there is one.
 
@@ -40,6 +41,11 @@ class BoundedLattice:
     @functools.cached_property  # outside the fields: == and hash ignore it
     def ground(self) -> frozenset:
         return frozenset().union(*self.elements)
+
+    @functools.cached_property
+    def _order(self) -> tuple[list[int], list[int]]:
+        """`vine._mask_covers` over `sorted_elements()`: (below, covers)."""
+        return vn._mask_covers(vn._masks(self.sorted_elements()))
 
     def sorted_elements(self) -> list[frozenset]:
         return sorted(self.elements, key=lambda s: (len(s), sorted(s)))
@@ -82,7 +88,7 @@ def is_lattice(L: BoundedLattice) -> bool:
     upper bounds is then the join), which is the last index if there is one."""
     if not L.elements:
         return False
-    below, _ = vn._mask_covers(vn._masks(L.sorted_elements()))
+    below, _ = L._order
     down = [b | 1 << i for i, b in enumerate(below)]
     if down[-1] != (1 << len(down)) - 1:
         return False
@@ -102,9 +108,7 @@ def _require_lattice(L: BoundedLattice) -> None:
 def join_irreducibles(L: BoundedLattice) -> list[frozenset]:
     """Elements covering exactly one element (the standard finite-lattice test)."""
     bottom = min(L.elements, key=len)
-    elems = L.sorted_elements()
-    _, covers = vn._mask_covers(vn._masks(elems))
-    return [s for s, cov in zip(elems, covers) if s != bottom and cov.bit_count() == 1]
+    return [s for s, cov in zip(L.sorted_elements(), L._order[1]) if s != bottom and cov.bit_count() == 1]
 
 
 _B3_PATTERN = {0: frozenset(), 1: frozenset("1"), 2: frozenset("2"), 3: frozenset("3"),
@@ -213,7 +217,7 @@ def lattice_to_vine(L: BoundedLattice) -> vn.RegularVine:
 
 def _maximal_chains_of_lattice(L: BoundedLattice) -> list[tuple]:
     """All bottom-to-top saturated chains, lexicographically ordered."""
-    return sorted(vn._saturated_chains(L.sorted_elements()), key=lambda c: [(len(s), sorted(s)) for s in c])
+    return sorted(vn._chains(L.sorted_elements(), L._order[1]), key=lambda c: [(len(s), sorted(s)) for s in c])
 
 
 def fresh_label(ground: frozenset) -> str:

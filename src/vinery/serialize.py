@@ -4,8 +4,8 @@ Every file holds one structure in a self-describing JSON envelope whose
 "kind" field is one of matgraph, vine, domain, lattice, matrix.  All emitted
 documents are canonically sorted so identical structures serialize to
 identical bytes.  A DOT rendering of a vine or lattice draws one edge per
-cover, read off the vine's cached index view or, for a lattice,
-`vine._mask_covers`.
+cover, read off the vine's cached index view or the lattice's cached
+cover table.
 """
 
 from __future__ import annotations
@@ -166,8 +166,7 @@ def to_dot(obj: Structure) -> str:
         if kind == "vine":
             _, _, nodes, _, covers = obj._view
         else:
-            nodes = obj.sorted_elements()
-            _, covers = vn._mask_covers(vn._masks(nodes))
+            nodes, covers = obj.sorted_elements(), obj._order[1]
         name = {s: "{" + ",".join(sorted(s)) + "}" for s in nodes}
         lines = [f"digraph {kind} {{", "  rankdir=BT;"]
         for s in nodes:

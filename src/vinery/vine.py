@@ -6,11 +6,50 @@ the top, has exactly two covers below every non-atom, tree-structured levels,
 and satisfies proximity: nodes covered by a common node must themselves
 cover a common node.  The family always has n(n+1)/2 nodes.
 
+The first three axioms imply the other two, so the validator checks atoms,
+grading and two covers only.  Call the members of a family nodes, and let
+the family pass those checks: the singletons of A are nodes, rank i holds
+n + 1 - i nodes for i = 1..n and no other rank holds any, and every node S
+of rank i >= 2 covers exactly two nodes T1 and T2, both of rank i - 1.
+Covers are taken in the family as given, whose nodes may hold labels
+outside A.
+
+1. Every node lies in A and is the union of its two covers, by induction on
+   rank: the n rank-1 nodes are the n singletons of A, and T1 != T2 of rank
+   i - 1, inside both S and A, give |T1 | T2| >= i = |S|, so S = T1 | T2.
+   So S - (T1 & T2) is a pair {a, b}, the conditioned pair of S, with
+   T1 = S - a and T2 = S - b.
+   Every node under S lies under T1 or T2, which do not both hold a and b,
+   so S is a minimal node holding a and b.  Conversely, a minimal node
+   holding a pair has rank >= 2 and neither of its covers holds the pair,
+   so that pair is its conditioned pair.
+2. There are C(n, 2) nodes of rank >= 2 and C(n, 2) pairs, and the rank-n
+   node, A, holds every pair, so by step 1 every pair is a conditioned
+   pair and no two nodes share one.  Hence each pair {a, b} has exactly one
+   minimal node holding it, J(a, b), and every node holding a and b
+   contains J(a, b).
+3. Proximity.  Let S of rank >= 3 have conditioned pair {a, b}, and let
+   W = S - {a, b} = T1 & T2.  For c and d in W, J(c, d) lies in T1 and in
+   T2 by step 2, so in W.  Let S' be a minimal node containing W (T1 is
+   one).  If S' != W, then S' has rank >= 2 and neither of its covers
+   contains W, so the conditioned pair {a', b'} of S' lies inside W and
+   S' = J(a', b') lies inside W, a contradiction.  So W is a node one rank
+   below T1 and T2, and both cover it.
+4. Tree.  Level i has the n + 1 - i rank-i nodes as vertices and the n - i
+   rank-(i+1) nodes as edges, each joining its two covers, so it is a tree
+   iff it is connected.  At level n - 1 the top joins the two co-atoms.
+   Let level i >= 2 be connected.  Any two rank-i nodes are joined by a
+   path in it, and by step 3 the two ends of each of its edges share a
+   cover, so as edges of level i - 1 they share a vertex: all edges of
+   level i - 1 lie in one component.  Every node other than A is covered
+   by a node one rank up, so it lies on an edge of its level, and level
+   i - 1 is connected.
+
 Which members of a set family lie under or cover which is decided in one
 place, `_mask_covers`, exactly for any family, valid or not; every cover
 and below-set in the package (vines, lattices, DOT, canonical forms) reads it;
 the split reads no covers, since the top covers the two rank-(n-1) nodes.
-The axioms are checked in one place too, `_mask_violations`, which
+The three checks run in one place too, `_mask_violations`, which
 `validate_vine` formats and `generate` runs on each doubling's masks.
 
 Each vine object computes its covers once: `RegularVine._view`, cached on
@@ -29,7 +68,7 @@ import functools
 from dataclasses import dataclass
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import StructureError, Violation, _UnionFind, checked, raise_first
+from .errors import StructureError, Violation, checked, raise_first
 
 
 @dataclass(frozen=True, eq=True)
@@ -135,9 +174,10 @@ def _cover_table(v: RegularVine) -> dict[frozenset, list[frozenset]]:
 
 
 def _mask_violations(ground: int, masks: Sequence[int], covers: Sequence[int]) -> list[tuple]:
-    """Records of the vine axioms, in report order, for distinct node masks
-    in a linear extension of inclusion, their `_mask_covers` covers and the
-    ground's mask: (axiom, ...) with node indices; empty means valid."""
+    """Records of the atoms, grading and two-covers axioms, which imply the
+    other two, in report order, for distinct node masks in a linear
+    extension of inclusion, their `_mask_covers` covers and the ground's
+    mask: (axiom, ...) with node indices; empty means valid."""
     n = ground.bit_count()
     missing = ground & ~sum(m for m in masks if m.bit_count() == 1)
     records: list[tuple] = [("vine.atoms", missing)] if missing else []
@@ -148,22 +188,14 @@ def _mask_violations(ground: int, masks: Sequence[int], covers: Sequence[int]) -
     if levels[n + 1] or len(masks) != n * (n + 1) // 2:
         records.append(("vine.grading", None))
     if records:
-        return records  # cover/tree checks assume the counts are right
-    records = [("vine.two-covers", k) for i in range(2, n + 1) for k in levels[i]
-               if covers[k].bit_count() != 2 or any(masks[j].bit_count() != i - 1 for j in _bits(covers[k]))]
-    if records:
-        return records
-    # each level graph (vertices rank i, edges rank i + 1) must be a tree;
-    # with the counts already verified, acyclicity is equivalent to connectedness
-    uf = _UnionFind(range(len(masks)))
-    records = [("vine.tree", i - 1, k) for i in range(2, n + 1) for k in levels[i] if not uf.union(*_bits(covers[k]))]
-    # proximity: nodes covered by a common node cover a common node
-    return records + [("vine.proximity", k, t1, t2) for i in range(3, n + 1) for k in levels[i]
-                      for t1, t2 in [_bits(covers[k])] if not covers[t1] & covers[t2]]
+        return records  # the cover check assumes the counts are right
+    return [("vine.two-covers", k) for i in range(2, n + 1) for k in levels[i]
+            if covers[k].bit_count() != 2 or any(masks[j].bit_count() != i - 1 for j in _bits(covers[k]))]
 
 
 def validate_vine(v: RegularVine) -> list[Violation]:
-    """Check the five vine axioms, by `_mask_violations`; empty report means valid."""
+    """Check atoms, grading and two covers, which imply the other two vine
+    axioms, by `_mask_violations`; empty report means valid."""
     n = v.n
     if n == 0 and v.nodes:
         return [Violation("vine.grading", sorted(map(sorted, v.nodes)), "empty ground set admits only the empty vine")]
@@ -180,16 +212,10 @@ def validate_vine(v: RegularVine) -> list[Violation]:
         elif axiom == "vine.grading":
             witness = [named[k] for k in at[1]]
             message = f"rank {at[0]} has {len(witness)} nodes, expected {n + 1 - at[0]}"
-        elif axiom == "vine.two-covers":
+        else:
             witness = s, cov = named[at[0]], sorted(named[j] for j in _bits(covers[at[0]]))
             message = (f"node {s} covers {len(cov)} nodes of ranks {[len(t) for t in cov]}, "
                        f"expected two of rank {len(s) - 1}")
-        elif axiom == "vine.tree":
-            witness = (at[0], named[at[1]])
-            message = f"rank-{at[0] + 1} node {named[at[1]]} closes a cycle in the level-{at[0]} graph"
-        else:
-            witness = s, t1, t2 = tuple(named[k] for k in at)
-            message = f"{t1} and {t2} under {s} cover no common node"
         report.append(Violation(axiom, witness, message))
     return report
 

@@ -14,13 +14,16 @@ the vine split of the lattice's vine, behind the lattice restriction of
 `lattice.undouble`; and the unrooted tree shapes and the counting DP that
 enumerates every line graph's spanning trees, behind the clique-weighted
 `generate._completions`; and the vine axioms checked on frozenset nodes,
-behind the mask check of `vine.validate_vine`.  They are slow and used by
+behind the mask check of `vine.validate_vine`, together with the walk over
+every family that passes its counts and two covers, behind the proof that
+the mask check needs no tree or proximity pass.  They are slow and used by
 the tests only.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+import string
+from itertools import combinations, permutations
 from typing import Iterable, Iterator
 
 from vinery import domain as dm
@@ -116,6 +119,29 @@ def validate_vine_by_sets(v: vn.RegularVine) -> list[Violation]:
                 report.append(Violation("vine.proximity", (sorted(s), sorted(t1), sorted(t2)),
                                         f"{sorted(t1)} and {sorted(t2)} under {sorted(s)} cover no common node"))
     return report
+
+
+def vine_shaped_families(n: int) -> Iterator[vn.RegularVine]:
+    """Every family of subsets of the first n >= 1 letters with the vine rank
+    counts in which each member of rank i >= 2 holds exactly two members of
+    rank i - 1, walked top-down from the ground set: each rank's members are
+    chosen among the subsets one smaller of the rank above.  A family that
+    passes `validate_vine`'s counts and two covers is among them, since its
+    nodes lie in the ground set and a node's members one rank down are its
+    covers (`vine` module docstring, step 1)."""
+    labels = string.ascii_lowercase[:n]
+    ground, atoms = frozenset(labels), [frozenset(x) for x in labels]
+
+    def down(upper: list[frozenset], acc: list[frozenset]) -> Iterator[vn.RegularVine]:
+        if len(upper[0]) <= 2:  # the atoms are forced
+            yield vn.RegularVine(ground, frozenset(acc + atoms))
+            return
+        below = sorted({s - {x} for s in upper for x in s}, key=sorted)
+        for lower in combinations(below, len(upper) + 1):
+            if all(sum(t <= s for t in lower) == 2 for s in upper):
+                yield from down(list(lower), acc + list(lower))
+
+    yield from down([ground], [ground])
 
 
 def covered_elements(L: lt.BoundedLattice, s: frozenset) -> list[frozenset]:

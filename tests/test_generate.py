@@ -381,7 +381,7 @@ def test_doubling_check_rejects_an_unsaturated_chain(monkeypatch, perturb):
     monkeypatch.setattr(vn, "_saturated_chains", lambda family: [perturb(family, c) for c in chains(family)]
                         if len(family[-1]) == 5 else chains(family))
     with pytest.raises(InternalInconsistencyError,
-                       match=r"^doubling produced an invalid vine at n=6: vine\.(two-covers|proximity)$"):
+                       match=r"^doubling produced an invalid vine at n=6: vine\.two-covers$"):
         gen.class_representatives(6)
 
 

@@ -13,7 +13,7 @@ from vinery import vine as vn
 from vinery.errors import StructureError
 
 from conftest import d_vine, random_relabeling, split_with_shared
-from oracles import covered_by, validate_vine_by_sets
+from oracles import covered_by, validate_vine_by_sets, vine_shaped_families
 
 
 def nodes_of(*words):
@@ -80,20 +80,16 @@ def test_bd_to_cd_mutation_is_the_path_vine(intro_vine):
     assert vn.is_d_vine(v)
 
 
-def test_two_covers_implies_tree_and_proximity_at_n4():
-    # at this size the cover axioms already force tree-shaped levels and
-    # proximity, so any family passing the earlier checks is a vine
-    from itertools import combinations, product
-    atoms = "abcd"
-    singles = [frozenset([a]) for a in atoms]
-    for rank2 in combinations(combinations(atoms, 2), 3):
-        for rank3 in combinations(combinations(atoms, 3), 2):
-            nodes = set(singles) | {frozenset(atoms)}
-            nodes.update(frozenset(s) for s in rank2)
-            nodes.update(frozenset(s) for s in rank3)
-            v = vn.RegularVine(frozenset(atoms), frozenset(nodes))
-            axioms = {x.axiom for x in vn.validate_vine(v)}
-            assert not (axioms and axioms <= {"vine.tree", "vine.proximity"})
+def test_counts_and_two_covers_imply_a_vine():
+    """Every family with the vine rank counts in which each node holds
+    exactly two nodes one rank down is a vine, by the set oracle's five
+    axioms and by the mask check's three, and there are as many as labeled
+    vines: no family reaches a tree or proximity failure at n <= 5."""
+    for n in range(1, 6):
+        families = list(vine_shaped_families(n))
+        assert len(families) == gen.labeled_count_formula(n)
+        for v in families:
+            assert validate_vine_by_sets(v) == [] and vn.validate_vine(v) == []
 
 
 def _mutations(rng, v):
@@ -163,31 +159,6 @@ def test_validate_vine_matches_set_oracle(vines_by_n, seed):
     reports = [vn.validate_vine(v) for v in cases]
     assert reports == [validate_vine_by_sets(v) for v in cases]
     assert {x.axiom for report in reports for x in report} == {"vine.atoms", "vine.grading", "vine.two-covers"}
-
-
-def test_validate_vine_matches_set_oracle_on_forced_covers(monkeypatch, seed):
-    """No family with the right counts and two covers fails a later check at
-    n <= 5, and none of the sampled ones does, so forced covers reach the
-    tree and proximity reports: the last node of each rank >= 3 is made to
-    cover the first two of the rank below, in both validators."""
-    mask_covers = vn._mask_covers
-
-    def forced(masks):
-        below, covers = mask_covers(masks)
-        ranks: dict[int, list[int]] = {}
-        for k, m in enumerate(masks):
-            ranks.setdefault(m.bit_count(), []).append(k)
-        for r, ks in ranks.items():
-            if r >= 3:
-                a, b = ranks[r - 1][:2]
-                covers[ks[-1]] = 1 << a | 1 << b
-        return below, covers
-
-    monkeypatch.setattr(vn, "_mask_covers", forced)
-    cases = [gen.random_vine(string.ascii_lowercase[:n], random.Random(seed + n)) for n in range(5, 9)]
-    reports = [vn.validate_vine(v) for v in cases]
-    assert reports == [validate_vine_by_sets(v) for v in cases]
-    assert {x.axiom for report in reports for x in report} == {"vine.tree", "vine.proximity"}
 
 
 def _assert_covers_match_oracle(v):
