@@ -18,9 +18,10 @@ from .errors import StructureError, checked
 
 def _graph_to_vine(g: mg.MatLabeledGraph) -> vn.RegularVine:
     """Singletons plus the principal clique generated by every edge."""
+    order, _, _, cliques = g._view
     nodes = {frozenset([a]) for a in g.vertices}
     for (u, v), k in g.labels.items():
-        clique = frozenset({u, v} | mg.triangle_partners(g, u, v))
+        clique = frozenset(x for i, x in enumerate(order) if cliques[(u, v)] >> i & 1)
         if len(clique) != k + 1:
             raise StructureError("matgraph.principal-clique",
                                  f"principal clique of {u}-{v} has size {len(clique)}, expected {k + 1}",
@@ -43,7 +44,9 @@ def _vine_to_graph(v: vn.RegularVine) -> mg.MatLabeledGraph:
 
 
 def _graph_to_domain(g: mg.MatLabeledGraph) -> dm.PreferenceDomain:
-    """All MAT-PEOs, read directly as preferences (first eliminated = first ranked)."""
+    """All MAT-PEOs, read directly as preferences (first eliminated = first
+    ranked): the orderings whose prefix sets are singletons or principal
+    cliques, which `matgraph._enumerate_mat_peos` grows on the graph's view."""
     return dm.PreferenceDomain(g.vertices, frozenset(mg._enumerate_mat_peos(g)))
 
 

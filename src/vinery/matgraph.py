@@ -6,12 +6,43 @@ that, for every level k, (1) the edges with label <= k form no cycle and
 labeled edges.  On complete graphs these labelings admit a split/merge
 recursion driven by the two MAT-simplicial vertices, which are always the
 endpoints of the unique edge carrying the largest label.
+
+The principal clique of an edge {u, v} is {u, v} plus its triangle
+partners, the vertices c with both labels to u and v below the edge's.
+Each graph object finds them once: `MatLabeledGraph._view`, cached on first
+use, holds the sorted vertices, their indices, one label matrix and one
+principal-clique bitmask per labeled edge, for any graph, complete or not,
+valid or not.  The triangle count of axiom (2), `triangle_partners`, the
+map to the vine and the MAT-PEO search all read it.
+
+On a valid complete MAT graph g on n vertices, an ordering of the vertices
+is a MAT-PEO iff each of its prefix sets is a singleton or a principal
+clique, so the search grows MAT-PEOs by set lookups.  The argument goes
+through the correspondence with vines:
+
+1. `correspond.graph_to_vine(g)` is the regular vine whose nodes are
+   exactly the singletons and the principal cliques of g.
+2. `correspond.vine_to_domain` reads one preference off every maximal
+   chain of a vine, ranked in chain order.  A vine is graded with the
+   singletons at rank 1 and the ground set at rank n, so a maximal chain
+   adds one vertex per rank, and the prefix sets of its preference are its
+   nodes.  Conversely, an ordering whose prefix sets are all nodes lists a
+   maximal chain.  So the preferences of the vine are exactly the orderings
+   whose prefix sets are nodes.
+3. The MAT-PEOs of g are the preferences of its vine: graph -> domain
+   equals graph -> vine -> domain, the commuting triangle of the two
+   correspondences, which the tests hold on every labeled vine with
+   n <= 4 and on the worked examples.  The tests also hold the lookup
+   search equal to the MAT-simplicial check of every prefix: on every
+   class up to n = 6, every labeled vine up to n = 5 and seeded vines up
+   to n = 11.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import StructureError, Violation, _UnionFind, checked, raise_first
 
@@ -45,6 +76,35 @@ class MatLabeledGraph:
     def __hash__(self):
         return hash((self.vertices, tuple(sorted(self.labels.items()))))
 
+    @functools.cached_property  # outside the fields: ==, hash and repr ignore it
+    def _view(self) -> _View:
+        return _index_view(self)
+
+
+class _View(NamedTuple):
+    """A graph's index view: vertex i is the i-th smallest vertex."""
+    order: list           # the sorted vertices
+    index: dict           # vertex -> its index
+    lab: list             # label matrix; absent edges and the diagonal hold max label + 1
+    cliques: dict         # edge key -> bitmask of its principal clique
+
+
+def _index_view(g: MatLabeledGraph) -> _View:
+    order = sorted(g.vertices)
+    index = {x: i for i, x in enumerate(order)}
+    absent = max(g.labels.values(), default=0) + 1
+    lab = [[absent] * len(order) for _ in order]
+    for (u, v), k in g.labels.items():
+        lab[index[u]][index[v]] = lab[index[v]][index[u]] = k
+    cliques = {}
+    for (u, v), k in g.labels.items():
+        # the diagonal and absent edges are never below k, so u, v and
+        # vertices missing an edge to them are no partners
+        partners = sum(1 << c for c, (ku, kv) in enumerate(zip(lab[index[u]], lab[index[v]]))
+                       if ku < k and kv < k)
+        cliques[(u, v)] = partners | 1 << index[u] | 1 << index[v]
+    return _View(order, index, lab, cliques)
+
 
 def mat_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]) -> MatLabeledGraph:
     """Build a graph from an edge list, rejecting malformed input."""
@@ -69,40 +129,35 @@ def validate_mat_labeling(g: MatLabeledGraph) -> list[Violation]:
     report: list[Violation] = []
     if not g.labels:
         return report
-    maxlab = max(g.labels.values())
+    edges = sorted(g.labels.items())
     # condition (1): no cycle inside pi_k plus at most one extra edge of
     # lower-or-equal label, i.e. pi_k is a forest and no lower edge joins
-    # vertices already connected within pi_k
-    for k in range(1, maxlab + 1):
+    # vertices already connected within pi_k; a level without edges joins
+    # nothing, so only the labels present are visited
+    for k in sorted(set(g.labels.values())):
         uf = _UnionFind(g.vertices)
-        for (u, v) in sorted(e for e, lab in g.labels.items() if lab == k):
-            if not uf.union(u, v):
+        for (u, v), lab in edges:
+            if lab == k and not uf.union(u, v):
                 report.append(Violation("matgraph.acyclic", (u, v, k),
                                         f"edge {u}-{v} closes a cycle within level {k}"))
-        for (u, v) in sorted(e for e, lab in g.labels.items() if lab < k):
-            if uf.find(u) == uf.find(v):
+        for (u, v), lab in edges:
+            if lab < k and uf.find(u) == uf.find(v):
                 report.append(Violation("matgraph.acyclic", (u, v, k),
-                                        f"edge {u}-{v} (label {g.labels[(u, v)]}) closes a cycle with level-{k} edges"))
+                                        f"edge {u}-{v} (label {lab}) closes a cycle with level-{k} edges"))
     # condition (2): each level-k edge closes exactly k-1 triangles below
-    for (u, v), k in sorted(g.labels.items()):
-        partners = triangle_partners(g, u, v)
-        if len(partners) != k - 1:
+    cliques = g._view.cliques
+    for (u, v), k in edges:
+        found = cliques[(u, v)].bit_count() - 2
+        if found != k - 1:
             report.append(Violation("matgraph.triangles", (u, v, k),
-                                    f"edge {u}-{v} (label {k}) closes {len(partners)} lower triangles, expected {k - 1}"))
+                                    f"edge {u}-{v} (label {k}) closes {found} lower triangles, expected {k - 1}"))
     return report
 
 
 def triangle_partners(g: MatLabeledGraph, u: str, v: str) -> set:
     """Vertices c with both labels lambda(u,c), lambda(v,c) strictly below lambda(u,v)."""
-    k = g.labels[edge_key(u, v)]
-    out = set()
-    for c in g.vertices:
-        if c in (u, v):
-            continue
-        ku, kv = g.label(u, c), g.label(v, c)
-        if ku is not None and kv is not None and ku < k and kv < k:
-            out.add(c)
-    return out
+    clique = g._view.cliques[edge_key(u, v)]
+    return {x for i, x in enumerate(g._view.order) if clique >> i & 1} - {u, v}
 
 
 def validate_matgraph(g: MatLabeledGraph) -> list[Violation]:
@@ -164,45 +219,29 @@ def is_mat_peo(g: MatLabeledGraph, ordering: Sequence[str]) -> bool:
 def _enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
     """All MAT-PEOs of a valid MAT-labeled complete graph, in sorted order.
 
-    Grown by incremental extension: a vertex may be appended only while it is
-    MAT-simplicial in the induced prefix, so the search is output-polynomial.
-    Vertices are indices into the sorted vertex list and labels one integer
-    matrix; on a complete graph, x is MAT-simplicial after a prefix of p
-    vertices iff its p labels to the prefix are 1..p and every prefix edge
-    is labeled below the larger of its two labels to x.
+    An ordering is a MAT-PEO iff each of its prefix sets is a singleton or a
+    principal clique (module docstring), so the search grows prefixes up the
+    view's clique masks: x may follow the prefix set P iff P is empty or
+    P | x is a principal clique.  The vertices that may follow each such P
+    are found once, in index order, so the orderings come out sorted; every
+    node of a vine lies under one a rank up, so no branch dies and the
+    search is output-polynomial.
     """
-    order = sorted(g.vertices)
-    index = {x: i for i, x in enumerate(order)}
-    lab = [[0] * len(order) for _ in order]
-    for (u, v), k in g.labels.items():
-        lab[index[u]][index[v]] = lab[index[v]][index[u]] = k
+    order, _, _, cliques = g._view
+    nodes = set(cliques.values())
+    steps = {used: [(used | 1 << x, name) for x, name in enumerate(order)
+                    if not used >> x & 1 and (not used or used | 1 << x in nodes)]
+             for used in (0, *(1 << x for x in range(len(order))), *nodes)}
     out: list[tuple[str, ...]] = []
 
-    def can_append(prefix: list[int], x: int) -> bool:
-        to_x = lab[x]
-        seen = 0
-        for b in prefix:
-            seen |= 1 << to_x[b]
-        if seen != (1 << len(prefix) + 1) - 2:
-            return False
-        for i, b in enumerate(prefix):
-            to_b, xb = lab[b], to_x[b]
-            for c in prefix[i + 1:]:
-                if to_b[c] >= max(xb, to_x[c]):
-                    return False
-        return True
-
-    def extend(prefix: list[int], used: int):
+    def extend(prefix: tuple, used: int):
         if len(prefix) == len(order):
-            out.append(tuple(order[i] for i in prefix))
+            out.append(prefix)
             return
-        for x in range(len(order)):
-            if not used >> x & 1 and can_append(prefix, x):
-                prefix.append(x)
-                extend(prefix, used | 1 << x)
-                prefix.pop()
+        for grown, name in steps[used]:
+            extend(prefix + (name,), grown)
 
-    extend([], 0)
+    extend((), 0)
     return out
 
 

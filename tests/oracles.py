@@ -16,8 +16,12 @@ enumerates every line graph's spanning trees, behind the clique-weighted
 `generate._completions`; and the vine axioms checked on frozenset nodes,
 behind the mask check of `vine.validate_vine`, together with the walk over
 every family that passes its counts and two covers, behind the proof that
-the mask check needs no tree or proximity pass.  They are slow and used by
-the tests only.
+the mask check needs no tree or proximity pass; and the MAT axioms checked
+at every level up to the largest label with triangles found by label
+lookups, behind the view-backed `matgraph.validate_mat_labeling`; and the
+MAT-PEO growth that scans the prefix's labels for every candidate, behind
+the principal-clique walk of `matgraph._enumerate_mat_peos`.  They are slow
+and used by the tests only.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from typing import Iterable, Iterator
 from vinery import domain as dm
 from vinery import generate as gen
 from vinery import lattice as lt
+from vinery import matgraph as mg
 from vinery import vine as vn
 from vinery.errors import StructureError, Violation, _UnionFind
 
@@ -291,3 +296,85 @@ def completions_by_spanning_trees(nv: int, edges: tuple, memo: dict[tuple, int])
     total = sum(completions_by_spanning_trees(nv - 1, tree, memo) for tree in gen._next_trees(edges))
     memo[shape] = total
     return total
+
+
+def triangle_partners_by_labels(g: mg.MatLabeledGraph, u: str, v: str) -> set:
+    """Vertices c with both labels lambda(u,c), lambda(v,c) strictly below
+    lambda(u,v), by label lookups; the oracle for `matgraph.triangle_partners`."""
+    k = g.labels[mg.edge_key(u, v)]
+    out = set()
+    for c in g.vertices:
+        if c in (u, v):
+            continue
+        ku, kv = g.label(u, c), g.label(v, c)
+        if ku is not None and kv is not None and ku < k and kv < k:
+            out.add(c)
+    return out
+
+
+def validate_mat_labeling_by_labels(g: mg.MatLabeledGraph) -> list[Violation]:
+    """The two MAT axioms checked at every level 1..max label, triangles
+    found by `triangle_partners_by_labels`; the oracle for
+    `matgraph.validate_mat_labeling`."""
+    report: list[Violation] = []
+    if not g.labels:
+        return report
+    maxlab = max(g.labels.values())
+    for k in range(1, maxlab + 1):
+        uf = _UnionFind(g.vertices)
+        for (u, v) in sorted(e for e, lab in g.labels.items() if lab == k):
+            if not uf.union(u, v):
+                report.append(Violation("matgraph.acyclic", (u, v, k),
+                                        f"edge {u}-{v} closes a cycle within level {k}"))
+        for (u, v) in sorted(e for e, lab in g.labels.items() if lab < k):
+            if uf.find(u) == uf.find(v):
+                report.append(Violation("matgraph.acyclic", (u, v, k),
+                                        f"edge {u}-{v} (label {g.labels[(u, v)]}) closes a cycle with level-{k} edges"))
+    for (u, v), k in sorted(g.labels.items()):
+        partners = triangle_partners_by_labels(g, u, v)
+        if len(partners) != k - 1:
+            report.append(Violation("matgraph.triangles", (u, v, k),
+                                    f"edge {u}-{v} (label {k}) closes {len(partners)} lower triangles, expected {k - 1}"))
+    return report
+
+
+def enumerate_mat_peos_by_prefix_check(g: mg.MatLabeledGraph) -> list[tuple[str, ...]]:
+    """All MAT-PEOs of a valid MAT-labeled complete graph, in sorted order,
+    grown by appending a vertex only while it is MAT-simplicial in the
+    induced prefix: on a complete graph, x is MAT-simplicial after a prefix
+    of p vertices iff its p labels to the prefix are 1..p and every prefix
+    edge is labeled below the larger of its two labels to x.  The oracle for
+    `matgraph._enumerate_mat_peos`."""
+    order = sorted(g.vertices)
+    index = {x: i for i, x in enumerate(order)}
+    lab = [[0] * len(order) for _ in order]
+    for (u, v), k in g.labels.items():
+        lab[index[u]][index[v]] = lab[index[v]][index[u]] = k
+    out: list[tuple[str, ...]] = []
+
+    def can_append(prefix: list[int], x: int) -> bool:
+        to_x = lab[x]
+        seen = 0
+        for b in prefix:
+            seen |= 1 << to_x[b]
+        if seen != (1 << len(prefix) + 1) - 2:
+            return False
+        for i, b in enumerate(prefix):
+            to_b, xb = lab[b], to_x[b]
+            for c in prefix[i + 1:]:
+                if to_b[c] >= max(xb, to_x[c]):
+                    return False
+        return True
+
+    def extend(prefix: list[int], used: int):
+        if len(prefix) == len(order):
+            out.append(tuple(order[i] for i in prefix))
+            return
+        for x in range(len(order)):
+            if not used >> x & 1 and can_append(prefix, x):
+                prefix.append(x)
+                extend(prefix, used | 1 << x)
+                prefix.pop()
+
+    extend([], 0)
+    return out

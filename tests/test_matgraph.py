@@ -1,19 +1,24 @@
 """MAT-labeled graphs: construction, validation, simplicial vertices,
 elimination orderings, split/merge."""
 
+import json
 import random
-from itertools import permutations
+import string
+import time
+from itertools import combinations, permutations
 
 import pytest
 
+from vinery import cli
 from vinery import correspond as co
 from vinery import generate as gen
 from vinery import matgraph as mg
 from vinery import species as sp
 from vinery import vine as vn
-from vinery.errors import StructureError
+from vinery.errors import StructureError, Violation
 
-from conftest import INTRO_PREFS, FIG_PREFS, random_relabeling, split_with_shared
+from conftest import INTRO_PREFS, FIG_PREFS, random_relabeling, sample_vines, split_with_shared
+from oracles import enumerate_mat_peos_by_prefix_check, triangle_partners_by_labels, validate_mat_labeling_by_labels
 
 
 # ----------------------------------------------------------- construction
@@ -94,6 +99,64 @@ def test_triangle_partners(intro_graph):
     assert mg.triangle_partners(intro_graph, "c", "d") == {"b"}
 
 
+def _mutations(g: mg.MatLabeledGraph):
+    """Every graph one change away from g: two labels swapped, one label
+    raised above n - 1, or one edge dropped (an incomplete graph)."""
+    edges = g.edges()
+    for e, f in combinations(edges, 2):
+        if g.labels[e] != g.labels[f]:
+            yield mg.MatLabeledGraph(g.vertices, {**g.labels, e: g.labels[f], f: g.labels[e]})
+    for e in edges:
+        yield mg.MatLabeledGraph(g.vertices, {**g.labels, e: g.n})
+        yield mg.MatLabeledGraph(g.vertices, {x: k for x, k in g.labels.items() if x != e})
+
+
+def _assert_validator_matches_oracle(g: mg.MatLabeledGraph):
+    assert mg.validate_mat_labeling(g) == validate_mat_labeling_by_labels(g)
+    for u, v in g.edges():
+        assert mg.triangle_partners(g, u, v) == triangle_partners_by_labels(g, u, v)
+
+
+def test_validate_mat_labeling_matches_label_oracle(vines_by_n, seed):
+    """The same reports, byte for byte, and the same triangle partners as the
+    level-by-level label-lookup oracle: on the graph of every labeled vine
+    with n <= 5, every mutation of those with n <= 4, and every mutation of
+    seeded n = 5..8 graphs."""
+    for n in range(6):
+        for v in vines_by_n[n]:
+            g = co.vine_to_graph(v)
+            _assert_validator_matches_oracle(g)
+            if n <= 4:
+                for bad in _mutations(g):
+                    _assert_validator_matches_oracle(bad)
+    rng = random.Random(seed)
+    for n in range(5, 9):
+        for v in sample_vines(n, 2, rng):
+            for bad in _mutations(co.vine_to_graph(v)):
+                _assert_validator_matches_oracle(bad)
+
+
+def test_a_huge_label_is_reported_without_a_level_walk(tmp_path, capsys):
+    """Only the levels that carry a label are visited, so a label of 10**18
+    gets its triangle report at once; a walk over every level would take
+    seconds at 10**7 and never end at 10**18."""
+    t0 = time.perf_counter()
+    assert mg.validate_mat_labeling(mg.mat_graph("abc", [("a", "b", 10 ** 7)]))[0].axiom == "matgraph.triangles"
+    assert time.perf_counter() - t0 < 1
+    k = 10 ** 18
+    report = mg.validate_mat_labeling(mg.mat_graph("abc", [("a", "b", k)]))
+    assert report == [Violation("matgraph.triangles", ("a", "b", k),
+                                f"edge a-b (label {k}) closes 0 lower triangles, expected {k - 1}")]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"kind": "matgraph", "vertices": ["a", "b", "c"],
+                                "edges": [{"u": "a", "v": "b", "label": k}]}))
+    for argv in (["verify", str(path)], ["convert", str(path), "--to", "vine"], ["analyze", str(path)]):
+        assert cli.main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out.startswith("INVALID matgraph.triangles: edge a-b")
+    assert time.perf_counter() - t0 < 5
+
+
 # ------------------------------------------------- MAT-simplicial vertices
 
 def test_simplicial_vertices_are_max_edge_endpoints(intro_graph, fig_graph):
@@ -154,6 +217,18 @@ def test_enumerate_mat_peos_matches_permutation_filter():
             g = co.vine_to_graph(v)
             expected = [w for w in permutations(sorted(g.vertices)) if mg.is_mat_peo(g, w)]
             assert mg.enumerate_mat_peos(g) == expected
+
+
+def test_enumerate_mat_peos_matches_prefix_check_oracle(vines_by_n, seed):
+    """The principal-clique walk returns the prefix-check oracle's list,
+    order included, on the graph of every labeled vine with n <= 5 and on
+    seeded graphs with n = 6..11."""
+    graphs = [co.vine_to_graph(v) for n in range(6) for v in vines_by_n[n]]
+    rng = random.Random(seed)
+    graphs += [co.vine_to_graph(gen.random_vine(string.ascii_lowercase[:n], rng))
+               for n in range(6, 12) for _ in range(2)]
+    for g in graphs:
+        assert mg.enumerate_mat_peos(g) == enumerate_mat_peos_by_prefix_check(g)
 
 
 def test_enumerate_mat_peos_requires_complete():

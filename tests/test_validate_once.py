@@ -142,6 +142,24 @@ def test_analyze_finds_each_vines_covers_once(five_files, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_convert_and_verify_strict_find_the_graphs_cliques_once(five_files, monkeypatch, capsys):
+    """The validator, the map to the vine and the MAT-PEO walk share one
+    view of the input graph: one principal-clique build per op, and none
+    twice for any graph."""
+    built, loaded = [], []
+    index_view, load_file = mg._index_view, io.load_file
+    monkeypatch.setattr(mg, "_index_view", lambda g: built.append(g) or index_view(g))
+    monkeypatch.setattr(io, "load_file", lambda path: loaded.append(load_file(path)) or loaded[-1])
+    for argv in (["convert", five_files["matgraph"], "--to", "domain"], ["verify", "--strict", five_files["matgraph"]]):
+        built.clear()
+        loaded.clear()
+        assert cli.main(argv) == 0, argv
+        (g,) = loaded
+        assert [x for x in built if x is g] == [g], argv
+        assert len({id(x) for x in built}) == len(built), argv
+    capsys.readouterr()
+
+
 def test_verify_strict_validates_every_first_leg_output(five_files, traffic, monkeypatch, capsys):
     """Every first-leg output is validated once, by the core that built it or
     by the public back leg, and no object is validated twice."""
