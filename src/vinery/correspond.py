@@ -2,8 +2,12 @@
 
 These are the direct, non-recursive maps; the generic ``species.transport``
 computes the same functions and the test suite holds the two routes equal.
-Each map is a private core that trusts its input and checks what it builds
-where that can fail; the public name checks the input first.
+Each map is a private core that trusts its input and checks nothing it
+builds; the public name checks the input first.  A valid input has a valid
+image by two bijections, which the graph <-> domain maps compose:
+
+- MAT-labeled complete graphs <-> regular vines (Forum Math. Sigma 2024)
+- maximal ASPDs <-> regular vines (this paper)
 """
 
 from __future__ import annotations
@@ -13,23 +17,15 @@ from itertools import combinations
 from . import domain as dm
 from . import matgraph as mg
 from . import vine as vn
-from .errors import StructureError, checked
+from .errors import checked
 
 
 def _graph_to_vine(g: mg.MatLabeledGraph) -> vn.RegularVine:
     """Singletons plus the principal clique generated by every edge."""
     order, _, _, cliques = g._view
     nodes = {frozenset([a]) for a in g.vertices}
-    for (u, v), k in g.labels.items():
-        clique = frozenset(x for i, x in enumerate(order) if cliques[(u, v)] >> i & 1)
-        if len(clique) != k + 1:
-            raise StructureError("matgraph.principal-clique",
-                                 f"principal clique of {u}-{v} has size {len(clique)}, expected {k + 1}",
-                                 witness=sorted(clique))
-        nodes.add(clique)
-    out = vn.RegularVine(g.vertices, frozenset(nodes))
-    vn.require_valid(out)
-    return out
+    nodes.update(frozenset(x for i, x in enumerate(order) if clique >> i & 1) for clique in cliques.values())
+    return vn.RegularVine(g.vertices, frozenset(nodes))
 
 
 def _vine_to_graph(v: vn.RegularVine) -> mg.MatLabeledGraph:
@@ -38,9 +34,7 @@ def _vine_to_graph(v: vn.RegularVine) -> mg.MatLabeledGraph:
     for s in v.sorted_nodes():
         for e in combinations(sorted(s), 2):
             labels.setdefault(e, len(s) - 1)
-    out = mg.MatLabeledGraph(v.ground, labels)
-    mg.require_valid(out)
-    return out
+    return mg.MatLabeledGraph(v.ground, labels)
 
 
 def _graph_to_domain(g: mg.MatLabeledGraph) -> dm.PreferenceDomain:
@@ -53,9 +47,7 @@ def _graph_to_domain(g: mg.MatLabeledGraph) -> dm.PreferenceDomain:
 def _domain_to_graph(d: dm.PreferenceDomain) -> mg.MatLabeledGraph:
     """Label every pair by its topmost contiguous occurrence."""
     # in a maximal ASPD every pair is contiguous somewhere; the keys are edge keys
-    out = mg.MatLabeledGraph(d.alternatives, dict(sorted(dm._contiguous_positions(d).items())))
-    mg.require_valid(out)
-    return out
+    return mg.MatLabeledGraph(d.alternatives, dict(sorted(dm._contiguous_positions(d).items())))
 
 
 def _vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
@@ -83,9 +75,7 @@ def _domain_to_vine(d: dm.PreferenceDomain) -> vn.RegularVine:
     for w in d.prefs:
         for k in range(1, len(w) + 1):
             nodes.add(frozenset(w[:k]))
-    out = vn.RegularVine(d.alternatives, frozenset(nodes))
-    vn.require_valid(out)
-    return out
+    return vn.RegularVine(d.alternatives, frozenset(nodes))
 
 
 graph_to_vine = checked(mg.require_valid, _graph_to_vine)

@@ -105,8 +105,13 @@ def bottom_alternatives(d: PreferenceDomain) -> frozenset:
 
 
 def validate_domain(d: PreferenceDomain) -> list[Violation]:
-    """Never-bottom, then the maximal size 2^(n-1); empty report means a maximal ASPD."""
-    report: list[Violation] = []
+    """Every preference a permutation of the alternatives, then never-bottom
+    and the maximal size 2^(n-1); empty report means a maximal ASPD."""
+    bad = [w for w in d.prefs if len(w) != d.n or set(w) != d.alternatives]
+    report = [Violation("domain.permutation", w, f"preference {w} is not a linear order on the alternatives")
+              for w in sorted(bad, key=repr)]
+    if report:
+        return report
     ok, triple = is_aspd(d)
     if not ok:
         report.append(Violation("domain.never-bottom", triple,

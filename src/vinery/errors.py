@@ -9,7 +9,11 @@ turns such a report into a ``StructureError``.
 
 A structure is checked once, where it enters: an operation on valid input is
 a private core, its public name is ``checked(require, core)``, and package
-code that holds a checked structure calls the core.
+code that holds a checked structure calls the core.  No core checks what it
+builds: the families are in bijection, so the image of a valid structure is
+valid (`correspond` and `lattice` name the results).  Each validator first
+refuses what its factory or the parser refuses, and then stops, so its
+later checks never see a malformed structure.
 """
 
 from __future__ import annotations

@@ -15,6 +15,15 @@ read the covers.  `join` and `meet` stay the definitional pairwise versions.
 `has_no_triangles` detects a triangle from a table of row pairs and scans
 row triples for the least witness only when there is one.
 
+`_lattice_to_vine` reads a vine off a valid lattice L without a check.
+The paper makes L order-isomorphic to a regular vine V on n = |ground|
+labels plus a bottom.  That poset is graded of height n, so every maximal
+chain is n + 1 nested subsets of the n-set ground, and each element's size
+equals its rank.  So the bottom is empty, the atoms are the n singletons,
+and each element is the union of the atoms below it: L minus its bottom is
+a relabeling of V.  By the paper, a valid matrix is the characteristic
+vectors of such an L.
+
 Lattices and matrices are the last two rows of the split/merge table in
 `species`: the half of a lattice on A - {a} is its elements without a, that
 of a matrix its columns with 0 at row a, row a deleted.  `undouble` is the
@@ -31,7 +40,7 @@ from typing import Iterable, Optional
 
 from . import generate as gen
 from . import vine as vn
-from .errors import StructureError, Violation, checked
+from .errors import StructureError, Violation, checked, raise_first
 
 
 @dataclass(frozen=True, eq=True)
@@ -173,17 +182,6 @@ def _is_b3_free(L: BoundedLattice) -> Optional[tuple]:
     return _direct_b3_search(L)
 
 
-def is_extremal_lattice(L: BoundedLattice, n: int) -> bool:
-    """Lattice, at most n join-irreducibles, B(3)-free, extremal size."""
-    if not is_lattice(L):
-        return False
-    if len(join_irreducibles(L)) > n:
-        return False
-    if _is_b3_free(L) is not None:
-        return False
-    return len(L.elements) == 1 + n + n * (n - 1) // 2
-
-
 def validate_lattice(L: BoundedLattice) -> list[Violation]:
     """Lattice, then B(3)-freeness, the extremal size and at most n join-irreducibles
     for n = |ground|; empty report means (n,3)-extremal."""
@@ -202,17 +200,22 @@ def validate_lattice(L: BoundedLattice) -> list[Violation]:
     return report
 
 
+def is_extremal_lattice(L: BoundedLattice) -> bool:
+    return not validate_lattice(L)
+
+
+def require_extremal_lattice(L: BoundedLattice) -> None:
+    raise_first(validate_lattice(L))
+
+
 def _vine_to_lattice(v: vn.RegularVine) -> BoundedLattice:
     """The vine's nodes plus the empty bottom."""
     return BoundedLattice(v.nodes | {frozenset()})
 
 
-def lattice_to_vine(L: BoundedLattice) -> vn.RegularVine:
-    bottom = min(L.elements, key=len)
-    nodes = frozenset(s for s in L.elements if s != bottom)
-    out = vn.RegularVine(frozenset(x for s in nodes for x in s), nodes)
-    vn.require_valid(out)
-    return out
+def _lattice_to_vine(L: BoundedLattice) -> vn.RegularVine:
+    """The elements other than the empty bottom (module docstring)."""
+    return vn.RegularVine(L.ground, L.elements - {frozenset()})
 
 
 def _maximal_chains_of_lattice(L: BoundedLattice) -> list[tuple]:
@@ -249,7 +252,7 @@ def doubling(L: BoundedLattice, chain: Iterable[frozenset]) -> BoundedLattice:
     return BoundedLattice(L.elements | frozenset(dotted))
 
 
-def undouble(L: BoundedLattice) -> tuple[BoundedLattice, tuple]:
+def _undouble(L: BoundedLattice) -> tuple[BoundedLattice, tuple]:
     """One decomposition (L1, C) with doubling(L1, C) isomorphic to L.
 
     The lattice split: L1 is the restriction to the lexicographically
@@ -257,11 +260,10 @@ def undouble(L: BoundedLattice) -> tuple[BoundedLattice, tuple]:
     the fresh label, and C holds the x in L1 whose dotted copy x | {a} is
     in L.  The other co-atom induces a second, equally valid decomposition.
     """
-    _require_lattice(L)
-    v = lattice_to_vine(L)
-    if v.n < 2:
+    n = len(L.ground)
+    if n < 2:
         raise StructureError("lattice.undouble", "undoubling requires n >= 2")
-    (a,) = v.ground - v.rank_nodes(v.n - 1)[0]
+    (a,) = L.ground - min((s for s in L.elements if len(s) == n - 1), key=sorted)
     L1 = _restrict_lattice(L, a)
     return L1, tuple(x for x in L1.sorted_elements() if x | {a} in L.elements)
 
@@ -351,16 +353,20 @@ def _triangle_witness(M: BinaryMatrix) -> Optional[tuple]:
 
 
 def validate_matrix(M: BinaryMatrix) -> list[Violation]:
-    """Strictly increasing row labels, no triangle, the extremal column count;
-    empty report means extremal."""
-    report: list[Violation] = []
+    """0/1 columns of the row count's length, then strictly increasing row
+    labels, no triangle, the extremal column count; empty report means extremal."""
+    n = len(M.rows)
+    bad = [c for c in M.columns if len(c) != n or any(type(b) is not int or b not in (0, 1) for b in c)]
+    report = [Violation("matrix.columns", c, f"column {c!r} is not a 0/1 vector of length {n}")
+              for c in sorted(bad, key=repr)]
+    if report:
+        return report
     if any(a >= b for a, b in zip(M.rows, M.rows[1:])):
         report.append(Violation("matrix.rows", list(M.rows),
                                 f"row labels {list(M.rows)} are not strictly increasing"))
     witness = has_no_triangles(M)
     if witness is not None:
         report.append(Violation("matrix.triangle", witness, f"triangle at rows {witness[0]}"))
-    n = len(M.rows)
     size = 1 + n + n * (n - 1) // 2
     if len(M.columns) != size:
         report.append(Violation("matrix.size", len(M.columns), f"{len(M.columns)} columns, extremal is {size}"))
@@ -369,6 +375,10 @@ def validate_matrix(M: BinaryMatrix) -> list[Violation]:
 
 def is_extremal_matrix(M: BinaryMatrix) -> bool:
     return not validate_matrix(M)
+
+
+def require_extremal_matrix(M: BinaryMatrix) -> None:
+    raise_first(validate_matrix(M))
 
 
 def _automorphism_group_order(v: vn.RegularVine) -> int:
@@ -386,5 +396,7 @@ def _automorphism_group_order(v: vn.RegularVine) -> int:
 direct_b3_search = checked(_require_lattice, _direct_b3_search)
 is_b3_free = checked(_require_lattice, _is_b3_free)
 vine_to_lattice = checked(vn.require_valid, _vine_to_lattice)
+lattice_to_vine = checked(require_extremal_lattice, _lattice_to_vine)
+undouble = checked(require_extremal_lattice, _undouble)
 maximal_chains_of_lattice = checked(_require_lattice, _maximal_chains_of_lattice)
 automorphism_group_order = checked(vn.require_valid, _automorphism_group_order)

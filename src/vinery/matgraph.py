@@ -12,8 +12,9 @@ partners, the vertices c with both labels to u and v below the edge's.
 Each graph object finds them once: `MatLabeledGraph._view`, cached on first
 use, holds the sorted vertices, their indices, one label matrix and one
 principal-clique bitmask per labeled edge, for any graph, complete or not,
-valid or not.  The triangle count of axiom (2), `triangle_partners`, the
-map to the vine and the MAT-PEO search all read it.
+valid or not, whose keys are edge keys of its vertices.  Both axioms'
+checks, `triangle_partners`, the map to the vine and the MAT-PEO search all
+read it.
 
 On a valid complete MAT graph g on n vertices, an ordering of the vertices
 is a MAT-PEO iff each of its prefix sets is a singleton or a principal
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import StructureError, Violation, _UnionFind, checked, raise_first
@@ -124,28 +126,55 @@ def mat_graph(vertices: Iterable[str], edges: Iterable[tuple[str, str, int]]) ->
     return MatLabeledGraph(vs, labels)
 
 
-def validate_mat_labeling(g: MatLabeledGraph) -> list[Violation]:
-    """Check the two MAT axioms level by level; empty report means valid."""
+def _malformed_edges(g: MatLabeledGraph) -> list[Violation]:
+    """What `mat_graph` refuses, under its axiom names: a label key that is
+    not the `edge_key` of two distinct vertices, or a label that is not a
+    positive integer."""
     report: list[Violation] = []
-    if not g.labels:
+    vs = g.vertices
+    for key, k in g.labels.items():
+        if not isinstance(key, tuple) or len(key) != 2 or key[0] == key[1]:
+            report.append(Violation("matgraph.simple", key, f"edge key {key!r} is not a pair of distinct vertices"))
+        elif key[0] not in vs or key[1] not in vs:
+            report.append(Violation("matgraph.vertices", key, f"edge {key!r} uses unknown vertex"))
+        elif key[0] > key[1]:
+            report.append(Violation("matgraph.simple", key, f"edge key {key!r} is not the sorted pair"))
+        elif not isinstance(k, int) or isinstance(k, bool) or k < 1:
+            report.append(Violation("matgraph.positive-label", (*key, k),
+                                    f"label of {key[0]!r}-{key[1]!r} must be a positive integer"))
+    return report
+
+
+def validate_mat_labeling(g: MatLabeledGraph) -> list[Violation]:
+    """Check the two MAT axioms level by level; empty report means valid.
+    A malformed graph (`_malformed_edges`) gets only that report."""
+    report = _malformed_edges(g)
+    if report or not g.labels:
         return report
+    order, index, lab, cliques = g._view
     edges = sorted(g.labels.items())
+    levels: dict[int, list] = {}
+    for (u, v), k in edges:
+        levels.setdefault(k, []).append((index[u], index[v]))
     # condition (1): no cycle inside pi_k plus at most one extra edge of
     # lower-or-equal label, i.e. pi_k is a forest and no lower edge joins
     # vertices already connected within pi_k; a level without edges joins
-    # nothing, so only the labels present are visited
-    for k in sorted(set(g.labels.values())):
-        uf = _UnionFind(g.vertices)
-        for (u, v), lab in edges:
-            if lab == k and not uf.union(u, v):
-                report.append(Violation("matgraph.acyclic", (u, v, k),
-                                        f"edge {u}-{v} closes a cycle within level {k}"))
-        for (u, v), lab in edges:
-            if lab < k and uf.find(u) == uf.find(v):
-                report.append(Violation("matgraph.acyclic", (u, v, k),
-                                        f"edge {u}-{v} (label {lab}) closes a cycle with level-{k} edges"))
+    # nothing, so only the labels present are visited, and a lower edge can
+    # only join two vertices of one component of the level's edges
+    for k in sorted(levels):
+        uf = _UnionFind({i for e in levels[k] for i in e})
+        for i, j in levels[k]:
+            if not uf.union(i, j):
+                u, v = order[i], order[j]
+                report.append(Violation("matgraph.acyclic", (u, v, k), f"edge {u}-{v} closes a cycle within level {k}"))
+        components: dict[int, list] = {}
+        for i in sorted(uf.parent):
+            components.setdefault(uf.find(i), []).append(i)
+        for i, j in sorted((i, j) for c in components.values() for i, j in combinations(c, 2) if lab[i][j] < k):
+            u, v = order[i], order[j]
+            report.append(Violation("matgraph.acyclic", (u, v, k),
+                                    f"edge {u}-{v} (label {lab[i][j]}) closes a cycle with level-{k} edges"))
     # condition (2): each level-k edge closes exactly k-1 triangles below
-    cliques = g._view.cliques
     for (u, v), k in edges:
         found = cliques[(u, v)].bit_count() - 2
         if found != k - 1:

@@ -4,13 +4,13 @@
 five split/merge rows of `species`.  ``via="direct"`` is the explicit hub:
 graph, vine and domain convert among each other by the six explicit maps,
 and lattices and matrices are structural re-packagings of a vine (add/remove
-the bottom; characteristic vectors) that compose with them.  A lattice or
-matrix source is first read as its vine, which checks that its set
-realization has the vine shape, before either route.
+the bottom; characteristic vectors) that compose with them.  The direct
+route reads a lattice or matrix source as its vine, which a valid one is
+(`lattice` module docstring).
 
 The kind -> validator table `_VALIDATORS` is read by the CLI and checks the
-input of `convert_structure`; its core composes the maps' cores, so a
-checked structure is not checked again on the way.
+input of `convert_structure`.  Its core composes the maps' cores, which
+send valid structures to valid ones, so nothing is checked on the way.
 """
 
 from __future__ import annotations
@@ -56,13 +56,10 @@ def _convert_structure(obj, to_kind: str, via: str = "direct"):
     kind = io.kind_of(obj)
     if kind == to_kind:
         return obj
-    if kind in ("lattice", "matrix"):
-        # reading the source as a vine checks the vine shape of its realization
-        v = lt.lattice_to_vine(obj if kind == "lattice" else lt.matrix_to_lattice(obj))
-        if via == "direct":
-            obj, kind = v, "vine"
     if via == "transport":
         return sp._transport(sp.SPECIES[kind], sp.SPECIES[to_kind], obj)
+    if kind in ("lattice", "matrix"):
+        obj, kind = lt._lattice_to_vine(obj if kind == "lattice" else lt.matrix_to_lattice(obj)), "vine"
     if to_kind in ("lattice", "matrix"):
         L = lt._vine_to_lattice(obj if kind == "vine" else _DIRECT[(kind, "vine")](obj))
         return L if to_kind == "lattice" else lt.lattice_to_matrix(L)

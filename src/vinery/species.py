@@ -31,7 +31,7 @@ from . import domain as dm
 from . import lattice as lt
 from . import matgraph as mg
 from . import vine as vn
-from .errors import InternalInconsistencyError, StructureError, raise_first
+from .errors import InternalInconsistencyError, StructureError
 
 
 @dataclass(frozen=True)
@@ -115,11 +115,11 @@ DOMAIN = Species("domain", "alternatives", dm.require_valid,
                  lambda d, a: dm.PreferenceDomain(d.alternatives - {a},
                                                   frozenset(w[:-1] for w in d.prefs if w[-1] == a)),
                  dm._glue_domains)
-LATTICE = Species("lattice", "ground", lambda L: raise_first(lt.validate_lattice(L)),
+LATTICE = Species("lattice", "ground", lt.require_extremal_lattice,
                   lambda g: lt.BoundedLattice(frozenset({frozenset(), g})),
                   lambda L: _coatom_labels(L.ground, L.elements), lt._restrict_lattice,
                   lambda x, y, a, b: lt.BoundedLattice(x.elements | y.elements | {x.ground | {a}}))
-MATRIX = Species("matrix", "ground", lambda M: raise_first(lt.validate_matrix(M)),
+MATRIX = Species("matrix", "ground", lt.require_extremal_matrix,
                  lambda g: lt.BinaryMatrix(tuple(sorted(g)), frozenset({(0,) * len(g), (1,) * len(g)})),
                  lt._coatom_rows, lt._restrict_matrix, lt._glue_matrices)
 SPECIES = {s.name: s for s in (GRAPH, VINE, DOMAIN, LATTICE, MATRIX)}

@@ -20,14 +20,18 @@ the mask check needs no tree or proximity pass; and the MAT axioms checked
 at every level up to the largest label with triangles found by label
 lookups, behind the view-backed `matgraph.validate_mat_labeling`; and the
 MAT-PEO growth that scans the prefix's labels for every candidate, behind
-the principal-clique walk of `matgraph._enumerate_mat_peos`.  They are slow
-and used by the tests only.
+the principal-clique walk of `matgraph._enumerate_mat_peos`; and the walks
+over every labeling of a complete graph, every never-bottom domain of the
+maximal size, every family of subsets of the extremal size and every
+triangle-free matrix of the extremal column count, behind the maps that
+trust the bijection theorems instead of checking what they build.  They are
+slow and used by the tests only.
 """
 
 from __future__ import annotations
 
 import string
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
 
 from vinery import domain as dm
@@ -256,7 +260,6 @@ def undouble_by_vine_split(L: lt.BoundedLattice) -> tuple[lt.BoundedLattice, tup
     """(L1, C) from the first half of the lattice's vine split, the principal
     ideal of the lexicographically smaller co-atom, plus the bottom; the
     oracle for `lattice.undouble`."""
-    lt._require_lattice(L)
     v = lt.lattice_to_vine(L)
     if v.n < 2:
         raise StructureError("lattice.undouble", "undoubling requires n >= 2")
@@ -378,3 +381,106 @@ def enumerate_mat_peos_by_prefix_check(g: mg.MatLabeledGraph) -> list[tuple[str,
 
     extend([], 0)
     return out
+
+
+def mat_labelings(n: int) -> Iterator[mg.MatLabeledGraph]:
+    """Every labeling of the complete graph on the first n letters with
+    labels 1..n-1.  No larger label is valid: an edge closes at most n - 2
+    triangles."""
+    labels = string.ascii_lowercase[:n]
+    edges = list(combinations(labels, 2))
+    for ks in product(range(1, n), repeat=len(edges)):
+        yield mg.MatLabeledGraph(frozenset(labels), dict(zip(edges, ks)))
+
+
+def mat_labelings_by_levels(n: int) -> Iterator[mg.MatLabeledGraph]:
+    """The labelings of `mat_labelings(n)` that satisfy condition (2), each
+    edge labeled k closing exactly k - 1 triangles with lower-labeled edges,
+    built a level at a time: the edges labeled k are a subset of the
+    unlabeled edges that close k - 1 triangles with the edges labeled so far."""
+    labels = string.ascii_lowercase[:n]
+
+    def lower_triangles(e: tuple, lab: dict) -> int:
+        return sum(mg.edge_key(e[0], c) in lab and mg.edge_key(e[1], c) in lab for c in labels if c not in e)
+
+    def level(k: int, lab: dict, rest: list) -> Iterator[mg.MatLabeledGraph]:
+        if not rest:
+            yield mg.MatLabeledGraph(frozenset(labels), dict(sorted(lab.items())))
+            return
+        if k == n:
+            return
+        fits = [e for e in rest if lower_triangles(e, lab) == k - 1]
+        for size in range(len(fits) + 1):
+            for chosen in combinations(fits, size):
+                yield from level(k + 1, {**lab, **dict.fromkeys(chosen, k)}, [e for e in rest if e not in chosen])
+
+    yield from level(1, {}, list(combinations(labels, 2)))
+
+
+def never_bottom_domains(n: int) -> Iterator[dm.PreferenceDomain]:
+    """Every domain of 2^(n-1) linear orders on the first n >= 1 letters that
+    passes `domain.is_aspd`, grown an order at a time in sorted order.  The
+    never-bottom test only gains violations as orders are added, so a
+    domain that fails it is never grown."""
+    labels = string.ascii_lowercase[:n]
+    orders = list(permutations(labels))
+    size = 2 ** (n - 1)
+
+    def grow(chosen: tuple, start: int) -> Iterator[dm.PreferenceDomain]:
+        d = dm.PreferenceDomain(frozenset(labels), frozenset(chosen))
+        if not dm.is_aspd(d)[0]:
+            return
+        if len(chosen) == size:
+            yield d
+            return
+        for i in range(start, len(orders) - (size - len(chosen)) + 1):
+            yield from grow(chosen + (orders[i],), i + 1)
+
+    yield from grow((), 0)
+
+
+def extremal_size_families(n: int) -> Iterator[lt.BoundedLattice]:
+    """Every family of 1 + n + C(n, 2) subsets of the first n letters."""
+    labels = string.ascii_lowercase[:n]
+    subsets = [frozenset(c) for k in range(n + 1) for c in combinations(labels, k)]
+    for family in combinations(subsets, 1 + n + n * (n - 1) // 2):
+        yield lt.BoundedLattice(frozenset(family))
+
+
+def family_matrix(n: int, family: Iterable[frozenset]) -> lt.BinaryMatrix:
+    """The characteristic vectors of the family, rows the first n letters."""
+    rows = tuple(string.ascii_lowercase[:n])
+    return lt.BinaryMatrix(rows, frozenset(tuple(int(r in s) for r in rows) for s in family))
+
+
+def triangle_free_extremal_matrices(n: int) -> Iterator[lt.BinaryMatrix]:
+    """Every triangle-free matrix with rows the first n letters and
+    1 + n + C(n, 2) distinct columns.  A triangle's three columns have
+    weight two on its rows, so adding the zero column, a weight-one column
+    or the all-ones column to a triangle-free matrix makes no triangle, and
+    by the extremal bound on the column count an extremal matrix holds all
+    of them.  The walk chooses the other columns in order and drops a
+    choice as soon as three of its rows carry all three weight-two
+    patterns: a triangle stays when columns are added."""
+    rows = tuple(string.ascii_lowercase[:n])
+    forced = {(0,) * n, (1,) * n} | {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    free = [c for c in product((0, 1), repeat=n) if c not in forced]
+    triples = list(combinations(range(n), 3))
+    need = 1 + n + n * (n - 1) // 2 - len(forced)
+
+    def patterns(col: tuple) -> list[int]:
+        """Per row triple, the bit of the column's weight-two pattern on it."""
+        return [1 << (col[a] + 2 * col[b]) % 3 if col[a] + col[b] + col[c] == 2 else 0 for a, b, c in triples]
+
+    table = [patterns(c) for c in free]
+
+    def grow(chosen: list, seen: list, start: int) -> Iterator[lt.BinaryMatrix]:
+        if len(chosen) == need:
+            yield lt.BinaryMatrix(rows, frozenset(forced) | frozenset(free[i] for i in chosen))
+            return
+        for i in range(start, len(free) - (need - len(chosen)) + 1):
+            grown = [s | p for s, p in zip(seen, table[i])]
+            if 7 not in grown:
+                yield from grow(chosen + [i], grown, i + 1)
+
+    yield from grow([], [0] * len(triples), 0)

@@ -191,8 +191,8 @@ def test_analyze_cross_check_failure_raises(write, intro_domain, monkeypatch, ca
 
 
 def test_analyze_validates_the_vine_once(write, monkeypatch, seed, capsys):
-    """On input or as a map's output check; the analytics run on the cores
-    (7 validations per op, then 2, before)."""
+    """On input only: the maps trust valid input and check nothing they
+    build, and the analytics run on the cores."""
     v = gen.random_vine("abcdefgh", random.Random(seed))
     L = lt.vine_to_lattice(v)
     objs = [co.vine_to_graph(v), v, co.vine_to_domain(v), L, lt.lattice_to_matrix(L)]
@@ -209,7 +209,7 @@ def test_analyze_validates_the_vine_once(write, monkeypatch, seed, capsys):
         path = write(f"{io.kind_of(obj)}.json", obj)
         calls.clear()
         assert cli.main(["analyze", path, "--format", "json"]) == 0
-        assert len(calls) == 1, io.kind_of(obj)
+        assert len(calls) == (io.kind_of(obj) == "vine"), io.kind_of(obj)
         capsys.readouterr()
 
 

@@ -33,6 +33,20 @@ def test_factory_rejects_malformed_input():
     assert exc.value.axiom == "domain.duplicate"
 
 
+@pytest.mark.parametrize("alternatives, prefs, bad", [
+    ("ab", [("a",), ("b",)], [("a",), ("b",)]),
+    ("abc", ["abc", "bac", "cba", "bc"], [("b", "c")]),
+    ("ab", [("a", "b"), ("a", "a")], [("a", "a")]),
+])
+def test_validator_refuses_what_the_factory_refuses(alternatives, prefs, bad):
+    """Alone, under the factory's axiom name, so that no map sees it."""
+    d = dm.PreferenceDomain(frozenset(alternatives), frozenset(tuple(w) for w in prefs))
+    assert [(x.axiom, x.witness) for x in dm.validate_domain(d)] == [("domain.permutation", w) for w in bad]
+    with pytest.raises(StructureError) as exc:
+        co.domain_to_vine(d)
+    assert exc.value.axiom == "domain.maximal-aspd"
+
+
 def test_restrict_domain(fig_domain):
     r = dm.restrict_domain(fig_domain, "abc")
     assert r.alternatives == frozenset("abc")

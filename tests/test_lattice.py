@@ -7,6 +7,7 @@ import pytest
 
 from vinery import generate as gen
 from vinery import lattice as lt
+from vinery import routes
 from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
@@ -168,15 +169,15 @@ def test_validate_lattice_checks_lattice_once(monkeypatch, seed):
     monkeypatch.setattr(lt, "is_lattice", lambda x: calls.append(x) or is_lattice(x))
     assert lt.validate_lattice(L) == []
     assert len(calls) == 1
-    assert lt.is_extremal_lattice(L, 8)
+    assert lt.is_extremal_lattice(L)
     assert len(calls) == 2
 
 
 def test_extremal_lattices_from_vines(intro_vine, fig_vine):
-    assert lt.is_extremal_lattice(lt.vine_to_lattice(intro_vine), 4)
-    assert lt.is_extremal_lattice(lt.vine_to_lattice(fig_vine), 5)
-    assert not lt.is_extremal_lattice(boolean_cube(), 3)       # contains B(3)
-    assert not lt.is_extremal_lattice(lt.lattice(["", "a", "ab", "abc"]), 3)  # too small
+    assert lt.is_extremal_lattice(lt.vine_to_lattice(intro_vine))
+    assert lt.is_extremal_lattice(lt.vine_to_lattice(fig_vine))
+    assert not lt.is_extremal_lattice(boolean_cube())       # contains B(3)
+    assert not lt.is_extremal_lattice(lt.lattice(["", "a", "ab", "abc"]))  # too small
 
 
 def test_triangle_and_direct_checks_agree_on_sublattices(intro_vine):
@@ -259,7 +260,7 @@ def test_doubling_requires_maximal_chain(intro_vine):
 def test_doubling_preserves_extremality(intro_vine):
     L = lt.vine_to_lattice(intro_vine)
     for chain in lt.maximal_chains_of_lattice(L):
-        assert lt.is_extremal_lattice(lt.doubling(L, chain), 5)
+        assert lt.is_extremal_lattice(lt.doubling(L, chain))
 
 
 def test_undouble_round_trip():
@@ -267,7 +268,7 @@ def test_undouble_round_trip():
         for v in gen.class_representatives(n):
             L = lt.vine_to_lattice(v)
             L1, chain = lt.undouble(L)
-            assert lt.is_extremal_lattice(L1, n - 1)
+            assert lt.is_extremal_lattice(L1)
             redoubled = lt.doubling(L1, chain)
             assert gen.canonical_form(lt.lattice_to_vine(redoubled)) == gen.canonical_form(v)
 
@@ -342,6 +343,21 @@ def test_matrix_of_cube_has_triangle():
     rows, cols = witness
     assert rows == ("a", "b", "c")
     assert sorted(sum(c) for c in cols) == [2, 2, 2]
+
+
+@pytest.mark.parametrize("columns, bad", [
+    ({(0, 0), (1, 0), (0, 1), (1, 0, 1)}, [(1, 0, 1)]),
+    ({(0, 0), (1, 0), (0, 1), (2, 1)}, [(2, 1)]),
+    ({(0, 0), (1, 0), (0,), (1, 1)}, [(0,)]),
+])
+def test_matrix_validator_refuses_what_the_parser_refuses(columns, bad):
+    """Alone, so that neither route sees it."""
+    M = lt.BinaryMatrix(("a", "b"), frozenset(columns))
+    assert [(x.axiom, x.witness) for x in lt.validate_matrix(M)] == [("matrix.columns", c) for c in bad]
+    for via in ("direct", "transport"):
+        with pytest.raises(StructureError) as exc:
+            routes.convert_structure(M, "domain", via)
+        assert exc.value.axiom == "matrix.columns"
 
 
 def test_extremal_matrix_size_check(fig_vine):

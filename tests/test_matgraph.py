@@ -18,7 +18,8 @@ from vinery import vine as vn
 from vinery.errors import StructureError, Violation
 
 from conftest import INTRO_PREFS, FIG_PREFS, random_relabeling, sample_vines, split_with_shared
-from oracles import enumerate_mat_peos_by_prefix_check, triangle_partners_by_labels, validate_mat_labeling_by_labels
+from oracles import (enumerate_mat_peos_by_prefix_check, mat_labelings, triangle_partners_by_labels,
+                     validate_mat_labeling_by_labels)
 
 
 # ----------------------------------------------------------- construction
@@ -134,6 +135,50 @@ def test_validate_mat_labeling_matches_label_oracle(vines_by_n, seed):
         for v in sample_vines(n, 2, rng):
             for bad in _mutations(co.vine_to_graph(v)):
                 _assert_validator_matches_oracle(bad)
+
+
+def test_validate_mat_labeling_matches_label_oracle_on_every_k4_labeling():
+    """Every labeling of K4 with labels 1..3, valid or not."""
+    for g in mat_labelings(4):
+        assert mg.validate_mat_labeling(g) == validate_mat_labeling_by_labels(g)
+
+
+def distinct_labels(n: int) -> mg.MatLabeledGraph:
+    """K_n with the labels 1..C(n, 2), in edge order: one edge per level."""
+    names = [f"v{i:02d}" for i in range(n)]
+    return mg.MatLabeledGraph(frozenset(names), {e: k for k, e in enumerate(combinations(names, 2), 1)})
+
+
+def test_acyclicity_looks_only_inside_each_levels_components():
+    """A lower edge can close a cycle only inside a component of its
+    level's edges, so one edge per level costs one pair per level: n = 80
+    with 3,160 distinct labels."""
+    assert mg.validate_mat_labeling(distinct_labels(12)) == validate_mat_labeling_by_labels(distinct_labels(12))
+    g = distinct_labels(80)
+    t0 = time.perf_counter()
+    report = mg.validate_mat_labeling(g)
+    assert time.perf_counter() - t0 < 0.5
+    assert {x.axiom for x in report} == {"matgraph.triangles"} and len(report) == 3159
+
+
+@pytest.mark.parametrize("labels, axiom", [
+    ({("c", "a"): 1, ("a", "b"): 1, ("b", "c"): 2}, "matgraph.simple"),
+    ({("a", "a"): 1}, "matgraph.simple"),
+    ({("a",): 1}, "matgraph.simple"),
+    ({("a", "x"): 1}, "matgraph.vertices"),
+    ({("a", "b"): 0}, "matgraph.positive-label"),
+    ({("a", "b"): True}, "matgraph.positive-label"),
+    ({("a", "b"): 1.0}, "matgraph.positive-label"),
+])
+def test_validator_refuses_what_the_factory_refuses(labels, axiom):
+    """Under the factory's axiom names, and alone: a key ("c", "a") would
+    leave g.label("a", "c") None."""
+    g = mg.MatLabeledGraph(frozenset("abc"), labels)
+    assert [x.axiom for x in mg.validate_mat_labeling(g)] == [axiom]
+    assert mg.validate_matgraph(g)[0].axiom == axiom
+    with pytest.raises(StructureError) as exc:
+        co.graph_to_vine(g)
+    assert exc.value.axiom == axiom
 
 
 def test_a_huge_label_is_reported_without_a_level_walk(tmp_path, capsys):

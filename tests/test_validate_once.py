@@ -47,6 +47,8 @@ CASES = [
     (lt, "is_b3_free", "lattice", (), "lattice.lattice"),
     (lt, "direct_b3_search", "lattice", (), "lattice.lattice"),
     (lt, "vine_to_lattice", "vine", (), "vine.grading"),
+    (lt, "lattice_to_vine", "lattice", (), "lattice.lattice"),
+    (lt, "undouble", "lattice", (), "lattice.lattice"),
     (lt, "maximal_chains_of_lattice", "lattice", (), "lattice.lattice"),
     (lt, "automorphism_group_order", "vine", (), "vine.grading"),
     # routes checks by the kind -> validator table and raises its first violation
@@ -161,8 +163,8 @@ def test_convert_and_verify_strict_find_the_graphs_cliques_once(five_files, monk
 
 
 def test_verify_strict_validates_every_first_leg_output(five_files, traffic, monkeypatch, capsys):
-    """Every first-leg output is validated once, by the core that built it or
-    by the public back leg, and no object is validated twice."""
+    """Every first-leg output is validated once, by the public back leg, and
+    no object is validated twice."""
     convert, legs = routes._convert_structure, []
 
     def recording(obj, to_kind, via="direct"):
@@ -170,7 +172,7 @@ def test_verify_strict_validates_every_first_leg_output(five_files, traffic, mon
         legs.append((io.kind_of(obj), out))
         return out
 
-    # back legs that run the core are recorded too; the first legs leave the file's kind
+    # the back legs run the core too; the first legs leave the file's kind
     monkeypatch.setattr(routes, "_convert_structure", recording)
     for kind, path in five_files.items():
         traffic.clear()
