@@ -612,7 +612,7 @@ def catalog_entries(n: int) -> list[dict]:
     entries = []
     for idx, cls in enumerate(classes):
         v = cls.representative
-        g = co.vine_to_graph(v)  # checks v, so the cores below take it as valid
+        g = co._vine_to_graph(v)  # `_doubled_classes` checked v
         d = co._vine_to_domain(v)
         L = lt._vine_to_lattice(v)
         M = lt.lattice_to_matrix(L)

@@ -8,10 +8,11 @@ column count 1 + n + C(n,2).
 
 The order checks read the below-sets and covers of `vine._mask_covers`
 over `sorted_elements()`, a linear extension of inclusion, computed once
-per lattice and cached as `BoundedLattice._order`: `is_lattice` finds a
-pair's meet in a few integer operations instead of a scan of the element
-family, and `join_irreducibles`, the maximal chains and the DOT rendering
-read the covers.  `join` and `meet` stay the definitional pairwise versions.
+per lattice and cached as `BoundedLattice._order`: `is_lattice` and the
+direct B(3) search find a pair's meet (the search also its join) in a few
+integer operations instead of a scan of the element family, and
+`join_irreducibles`, the maximal chains and the DOT rendering read the
+covers.  `join` and `meet` stay the definitional pairwise versions.
 `has_no_triangles` detects a triangle from a table of row pairs and scans
 row triples for the least witness only when there is one.
 
@@ -124,14 +125,15 @@ _B3_PATTERN = {0: frozenset(), 1: frozenset("1"), 2: frozenset("2"), 3: frozense
                4: frozenset("12"), 5: frozenset("13"), 6: frozenset("23"), 7: frozenset("123")}
 
 
-def _is_induced_b3(candidates: list[frozenset]) -> bool:
-    """candidates in the fixed order bottom, T1, T2, T3, J12, J13, J23, top."""
+def _is_induced_b3(candidates: list, le=frozenset.__le__) -> bool:
+    """candidates in the fixed order bottom, T1, T2, T3, J12, J13, J23, top,
+    compared by `le`."""
     if len(set(candidates)) != 8:
         return False
     shape = [_B3_PATTERN[i] for i in range(8)]
     for i in range(8):
         for j in range(8):
-            if (candidates[i] <= candidates[j]) != (shape[i] <= shape[j]):
+            if le(candidates[i], candidates[j]) != (shape[i] <= shape[j]):
                 return False
     return True
 
@@ -140,16 +142,40 @@ def _direct_b3_search(L: BoundedLattice) -> Optional[tuple]:
     """3-generator search for an induced B(3): triples with their joins.
 
     Complete: any induced B(3) copy can be replaced by one whose middle layer
-    consists of the pairwise joins of its atoms.
+    consists of the pairwise joins of its atoms.  Elements are indices into
+    `sorted_elements()`, a linear extension of inclusion, with their down-
+    and up-sets read off `_order`: the meet of x and y is the highest index
+    below both and their join the lowest index above both (`is_lattice`).
+    The atoms of a B(3) are pairwise incomparable, so a comparable pair
+    t1 < t2 is skipped before any t3 is tried.
     """
-    for t1, t2, t3 in combinations(L.sorted_elements(), 3):
-        j12, j13, j23 = join(L, t1, t2), join(L, t1, t3), join(L, t2, t3)
-        top = join(L, j12, j23)
-        m12 = meet(L, t1, t2)
-        bottom = meet(L, m12, t3)
-        cand = [bottom, t1, t2, t3, j12, j13, j23, top]
-        if _is_induced_b3(cand):
-            return tuple(cand)
+    elements = L.sorted_elements()
+    below, _ = L._order
+    down = [b | 1 << i for i, b in enumerate(below)]
+    up = [0] * len(down)
+    for i, d in enumerate(down):
+        for j in vn._bits(d):
+            up[j] |= 1 << i
+
+    def meet(x: int, y: int) -> int:
+        return (down[x] & down[y]).bit_length() - 1
+
+    def join(x: int, y: int) -> int:
+        common = up[x] & up[y]
+        return (common & -common).bit_length() - 1
+
+    def le(x: int, y: int) -> bool:
+        return bool(down[y] >> x & 1)
+
+    for t1, t2 in combinations(range(len(elements)), 2):
+        if le(t1, t2):
+            continue
+        j12, m12 = join(t1, t2), meet(t1, t2)
+        for t3 in range(t2 + 1, len(elements)):
+            j13, j23 = join(t1, t3), join(t2, t3)
+            cand = [meet(m12, t3), t1, t2, t3, j12, j13, j23, join(j12, j23)]
+            if _is_induced_b3(cand, le):
+                return tuple(elements[i] for i in cand)
     return None
 
 
@@ -157,7 +183,16 @@ def _is_b3_free(L: BoundedLattice) -> Optional[tuple]:
     """None if B(3)-free, else an 8-element induced-B(3) witness.
 
     Uses the matrix triangle criterion when all singletons are elements,
-    falling back to the direct 3-generator search otherwise.
+    the direct 3-generator search otherwise.  The triangle's witness is
+    always an induced B(3): L is then a lattice holding every singleton, so
+    its bottom is the empty meet of two singletons and its top is the
+    ground set, the join of all of them.  The triangle on rows a1, a2, a3
+    has columns s1, s2, s3 whose restrictions to {a1, a2, a3} are {a1, a2},
+    {a1, a3} and {a2, a3}.  So each si holds exactly two of a1, a2, a3: it
+    lies above the two singletons it holds and below the top, no two si
+    are comparable, and the eight sets bottom, {a1}, {a2}, {a3}, s1, s2,
+    s3, top are distinct and ordered by inclusion exactly as the subsets of
+    {1, 2, 3}.
     """
     ground = L.ground
     if all(frozenset([a]) in L.elements for a in sorted(ground)):
@@ -175,10 +210,7 @@ def _is_b3_free(L: BoundedLattice) -> Optional[tuple]:
         s3 = by_restriction[frozenset({a2, a3})]
         bottom = min(L.elements, key=len)
         top = max(L.elements, key=len)
-        witness = (bottom, frozenset([a1]), frozenset([a2]), frozenset([a3]), s1, s2, s3, top)
-        if _is_induced_b3(list(witness)):
-            return witness
-        return _direct_b3_search(L)  # degenerate overlaps; fall back
+        return (bottom, frozenset([a1]), frozenset([a2]), frozenset([a3]), s1, s2, s3, top)
     return _direct_b3_search(L)
 
 

@@ -13,30 +13,11 @@ Each graph object finds them once: `MatLabeledGraph._view`, cached on first
 use, holds the sorted vertices, their indices, one label matrix and one
 principal-clique bitmask per labeled edge, for any graph, complete or not,
 valid or not, whose keys are edge keys of its vertices.  Both axioms'
-checks, `triangle_partners`, the map to the vine and the MAT-PEO search all
-read it.
+checks, `triangle_partners` and the map to the vine read it.
 
-On a valid complete MAT graph g on n vertices, an ordering of the vertices
-is a MAT-PEO iff each of its prefix sets is a singleton or a principal
-clique, so the search grows MAT-PEOs by set lookups.  The argument goes
-through the correspondence with vines:
-
-1. `correspond.graph_to_vine(g)` is the regular vine whose nodes are
-   exactly the singletons and the principal cliques of g.
-2. `correspond.vine_to_domain` reads one preference off every maximal
-   chain of a vine, ranked in chain order.  A vine is graded with the
-   singletons at rank 1 and the ground set at rank n, so a maximal chain
-   adds one vertex per rank, and the prefix sets of its preference are its
-   nodes.  Conversely, an ordering whose prefix sets are all nodes lists a
-   maximal chain.  So the preferences of the vine are exactly the orderings
-   whose prefix sets are nodes.
-3. The MAT-PEOs of g are the preferences of its vine: graph -> domain
-   equals graph -> vine -> domain, the commuting triangle of the two
-   correspondences, which the tests hold on every labeled vine with
-   n <= 4 and on the worked examples.  The tests also hold the lookup
-   search equal to the MAT-simplicial check of every prefix: on every
-   class up to n = 6, every labeled vine up to n = 5 and seeded vines up
-   to n = 11.
+The MAT-PEOs of a valid complete graph are the maximal chains of its vine,
+so `correspond.graph_to_domain` lists them (the argument is in the
+`correspond` docstring); `is_mat_peo` checks one ordering by definition.
 """
 
 from __future__ import annotations
@@ -46,7 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
-from .errors import StructureError, Violation, _UnionFind, checked, raise_first
+from .errors import StructureError, Violation, _UnionFind, raise_first
 
 
 def edge_key(u: str, v: str) -> tuple[str, str]:
@@ -245,35 +226,6 @@ def is_mat_peo(g: MatLabeledGraph, ordering: Sequence[str]) -> bool:
     return True
 
 
-def _enumerate_mat_peos(g: MatLabeledGraph) -> list[tuple[str, ...]]:
-    """All MAT-PEOs of a valid MAT-labeled complete graph, in sorted order.
-
-    An ordering is a MAT-PEO iff each of its prefix sets is a singleton or a
-    principal clique (module docstring), so the search grows prefixes up the
-    view's clique masks: x may follow the prefix set P iff P is empty or
-    P | x is a principal clique.  The vertices that may follow each such P
-    are found once, in index order, so the orderings come out sorted; every
-    node of a vine lies under one a rank up, so no branch dies and the
-    search is output-polynomial.
-    """
-    order, _, _, cliques = g._view
-    nodes = set(cliques.values())
-    steps = {used: [(used | 1 << x, name) for x, name in enumerate(order)
-                    if not used >> x & 1 and (not used or used | 1 << x in nodes)]
-             for used in (0, *(1 << x for x in range(len(order))), *nodes)}
-    out: list[tuple[str, ...]] = []
-
-    def extend(prefix: tuple, used: int):
-        if len(prefix) == len(order):
-            out.append(prefix)
-            return
-        for grown, name in steps[used]:
-            extend(prefix + (name,), grown)
-
-    extend((), 0)
-    return out
-
-
 def _glue_graphs(g1: MatLabeledGraph, g2: MatLabeledGraph, a1: str, a2: str) -> MatLabeledGraph:
     """The graph of two compatible halves missing a1 and a2: their labels
     plus the top-label edge a1-a2."""
@@ -286,6 +238,3 @@ def _glue_graphs(g1: MatLabeledGraph, g2: MatLabeledGraph, a1: str, a2: str) -> 
 def relabel_graph(g: MatLabeledGraph, h: Mapping[str, str]) -> MatLabeledGraph:
     labels = {edge_key(h[u], h[v]): k for (u, v), k in g.labels.items()}
     return MatLabeledGraph(frozenset(h[v] for v in g.vertices), labels)
-
-
-enumerate_mat_peos = checked(require_valid, _enumerate_mat_peos)

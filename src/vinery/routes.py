@@ -1,11 +1,11 @@
 """Conversion routing between all five representations.
 
 ``via="transport"`` is the generic species transport between any two of the
-five split/merge rows of `species`.  ``via="direct"`` is the explicit hub:
-graph, vine and domain convert among each other by the six explicit maps,
-and lattices and matrices are structural re-packagings of a vine (add/remove
-the bottom; characteristic vectors) that compose with them.  The direct
-route reads a lattice or matrix source as its vine, which a valid one is
+five split/merge rows of `species`.  ``via="direct"`` is the explicit hub,
+the regular vine: every kind has one map to the vine (`_TO_VINE`) and one
+from it (`_FROM_VINE`), and a conversion is the second after the first.
+Graphs and domains map by the `correspond` cores; a lattice is the vine plus
+the empty bottom, and a matrix the characteristic vectors of that lattice
 (`lattice` module docstring).
 
 The kind -> validator table `_VALIDATORS` is read by the CLI and checks the
@@ -32,13 +32,20 @@ _VALIDATORS = {
     "matrix": lt.validate_matrix,
 }
 
-_DIRECT = {
-    ("matgraph", "vine"): co._graph_to_vine,
-    ("vine", "matgraph"): co._vine_to_graph,
-    ("matgraph", "domain"): co._graph_to_domain,
-    ("domain", "matgraph"): co._domain_to_graph,
-    ("vine", "domain"): co._vine_to_domain,
-    ("domain", "vine"): co._domain_to_vine,
+_TO_VINE = {
+    "matgraph": co._graph_to_vine,
+    "vine": lambda v: v,
+    "domain": co._domain_to_vine,
+    "lattice": lt._lattice_to_vine,
+    "matrix": lambda M: lt._lattice_to_vine(lt.matrix_to_lattice(M)),
+}
+
+_FROM_VINE = {
+    "matgraph": co._vine_to_graph,
+    "vine": lambda v: v,
+    "domain": co._vine_to_domain,
+    "lattice": lt._vine_to_lattice,
+    "matrix": lambda v: lt.lattice_to_matrix(lt._vine_to_lattice(v)),
 }
 
 
@@ -58,12 +65,7 @@ def _convert_structure(obj, to_kind: str, via: str = "direct"):
         return obj
     if via == "transport":
         return sp._transport(sp.SPECIES[kind], sp.SPECIES[to_kind], obj)
-    if kind in ("lattice", "matrix"):
-        obj, kind = lt._lattice_to_vine(obj if kind == "lattice" else lt.matrix_to_lattice(obj)), "vine"
-    if to_kind in ("lattice", "matrix"):
-        L = lt._vine_to_lattice(obj if kind == "vine" else _DIRECT[(kind, "vine")](obj))
-        return L if to_kind == "lattice" else lt.lattice_to_matrix(L)
-    return obj if kind == to_kind else _DIRECT[(kind, to_kind)](obj)
+    return _FROM_VINE[to_kind](_TO_VINE[kind](obj))
 
 
 convert_structure = checked(_require_valid, _convert_structure)

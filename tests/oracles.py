@@ -4,32 +4,34 @@ Each oracle computes from the definition what a kernel computes from index
 tables or bitmasks: the n!-relabeling scans behind the canonical form and
 |Aut|; the quadratic `covered_by` and `covered_elements` scans behind
 `vine._mask_covers`, and the DOT rendering built on them; the pairwise
-join/meet tests behind the lattice order checks; the per-pair domain scan
-behind the one-pass topmost contiguous positions; and the no-extension scan
-behind the size criterion of maximal ASPDs; and the vine stream that
-enumerates every line graph's spanning trees afresh at every node and finds
-every node's labels by a scan, behind the successor memo, the shared
-accumulator and the mask table of `generate_vines`; and the undoubling by
-the vine split of the lattice's vine, behind the lattice restriction of
-`lattice.undouble`; and the unrooted tree shapes and the counting DP that
-enumerates every line graph's spanning trees, behind the clique-weighted
-`generate._completions`; and the vine axioms checked on frozenset nodes,
-behind the mask check of `vine.validate_vine`, together with the walk over
-every family that passes its counts and two covers, behind the proof that
-the mask check needs no tree or proximity pass; and the MAT axioms checked
-at every level up to the largest label with triangles found by label
-lookups, behind the view-backed `matgraph.validate_mat_labeling`; and the
-MAT-PEO growth that scans the prefix's labels for every candidate, behind
-the principal-clique walk of `matgraph._enumerate_mat_peos`; and the walks
-over every labeling of a complete graph, every never-bottom domain of the
-maximal size, every family of subsets of the extremal size and every
-triangle-free matrix of the extremal column count, behind the maps that
-trust the bijection theorems instead of checking what they build.  They are
-slow and used by the tests only.
+join/meet tests behind the lattice order checks and the direct B(3) search;
+the per-pair domain scan behind the one-pass topmost contiguous positions;
+and the no-extension scan behind the size criterion of maximal ASPDs; and
+the vine stream that enumerates every line graph's spanning trees afresh at
+every node and finds every node's labels by a scan, behind the successor
+memo, the shared accumulator and the mask table of `generate_vines`; and
+the undoubling by the vine split of the lattice's vine, behind the lattice
+restriction of `lattice.undouble`; and the unrooted tree shapes and the
+counting DP that enumerates every line graph's spanning trees, behind the
+clique-weighted `generate._completions`; and the vine axioms checked on
+frozenset nodes, behind the mask check of `vine.validate_vine`, together
+with the walk over every family that passes its counts and two covers,
+behind the proof that the mask check needs no tree or proximity pass; and
+the MAT axioms checked at every level up to the largest label with
+triangles found by label lookups, behind the view-backed
+`matgraph.validate_mat_labeling`; and the MAT-PEO growth that scans the
+prefix's labels for every candidate, behind the chains of the graph's vine
+that `correspond.graph_to_domain` lists; and the walks over every labeling
+of a complete graph, every never-bottom domain of the maximal size, every
+family of subsets of the extremal size and every triangle-free matrix of
+the extremal column count, behind the maps that trust the bijection
+theorems instead of checking what they build.  They are slow and used by
+the tests only.
 """
 
 from __future__ import annotations
 
+import functools
 import string
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
@@ -218,6 +220,24 @@ def is_lattice_pairwise(L: lt.BoundedLattice) -> bool:
     return True
 
 
+def direct_b3_search_by_joins(L: lt.BoundedLattice) -> tuple | None:
+    """The first triple of elements, in `sorted_elements()` order, whose
+    pairwise joins and meets by `lattice.join` and `lattice.meet` span an
+    induced B(3), with that B(3); the oracle for the order-table search of
+    `lattice._direct_b3_search`.  Each pair's join and meet is scanned for
+    once."""
+    join = functools.cache(lambda x, y: lt.join(L, x, y))
+    meet = functools.cache(lambda x, y: lt.meet(L, x, y))
+    for t1, t2, t3 in combinations(L.sorted_elements(), 3):
+        j12, j13, j23 = join(t1, t2), join(t1, t3), join(t2, t3)
+        top = join(j12, j23)
+        bottom = meet(meet(t1, t2), t3)
+        cand = [bottom, t1, t2, t3, j12, j13, j23, top]
+        if lt._is_induced_b3(cand):
+            return tuple(cand)
+    return None
+
+
 def join_irreducibles_by_covers(L: lt.BoundedLattice) -> list[frozenset]:
     """Elements other than the bottom with exactly one `covered_elements`."""
     bottom = min(L.elements, key=len)
@@ -347,7 +367,7 @@ def enumerate_mat_peos_by_prefix_check(g: mg.MatLabeledGraph) -> list[tuple[str,
     induced prefix: on a complete graph, x is MAT-simplicial after a prefix
     of p vertices iff its p labels to the prefix are 1..p and every prefix
     edge is labeled below the larger of its two labels to x.  The oracle for
-    `matgraph._enumerate_mat_peos`."""
+    `correspond.graph_to_domain`, which reads them off the graph's vine."""
     order = sorted(g.vertices)
     index = {x: i for i, x in enumerate(order)}
     lab = [[0] * len(order) for _ in order]

@@ -1,5 +1,7 @@
 """The six explicit bijections between graphs, vines and domains."""
 
+from itertools import combinations
+
 import pytest
 
 from vinery import correspond as co
@@ -7,6 +9,8 @@ from vinery import domain as dm
 from vinery import matgraph as mg
 from vinery import vine as vn
 from vinery.errors import StructureError
+
+from oracles import enumerate_mat_peos_by_prefix_check
 
 
 # ------------------------------------------------------- worked examples
@@ -84,9 +88,12 @@ def test_maps_commute_exhaustive_small(vines_by_n):
         for v in vines_by_n[n]:
             g = co.vine_to_graph(v)
             d = co.vine_to_domain(v)
-            # each map factors through the third representation
-            assert co.vine_to_domain(co.graph_to_vine(g)) == co.graph_to_domain(g)
-            assert co.vine_to_graph(co.domain_to_vine(d)) == co.domain_to_graph(d)
+            # graph <-> domain factor through the vine by definition, so they
+            # are held to the paper's explicit maps: the MAT-PEOs, and the
+            # topmost contiguous position of every pair
+            assert co.graph_to_domain(g).sorted_prefs() == enumerate_mat_peos_by_prefix_check(g)
+            assert co.domain_to_graph(d).labels == {
+                (x, y): dm.topmost_contiguous_position(d, x, y) for x, y in combinations(sorted(d.alternatives), 2)}
             assert co.graph_to_domain(co.vine_to_graph(v)) == d
             assert co.domain_to_graph(co.vine_to_domain(v)) == g
 

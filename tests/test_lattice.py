@@ -1,6 +1,7 @@
 """Extremal lattices, triangle-free matrices, doubling and automorphisms."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -13,7 +14,8 @@ from vinery import vine as vn
 from vinery.errors import StructureError
 
 from conftest import random_relabeling, split_with_shared
-from oracles import covered_elements, is_lattice_pairwise, join_irreducibles_by_covers, undouble_by_vine_split
+from oracles import (covered_elements, direct_b3_search_by_joins, extremal_size_families, is_lattice_pairwise,
+                     join_irreducibles_by_covers, undouble_by_vine_split)
 
 
 def boolean_cube():
@@ -211,6 +213,55 @@ def test_triangle_and_direct_checks_agree_on_random_families(seed):
             continue
         checked += 1
         assert (lt.is_b3_free(fam) is None) == (lt.direct_b3_search(fam) is None)
+
+
+def small_lattices() -> list[lt.BoundedLattice]:
+    """The lattices among the families of 1 + n + C(n, 2) subsets, n <= 4."""
+    return [L for n in range(5) for L in extremal_size_families(n) if lt.is_lattice(L)]
+
+
+def test_direct_b3_search_matches_the_join_scan(seed):
+    """The order-table search returns the witness of the join/meet scan, or
+    None with it: on `small_lattices`, on the Boolean lattice of {a, b, c},
+    and on seeded vine lattices with n = 5..8 missing a singleton or a
+    node of a middle rank."""
+    families = small_lattices() + [boolean_cube()]
+    rng = random.Random(seed)
+    for n in range(5, 9):
+        L = lt.vine_to_lattice(gen.random_vine("abcdefgh"[:n], rng))
+        middle = [s for s in L.sorted_elements() if 1 < len(s) < n]
+        for drop in (frozenset(rng.choice(sorted(L.ground))), rng.choice(middle)):
+            fam = lt.BoundedLattice(L.elements - {drop})
+            if lt.is_lattice(fam):
+                families.append(fam)
+    witnesses = [lt.direct_b3_search(L) for L in families]
+    assert witnesses == [direct_b3_search_by_joins(L) for L in families]
+    assert None in witnesses and any(w is not None for w in witnesses)
+
+
+def test_triangle_witness_is_an_induced_b3():
+    """On a lattice holding every singleton, the B(3) read off a triangle
+    needs no re-check (`_is_b3_free` docstring): every such witness among
+    `small_lattices` is an induced B(3)."""
+    witnesses = [lt._is_b3_free(L) for L in small_lattices()
+                 if all(frozenset(a) in L.elements for a in L.ground)]
+    assert any(w is not None for w in witnesses)
+    for w in witnesses:
+        assert w is None or lt._is_induced_b3(list(w))
+
+
+def test_validate_lattice_without_a_singleton_is_fast(seed):
+    """A lattice lacking a singleton takes the direct B(3) search, which
+    reads meets and joins off the order table: a seeded n = 12 vine lattice
+    without {a}, 78 elements, validates in under a second."""
+    L = lt.vine_to_lattice(gen.random_vine("abcdefghijkl", random.Random(seed)))
+    fam = lt.BoundedLattice(L.elements - {frozenset("a")})
+    start = time.perf_counter()
+    report = lt.validate_lattice(fam)
+    assert time.perf_counter() - start < 1.0
+    # a subfamily of a B(3)-free lattice is B(3)-free
+    axioms = [r.axiom for r in report]
+    assert "lattice.size" in axioms and "lattice.b3-free" not in axioms
 
 
 # ------------------------------------------------------- vines <-> lattices

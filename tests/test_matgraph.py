@@ -237,13 +237,13 @@ def test_is_mat_peo_requires_permutation(intro_graph):
 
 
 def test_enumerate_mat_peos_intro(intro_graph):
-    peos = mg.enumerate_mat_peos(intro_graph)
+    peos = co.graph_to_domain(intro_graph).sorted_prefs()
     assert peos == sorted(tuple(w) for w in INTRO_PREFS)
     assert len(peos) == 2 ** (4 - 1)
 
 
 def test_enumerate_mat_peos_fig(fig_graph):
-    peos = mg.enumerate_mat_peos(fig_graph)
+    peos = co.graph_to_domain(fig_graph).sorted_prefs()
     assert peos == sorted(tuple(w) for w in FIG_PREFS)
 
 
@@ -251,35 +251,35 @@ def test_enumerate_mat_peos_agrees_with_pointwise_check(intro_graph):
     from itertools import permutations
     expected = [w for w in permutations(sorted(intro_graph.vertices))
                 if mg.is_mat_peo(intro_graph, w)]
-    assert mg.enumerate_mat_peos(intro_graph) == expected
+    assert co.graph_to_domain(intro_graph).sorted_prefs() == expected
 
 
 def test_enumerate_mat_peos_matches_permutation_filter():
-    """The index-prefix search equals the is_mat_peo filter over all
+    """The chains of the graph's vine equal the is_mat_peo filter over all
     orderings, for the graph of every class with n <= 6."""
     for n in range(1, 7):
         for v in gen.class_representatives(n):
             g = co.vine_to_graph(v)
             expected = [w for w in permutations(sorted(g.vertices)) if mg.is_mat_peo(g, w)]
-            assert mg.enumerate_mat_peos(g) == expected
+            assert co.graph_to_domain(g).sorted_prefs() == expected
 
 
 def test_enumerate_mat_peos_matches_prefix_check_oracle(vines_by_n, seed):
-    """The principal-clique walk returns the prefix-check oracle's list,
-    order included, on the graph of every labeled vine with n <= 5 and on
+    """The chains of the graph's vine, sorted, are the prefix-check
+    oracle's list, on the graph of every labeled vine with n <= 5 and on
     seeded graphs with n = 6..11."""
     graphs = [co.vine_to_graph(v) for n in range(6) for v in vines_by_n[n]]
     rng = random.Random(seed)
     graphs += [co.vine_to_graph(gen.random_vine(string.ascii_lowercase[:n], rng))
                for n in range(6, 12) for _ in range(2)]
     for g in graphs:
-        assert mg.enumerate_mat_peos(g) == enumerate_mat_peos_by_prefix_check(g)
+        assert co.graph_to_domain(g).sorted_prefs() == enumerate_mat_peos_by_prefix_check(g)
 
 
 def test_enumerate_mat_peos_requires_complete():
     g = mg.mat_graph("abc", [("a", "b", 1), ("b", "c", 1)])
     with pytest.raises(StructureError) as exc:
-        mg.enumerate_mat_peos(g)
+        co.graph_to_domain(g).sorted_prefs()
     assert exc.value.axiom == "matgraph.complete"
 
 

@@ -43,7 +43,6 @@ CASES = [
     (vn, "maximal_chains", "vine", (), "vine.grading"),
     (vn, "chain_counts_from_atoms", "vine", (), "vine.grading"),
     (vn, "richness_via_vine", "vine", (), "vine.grading"),
-    (mg, "enumerate_mat_peos", "matgraph", (), "matgraph.complete"),
     (lt, "is_b3_free", "lattice", (), "lattice.lattice"),
     (lt, "direct_b3_search", "lattice", (), "lattice.lattice"),
     (lt, "vine_to_lattice", "vine", (), "vine.grading"),
@@ -145,9 +144,9 @@ def test_analyze_finds_each_vines_covers_once(five_files, monkeypatch, capsys):
 
 
 def test_convert_and_verify_strict_find_the_graphs_cliques_once(five_files, monkeypatch, capsys):
-    """The validator, the map to the vine and the MAT-PEO walk share one
-    view of the input graph: one principal-clique build per op, and none
-    twice for any graph."""
+    """The validator and the map to the vine share one view of the input
+    graph: one principal-clique build per op, and none twice for any
+    graph."""
     built, loaded = [], []
     index_view, load_file = mg._index_view, io.load_file
     monkeypatch.setattr(mg, "_index_view", lambda g: built.append(g) or index_view(g))
@@ -186,20 +185,12 @@ def test_verify_strict_validates_every_first_leg_output(five_files, traffic, mon
     capsys.readouterr()
 
 
-def test_catalog_validates_each_representative_once(traffic, monkeypatch):
-    doubled, reps = gen._doubled_classes, []
-
-    def recording(n):
-        classes = doubled(n)
-        if n == 5:
-            reps.extend(c.representative for c in classes)
-        return classes
-
-    monkeypatch.setattr(gen, "_doubled_classes", recording)
+def test_catalog_validates_no_representative(traffic):
+    """`_doubled_classes` checks each doubling on masks, so the catalog runs
+    no vine validator on the representatives it reads."""
     entries = gen.catalog_entries(5)
-    assert len(reps) == len(entries) == gen.unlabeled_count_formula(5)
-    counts = Counter(id(x) for name, x in traffic if name == "validate_vine")
-    assert [counts[id(v)] for v in reps] == [1] * len(reps)
+    assert len(entries) == gen.unlabeled_count_formula(5)
+    assert [name for name, _ in traffic if name == "validate_vine"] == []
 
 
 def test_doubling_checks_its_lattice_once(traffic, seed):
