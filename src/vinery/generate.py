@@ -19,19 +19,34 @@ Canonical forms come from one mask kernel.  It reads every node's covers
 off `vine._mask_covers` (a vine object's off its cached index view), walks
 the 2^(n-1) maximal chains without storing them, relabels the nodes by each
 chain's first-appearance order (one OR per node), and keeps the least sorted
-list of integer node keys together with the number of chains attaining it,
-which is |Aut|.  Only the winning list is
-turned back into the tuple form.  Vines enter the kernel as masks once, at
+list of integer node keys together with the chains attaining it: their
+number is |Aut|, and each relabels the vine onto its canonical form
+(`_least_labelings`).  Only the winning list is turned back into the tuple
+form.  Vines enter the kernel as masks once, at
 the boundary.
 
 The class table at every n (`class_representatives`, `catalog_entries`)
 comes from the merge step of the split/merge recursion: every extremal
-lattice on n labels is an (n - 1)-lattice doubled along a maximal chain, so
-doubling each (n - 1)-class representative along each chain, in masks, and
-deduplicating by canonical form finds every class (a lattice's chains are
-its vine's plus the bottom); the orbits n!/|Aut| must add up to the
-labeled count.  Each doubling is checked by `vine._mask_violations` on the
-kernel's own sorted masks and covers.  Classifying the full generator stream
+lattice on n labels is an (n - 1)-lattice doubled along a maximal chain (a
+lattice's chains are its vine's plus the bottom), so doubling each
+(n - 1)-class representative along each chain, in masks, and
+deduplicating by canonical form finds every class.  The levels below the
+top do that.  The top level runs the kernel once per class by canonical
+augmentation (McKay 1998): every vine splits along its two co-atoms and is
+the doubling of either half, so every n-class has exactly two parents, and
+a doubling is kept only when the representative it doubles is the smaller
+of the two.  The other parent is one lookup in the level below, whose
+table gives the class of every (representative, chain) doubling.  Each
+class is kept from its smaller parent, and only once but for ties (both
+parents in one class, deduplicated by canonical form): a class kept from
+two representatives would have each as its other parent, smaller both
+ways, and an isomorphism between two doublings of one representative
+whose co-atoms lie in different classes fixes the fresh label, so it is
+an automorphism taking one chain to the other, and the top level doubles
+one chain per orbit (`_doubled_classes` spells this out).  The orbits
+n!/|Aut| must add up to the labeled count at every level.  Each doubling
+built is checked by `vine._mask_violations` on the kernel's own sorted
+masks and covers.  Classifying the full generator stream
 (`classify(generate_vines(...))`) is the independent route the tests and
 `selftest` check it against.
 
@@ -445,6 +460,22 @@ def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple
     """
     if n <= 1:
         return (), 1
+    best, winners = _scan(n, nodes, cover_bits)
+    return tuple(best), len(winners)
+
+
+def _least_labelings(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, list[list[int]]]:
+    """(`_canonical`'s keys, and per chain attaining them the position of
+    each atom, in `nodes` order, in the chain's first-appearance order): the
+    relabelings onto the canonical form, for n >= 2."""
+    best, winners = _scan(n, nodes, cover_bits)
+    # an atom at position p has the digit 11 at 2 (n - 1 - p) and no lower bit
+    return tuple(best), [[n - 1 - ((d & -d).bit_length() - 1) // 2 for d in w[:n]] for w in winners]
+
+
+def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The kernel, for n >= 2: (the least sorted non-atom keys, the digits
+    of every chain attaining them, atoms first)."""
     even = _even(n)
     weight = []  # the pre-XOR digits of an atom at position p
     missing = 0
@@ -459,7 +490,7 @@ def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple
              for k in range(n, len(nodes))}
 
     atom_digits = [0] * n
-    best, hits = None, 0
+    best, winners = None, []
     stack = drops[len(nodes) - 1].copy()
     while stack:
         k, a, rank = stack.pop()
@@ -476,10 +507,10 @@ def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple
         keys = [d ^ even for d in digits[n:]]
         keys.sort()
         if best is None or keys < best:
-            best, hits = keys, 1
+            best, winners = keys, [digits]
         elif keys == best:
-            hits += 1
-    return tuple(best), hits
+            winners.append(digits)
+    return best, winners
 
 
 def _form(n: int, keys: Iterable[int]) -> tuple:
@@ -552,29 +583,32 @@ def _doubled_masks(n: int, masks: list[int], chain: Sequence[int]) -> list[int]:
     return masks + [fresh] + [c | fresh for c in chain]
 
 
-def _doubled_classes(n: int) -> list[IsoClass]:
-    """Every isomorphism class on n labels, in canonical-form order.
+def _double(n: int, masks: list[int], chain: Sequence[int]) -> tuple[tuple, int]:
+    """`_canonical` of the vine on n labels doubled from the masks of one
+    on n - 1 labels along one of their maximal chains, once
+    `vine._mask_violations` has checked it on the kernel's own sorted masks
+    and covers."""
+    nodes, covers = _sorted_covers(_doubled_masks(n - 1, masks, chain))
+    if records := vn._mask_violations((1 << n) - 1, nodes, covers):
+        raise InternalInconsistencyError(f"doubling produced an invalid vine at n={n}: {records[0][0]}")
+    return _canonical(n, nodes, covers)
 
-    Each (n - 1)-class representative is doubled along each maximal chain of
-    its lattice (complete, since every extremal lattice arises as a doubling)
-    and the doubled vines are deduplicated by canonical form.  |Aut| is the
-    kernel's chain hit count and the orbit n!/|Aut|; the orbits must add up
-    to the labeled count, the classes to the unlabeled count formula and
-    their |Aut| tally to the recursion's (p_n, q_n).
-    """
-    if n <= 1:
-        form = tuple((p,) for p in range(n))
-        return [IsoClass(form, vine_from_form(form), 1, 1)]
-    auts: dict[tuple, int] = {}
-    for cls in _doubled_classes(n - 1):
-        rep = cls.representative
-        masks = vn._masks(rep.nodes)
-        for chain in vn._saturated_chains(rep.sorted_nodes()):
-            nodes, covers = _sorted_covers(_doubled_masks(n - 1, masks, vn._masks(chain)))  # a chain holds every label
-            if records := vn._mask_violations((1 << n) - 1, nodes, covers):
-                raise InternalInconsistencyError(f"doubling produced an invalid vine at n={n}: {records[0][0]}")
-            keys, aut = _canonical(n, nodes, covers)
-            auts[keys] = aut
+
+def _representative(n: int, keys: tuple) -> tuple[list[int], list[int]]:
+    """`_sorted_covers` of the canonically labeled vine with these kernel
+    keys, bit p for position p."""
+    return _sorted_covers([sum(1 << p for p in node) for node in _form(n, keys)])
+
+
+def _moved(nodes: Sequence[int], atoms: dict[int, int]) -> dict[int, int]:
+    """Every node mask with each of its atoms replaced by the atom's image."""
+    return {m: sum(atoms[1 << b] for b in vn._bits(m)) for m in nodes}
+
+
+def _check_classes(n: int, auts: dict[tuple, int]) -> None:
+    """The orbits n!/|Aut| of the classes must add up to the labeled count,
+    the classes to the unlabeled count formula and their |Aut| tally to the
+    recursion's (p_n, q_n)."""
     total = math.factorial(n)
     covered, expected = sum(total // aut for aut in auts.values()), labeled_count_formula(n)
     if covered != expected:
@@ -585,6 +619,115 @@ def _doubled_classes(n: int) -> list[IsoClass]:
         raise InternalInconsistencyError(
             f"{len(auts)} doubled classes with |Aut| tally {dict(sorted(tally.items()))} at n={n}, the closed "
             f"forms give {unlabeled_count_formula(n)} classes, p={p} with |Aut|=2 and q={q} with |Aut|=1")
+
+
+def _class_table(n: int) -> tuple[dict[tuple, int], dict[tuple, tuple]]:
+    """({keys: |Aut|} of the n-classes, {(keys of an (n - 1)-class, a
+    maximal chain of its representative): keys of the doubling along it}),
+    by doubling every (n - 1)-class representative along every chain."""
+    if n <= 1:
+        return {(): 1}, {}
+    auts: dict[tuple, int] = {}
+    table: dict[tuple, tuple] = {}
+    for rep in _class_table(n - 1)[0]:
+        nodes, covers = _representative(n - 1, rep)
+        for chain in vn._chains(nodes, covers):
+            keys, auts[keys] = _double(n, nodes, chain)
+            table[rep, chain] = keys
+    _check_classes(n, auts)
+    return auts, table
+
+
+def _one_chain_per_orbit(n: int, nodes: list[int], covers: list[int], aut: int) -> list[tuple]:
+    """One maximal chain per orbit of the automorphism group of a
+    canonically labeled vine on n labels, given by `_representative`.
+
+    The group acts freely on the chains: an automorphism fixing a chain
+    fixes its first-appearance order, so every label.  With |Aut| = 2 both
+    chains attaining the canonical form relabel the vine onto itself; one
+    is the identity, the other the non-trivial automorphism."""
+    chains = vn._chains(nodes, covers)
+    if aut == 1:
+        return chains
+    _, labelings = _least_labelings(n, nodes, covers)
+    sigma = next(w for w in labelings if w != list(range(n)))
+    image = _moved(nodes, {nodes[i]: 1 << p for i, p in enumerate(sigma)})
+    seen: set[tuple] = set()
+    kept = []
+    for chain in chains:
+        if chain not in seen:
+            kept.append(chain)
+            seen.add(tuple(map(image.__getitem__, chain)))
+    return kept
+
+
+def _augmented_classes(n: int) -> dict[tuple, int]:
+    """{keys: |Aut|} of the n-classes, n >= 4, by canonical augmentation
+    over `_class_table(n - 1)`: each class is doubled from the smaller of
+    its two parents (see `_doubled_classes`)."""
+    lower, table = _class_table(n - 1)
+    auts: dict[tuple, int] = {}
+    for rep, aut in lower.items():
+        nodes, covers = _representative(n - 1, rep)
+        parents = {}  # per co-atom Z: (keys of R|Z, its nodes moved onto its representative)
+        for z in vn._bits(covers[-1]):
+            sub = [j for j, m in enumerate(nodes) if not m & ~nodes[z]]  # a down-set: covers stay inside
+            index = {j: i for i, j in enumerate(sub)}
+            below = [nodes[j] for j in sub]
+            keys, (positions, *_) = _least_labelings(
+                n - 2, below, [sum(1 << index[i] for i in vn._bits(covers[j])) for j in sub])
+            parents[nodes[z]] = keys, _moved(below, {a: 1 << p for a, p in zip(below, positions)})
+        for chain in _one_chain_per_orbit(n - 1, nodes, covers, aut):
+            # a chain that is not saturated misses a co-atom or the table
+            parent = parents.get(chain[-2])
+            other = parent and table.get((parent[0], tuple(map(parent[1].get, chain[:-1]))))
+            if other is not None and other < rep:
+                continue  # kept from the other parent
+            keys, hits = _double(n, nodes, chain)
+            if other not in (None, rep) and keys in auts:
+                raise InternalInconsistencyError(
+                    f"a doubling kept from its smaller parent repeated a class at n={n}")
+            auts[keys] = hits
+    _check_classes(n, auts)
+    return auts
+
+
+def _doubled_classes(n: int) -> list[IsoClass]:
+    """Every isomorphism class on n labels, in canonical-form order.
+
+    Every extremal lattice arises as a doubling, so doubling each
+    (n - 1)-class representative along each maximal chain of its lattice
+    finds every class; the levels below the top do that (`_class_table`)
+    and deduplicate by canonical form.  The top level, n >= 4, keeps one
+    doubling per class (`_augmented_classes`).
+
+    The doubling D of R along the chain c_1 < ... < c_{n-1} with the fresh
+    label f has two co-atoms: R's top, A - {f}, and Z | {f}, Z = c_{n-2}.
+    Every vine is the doubling of its restriction to either co-atom, so
+    each n-class has two parents, the classes of its co-atoms; D's other
+    parent, the class of D restricted to Z | {f}, is that of R|Z doubled
+    along c_1..c_{n-2}, one lookup in the table below once the kernel has
+    labeled R|Z canonically.  D is kept only when R's form is <= the other
+    parent's.  Then every class is kept: double its smaller parent's
+    representative along the chain that the class restricted to the other
+    co-atom maps to.  And no class is kept twice, but for ties (both
+    parents in R's class), which are deduplicated by canonical form:
+    doublings kept from two representatives would each have the other as
+    its other parent, and <= both ways makes them one class; and an
+    isomorphism between two doublings of R whose co-atoms lie in different
+    classes fixes f, so it is an automorphism of R taking one chain to the
+    other, and R is doubled along one chain per orbit.
+
+    |Aut| is the kernel's chain hit count and the orbit n!/|Aut|; at every
+    level the orbits must add up to the labeled count, the classes to the
+    unlabeled count formula and their |Aut| tally to the recursion's
+    (p_n, q_n).
+    """
+    if n <= 1:
+        form = tuple((p,) for p in range(n))
+        return [IsoClass(form, vine_from_form(form), 1, 1)]
+    auts = _augmented_classes(n) if n >= 4 else _class_table(n)[0]
+    total = math.factorial(n)
     classes = []
     for keys in sorted(auts):  # key order is form order
         form = _form(n, keys)

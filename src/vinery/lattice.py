@@ -417,8 +417,8 @@ def _automorphism_group_order(v: vn.RegularVine) -> int:
     """Number of ground bijections fixing the node set; always 1 or 2.
 
     Counted as the maximal chains whose induced labeling attains the
-    canonical form (`generate.canonical_form_and_aut`)."""
-    _, count = gen.canonical_form_and_aut(v)
+    canonical form (`generate._canonical` on the vine's index view)."""
+    _, count = gen._canonical(v.n, v._view.masks, v._view.covers)
     if count not in (1, 2):
         raise StructureError("lattice.automorphisms", f"automorphism group of order {count} found (expected 1 or 2)",
                              witness=count)

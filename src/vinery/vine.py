@@ -50,7 +50,8 @@ place, `_mask_covers`, exactly for any family, valid or not; every cover
 and below-set in the package (vines, lattices, DOT, canonical forms) reads it;
 the split reads no covers, since the top covers the two rank-(n-1) nodes.
 The three checks run in one place too, `_mask_violations`, which
-`validate_vine` formats and `generate` runs on each doubling's masks.
+`validate_vine` formats and `generate` runs on the masks of each doubling
+it builds.
 
 Each vine object computes its covers once: `RegularVine._view`, cached on
 first use, holds its labels, their bits, the nodes in `sorted_nodes` order,
@@ -312,14 +313,10 @@ def _maximal_chains(v: RegularVine) -> list[tuple[frozenset, ...]]:
     return sorted(_chains(v._view.nodes, v._view.covers), key=lambda c: [sorted(s) for s in c])
 
 
-def _saturated_chains(family: list[frozenset]) -> list[tuple]:
-    """The saturated chains from a minimal member up to the last one of a
-    family listed in a linear extension of inclusion, bottom first."""
-    return _chains(family, _mask_covers(_masks(family))[1])
-
-
 def _chains(family: list, covers: Sequence[int]) -> list[tuple]:
-    """The saturated chains of `_saturated_chains`, over the family's covers."""
+    """The saturated chains from a minimal member up to the last one of a
+    family listed in a linear extension of inclusion, bottom first, over
+    the family's covers."""
     chains: list[tuple] = []
 
     def descend(k: int, acc: list):

@@ -11,12 +11,14 @@ the vine stream that enumerates every line graph's spanning trees afresh at
 every node and finds every node's labels by a scan, behind the successor
 memo, the shared accumulator and the mask table of `generate_vines`; and
 the undoubling by the vine split of the lattice's vine, behind the lattice
-restriction of `lattice.undouble`; and the unrooted tree shapes and the
-counting DP that enumerates every line graph's spanning trees, behind the
-clique-weighted `generate._completions`; and the vine axioms checked on
-frozenset nodes, behind the mask check of `vine.validate_vine`, together
-with the walk over every family that passes its counts and two covers,
-behind the proof that the mask check needs no tree or proximity pass; and
+restriction of `lattice.undouble`; and the doubling of every class along
+every chain, behind the canonical augmentation of the class table; and the
+unrooted tree shapes and the counting DP that enumerates every line graph's
+spanning trees, behind the clique-weighted `generate._completions`; and
+the vine axioms checked on frozenset nodes, behind the mask check of
+`vine.validate_vine`, together with the walk over every family that
+passes its counts and two covers, behind the proof that the mask check
+needs no tree or proximity pass; and
 the MAT axioms checked at every level up to the largest label with
 triangles found by label lookups, behind the view-backed
 `matgraph.validate_mat_labeling`; and the MAT-PEO growth that scans the
@@ -32,6 +34,7 @@ the tests only.
 from __future__ import annotations
 
 import functools
+import math
 import string
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
@@ -288,6 +291,29 @@ def undouble_by_vine_split(L: lt.BoundedLattice) -> tuple[lt.BoundedLattice, tup
     (a,) = v.ground - half.ground
     L1 = lt._vine_to_lattice(half)
     return L1, tuple(x for x in L1.sorted_elements() if x | {a} in L.elements)
+
+
+def doubled_classes_by_all_chains(n: int) -> list[gen.IsoClass]:
+    """Every isomorphism class on n labels, in canonical-form order, by
+    doubling every (n - 1)-class representative along every maximal chain
+    of its vine and deduplicating by canonical form; the oracle for the
+    canonical augmentation of `generate._doubled_classes`."""
+    if n <= 1:
+        form = tuple((p,) for p in range(n))
+        return [gen.IsoClass(form, gen.vine_from_form(form), 1, 1)]
+    auts: dict[tuple, int] = {}
+    for cls in doubled_classes_by_all_chains(n - 1):
+        rep = cls.representative
+        masks = vn._masks(rep.nodes)
+        for chain in vn._maximal_chains(rep):  # a chain holds every label
+            doubled = gen._sorted_covers(gen._doubled_masks(n - 1, masks, vn._masks(chain)))
+            keys, aut = gen._canonical(n, *doubled)
+            auts[keys] = aut
+    classes = []
+    for keys in sorted(auts):
+        form = gen._form(n, keys)
+        classes.append(gen.IsoClass(form, gen.vine_from_form(form), math.factorial(n) // auts[keys], auts[keys]))
+    return classes
 
 
 def unlabeled_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:

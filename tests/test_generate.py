@@ -15,8 +15,8 @@ from vinery.errors import InternalInconsistencyError, StructureError
 
 from conftest import d_vine, sample_vines
 from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce,
-                     completions_by_spanning_trees, generate_vines_by_scan, unlabeled_trees,
-                     vine_mask_stream_by_recursion)
+                     completions_by_spanning_trees, doubled_classes_by_all_chains, generate_vines_by_scan,
+                     unlabeled_trees, vine_mask_stream_by_recursion)
 
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
@@ -340,6 +340,49 @@ def test_doubling_route_matches_enumeration(classification):
         assert gen.class_representatives(n) == [c.representative for c in enumerated]
 
 
+def test_augmentation_matches_doubling_along_every_chain(reps7):
+    """The canonical augmentation against the oracle that doubles every
+    class along every chain: same classes for n <= 6, same representatives
+    at n = 7."""
+    for n in range(1, 7):
+        assert gen._doubled_classes(n) == doubled_classes_by_all_chains(n)
+    assert [c.representative for c in doubled_classes_by_all_chains(7)] == reps7
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_augmentation_runs_the_kernel_once_per_class(monkeypatch, n):
+    """The top level runs `_canonical` once per class, 6, 40 and 560 times,
+    and builds one cover table per kept doubling and one per (n - 1)-class
+    representative; the level below doubles every chain."""
+    kernel, tables = Counter(), Counter()
+    canonical, mask_covers = gen._canonical, vn._mask_covers
+    monkeypatch.setattr(gen, "_canonical", lambda m, *rest: kernel.update([m]) or canonical(m, *rest))
+    monkeypatch.setattr(vn, "_mask_covers", lambda masks: tables.update([len(masks)]) or mask_covers(masks))
+    gen._doubled_classes(n)
+    assert kernel[n] == tables[n * (n + 1) // 2] == gen.unlabeled_count_formula(n) == UNLABELED[n]
+    below = gen.unlabeled_count_formula(n - 2) * 2 ** (n - 3)  # 2^(n-3) chains per class on n - 2 labels
+    assert kernel[n - 1] == below
+    assert tables[n * (n - 1) // 2] == below + gen.unlabeled_count_formula(n - 1)
+
+
+def test_augmentation_falls_back_to_building_a_chain_missing_from_the_table(monkeypatch):
+    """With the table below emptied, every top-level chain is doubled,
+    checked and deduplicated by canonical form: the same classes."""
+    expected = gen._doubled_classes(6)
+    class_table = gen._class_table
+    monkeypatch.setattr(gen, "_class_table", lambda n: (class_table(n)[0], {}))
+    assert gen._doubled_classes(6) == expected
+
+
+def test_augmentation_repeat_check(monkeypatch):
+    """Doubling an |Aut| = 2 representative along both chains of an orbit
+    repeats a class whose parents differ, which fails, naming n."""
+    monkeypatch.setattr(gen, "_one_chain_per_orbit", lambda n, nodes, covers, aut: vn._chains(nodes, covers))
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^a doubling kept from its smaller parent repeated a class at n=6$"):
+        gen.class_representatives(6)
+
+
 def test_catalog_classes_match_enumeration(classification):
     for n in range(1, 7):
         entries = gen.catalog_entries(n)
@@ -350,52 +393,65 @@ def test_catalog_classes_match_enumeration(classification):
 
 def test_doubling_completeness_check(monkeypatch):
     """A doubling that misses a class fails the orbit sum Σ n!/|Aut| =
-    labeled count, at the n where the class goes missing."""
-    chains = vn._saturated_chains
-    monkeypatch.setattr(vn, "_saturated_chains", lambda family: chains(family)[:-1])
+    labeled count, at the n where the class goes missing: at n = 2 with
+    every last chain dropped, and at n = 6 with the chains dropped whose
+    doubling builds the class of the first doubling the top level keeps."""
+    chains = vn._chains
+    monkeypatch.setattr(vn, "_chains", lambda family, covers: chains(family, covers)[:-1])
     with pytest.raises(InternalInconsistencyError, match=r"cover 0 of the 1 labeled vines at n=2"):
         gen.class_representatives(6)
-    monkeypatch.setattr(vn, "_saturated_chains",
-                        lambda family: chains(family)[:1] if len(family[-1]) == 5 else chains(family))
+    monkeypatch.setattr(vn, "_chains", chains)
+    double, kept = gen._double, []
+    monkeypatch.setattr(gen, "_double", lambda n, masks, chain: kept.append((n, masks, chain)) or double(n, masks, chain))
+    gen.class_representatives(6)
+    monkeypatch.setattr(gen, "_double", double)
+    _, family, chain = next(k for k in kept if k[0] == 6)
+    lost = double(6, family, chain)[0]
+    monkeypatch.setattr(vn, "_chains", lambda f, covers: [c for c in chains(f, covers)
+                                                         if f != family or double(6, f, c)[0] != lost])
     with pytest.raises(InternalInconsistencyError, match=r"of the 23040 labeled vines at n=6"):
         gen.class_representatives(6)
 
 
 def _off_chain_atom(family, chain):
-    """The chain with its atom swapped for one outside its rank-2 node."""
-    return (next(a for a in family if not a <= chain[1]),) + chain[1:]
+    """The chain of masks with its atom swapped for one outside its rank-2
+    node."""
+    return (next(a for a in family if a & ~chain[1]),) + chain[1:]
 
 
 def _off_chain_rank3(family, chain):
-    """The chain with its rank-3 node swapped for one of the family's not
-    holding the chain's rank-2 node, if there is one."""
-    return chain[:2] + (next((s for s in family if len(s) == 3 and not chain[1] <= s), chain[2]),) + chain[3:]
+    """The chain of masks with its rank-3 node swapped for one of the
+    family's not holding the chain's rank-2 node, if there is one."""
+    return chain[:2] + (next((s for s in family if s.bit_count() == 3 and chain[1] & ~s), chain[2]),) + chain[3:]
 
 
 @pytest.mark.parametrize("perturb", [_off_chain_atom, _off_chain_rank3], ids=["atom", "rank-3"])
 def test_doubling_check_rejects_an_unsaturated_chain(monkeypatch, perturb):
     """Doubling the n = 5 classes along chains with two incomparable
     consecutive nodes fails the mask check of the doubled vine, naming the
-    axiom and n."""
-    chains = vn._saturated_chains
-    monkeypatch.setattr(vn, "_saturated_chains", lambda family: [perturb(family, c) for c in chains(family)]
-                        if len(family[-1]) == 5 else chains(family))
+    axiom and n: such a chain is missing from the table below, so the top
+    level builds and checks its doubling."""
+    chains = vn._chains
+    monkeypatch.setattr(vn, "_chains", lambda family, covers: [perturb(family, c) for c in chains(family, covers)]
+                        if family[-1].bit_count() == 5 else chains(family, covers))
     with pytest.raises(InternalInconsistencyError,
                        match=r"^doubling produced an invalid vine at n=6: vine\.two-covers$"):
         gen.class_representatives(6)
 
 
 def test_doubling_shares_one_cover_table_per_doubled_vine(monkeypatch):
-    """One `_mask_covers` call per doubled vine, read by the axiom check and
-    by the kernel, plus one per representative for its chains."""
+    """One `_mask_covers` call per doubled vine built, read by the axiom
+    check and by the kernel, plus one per representative for its chains:
+    the levels below the top build every chain's doubling, the top one per
+    class."""
     calls = []
     mask_covers = vn._mask_covers
     monkeypatch.setattr(vn, "_mask_covers", lambda masks: calls.append(masks) or mask_covers(masks))
     gen._doubled_classes(6)
     reps = [gen.unlabeled_count_formula(m) for m in range(1, 6)]  # 1, 1, 1, 2, 6
-    doubled = sum(r * 2 ** (m - 1) for m, r in enumerate(reps, 1))  # 2^(m-1) chains per class on m labels
-    assert doubled == 119
-    assert len(calls) == sum(reps) + doubled
+    below = sum(r * 2 ** (m - 1) for m, r in enumerate(reps[:4], 1))  # 2^(m-1) chains per class on m labels
+    assert below == 23
+    assert len(calls) == sum(reps) + below + gen.unlabeled_count_formula(6)
 
 
 def test_doubling_class_count_check(monkeypatch):
