@@ -81,7 +81,8 @@ def cmd_analyze(args) -> int:
     # v is valid: the input passed its validator and the maps keep validity
     v = routes._convert_structure(obj, "vine", "direct")
     # the domain's bottoms and Black axis are read off the vine
-    axis = vn._bspd_axis(v)
+    facts = vn._analytics(v)
+    axis = vn._bspd_axis(v, facts["is_d_vine"])
     info = {
         "kind": io.kind_of(obj),
         "n": v.n,
@@ -90,7 +91,7 @@ def cmd_analyze(args) -> int:
         "is_bspd": axis is not None,
         "bspd_axis": list(axis) if axis is not None else None,
         "aut_order": lt._automorphism_group_order(v),
-        **vn._analytics(v),
+        **facts,
     }
     if io.kind_of(obj) == "domain":
         # domain-side cross-checks against the vine-side analytics

@@ -29,6 +29,28 @@ Lattices and matrices are the last two rows of the split/merge table in
 `species`: the half of a lattice on A - {a} is its elements without a, that
 of a matrix its columns with 0 at row a, row a deleted.  `undouble` is the
 lattice restriction to the smaller co-atom.
+
+|Aut| of a vine, its ground bijections that map the node set onto itself,
+is 1 or 2, and one forced descent from the top finds the only candidate
+for a nontrivial automorphism.  Let the co-atoms be A - a and A - b.
+An automorphism that fixes both co-atoms is the identity, by induction
+on n: it fixes a and b, the labels missing from the co-atoms, so it fixes
+W = A - {a, b}, which is a co-atom of the half on A - a (proximity makes W
+a node under both co-atoms), so it fixes that half's other co-atom too and
+is the identity on A - a by induction.  Every automorphism fixes A and
+permutes its two covers, so a nontrivial σ swaps the co-atoms and a <-> b.
+Two nontrivial σ differ by an automorphism that fixes the co-atoms, so
+they are equal, and |Aut| <= 2.
+The descent builds that σ.  Set σ(a) = b, σ(b) = a, s = A - a and
+t = A - b.  While s is not an atom, s covers s - b and s - r for exactly
+one other label r, and t likewise covers t - a and t - r' (at the top,
+W = s - b = t - a; below it, proximity puts s - {b, r} under both covers
+of s, so s - r covers s - r - b).  σ(s - b) = t - a forces
+σ(s - r) = t - r', so σ(r) = r'; then s <- s - r and t <- t - r'.  After
+n - 2 steps every label is mapped, and |Aut| is 2 iff σ maps every node
+to a node: O(n^3) bit operations, against the 2^(n-1) chains of the
+canonical-form kernel, which `generate` keeps for the forms and the class
+table.
 """
 
 from __future__ import annotations
@@ -39,7 +61,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from . import generate as gen
 from . import vine as vn
 from .errors import StructureError, Violation, checked, raise_first
 
@@ -414,15 +435,32 @@ def require_extremal_matrix(M: BinaryMatrix) -> None:
 
 
 def _automorphism_group_order(v: vn.RegularVine) -> int:
-    """Number of ground bijections fixing the node set; always 1 or 2.
+    """Number of ground bijections fixing the node set, 1 or 2: whether the
+    σ of the co-atom descent (module docstring) maps every node to a node,
+    read off the vine's index view."""
+    if v.n <= 1:
+        return 1
+    _, _, _, masks, covers = v._view
+    index = {m: k for k, m in enumerate(masks)}
+    s, t = (masks[k] for k in vn._bits(covers[-1]))
+    a, b = masks[-1] ^ s, masks[-1] ^ t
 
-    Counted as the maximal chains whose induced labeling attains the
-    canonical form (`generate._canonical` on the vine's index view)."""
-    _, count = gen._canonical(v.n, v._view.masks, v._view.covers)
-    if count not in (1, 2):
-        raise StructureError("lattice.automorphisms", f"automorphism group of order {count} found (expected 1 or 2)",
-                             witness=count)
-    return count
+    def pair(x: int) -> int:
+        """The two label bits that node x's covers miss, its conditioned pair."""
+        j, k = vn._bits(covers[index[x]])
+        return x ^ (masks[j] & masks[k])
+
+    sigma = {a: b, b: a}  # on label bits
+    while s & s - 1:  # s holds b and t holds a, in their pairs
+        r, r2 = pair(s) ^ b, pair(t) ^ a
+        sigma[r] = r2
+        s, t = s ^ r, t ^ r2
+    image: list[int] = []
+    for m, cov in zip(masks, covers):  # an atom is its label; any other node the union of its covers
+        image.append(sigma.get(m, 0))
+        for j in vn._bits(cov):
+            image[-1] |= image[j]
+    return 2 if all(m in index for m in image) else 1
 
 
 direct_b3_search = checked(_require_lattice, _direct_b3_search)

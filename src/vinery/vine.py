@@ -288,12 +288,13 @@ def _bottom_alternatives(v: RegularVine) -> list[str]:
     return sorted(x for j in _bits(covers[-1]) for x in v.ground - nodes[j])
 
 
-def _bspd_axis(v: RegularVine) -> Optional[tuple]:
+def _bspd_axis(v: RegularVine, is_d_vine: bool) -> Optional[tuple]:
     """The axis of the vine's domain if it is Black single-peaked, else None:
-    the level-1 path of a D-vine, read from its smaller endpoint."""
+    the level-1 path of a D-vine, read from its smaller endpoint.  The
+    caller passes `_is_d_vine(v)`, which `_analytics` has computed."""
     if v.n <= 1:
         return tuple(sorted(v.ground))
-    if not _is_d_vine(v):
+    if not is_d_vine:
         return None
     nbrs: dict[str, list[str]] = {}
     for s in v._view.nodes[v.n:2 * v.n - 1]:  # the rank-2 nodes, the level-1 edges

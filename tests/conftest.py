@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 import string
 import time
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import pytest
 from hypothesis import settings
@@ -136,10 +136,17 @@ def sample_vines(n: int, k: int, rng: random.Random) -> list[vn.RegularVine]:
     return [gen.random_vine(labels, rng) for _ in range(k)]
 
 
-def d_vine(order: str) -> vn.RegularVine:
+def d_vine(order: Sequence[str]) -> vn.RegularVine:
     """The D-vine along a path order: its nodes are the order's intervals."""
     n = len(order)
     return vn.vine(order, [order[i:j] for i in range(n) for j in range(i + 1, n + 1)])
+
+
+def c_vine(order: Sequence[str]) -> vn.RegularVine:
+    """The C-vine along an order: the rank-k nodes are the first k - 1
+    labels plus one later label, so every level is a star."""
+    n = len(order)
+    return vn.vine(order, [[order[j]] + list(order[:k - 1]) for k in range(1, n + 1) for j in range(k - 1, n)])
 
 
 def random_relabeling(ground, rng: random.Random) -> dict[str, str]:

@@ -1,7 +1,9 @@
 """Extremal lattices, triangle-free matrices, doubling and automorphisms."""
 
 import random
+import string
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -13,9 +15,10 @@ from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
-from conftest import random_relabeling, split_with_shared
-from oracles import (covered_elements, direct_b3_search_by_joins, extremal_size_families, is_lattice_pairwise,
-                     join_irreducibles_by_covers, undouble_by_vine_split)
+from conftest import c_vine, d_vine, random_relabeling, split_with_shared
+from oracles import (automorphism_group_order_bruteforce, covered_elements, direct_b3_search_by_joins,
+                     extremal_size_families, is_lattice_pairwise, join_irreducibles_by_covers,
+                     undouble_by_vine_split)
 
 
 def boolean_cube():
@@ -443,3 +446,47 @@ def test_automorphism_orders(intro_vine, fig_vine):
     path = vn.vine("abcd", ["a", "b", "c", "d", "ab", "bc", "cd", "abc", "bcd", "abcd"])
     assert lt.automorphism_group_order(path) == 2
     assert lt.automorphism_group_order(vn.vine("a", ["a"])) == 1
+
+
+def kernel_hits(v: vn.RegularVine) -> int:
+    """|Aut| as the canonical-form kernel counts it: the chains attaining the least form."""
+    return gen.canonical_form_and_aut(v)[1]
+
+
+def test_descent_matches_the_oracles_exhaustively(vines_by_n):
+    """Every labeled vine with n <= 5, n = 0, 1 and 2 included."""
+    for n in range(6):
+        for v in vines_by_n[n]:
+            assert lt.automorphism_group_order(v) == automorphism_group_order_bruteforce(v) == kernel_hits(v)
+    assert {lt.automorphism_group_order(v) for v in vines_by_n[5]} == {1, 2}
+
+
+def test_descent_matches_the_class_table(reps7):
+    for n in range(1, 7):
+        for cls in gen._doubled_classes(n):
+            assert lt.automorphism_group_order(cls.representative) == cls.aut_order
+    auts = [lt.automorphism_group_order(v) for v in reps7]
+    assert auts == [kernel_hits(v) for v in reps7]
+    p, q = gen.recursive_pq_counts(7)
+    assert Counter(auts) == Counter({2: p, 1: q})
+
+
+def test_descent_matches_the_kernel_sampled(seed):
+    """Seeded vines with n = 8..12, and relabeled D-vines and C-vines."""
+    rng = random.Random(seed)
+    for n in range(8, 13):
+        labels = string.ascii_lowercase[:n]
+        order = rng.sample(labels, n)
+        for v in [gen.random_vine(labels, rng) for _ in range(3)] + [d_vine(order), c_vine(order)]:
+            h = random_relabeling(v.ground, rng)
+            for w in (v, vn.relabel_vine(v, h)):
+                assert lt.automorphism_group_order(w) == kernel_hits(w)
+
+
+def test_descent_at_n_40():
+    """2 on the D-vine and the C-vine, where the kernel would scan 2^39 chains."""
+    order = [f"x{i:02d}" for i in range(40)]
+    random.Random(40).shuffle(order)
+    for v in (d_vine(order), c_vine(order)):
+        assert len(v.nodes) == 820
+        assert lt.automorphism_group_order(v) == 2

@@ -143,6 +143,20 @@ def test_analyze_finds_each_vines_covers_once(five_files, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_analyze_runs_no_kernel_and_one_level_degree_pass(five_files, monkeypatch, capsys):
+    """|Aut| comes from the co-atom descent, not the canonical-form kernel's
+    chain scan, and the D-vine flag and the axis share one level-degree pass."""
+    calls = Counter()
+    for mod, name in ((gen, "_scan"), (vn, "_level_degrees")):
+        f = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _f=f, _name=name: calls.update([_name]) or _f(*a))
+    for kind, path in five_files.items():
+        calls.clear()
+        assert cli.main(["analyze", path, "--format", "json"]) == 0
+        assert calls == Counter({"_level_degrees": 1}), kind
+    capsys.readouterr()
+
+
 def test_convert_and_verify_strict_find_the_graphs_cliques_once(five_files, monkeypatch, capsys):
     """The validator and the map to the vine share one view of the input
     graph: one principal-clique build per op, and none twice for any

@@ -295,7 +295,7 @@ def test_domain_facts_read_off_the_vine(vines_by_n, seed):
         cases += [gen.random_vine(labels, rng) for _ in range(8)] + [d_vine("".join(rng.sample(labels, n)))]
     domains = [co._vine_to_domain(v) for v in cases]
     assert [vn._bottom_alternatives(v) for v in cases] == [sorted(dm.bottom_alternatives(d)) for d in domains]
-    axes = [vn._bspd_axis(v) for v in cases]
+    axes = [vn._bspd_axis(v, vn._is_d_vine(v)) for v in cases]
     assert axes == [dm.is_bspd(d) for d in domains]
     assert [axis is not None for axis in axes] == [vn._is_d_vine(v) for v in cases]
     assert None in axes and sum(axis is not None for v, axis in zip(cases, axes) if v.n >= 6) >= 5
@@ -304,10 +304,10 @@ def test_domain_facts_read_off_the_vine(vines_by_n, seed):
 def test_domain_facts_of_the_smallest_vines():
     cases = [vn.vine("", []), vn.vine("x", ["x"]), vn.vine("yx", ["x", "y", "xy"])]
     assert [vn._bottom_alternatives(v) for v in cases] == [[], ["x"], ["x", "y"]]
-    assert [vn._bspd_axis(v) for v in cases] == [(), ("x",), ("x", "y")]
+    assert [vn._bspd_axis(v, vn._is_d_vine(v)) for v in cases] == [(), ("x",), ("x", "y")]
     for v in cases:
         d = co._vine_to_domain(v)
-        assert (vn._bottom_alternatives(v), vn._bspd_axis(v)) == (sorted(dm.bottom_alternatives(d)), dm.is_bspd(d))
+        assert (vn._bottom_alternatives(v), vn._bspd_axis(v, vn._is_d_vine(v))) == (sorted(dm.bottom_alternatives(d)), dm.is_bspd(d))
 
 
 # ------------------------------------------------------------- index view
