@@ -5,14 +5,23 @@ tree on the singletons, then repeatedly a spanning tree of the previous
 tree's line graph (proximity makes exactly the line-graph edges admissible).
 This produces every labeled vine exactly once, so no dedup set is needed.
 The next level's trees of a tree come from one helper, `_next_trees`, which
-the stream and `random_vine` share.  A tree's successors
-depend only on its edge tuple, and below level 1 few tuples recur (144 at
-n = 6, under 1,296 level-1 trees that are each visited once), so every call
-of the stream memoizes the successors of the trees below level 1 in a dict
-of its own.  The stream works on integer node masks over the sorted labels,
-extends and truncates one list in place, and yields a copy at every leaf.
-Only `generate_vines` turns the masks into frozenset vines, through a table
-of the 2^n label sets indexed by mask that is built once per call, so its
+the stream and `random_vine` share.  It reads the tree's edges only through
+`_line_graph(edges)` and `len(edges)`, and its trees are pairs of indices
+into `edges`, so everything below a tree depends only on the key
+(len(edges), line graph): two trees with one key have the same completions
+as index programs.  The stream works on integer node masks over the sorted
+labels, and every call keeps one memo of its own that maps each key below
+level 1 to its program, the list of all its completions in stream order:
+each is one flat tuple of index pairs (i, j), each appending
+`out[i] | out[j]` to a list `out` that starts with the tree's own nodes.  A
+tree's program is every next tree's edges followed by each of that tree's
+programs, shifted by len(edges).  Level-1 trees keep only their next trees,
+by the same key: flattening their programs too would hold every vine's
+program at once.  So `_next_trees` runs once per distinct line graph (87
+times at n = 6, under 1,296 level-1 trees), and each vine is one loop of
+ORs over the level-2 nodes, yielded as a fresh list.  Only
+`generate_vines` turns the masks into frozenset vines, through a table of
+the 2^n label sets indexed by mask that is built once per call, so its
 vines share their node sets and those sets' cached hashes.
 
 Canonical forms come from one mask kernel.  It reads every node's covers
@@ -255,31 +264,43 @@ def _vine_mask_stream(n: int) -> Iterator[list[int]]:
     level.  Each yielded list is a fresh object."""
     if n > GENERATION_CAP:
         raise StructureError("enumerate.cap", f"generation capped at n <= {GENERATION_CAP}")
-    acc = [1 << i for i in range(n)]
+    atoms = [1 << i for i in range(n)]
     if n <= 1:
-        yield acc
+        yield atoms
         return
-    successors: dict[tuple, list[tuple]] = {}  # of the trees below level 1
+    programs: dict[tuple, list[tuple]] = {}  # per key below level 1
+    successors: dict[tuple, list[tuple]] = {}  # per level-1 key: its `next_trees`
 
-    def expand(nodes: list[int], edges: tuple, level: int) -> Iterator[list[int]]:
-        new_nodes = [nodes[u] | nodes[v] for u, v in edges]
-        acc.extend(new_nodes)
-        if len(new_nodes) == 1:
-            yield acc.copy()
-        else:
-            if level == 1:  # visited once each: not memoized
-                trees = _next_trees(edges)
-            else:
-                trees = successors.get(edges)
-                if trees is None:
-                    trees = successors[edges] = list(_next_trees(edges))
-            for tree in trees:
-                yield from expand(new_nodes, tree, level + 1)
-        del acc[-len(new_nodes):]
+    def next_trees(edges: tuple) -> list[tuple[tuple, list[tuple]]]:
+        return [(tree, program(tree)) for tree in _next_trees(edges)]
 
-    atoms = acc.copy()
+    def program(edges: tuple) -> list[tuple]:
+        """Every completion of the tree, in stream order, as the index pairs
+        (i, j) whose `out[i] | out[j]` extend the list `out` of the tree's
+        own nodes."""
+        m = len(edges)
+        if m <= 1:
+            return [()]
+        key = (m, tuple(_line_graph(edges)))
+        found = programs.get(key)
+        if found is None:
+            found = programs[key] = [tree + tuple((i + m, j + m) for i, j in rest)
+                                     for tree, rests in next_trees(edges) for rest in rests]
+        return found
+
     for t1 in prufer_trees(n):
-        yield from expand(atoms, t1, 1)
+        level1 = [atoms[u] | atoms[v] for u, v in t1]
+        head = atoms + level1
+        key = (n - 1, tuple(_line_graph(t1)))
+        if key not in successors:
+            successors[key] = next_trees(t1)
+        for t2, rests in successors[key]:
+            level2 = [level1[i] | level1[j] for i, j in t2]
+            for rest in rests:
+                out = level2.copy()
+                for i, j in rest:
+                    out.append(out[i] | out[j])
+                yield head + out
 
 
 def _label_sets(labels: Sequence[str]) -> list[frozenset]:

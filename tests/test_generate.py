@@ -89,7 +89,7 @@ def test_mask_stream_matches_unmemoized_recursion(vines_by_n):
 
 
 def test_generators_advanced_in_lockstep_agree():
-    """Each stream keeps its own successor memo and accumulator."""
+    """Each stream keeps its own program memo."""
     pairs = list(zip(gen.generate_vines("abcde"), gen.generate_vines("abcde")))
     assert len(pairs) == LABELED[5]
     assert all(a == b for a, b in pairs)
@@ -98,6 +98,18 @@ def test_generators_advanced_in_lockstep_agree():
 def test_mask_stream_yields_distinct_lists():
     streamed = list(gen._vine_mask_stream(5))
     assert len({id(masks) for masks in streamed}) == len(streamed) == LABELED[5]
+
+
+def test_mask_stream_enumerates_each_line_graph_once(monkeypatch):
+    """Everything below a tree depends only on its line graph, so one stream
+    runs `spanning_trees` once per distinct line graph: 87 at n = 6, under
+    1,296 level-1 trees."""
+    spanning_trees, calls = gen.spanning_trees, Counter()
+    monkeypatch.setattr(gen, "spanning_trees",
+                        lambda nv, edges: calls.update([(nv, tuple(edges))]) or spanning_trees(nv, edges))
+    assert sum(1 for _ in gen._vine_mask_stream(6)) == LABELED[6]
+    assert set(calls.values()) == {1}
+    assert len(calls) == 87
 
 
 def test_repeated_labels_count_once(seed):
@@ -209,6 +221,10 @@ def test_random_vine_is_valid(seed):
 # stream shared `_next_trees`; the sampled tests and the benchmark corpora
 # are built from these draws.
 RANDOM_VINE_DIGEST = "dfb3ad609d3ba49ee5c9dcfc5c72a251f99ee9ca1ce6d095df6a85f8b2a0217e"
+# SHA-256 of `json.dumps` of every n = 6 mask list in stream order, recorded
+# before the stream memoized completion programs by line graph; the oracle
+# recursion of `test_mask_stream_matches_unmemoized_recursion` stops at n = 5.
+MASK_STREAM_6_DIGEST = "c97fba951d22d076b3ce4eced5d7c16f044890350e34f9d7b5ad7572c51059b7"
 
 
 def test_random_vine_draws_are_pinned():
@@ -219,6 +235,11 @@ def test_random_vine_draws_are_pinned():
             v = gen.random_vine(string.ascii_lowercase[:n], rng)
             draws.append([sorted(s) for s in v.sorted_nodes()])
     assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == RANDOM_VINE_DIGEST
+
+
+def test_mask_stream_six_is_pinned():
+    streamed = json.dumps(list(gen._vine_mask_stream(6)))
+    assert hashlib.sha256(streamed.encode()).hexdigest() == MASK_STREAM_6_DIGEST
 
 
 # --------------------------------------------------------------- formulas
