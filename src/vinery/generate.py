@@ -4,20 +4,31 @@ Labeled regular vines are generated by the tree-sequence construction: pick a
 tree on the singletons, then repeatedly a spanning tree of the previous
 tree's line graph (proximity makes exactly the line-graph edges admissible).
 This produces every labeled vine exactly once, so no dedup set is needed.
-The next level's trees of a tree come from one helper, `_next_trees`, which
-the stream and `random_vine` share.  It reads the tree's edges only through
-`_line_graph(edges)` and `len(edges)`, and its trees are pairs of indices
-into `edges`, so everything below a tree depends only on the key
-(len(edges), line graph): two trees with one key have the same completions
-as index programs.  The stream works on integer node masks over the sorted
-labels, and every call keeps one memo of its own that maps each key below
-level 1 to its program, the list of all its completions in stream order:
-each is one flat tuple of index pairs (i, j), each appending
+The line graph of a tree is one clique per vertex of degree d >= 2, the
+indices of its d edges (`_incidence`), and no two cliques share a
+line-graph edge, so its spanning trees are the products of one labeled tree
+per clique, prod d^(d-2) of them (Cayley per clique).  The next level's
+trees of a tree come from one helper, `_next_trees`, which the stream and
+`random_vine` share: each tree of the product as the sorted tuple of its
+index pairs (i, j), i < j, into the edge list, and the trees in
+lexicographic order.  That is the order of a backtracker over the
+line-graph edges in lexicographic order that tries "include edge i" before
+"exclude edge i": of two spanning trees, the one holding the first edge
+only one of them holds comes out first, and its sorted tuple is the
+smaller, since both agree before that edge and the other's next edge is
+larger.  So the stream and `random_vine`'s draws are those of such a
+backtracker.  `_next_trees` reads the tree's edges only through
+`len(edges)` and its cliques, so everything below a tree depends only on
+the key (len(edges), sorted cliques): two trees with one key have the same
+completions as index programs.  The stream works on integer node masks
+over the sorted labels, and every call keeps one memo of its own that maps
+each key below level 1 to its program, the list of all its completions in
+stream order: each is one flat tuple of index pairs (i, j), each appending
 `out[i] | out[j]` to a list `out` that starts with the tree's own nodes.  A
 tree's program is every next tree's edges followed by each of that tree's
 programs, shifted by len(edges).  Level-1 trees keep only their next trees,
 by the same key: flattening their programs too would hold every vine's
-program at once.  So `_next_trees` runs once per distinct line graph (87
+program at once.  So `_next_trees` runs once per distinct clique key (87
 times at n = 6, under 1,296 level-1 trees), and each vine is one loop of
 ORs over the level-2 nodes, yielded as a fresh list.  Only
 `generate_vines` turns the masks into frozenset vines, through a table of
@@ -63,14 +74,14 @@ Counting uses the observation that the number of completions of a partial
 tree sequence depends only on the unlabeled shape of the current tree, which
 collapses the count into a shape-memoized DP that starts from the star with
 n edges (its line graph K_n has the labeled level-1 trees as its spanning
-trees).  The DP never enumerates a line graph's spanning trees.  The line
-graph of a tree is one clique per vertex of degree >= 2, and a spanning tree
-picks one labeled tree per clique.  A pendant clique (at most one of its
-edges leads to another such clique) affects the next shape only through its
-tree rooted at that edge, so it contributes its rooted shapes
+trees).  The DP never lists a tree's next trees: it takes the cliques from
+`_incidence` and multiplies per-clique choices.  A pendant clique (at most
+one of its edges leads to another clique) affects the next shape only
+through its tree rooted at that edge, so it contributes its rooted shapes
 (`rooted_trees`), each weighted by the (d - 1)!/|Aut_root| labeled trees it
-stands for; any other clique contributes all its Prüfer trees.  Rooted and
-unrooted shapes come from one AHU encoder.
+stands for; any other clique contributes all its Prüfer trees, mapped onto
+it as in `_next_trees`.  Rooted and unrooted shapes come from one AHU
+encoder.
 """
 
 from __future__ import annotations
@@ -131,37 +142,6 @@ def prufer_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if i < 0:
             return
         seq[i] += 1
-
-
-def spanning_trees(nv: int, edges: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-    """All spanning trees of a graph on 0..nv-1, as sorted edge-index tuples."""
-    if nv == 1:
-        yield ()
-        return
-    m = len(edges)
-
-    def rec(i: int, parent: list[int], used: tuple[int, ...]):
-        if len(used) == nv - 1:
-            yield used
-            return
-        if i == m or len(used) + (m - i) < nv - 1:
-            return
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            child = parent.copy()
-            child[ru] = rv
-            yield from rec(i + 1, child, used + (i,))
-        yield from rec(i + 1, parent, used)
-
-    yield from rec(0, list(range(nv)), ())
 
 
 def _adjacency(nv: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -243,19 +223,29 @@ def rooted_trees(d: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
 
 # ------------------------------------------------------------- vine streams
 
-def _line_graph(edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Edges (i, j), i < j in lexicographic order, of the line graph of a
-    tree given by its edge list: the pairs of edges sharing an endpoint."""
-    return [(i, j) for i in range(len(edges)) for j in range(i + 1, len(edges))
-            if set(edges[i]) & set(edges[j])]
+def _incidence(nv: int, edges: Sequence[tuple[int, int]]) -> list[list[int]]:
+    """The indices of every vertex's edges, ascending, for a tree on
+    0..nv-1: each list of length >= 2 is one clique of its line graph."""
+    at: list[list[int]] = [[] for _ in range(nv)]
+    for k, (u, v) in enumerate(edges):
+        at[u].append(k)
+        at[v].append(k)
+    return at
 
 
-def _next_trees(edges: Sequence[tuple[int, int]]) -> Iterator[tuple[tuple[int, int], ...]]:
+def _clique_trees(clique: Sequence[int]) -> list[tuple[tuple[int, int], ...]]:
+    """Every labeled tree on a clique's edge indices, ascending, as the
+    `prufer_trees` of its size mapped onto it: pairs in ascending order."""
+    return [tuple((clique[i], clique[j]) for i, j in tree) for tree in prufer_trees(len(clique))]
+
+
+def _next_trees(edges: Sequence[tuple[int, int]]) -> list[tuple[tuple[int, int], ...]]:
     """The next level's trees of a tree given by its edge list: the spanning
-    trees of its line graph, as edge tuples, in `spanning_trees` order."""
-    lg_edges = _line_graph(edges)
-    for chosen in spanning_trees(len(edges), lg_edges):
-        yield tuple(lg_edges[k] for k in chosen)
+    trees of its line graph, one labeled tree per clique, as sorted tuples
+    of index pairs (i, j), i < j, in lexicographic order."""
+    cliques = [c for c in _incidence(len(edges) + 1, edges) if len(c) > 1]
+    return sorted(tuple(sorted(itertools.chain.from_iterable(picked)))
+                  for picked in itertools.product(*map(_clique_trees, cliques)))
 
 
 def _vine_mask_stream(n: int) -> Iterator[list[int]]:
@@ -271,6 +261,10 @@ def _vine_mask_stream(n: int) -> Iterator[list[int]]:
     programs: dict[tuple, list[tuple]] = {}  # per key below level 1
     successors: dict[tuple, list[tuple]] = {}  # per level-1 key: its `next_trees`
 
+    def key_of(edges: tuple) -> tuple:
+        """(len(edges), the sorted cliques): all that `_next_trees` reads."""
+        return len(edges), tuple(sorted(tuple(c) for c in _incidence(len(edges) + 1, edges) if len(c) > 1))
+
     def next_trees(edges: tuple) -> list[tuple[tuple, list[tuple]]]:
         return [(tree, program(tree)) for tree in _next_trees(edges)]
 
@@ -281,7 +275,7 @@ def _vine_mask_stream(n: int) -> Iterator[list[int]]:
         m = len(edges)
         if m <= 1:
             return [()]
-        key = (m, tuple(_line_graph(edges)))
+        key = key_of(edges)
         found = programs.get(key)
         if found is None:
             found = programs[key] = [tree + tuple((i + m, j + m) for i, j in rest)
@@ -291,7 +285,7 @@ def _vine_mask_stream(n: int) -> Iterator[list[int]]:
     for t1 in prufer_trees(n):
         level1 = [atoms[u] | atoms[v] for u, v in t1]
         head = atoms + level1
-        key = (n - 1, tuple(_line_graph(t1)))
+        key = key_of(t1)
         if key not in successors:
             successors[key] = next_trees(t1)
         for t2, rests in successors[key]:
@@ -338,7 +332,7 @@ def random_vine(ground: Iterable[str], rng: random.Random) -> vn.RegularVine:
             found += nodes
             if len(nodes) == 1:
                 break
-            edges = rng.choice(list(_next_trees(edges)))
+            edges = rng.choice(_next_trees(edges))
     return vn.RegularVine(frozenset(labels), frozenset(found))
 
 
@@ -371,10 +365,7 @@ def _completions(nv: int, edges: Sequence[tuple[int, int]], memo: dict[tuple, in
     hit = memo.get(shape)
     if hit is not None:
         return hit
-    at: list[list[int]] = [[] for _ in range(nv)]
-    for k, (u, v) in enumerate(edges):
-        at[u].append(k)
-        at[v].append(k)
+    at = _incidence(nv, edges)
     choices = []
     for v, clique in enumerate(at):
         if len(clique) < 2:
@@ -385,8 +376,7 @@ def _completions(nv: int, edges: Sequence[tuple[int, int]], memo: dict[tuple, in
             choices.append([(tuple((order[i], order[j]) for i, j in tree), weight)
                             for tree, weight in _pendant_trees(len(clique))])
         else:
-            choices.append([(tuple((clique[i], clique[j]) for i, j in tree), 1)
-                            for tree in prufer_trees(len(clique))])
+            choices.append([(tree, 1) for tree in _clique_trees(clique)])
     total = 0
     for picked in itertools.product(*choices):
         tree = tuple(e for part, _ in picked for e in part)

@@ -7,6 +7,8 @@ tables or bitmasks: the n!-relabeling scans behind the canonical form and
 join/meet tests behind the lattice order checks and the direct B(3) search;
 the per-pair domain scan behind the one-pass topmost contiguous positions;
 and the no-extension scan behind the size criterion of maximal ASPDs; and
+the backtracker over a line graph's edges with a copy-on-branch union-find,
+behind the per-clique Prüfer products of `generate._next_trees`; and
 the vine stream that enumerates every line graph's spanning trees afresh at
 every node and finds every node's labels by a scan, behind the successor
 memo, the shared accumulator and the mask table of `generate_vines`; and
@@ -247,6 +249,51 @@ def join_irreducibles_by_covers(L: lt.BoundedLattice) -> list[frozenset]:
     return [s for s in L.sorted_elements() if s != bottom and len(covered_elements(L, s)) == 1]
 
 
+def spanning_trees(nv: int, edges: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """All spanning trees of a graph on 0..nv-1, as sorted edge-index tuples."""
+    if nv == 1:
+        yield ()
+        return
+    m = len(edges)
+
+    def rec(i: int, parent: list[int], used: tuple[int, ...]):
+        if len(used) == nv - 1:
+            yield used
+            return
+        if i == m or len(used) + (m - i) < nv - 1:
+            return
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            child = parent.copy()
+            child[ru] = rv
+            yield from rec(i + 1, child, used + (i,))
+        yield from rec(i + 1, parent, used)
+
+    yield from rec(0, list(range(nv)), ())
+
+
+def line_graph(edges: tuple) -> list[tuple[int, int]]:
+    """Edges (i, j), i < j in lexicographic order, of the line graph of a
+    tree given by its edge list: the pairs of edges sharing an endpoint."""
+    return [(i, j) for i in range(len(edges)) for j in range(i + 1, len(edges))
+            if set(edges[i]) & set(edges[j])]
+
+
+def next_trees_by_spanning_trees(edges: tuple) -> list[tuple[tuple[int, int], ...]]:
+    """The spanning trees of a tree's line graph, as edge tuples, in
+    `spanning_trees` order; the oracle for `generate._next_trees`."""
+    lg_edges = line_graph(edges)
+    return [tuple(lg_edges[k] for k in chosen) for chosen in spanning_trees(len(edges), lg_edges)]
+
+
 def vine_mask_stream_by_recursion(n: int) -> Iterator[list[int]]:
     """The node masks of every labeled vine on n labels, each line graph's
     spanning trees enumerated anew at every node of the recursion; the
@@ -262,9 +309,8 @@ def vine_mask_stream_by_recursion(n: int) -> Iterator[list[int]]:
         if len(new_nodes) == 1:
             yield acc
             return
-        lg_edges = gen._line_graph(edges)
-        for chosen in gen.spanning_trees(len(new_nodes), lg_edges):
-            yield from expand(new_nodes, tuple(lg_edges[k] for k in chosen), acc)
+        for tree in next_trees_by_spanning_trees(edges):
+            yield from expand(new_nodes, tree, acc)
 
     for t1 in gen.prufer_trees(n):
         yield from expand(tuple(atom_masks), t1, atom_masks)
@@ -342,7 +388,7 @@ def completions_by_spanning_trees(nv: int, edges: tuple, memo: dict[tuple, int])
     hit = memo.get(shape)
     if hit is not None:
         return hit
-    total = sum(completions_by_spanning_trees(nv - 1, tree, memo) for tree in gen._next_trees(edges))
+    total = sum(completions_by_spanning_trees(nv - 1, tree, memo) for tree in next_trees_by_spanning_trees(edges))
     memo[shape] = total
     return total
 

@@ -16,7 +16,8 @@ from vinery.errors import InternalInconsistencyError, StructureError
 from conftest import d_vine, sample_vines
 from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce,
                      completions_by_spanning_trees, doubled_classes_by_all_chains, generate_vines_by_scan,
-                     unlabeled_trees, vine_mask_stream_by_recursion)
+                     line_graph, next_trees_by_spanning_trees, spanning_trees, unlabeled_trees,
+                     vine_mask_stream_by_recursion)
 
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
@@ -32,25 +33,29 @@ def test_prufer_tree_counts():
 
 
 def test_spanning_trees():
+    """The backtracker behind `next_trees_by_spanning_trees`."""
     triangle = [(0, 1), (1, 2), (0, 2)]
-    assert sorted(gen.spanning_trees(3, triangle)) == [(0, 1), (0, 2), (1, 2)]
+    assert sorted(spanning_trees(3, triangle)) == [(0, 1), (0, 2), (1, 2)]
     k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
-    assert len(list(gen.spanning_trees(4, k4))) == 16
-    assert list(gen.spanning_trees(1, [])) == [()]
+    assert len(list(spanning_trees(4, k4))) == 16
+    assert list(spanning_trees(1, [])) == [()]
 
 
 def test_next_trees_are_the_line_graph_spanning_trees():
     """The line graph of a tree is one clique K_d per vertex of degree d, so
     it has prod d^(d-2) spanning trees (Cayley per clique); `_next_trees`
-    yields each once, in the lexicographic order of their `spanning_trees`
-    index tuples, which `random_vine`'s draws depend on."""
+    lists each once, in the lexicographic order of their `spanning_trees`
+    index tuples, which `random_vine`'s draws depend on: the backtracker's
+    own list, on every labeled tree with up to 6 vertices."""
     for nv in range(2, 7):
         for edges in gen.prufer_trees(nv):
             degrees = Counter(x for e in edges for x in e).values()
-            index = {e: k for k, e in enumerate(gen._line_graph(edges))}
-            found = [tuple(index[e] for e in tree) for tree in gen._next_trees(edges)]
+            index = {e: k for k, e in enumerate(line_graph(edges))}
+            trees = gen._next_trees(edges)
+            found = [tuple(index[e] for e in tree) for tree in trees]
             assert len(found) == math.prod(d ** (d - 2) for d in degrees if d > 1)
             assert all(a < b for a, b in zip(found, found[1:]))
+            assert trees == next_trees_by_spanning_trees(edges)
 
 
 def test_tree_shape_distinguishes_path_and_star():
@@ -101,12 +106,12 @@ def test_mask_stream_yields_distinct_lists():
 
 
 def test_mask_stream_enumerates_each_line_graph_once(monkeypatch):
-    """Everything below a tree depends only on its line graph, so one stream
-    runs `spanning_trees` once per distinct line graph: 87 at n = 6, under
-    1,296 level-1 trees."""
-    spanning_trees, calls = gen.spanning_trees, Counter()
-    monkeypatch.setattr(gen, "spanning_trees",
-                        lambda nv, edges: calls.update([(nv, tuple(edges))]) or spanning_trees(nv, edges))
+    """Everything below a tree depends only on its line graph, whose cliques
+    key the memo, so one stream runs `_next_trees` once per distinct line
+    graph: 87 at n = 6, under 1,296 level-1 trees."""
+    next_trees, calls = gen._next_trees, Counter()
+    monkeypatch.setattr(gen, "_next_trees",
+                        lambda edges: calls.update([(len(edges), tuple(line_graph(edges)))]) or next_trees(edges))
     assert sum(1 for _ in gen._vine_mask_stream(6)) == LABELED[6]
     assert set(calls.values()) == {1}
     assert len(calls) == 87
@@ -225,6 +230,9 @@ RANDOM_VINE_DIGEST = "dfb3ad609d3ba49ee5c9dcfc5c72a251f99ee9ca1ce6d095df6a85f8b2
 # before the stream memoized completion programs by line graph; the oracle
 # recursion of `test_mask_stream_matches_unmemoized_recursion` stops at n = 5.
 MASK_STREAM_6_DIGEST = "c97fba951d22d076b3ce4eced5d7c16f044890350e34f9d7b5ad7572c51059b7"
+# SHA-256 of the draws of `test_random_vine_large_draws_are_pinned`, recorded
+# while `_next_trees` still ran a backtracker over the line graph's edges.
+RANDOM_VINE_LARGE_DIGEST = "a500ea6e47b93d5bee12ee81c534fb084f9dfc33e17c92102c60f3df158033ab"
 
 
 def test_random_vine_draws_are_pinned():
@@ -235,6 +243,17 @@ def test_random_vine_draws_are_pinned():
             v = gen.random_vine(string.ascii_lowercase[:n], rng)
             draws.append([sorted(s) for s in v.sorted_nodes()])
     assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == RANDOM_VINE_DIGEST
+
+
+def test_random_vine_large_draws_are_pinned():
+    """Draws on 12 to 20 labels, where the level-1 trees have large cliques."""
+    draws = []
+    for seed in range(10):
+        rng = random.Random(seed)
+        for n in (12, 15, 18, 20):
+            v = gen.random_vine(string.ascii_lowercase[:n], rng)
+            draws.append([sorted(s) for s in v.sorted_nodes()])
+    assert hashlib.sha256(json.dumps(draws).encode()).hexdigest() == RANDOM_VINE_LARGE_DIGEST
 
 
 def test_mask_stream_six_is_pinned():
