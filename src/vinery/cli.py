@@ -37,35 +37,42 @@ def _emit(obj, fmt: str) -> str:
 
 def cmd_verify(args) -> int:
     obj = io.load_file(args.path)
-    if args.kind and io.kind_of(obj) != args.kind:
-        print(f"kind mismatch: file holds {io.kind_of(obj)}, expected {args.kind}", file=sys.stderr)
+    row = sp.species_of(obj)
+    if args.kind and row.name != args.kind:
+        print(f"kind mismatch: file holds {row.name}, expected {args.kind}", file=sys.stderr)
         return 1
-    report = routes._VALIDATORS[io.kind_of(obj)](obj)
+    report = row.report(obj)
     if report:
         for x in report:
             print(f"INVALID {x.axiom}: {x.message}")
         return 1
     if args.strict:
-        kind = io.kind_of(obj)
-        targets = [k for k in io.KINDS if k != kind]
-        for to_kind in targets:
+        for to_kind in [k for k in io.KINDS if k != row.name]:
             # the public back leg checks the first leg's output
             converted = routes._convert_structure(obj, to_kind, "direct")
-            back = routes.convert_structure(converted, kind, "direct")
+            back = routes.convert_structure(converted, row.name, "direct")
             if io.dumps(back) != io.dumps(obj):
                 print(f"INVALID roundtrip.{to_kind}: conversion does not round-trip")
                 return 1
-        print(f"VALID {io.kind_of(obj)} (strict: all round trips pass)")
+        print(f"VALID {row.name} (strict: all round trips pass)")
         return 0
-    print(f"VALID {io.kind_of(obj)}")
+    print(f"VALID {row.name}")
     return 0
 
 
-def cmd_convert(args) -> int:
-    obj = io.load_file(args.path)
-    report = routes._VALIDATORS[io.kind_of(obj)](obj)
+def _load_valid(path: str):
+    """The structure in the file, or None once its first violation is on stderr."""
+    obj = io.load_file(path)
+    report = sp.species_of(obj).report(obj)
     if report:
         print(f"INVALID {report[0].axiom}: {report[0].message}", file=sys.stderr)
+        return None
+    return obj
+
+
+def cmd_convert(args) -> int:
+    obj = _load_valid(args.path)
+    if obj is None:
         return 1
     out = routes._convert_structure(obj, args.to, args.via)
     sys.stdout.write(_emit(out, args.format))
@@ -73,18 +80,17 @@ def cmd_convert(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    obj = io.load_file(args.path)
-    report = routes._VALIDATORS[io.kind_of(obj)](obj)
-    if report:
-        print(f"INVALID {report[0].axiom}: {report[0].message}", file=sys.stderr)
+    obj = _load_valid(args.path)
+    if obj is None:
         return 1
+    kind = io.kind_of(obj)
     # v is valid: the input passed its validator and the maps keep validity
     v = routes._convert_structure(obj, "vine", "direct")
     # the domain's bottoms and Black axis are read off the vine
     facts = vn._analytics(v)
     axis = vn._bspd_axis(v, facts["is_d_vine"])
     info = {
-        "kind": io.kind_of(obj),
+        "kind": kind,
         "n": v.n,
         "richness_bounds_note": None if v.n >= 3 else "richness bounds apply for n >= 3 only",
         "bottom_alternatives": vn._bottom_alternatives(v),
@@ -93,7 +99,7 @@ def cmd_analyze(args) -> int:
         "aut_order": lt._automorphism_group_order(v),
         **facts,
     }
-    if io.kind_of(obj) == "domain":
+    if kind == "domain":
         # domain-side cross-checks against the vine-side analytics
         if dm.richness_direct(obj) != info["richness"]:
             raise InternalInconsistencyError("richness cross-check failed")

@@ -759,25 +759,24 @@ def class_representatives(n: int) -> list[vn.RegularVine]:
 def catalog_entries(n: int) -> list[dict]:
     """One catalog entry per isomorphism class, in canonical-form order; the
     classes, orbits and |Aut| come from the doubling route of
-    `class_representatives`."""
+    `class_representatives`, and the four renderings are the payloads of
+    the `serialize` JSON envelopes."""
     from . import correspond as co
     from . import lattice as lt
+    from . import serialize as io
     classes = _doubled_classes(n)
     entries = []
     for idx, cls in enumerate(classes):
         v = cls.representative
-        g = co._vine_to_graph(v)  # `_doubled_classes` checked v
-        d = co._vine_to_domain(v)
-        L = lt._vine_to_lattice(v)
-        M = lt.lattice_to_matrix(L)
+        L = lt._vine_to_lattice(v)  # `_doubled_classes` checked v
         entries.append({
             "index": idx,
             "n": n,
-            "vine_nodes": [sorted(s) for s in v.sorted_nodes()],
-            "graph_edges": [{"u": u, "v": w, "label": g.labels[(u, w)]} for (u, w) in g.edges()],
-            "preferences": [list(w) for w in d.sorted_prefs()],
+            "vine_nodes": io.to_json_dict(v)["nodes"],
+            "graph_edges": io.to_json_dict(co._vine_to_graph(v))["edges"],
+            "preferences": io.to_json_dict(co._vine_to_domain(v))["preferences"],
             "lattice_size": len(L.elements),
-            "matrix_columns": ["".join(str(b) for b in col) for col in sorted(M.columns)],
+            "matrix_columns": io.to_json_dict(lt.lattice_to_matrix(L))["columns"],
             "aut_order": cls.aut_order,
             "orbit_size": cls.orbit_size,
             **vn._analytics(v),

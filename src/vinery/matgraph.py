@@ -184,28 +184,24 @@ def require_valid(g: MatLabeledGraph) -> None:
     raise_first(validate_matgraph(g))
 
 
-def _is_mat_simplicial(g: MatLabeledGraph, a: str) -> bool:
-    nbrs = sorted(g.neighbors(a))
-    # (1) simplicial: neighborhood is a clique
-    for i, b in enumerate(nbrs):
-        for c in nbrs[i + 1:]:
-            if g.label(b, c) is None:
-                return False
-    # (2) incident labels are exactly 1..deg(a)
-    incident = sorted(g.labels[edge_key(a, b)] for b in nbrs)
-    if incident != list(range(1, len(nbrs) + 1)):
+def _is_mat_simplicial(lab: list, a: int, within) -> bool:
+    """Is vertex a MAT-simplicial in the graph induced on the indices
+    `within` (a among them), read off the label matrix of a graph's view?"""
+    row = lab[a]
+    nbrs = [b for b in within if row[b] < row[a]]  # the diagonal holds max label + 1
+    # incident labels are exactly 1..deg(a)
+    if sorted(row[b] for b in nbrs) != list(range(1, len(nbrs) + 1)):
         return False
-    # (3) inside the neighborhood, labels are dominated by the incident ones
-    for i, b in enumerate(nbrs):
-        for c in nbrs[i + 1:]:
-            if g.label(b, c) >= max(g.label(a, b), g.label(a, c)):
-                return False
-    return True
+    # the neighborhood is a clique whose labels are dominated by the incident
+    # ones; an absent edge holds max label + 1, so it fails the bound too
+    return all(lab[b][c] < max(row[b], row[c]) for i, b in enumerate(nbrs) for c in nbrs[i + 1:])
 
 
 def mat_simplicial_vertices(g: MatLabeledGraph) -> frozenset:
     raise_first(validate_mat_labeling(g))
-    return frozenset(a for a in g.vertices if _is_mat_simplicial(g, a))
+    order, _, lab, _ = g._view
+    every = range(len(order))
+    return frozenset(x for i, x in enumerate(order) if _is_mat_simplicial(lab, i, every))
 
 
 def induced_subgraph(g: MatLabeledGraph, subset: Iterable[str]) -> MatLabeledGraph:
@@ -219,9 +215,11 @@ def is_mat_peo(g: MatLabeledGraph, ordering: Sequence[str]) -> bool:
     if sorted(ordering) != sorted(g.vertices):
         raise StructureError("matgraph.ordering", "ordering is not a permutation of the vertex set",
                              witness=tuple(ordering))
-    for i in range(len(ordering)):
-        prefix = induced_subgraph(g, ordering[: i + 1])
-        if not _is_mat_simplicial(prefix, ordering[i]):
+    index, lab = g._view.index, g._view.lab
+    prefix = []
+    for x in ordering:
+        prefix.append(index[x])
+        if not _is_mat_simplicial(lab, index[x], prefix):
             return False
     return True
 

@@ -1,11 +1,11 @@
 """Reading and writing structures: JSON envelope, text tables, DOT graphs.
 
 Every file holds one structure in a self-describing JSON envelope whose
-"kind" field is one of matgraph, vine, domain, lattice, matrix.  All emitted
-documents are canonically sorted so identical structures serialize to
-identical bytes.  A DOT rendering of a vine or lattice draws one edge per
-cover, read off the vine's cached index view or the lattice's cached
-cover table.
+"kind" field names a row of the `species` table: matgraph, vine, domain,
+lattice, matrix.  All emitted documents are canonically sorted so identical
+structures serialize to identical bytes.  A DOT rendering of a vine or
+lattice draws one edge per cover, read off the vine's cached index view or
+the lattice's cached cover table.
 """
 
 from __future__ import annotations
@@ -16,27 +16,18 @@ from typing import Union
 from . import domain as dm
 from . import lattice as lt
 from . import matgraph as mg
+from . import species as sp
 from . import vine as vn
 from .errors import StructureError
 
 Structure = Union[mg.MatLabeledGraph, vn.RegularVine, dm.PreferenceDomain,
                   lt.BoundedLattice, lt.BinaryMatrix]
 
-KINDS = ("matgraph", "vine", "domain", "lattice", "matrix")
+KINDS = tuple(sp.SPECIES)
 
 
 def kind_of(obj: Structure) -> str:
-    if isinstance(obj, mg.MatLabeledGraph):
-        return "matgraph"
-    if isinstance(obj, vn.RegularVine):
-        return "vine"
-    if isinstance(obj, dm.PreferenceDomain):
-        return "domain"
-    if isinstance(obj, lt.BoundedLattice):
-        return "lattice"
-    if isinstance(obj, lt.BinaryMatrix):
-        return "matrix"
-    raise TypeError(f"unknown structure type {type(obj).__name__}")
+    return sp.species_of(obj).name
 
 
 def to_json_dict(obj: Structure) -> dict:

@@ -1,9 +1,14 @@
-"""Split/merge species and the generic transport isomorphism.
+"""Split/merge species, the table of the five kinds, and the generic
+transport isomorphism.
 
 Each of the five families (MAT-labeled complete graphs, regular vines,
 maximal ASPDs, (n,3)-extremal lattices, triangle-free extremal binary
-matrices) is a row of the ``Species`` table: its ground-set attribute, its
-validator, its trivial structure on a ground set of size <= 1, and what the
+matrices) is a row of the ``Species`` table, and ``SPECIES`` is the only
+list of kinds: `serialize`, `routes` and the CLI read a structure's row off
+its type with ``species_of``.  A row holds the kind's name and structure
+type, its ground-set attribute, its validator's full report and the
+raising check, its maps to and from the regular vine (the hub of
+`routes`), its trivial structure on a ground set of size <= 1, and what the
 axioms name.  ``top(x)`` is the removed pair, read off the top of the
 structure: the ends of the top-label edge, the labels missing from the two
 co-atoms, or the two bottoms.  ``restrict(x, a)`` is the half on A - {a}, for
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from . import correspond as co
 from . import domain as dm
 from . import lattice as lt
 from . import matgraph as mg
@@ -42,15 +48,20 @@ class SplitPair:
 
 
 class Species:
-    """One family's split/merge operations, as a row of functions.
+    """One kind, as a row of its type and functions.
 
-    ``require`` raises a ``StructureError`` on an invalid structure;
-    ``top``, ``restrict`` and ``glue`` are as in the module docstring.
+    ``report`` returns the family validator's full violation report, empty
+    when valid; ``require`` raises a ``StructureError`` on an invalid
+    structure.  ``to_vine`` and ``from_vine`` are the cores of the hub maps,
+    which trust valid input.  ``top``, ``restrict`` and ``glue`` are as in
+    the module docstring.
     """
 
-    def __init__(self, name: str, ground_attr: str, require: Callable,
-                 trivial: Callable, top: Callable, restrict: Callable, glue: Callable):
-        self.name, self.ground_attr = name, ground_attr
+    def __init__(self, name: str, cls: type, ground_attr: str, *, report: Callable, require: Callable,
+                 to_vine: Callable, from_vine: Callable, trivial: Callable, top: Callable,
+                 restrict: Callable, glue: Callable):
+        self.name, self.cls, self.ground_attr = name, cls, ground_attr
+        self.report, self.to_vine, self.from_vine = report, to_vine, from_vine
         self._require, self._trivial = require, trivial
         self._top, self._restrict, self._glue = top, restrict, glue
 
@@ -100,29 +111,51 @@ def _coatom_labels(ground: frozenset, family) -> list:
     return [a for s in family if len(s) == size for a in ground - s]
 
 
-GRAPH = Species("matgraph", "vertices", mg.require_valid,
-                lambda g: mg.MatLabeledGraph(g, {}),
-                lambda g: max(g.labels, key=g.labels.__getitem__),
-                lambda g, a: mg.induced_subgraph(g, g.vertices - {a}), mg._glue_graphs)
-VINE = Species("vine", "ground", vn.require_valid,
-               lambda g: vn.RegularVine(g, frozenset({g}) if g else frozenset()),
-               lambda v: _coatom_labels(v.ground, v.nodes),
-               lambda v, a: vn.RegularVine(v.ground - {a}, frozenset(s for s in v.nodes if a not in s)),
-               vn._glue_vines)
-DOMAIN = Species("domain", "alternatives", dm.require_valid,
-                 lambda g: dm.PreferenceDomain(g, frozenset({tuple(sorted(g))})),
-                 dm.bottom_alternatives,
-                 lambda d, a: dm.PreferenceDomain(d.alternatives - {a},
-                                                  frozenset(w[:-1] for w in d.prefs if w[-1] == a)),
-                 dm._glue_domains)
-LATTICE = Species("lattice", "ground", lt.require_extremal_lattice,
-                  lambda g: lt.BoundedLattice(frozenset({frozenset(), g})),
-                  lambda L: _coatom_labels(L.ground, L.elements), lt._restrict_lattice,
-                  lambda x, y, a, b: lt.BoundedLattice(x.elements | y.elements | {x.ground | {a}}))
-MATRIX = Species("matrix", "ground", lt.require_extremal_matrix,
-                 lambda g: lt.BinaryMatrix(tuple(sorted(g)), frozenset({(0,) * len(g), (1,) * len(g)})),
-                 lt._coatom_rows, lt._restrict_matrix, lt._glue_matrices)
+# Each report looks its validator up in the family module at call time, so
+# a patch or wrapper of the module attribute sees every call through a row.
+GRAPH = Species("matgraph", mg.MatLabeledGraph, "vertices",
+                report=lambda g: mg.validate_matgraph(g), require=mg.require_valid,
+                to_vine=co._graph_to_vine, from_vine=co._vine_to_graph,
+                trivial=lambda g: mg.MatLabeledGraph(g, {}),
+                top=lambda g: max(g.labels, key=g.labels.__getitem__),
+                restrict=lambda g, a: mg.induced_subgraph(g, g.vertices - {a}), glue=mg._glue_graphs)
+VINE = Species("vine", vn.RegularVine, "ground",
+               report=lambda v: vn.validate_vine(v), require=vn.require_valid,
+               to_vine=lambda v: v, from_vine=lambda v: v,
+               trivial=lambda g: vn.RegularVine(g, frozenset({g}) if g else frozenset()),
+               top=lambda v: _coatom_labels(v.ground, v.nodes),
+               restrict=lambda v, a: vn.RegularVine(v.ground - {a}, frozenset(s for s in v.nodes if a not in s)),
+               glue=vn._glue_vines)
+DOMAIN = Species("domain", dm.PreferenceDomain, "alternatives",
+                 report=lambda d: dm.validate_domain(d), require=dm.require_valid,
+                 to_vine=co._domain_to_vine, from_vine=co._vine_to_domain,
+                 trivial=lambda g: dm.PreferenceDomain(g, frozenset({tuple(sorted(g))})),
+                 top=dm.bottom_alternatives,
+                 restrict=lambda d, a: dm.PreferenceDomain(d.alternatives - {a},
+                                                           frozenset(w[:-1] for w in d.prefs if w[-1] == a)),
+                 glue=dm._glue_domains)
+LATTICE = Species("lattice", lt.BoundedLattice, "ground",
+                  report=lambda L: lt.validate_lattice(L), require=lt.require_extremal_lattice,
+                  to_vine=lt._lattice_to_vine, from_vine=lt._vine_to_lattice,
+                  trivial=lambda g: lt.BoundedLattice(frozenset({frozenset(), g})),
+                  top=lambda L: _coatom_labels(L.ground, L.elements), restrict=lt._restrict_lattice,
+                  glue=lambda x, y, a, b: lt.BoundedLattice(x.elements | y.elements | {x.ground | {a}}))
+MATRIX = Species("matrix", lt.BinaryMatrix, "ground",
+                 report=lambda M: lt.validate_matrix(M), require=lt.require_extremal_matrix,
+                 to_vine=lambda M: lt._lattice_to_vine(lt.matrix_to_lattice(M)),
+                 from_vine=lambda v: lt.lattice_to_matrix(lt._vine_to_lattice(v)),
+                 trivial=lambda g: lt.BinaryMatrix(tuple(sorted(g)), frozenset({(0,) * len(g), (1,) * len(g)})),
+                 top=lt._coatom_rows, restrict=lt._restrict_matrix, glue=lt._glue_matrices)
 SPECIES = {s.name: s for s in (GRAPH, VINE, DOMAIN, LATTICE, MATRIX)}
+_BY_TYPE = {s.cls: s for s in SPECIES.values()}
+
+
+def species_of(obj) -> Species:
+    """The row of obj's kind; a TypeError for an object of no kind."""
+    row = _BY_TYPE.get(type(obj))
+    if row is None:
+        raise TypeError(f"unknown structure type {type(obj).__name__}")
+    return row
 
 
 def check_proximity(S, x) -> bool:

@@ -204,13 +204,30 @@ def test_analyze_validates_the_vine_once(write, monkeypatch, seed, capsys):
         return validate(x)
 
     monkeypatch.setattr(vn, "validate_vine", counting)
-    monkeypatch.setitem(routes._VALIDATORS, "vine", counting)  # the table's own reference
     for obj in objs:
         path = write(f"{io.kind_of(obj)}.json", obj)
         calls.clear()
         assert cli.main(["analyze", path, "--format", "json"]) == 0
         assert len(calls) == (io.kind_of(obj) == "vine"), io.kind_of(obj)
         capsys.readouterr()
+
+
+def test_one_patch_of_the_vine_validator_sees_every_caller(write, intro_vine, monkeypatch, capsys):
+    """The vine row looks `vine.validate_vine` up in its module at call time,
+    so a patch there alone sees verify, convert, analyze and
+    `routes.convert_structure` validate their input."""
+    calls = []
+    validate = vn.validate_vine
+    monkeypatch.setattr(vn, "validate_vine", lambda v: calls.append(v) or validate(v))
+    path = write("vine.json", intro_vine)
+    for argv in (["verify", path], ["convert", path, "--to", "matgraph"], ["analyze", path]):
+        calls.clear()
+        assert cli.main(argv) == 0, argv
+        assert calls == [intro_vine], argv
+    calls.clear()
+    routes.convert_structure(intro_vine, "matgraph")
+    assert calls == [intro_vine]
+    capsys.readouterr()
 
 
 def test_analyze_trd_examples(write, capsys):

@@ -32,12 +32,12 @@ def assert_images_valid_and_round_trip(x):
     for to_kind in io.KINDS:
         for via in ("direct", "transport"):
             out = routes._convert_structure(x, to_kind, via)
-            assert routes._VALIDATORS[to_kind](out) == [], (kind, to_kind, via)
+            assert sp.SPECIES[to_kind].report(out) == [], (kind, to_kind, via)
             assert routes._convert_structure(out, kind, via) == x, (kind, to_kind, via)
 
 
 def valid(structures) -> list:
-    return [x for x in structures if not routes._VALIDATORS[io.kind_of(x)](x)]
+    return [x for x in structures if not sp.species_of(x).report(x)]
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -93,15 +93,13 @@ CHECK_NAMES = ("raise_first", "is_lattice", "is_aspd", "has_no_triangles", "_mas
 @pytest.fixture
 def checks(monkeypatch) -> list:
     """The names of the validators, `require_*` functions and the kernels
-    they run, as each is called through any vinery module or the routes
-    table."""
+    they run, as each is called through any vinery module; the species
+    rows look their validators up in the family modules."""
     calls = []
     for mod in (co, dm, errors, gen, lt, mg, routes, sp, vn):
         for name, f in list(vars(mod).items()):
             if inspect.isfunction(f) and (name.startswith(CHECK_PREFIXES) or name in CHECK_NAMES):
                 monkeypatch.setattr(mod, name, lambda *args, _f=f, _name=name: calls.append(_name) or _f(*args))
-    for kind, f in routes._VALIDATORS.items():
-        monkeypatch.setitem(routes._VALIDATORS, kind, lambda x, _f=f: calls.append(_f.__name__) or _f(x))
     return calls
 
 

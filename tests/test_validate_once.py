@@ -50,7 +50,7 @@ CASES = [
     (lt, "undouble", "lattice", (), "lattice.lattice"),
     (lt, "maximal_chains_of_lattice", "lattice", (), "lattice.lattice"),
     (lt, "automorphism_group_order", "vine", (), "vine.grading"),
-    # routes checks by the kind -> validator table and raises its first violation
+    # routes checks by the input's species row and raises its first violation
     (routes, "convert_structure", "matgraph", ("vine",), "matgraph.complete"),
     (routes, "convert_structure", "vine", ("matgraph",), "vine.grading"),
     (routes, "convert_structure", "domain", ("vine",), "domain.maximal-size"),
@@ -88,8 +88,8 @@ VALIDATORS = ((vn, "validate_vine"), (mg, "validate_mat_labeling"), (dm, "is_asp
 @pytest.fixture
 def traffic(monkeypatch) -> list:
     """(validator, object) of every call of the five family validators, through
-    their modules or the routes table; the list keeps every object alive, so
-    ids are not reused."""
+    their modules, where every caller looks them up; the list keeps every
+    object alive, so ids are not reused."""
     calls = []
     for mod, name in VALIDATORS:
         validate = getattr(mod, name)
@@ -99,9 +99,6 @@ def traffic(monkeypatch) -> list:
             return _validate(x)
 
         monkeypatch.setattr(mod, name, recording)
-        for kind, f in routes._VALIDATORS.items():
-            if f is validate:
-                monkeypatch.setitem(routes._VALIDATORS, kind, recording)
     return calls
 
 
