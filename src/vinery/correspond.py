@@ -69,7 +69,7 @@ def _vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
     """One preference per maximal chain: rank the elements in chain order."""
     if v.n == 0:
         return dm.PreferenceDomain(v.ground, frozenset({()}))
-    _, bit, _, masks, covers = v._view
+    _, bit, _, masks, _, covers = v._view
     label = {b: x for x, b in bit.items()}
     # per node, each node it covers with the label between them
     steps = [[(j, label[m ^ masks[j]]) for j in vn._bits(c)] for m, c in zip(masks, covers)]

@@ -234,14 +234,3 @@ def relabel_domain(d: PreferenceDomain, h: Mapping[str, str]) -> PreferenceDomai
     return PreferenceDomain(frozenset(h[a] for a in d.alternatives),
                             frozenset(tuple(h[x] for x in w) for w in d.prefs))
 
-
-def render_table(d: PreferenceDomain) -> str:
-    """Plain-text table: columns are preferences, top row is rank 1."""
-    cols = d.sorted_prefs()
-    if not cols or d.n == 0:
-        return "(empty)\n"
-    width = max(len(str(x)) for w in cols for x in w)
-    lines = []
-    for r in range(d.n):
-        lines.append(" ".join(str(w[r]).rjust(width) for w in cols))
-    return "\n".join(lines) + "\n"

@@ -6,9 +6,10 @@ bottom element is exactly an (n,3)-extremal lattice; the characteristic
 vectors of the elements form a triangle-free binary matrix with the extremal
 column count 1 + n + C(n,2).
 
-The order checks read the below-sets and covers of `vine._mask_covers`
-over `sorted_elements()`, a linear extension of inclusion, computed once
-per lattice and cached as `BoundedLattice._order`: `is_lattice` and the
+The order checks read the lattice's index view, `BoundedLattice._view`,
+the same `vine._index_view` a vine caches: the elements in
+`sorted_elements()` order, a linear extension of inclusion, with their
+below-sets and covers, computed once per lattice.  `is_lattice` and the
 direct B(3) search find a pair's meet (the search also its join) in a few
 integer operations instead of a scan of the element family, and
 `join_irreducibles`, the maximal chains and the DOT rendering read the
@@ -73,10 +74,9 @@ class BoundedLattice:
     def ground(self) -> frozenset:
         return frozenset().union(*self.elements)
 
-    @functools.cached_property
-    def _order(self) -> tuple[list[int], list[int]]:
-        """`vine._mask_covers` over `sorted_elements()`: (below, covers)."""
-        return vn._mask_covers(vn._masks(self.sorted_elements()))
+    @functools.cached_property  # likewise outside the fields
+    def _view(self) -> vn._View:
+        return vn._index_view(self.ground, self.elements)
 
     def sorted_elements(self) -> list[frozenset]:
         return sorted(self.elements, key=lambda s: (len(s), sorted(s)))
@@ -112,15 +112,14 @@ def meet(L: BoundedLattice, x: frozenset, y: frozenset) -> Optional[frozenset]:
 def is_lattice(L: BoundedLattice) -> bool:
     """Every pair has a join and a meet.
 
-    Over `sorted_elements()`, a linear extension of inclusion, the common
+    Over the view's elements, a linear extension of inclusion, the common
     lower bounds D of x and y have a greatest element iff D is non-empty and
     lies below its highest index.  When every pair has a meet, every pair
     has a join iff the family has a greatest element (the meet of the common
     upper bounds is then the join), which is the last index if there is one."""
     if not L.elements:
         return False
-    below, _ = L._order
-    down = [b | 1 << i for i, b in enumerate(below)]
+    down = [b | 1 << i for i, b in enumerate(L._view.below)]
     if down[-1] != (1 << len(down)) - 1:
         return False
     for i, down_x in enumerate(down):
@@ -137,9 +136,9 @@ def _require_lattice(L: BoundedLattice) -> None:
 
 
 def join_irreducibles(L: BoundedLattice) -> list[frozenset]:
-    """Elements covering exactly one element (the standard finite-lattice test)."""
-    bottom = min(L.elements, key=len)
-    return [s for s, cov in zip(L.sorted_elements(), L._order[1]) if s != bottom and cov.bit_count() == 1]
+    """Elements covering exactly one element (the standard finite-lattice
+    test; a bottom covers none)."""
+    return [s for s, cov in zip(L._view.nodes, L._view.covers) if cov.bit_count() == 1]
 
 
 _B3_PATTERN = {0: frozenset(), 1: frozenset("1"), 2: frozenset("2"), 3: frozenset("3"),
@@ -164,15 +163,15 @@ def _direct_b3_search(L: BoundedLattice) -> Optional[tuple]:
 
     Complete: any induced B(3) copy can be replaced by one whose middle layer
     consists of the pairwise joins of its atoms.  Elements are indices into
-    `sorted_elements()`, a linear extension of inclusion, with their down-
-    and up-sets read off `_order`: the meet of x and y is the highest index
-    below both and their join the lowest index above both (`is_lattice`).
+    the lattice's index view, a linear extension of inclusion, with their
+    down- and up-sets read off its below-sets: the meet of x and y is the
+    highest index below both and their join the lowest index above both
+    (`is_lattice`).
     The atoms of a B(3) are pairwise incomparable, so a comparable pair
     t1 < t2 is skipped before any t3 is tried.
     """
-    elements = L.sorted_elements()
-    below, _ = L._order
-    down = [b | 1 << i for i, b in enumerate(below)]
+    elements = L._view.nodes
+    down = [b | 1 << i for i, b in enumerate(L._view.below)]
     up = [0] * len(down)
     for i, d in enumerate(down):
         for j in vn._bits(d):
@@ -273,7 +272,7 @@ def _lattice_to_vine(L: BoundedLattice) -> vn.RegularVine:
 
 def _maximal_chains_of_lattice(L: BoundedLattice) -> list[tuple]:
     """All bottom-to-top saturated chains, lexicographically ordered."""
-    return sorted(vn._chains(L.sorted_elements(), L._order[1]), key=lambda c: [(len(s), sorted(s)) for s in c])
+    return sorted(vn._chains(L._view.nodes, L._view.covers), key=lambda c: [(len(s), sorted(s)) for s in c])
 
 
 def fresh_label(ground: frozenset) -> str:
@@ -440,7 +439,7 @@ def _automorphism_group_order(v: vn.RegularVine) -> int:
     read off the vine's index view."""
     if v.n <= 1:
         return 1
-    _, _, _, masks, covers = v._view
+    masks, covers = v._view.masks, v._view.covers
     index = {m: k for k, m in enumerate(masks)}
     s, t = (masks[k] for k in vn._bits(covers[-1]))
     a, b = masks[-1] ^ s, masks[-1] ^ t

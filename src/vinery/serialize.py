@@ -3,15 +3,14 @@
 Every file holds one structure in a self-describing JSON envelope whose
 "kind" field names a row of the `species` table: matgraph, vine, domain,
 lattice, matrix.  All emitted documents are canonically sorted so identical
-structures serialize to identical bytes.  A DOT rendering of a vine or
-lattice draws one edge per cover, read off the vine's cached index view or
-the lattice's cached cover table.
+structures serialize to identical bytes.  A vine and a lattice, which is a
+vine plus a bottom, are written alike in every format; the DOT rendering
+draws one edge per cover, read off their shared index view, `vine._View`.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Union
 
 from . import domain as dm
 from . import lattice as lt
@@ -20,40 +19,44 @@ from . import species as sp
 from . import vine as vn
 from .errors import StructureError
 
-Structure = Union[mg.MatLabeledGraph, vn.RegularVine, dm.PreferenceDomain,
-                  lt.BoundedLattice, lt.BinaryMatrix]
-
 KINDS = tuple(sp.SPECIES)
 
 
-def kind_of(obj: Structure) -> str:
+def kind_of(obj) -> str:
     return sp.species_of(obj).name
 
 
-def to_json_dict(obj: Structure) -> dict:
+def _ranked(obj) -> list[frozenset]:
+    """A vine's nodes or a lattice's elements by rank, then sorted, without
+    the index view, which a vine built by a map has not made yet."""
+    return obj.sorted_elements() if isinstance(obj, lt.BoundedLattice) else obj.sorted_nodes()
+
+
+def _name(s: frozenset) -> str:
+    """A node's name in text and DOT: its sorted labels, as {a,b}."""
+    return "{" + ",".join(sorted(s)) + "}"
+
+
+def to_json_dict(obj) -> dict:
     kind = kind_of(obj)
     if kind == "matgraph":
         return {"kind": kind,
                 "vertices": sorted(obj.vertices),
                 "edges": [{"u": u, "v": v, "label": obj.labels[(u, v)]} for (u, v) in obj.edges()]}
-    if kind == "vine":
+    if kind in ("vine", "lattice"):
         return {"kind": kind,
                 "ground": sorted(obj.ground),
-                "nodes": [sorted(s) for s in obj.sorted_nodes()]}
+                "nodes": [sorted(s) for s in _ranked(obj)]}
     if kind == "domain":
         return {"kind": kind,
                 "alternatives": sorted(obj.alternatives),
                 "preferences": [list(w) for w in obj.sorted_prefs()]}
-    if kind == "lattice":
-        return {"kind": kind,
-                "ground": sorted(obj.ground),
-                "nodes": [sorted(s) for s in obj.sorted_elements()]}
     return {"kind": kind,
             "rows": list(obj.rows),
             "columns": ["".join(str(b) for b in col) for col in sorted(obj.columns)]}
 
 
-def dumps(obj: Structure) -> str:
+def dumps(obj) -> str:
     return json.dumps(to_json_dict(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
@@ -71,7 +74,7 @@ def _string_lists(value, field: str) -> list:
     return [_strings(x, f"every entry of {field}") for x in value]
 
 
-def from_json_dict(doc: dict) -> Structure:
+def from_json_dict(doc: dict):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise StructureError("parse.kind", "document has no \"kind\" field")
     kind = doc["kind"]
@@ -106,7 +109,7 @@ def from_json_dict(doc: dict) -> Structure:
     raise StructureError("parse.kind", f"unknown kind {kind!r}")
 
 
-def loads(text: str) -> Structure:
+def loads(text: str):
     try:
         doc = json.loads(text)
     except RecursionError:
@@ -114,36 +117,31 @@ def loads(text: str) -> Structure:
     return from_json_dict(doc)
 
 
-def load_file(path: str) -> Structure:
+def load_file(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         return loads(fh.read())
 
 
-def to_text(obj: Structure) -> str:
+def to_text(obj) -> str:
+    """One line per edge, node or element, and matrix row; a domain as a
+    table whose columns are the preferences, top row rank 1."""
     kind = kind_of(obj)
-    if kind == "domain":
-        return dm.render_table(obj)
-    if kind == "matrix":
-        return matrix_text(obj)
     if kind == "matgraph":
         lines = [f"{u} {v} {obj.labels[(u, v)]}" for (u, v) in obj.edges()]
         return "\n".join(lines) + "\n" if lines else "(no edges)\n"
-    # vine / lattice: one node per line, rank-stratified
-    nodes = obj.sorted_nodes() if kind == "vine" else obj.sorted_elements()
-    lines = ["{" + ",".join(sorted(s)) + "}" for s in nodes]
+    if kind in ("vine", "lattice"):
+        lines = [_name(s) for s in _ranked(obj)]
+    elif kind == "domain":
+        cols = obj.sorted_prefs()
+        width = max((len(str(x)) for w in cols for x in w), default=0)
+        lines = [" ".join(str(w[r]).rjust(width) for w in cols) for r in range(obj.n)] if cols else []
+    else:  # matrix, column-sorted
+        cols = sorted(obj.columns)
+        lines = ["".join(str(col[r]) for col in cols) for r in range(len(obj.rows))] if cols else []
     return "\n".join(lines) + "\n" if lines else "(empty)\n"
 
 
-def matrix_text(m: lt.BinaryMatrix) -> str:
-    """Row-per-line rendering of the column-sorted matrix."""
-    cols = sorted(m.columns)
-    if not cols or not m.rows:
-        return "(empty)\n"
-    lines = ["".join(str(col[r]) for col in cols) for r in range(len(m.rows))]
-    return "\n".join(lines) + "\n"
-
-
-def to_dot(obj: Structure) -> str:
+def to_dot(obj) -> str:
     kind = kind_of(obj)
     if kind == "matgraph":
         lines = ["graph matgraph {"]
@@ -154,16 +152,10 @@ def to_dot(obj: Structure) -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if kind in ("vine", "lattice"):
-        if kind == "vine":
-            _, _, nodes, _, covers = obj._view
-        else:
-            nodes, covers = obj.sorted_elements(), obj._order[1]
-        name = {s: "{" + ",".join(sorted(s)) + "}" for s in nodes}
-        lines = [f"digraph {kind} {{", "  rankdir=BT;"]
-        for s in nodes:
-            lines.append(f'  "{name[s]}";')
-        for s, cov in zip(nodes, covers):
-            lines.extend(f'  "{name[nodes[j]]}" -> "{name[s]}";' for j in vn._bits(cov))
+        names = [_name(s) for s in obj._view.nodes]
+        lines = [f"digraph {kind} {{", "  rankdir=BT;"] + [f'  "{x}";' for x in names]
+        for x, cov in zip(names, obj._view.covers):
+            lines.extend(f'  "{names[j]}" -> "{x}";' for j in vn._bits(cov))
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise StructureError("format.dot", f"no DOT form for kind {kind!r}")

@@ -53,11 +53,14 @@ The three checks run in one place too, `_mask_violations`, which
 `validate_vine` formats and `generate` runs on the masks of each doubling
 it builds.
 
-Each vine object computes its covers once: `RegularVine._view`, cached on
-first use, holds its labels, their bits, the nodes in `sorted_nodes` order,
-their masks and their covers, for any family, valid or not.  The validator,
-the cover table, the level degrees, the chain counts and walks, the map to
-the domain, the DOT covers and the canonical form all read it.  So do the
+Each vine and each lattice computes its covers once: `_index_view` of its
+ground set and its family, cached on first use as `RegularVine._view` and
+`BoundedLattice._view`, holds the labels, their bits, the members in
+`sorted_nodes` order, their masks, below-sets and covers, for any family,
+valid or not.  A lattice's view is its vine's with the empty bottom first.
+The validator, the cover table, the level degrees, the chain counts and
+walks, the map to the domain, the lattice order checks, the DOT covers and
+the canonical form all read it.  So do the
 domain facts that `analyze` reads off the vine: the bottom alternatives are
 the labels missing from the two co-atoms, and the domain is Black
 single-peaked iff the vine is a D-vine, on the axis of its level-1 path.
@@ -89,25 +92,27 @@ class RegularVine:
 
     @functools.cached_property  # outside the fields: ==, hash and repr ignore it
     def _view(self) -> _View:
-        return _index_view(self)
+        return _index_view(self.ground, self.nodes)
 
 
 class _View(NamedTuple):
-    """A vine's index view: `bit` gives the i-th largest label bit i, so the
-    masks sorted by (rank, -mask) list the nodes in `sorted_nodes` order."""
-    labels: list          # sorted labels of the ground set and of the nodes
+    """A set family's index view: `bit` gives the i-th largest label bit i,
+    so the masks sorted by (rank, -mask) list the members in `sorted_nodes`
+    order, which is also `sorted_elements` order."""
+    labels: list          # sorted labels of the ground set and of the members
     bit: dict             # label -> its one-bit mask
-    nodes: list           # frozensets, in `sorted_nodes` order
+    nodes: list           # the member frozensets, in `sorted_nodes` order
     masks: list           # their masks, a linear extension of inclusion
+    below: list           # their `_mask_covers` below-sets, as index bitsets
     covers: list          # their `_mask_covers` covers, as index bitsets
 
 
-def _index_view(v: RegularVine) -> _View:
-    labels = sorted(v.ground.union(*v.nodes))  # a node may hold labels outside the ground set
+def _index_view(ground: frozenset, family: Collection[frozenset]) -> _View:
+    labels = sorted(ground.union(*family))  # a member may hold labels outside the ground set
     bit = {x: 1 << i for i, x in enumerate(reversed(labels))}
-    node = {sum(map(bit.__getitem__, s)): s for s in v.nodes}
+    node = {sum(map(bit.__getitem__, s)): s for s in family}
     masks = sorted(node, key=lambda m: (m.bit_count(), -m))
-    return _View(labels, bit, [node[m] for m in masks], masks, _mask_covers(masks)[1])
+    return _View(labels, bit, [node[m] for m in masks], masks, *_mask_covers(masks))
 
 
 def vine(ground: Iterable[str], nodes: Iterable[Iterable[str]]) -> RegularVine:
@@ -200,7 +205,7 @@ def validate_vine(v: RegularVine) -> list[Violation]:
     n = v.n
     if n == 0 and v.nodes:
         return [Violation("vine.grading", sorted(map(sorted, v.nodes)), "empty ground set admits only the empty vine")]
-    labels, bit, nodes, masks, covers = v._view
+    labels, bit, nodes, masks, _, covers = v._view
     records = _mask_violations(sum(map(bit.__getitem__, v.ground)), masks, covers)
     named = [sorted(s) for s in nodes] if records else []
     report = []
@@ -268,7 +273,7 @@ def _all_stars(levels: list[list[int]]) -> bool:
 
 def _level_degrees(v: RegularVine) -> list[list[int]]:
     """Vertex degrees of the associated trees 1..n-1: the nodes covering each node."""
-    _, _, _, masks, covers = v._view
+    masks, covers = v._view.masks, v._view.covers
     degree = [0] * len(masks)
     for cov in covers:
         for j in _bits(cov):
@@ -284,7 +289,7 @@ def _bottom_alternatives(v: RegularVine) -> list[str]:
     missing from the two co-atoms, the pair the split removes."""
     if v.n <= 1:
         return sorted(v.ground)
-    _, _, nodes, _, covers = v._view
+    nodes, covers = v._view.nodes, v._view.covers
     return sorted(x for j in _bits(covers[-1]) for x in v.ground - nodes[j])
 
 
@@ -334,7 +339,7 @@ def _chains(family: list, covers: Sequence[int]) -> list[tuple]:
 
 def _chain_counts_from_atoms(v: RegularVine) -> dict[str, int]:
     """Per-atom count of maximal chains, by Pascal-style downward accumulation."""
-    _, _, nodes, _, covers = v._view
+    nodes, covers = v._view.nodes, v._view.covers
     count = [0] * (len(nodes) - 1) + [1]  # one chain from the top down to itself
     for k in reversed(range(len(nodes))):  # every node after the nodes covering it
         for j in _bits(covers[k]):

@@ -285,12 +285,3 @@ def test_relabel_preserves_structure(perm):
     assert dm.is_maximal_aspd(out)
     assert dm.richness_direct(out) == dm.richness_direct(d)
     assert dm.bottom_alternatives(out) == frozenset(h[x] for x in dm.bottom_alternatives(d))
-
-
-def test_render_table(intro_domain):
-    text = dm.render_table(intro_domain)
-    lines = text.splitlines()
-    assert len(lines) == 4
-    assert all(len(line.split()) == 8 for line in lines)
-    assert lines[0].split()[0] == "a"           # first column is abcd
-    assert dm.render_table(dm.domain("", [()])) == "(empty)\n"

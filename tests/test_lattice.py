@@ -50,6 +50,7 @@ def test_cached_ground_leaves_equality_and_hash_alone(intro_vine):
     before = (hash(L), hash(M), L == fresh_L, M == fresh_M, repr(L), repr(M))
     assert L.ground == M.ground == intro_vine.ground
     assert L.ground is L.ground and M.ground is M.ground
+    assert L._view is L._view and "_view" not in fresh_L.__dict__
     assert (hash(L), hash(M), L == fresh_L, M == fresh_M, repr(L), repr(M)) == before
     assert before[:4] == (hash(fresh_L), hash(fresh_M), True, True)
 
@@ -95,11 +96,12 @@ def test_order_kernels_match_pairwise_oracles_on_mutations(seed):
 
 
 def _assert_covers_match_oracle(L):
-    """_mask_covers over sorted_elements: each below-set is every element
-    strictly under the element, each cover list the covered_elements list."""
+    """The lattice's index view lists sorted_elements: each below-set is
+    every element strictly under the element, each cover list the
+    covered_elements list."""
     elems = L.sorted_elements()
-    below, covers = vn._mask_covers(vn._masks(elems))
-    for s, under, cov in zip(elems, below, covers):
+    assert L._view.nodes == elems
+    for s, under, cov in zip(elems, L._view.below, L._view.covers):
         assert [elems[j] for j in vn._bits(under)] == [t for t in elems if t < s]
         assert [elems[j] for j in vn._bits(cov)] == covered_elements(L, s)
 
@@ -117,6 +119,22 @@ def test_mask_covers_match_covered_elements():
                 _assert_covers_match_oracle(lt.BoundedLattice(L.elements | {extra}))
     _assert_covers_match_oracle(lt.lattice(["", "a", "ab", "abc", "c"]))
     _assert_covers_match_oracle(lt.lattice(["a", "b", "abx", "aby", "abcxy"]))
+
+
+def test_lattice_view_is_the_vine_view_with_a_bottom():
+    """On every class n <= 6, the lattice of a vine is indexed as the vine
+    with the empty bottom first: the same masks and nodes after it, each
+    non-bottom member covering what its vine node covers, and the atoms
+    covering the bottom."""
+    for n in range(1, 7):
+        for v in gen.class_representatives(n):
+            lv, vv = lt.vine_to_lattice(v)._view, v._view
+            assert lv.masks == [0] + vv.masks
+            assert lv.nodes[1:] == vv.nodes
+            assert lv.covers[0] == 0
+            for k, (s, cov) in enumerate(zip(vv.nodes, vv.covers)):
+                under = [frozenset()] if len(s) == 1 else [vv.nodes[j] for j in vn._bits(cov)]
+                assert [lv.nodes[j] for j in vn._bits(lv.covers[k + 1])] == under
 
 
 def test_dual_is_lattice_on_one_sided_families(seed):

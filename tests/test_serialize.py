@@ -6,6 +6,7 @@ import string
 
 import pytest
 
+from vinery import domain as dm
 from vinery import generate as gen
 from vinery import lattice as lt
 from vinery import serialize as io
@@ -81,6 +82,15 @@ def test_to_text(intro_graph, intro_vine, intro_domain):
     M = lt.lattice_to_matrix(lt.vine_to_lattice(intro_vine))
     lines = io.to_text(M).splitlines()
     assert len(lines) == 4 and all(len(line) == 11 for line in lines)
+
+
+def test_to_text_domain_table(intro_domain):
+    text = io.to_text(intro_domain)
+    lines = text.splitlines()
+    assert len(lines) == 4
+    assert all(len(line.split()) == 8 for line in lines)
+    assert lines[0].split()[0] == "a"           # first column is abcd
+    assert io.to_text(dm.domain("", [()])) == "(empty)\n"
 
 
 def test_to_dot(intro_graph, intro_vine, intro_domain):
