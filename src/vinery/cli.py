@@ -45,12 +45,14 @@ def cmd_verify(args) -> int:
             print(f"INVALID {x.axiom}: {x.message}")
         return 1
     if args.strict:
-        for to_kind in [k for k in io.KINDS if k != row.name]:
+        v, text = row.to_vine(obj), io.dumps(obj)
+        for G in sp.SPECIES.values():
+            if G is row:
+                continue
             # the public back leg checks the first leg's output
-            converted = routes._convert_structure(obj, to_kind, "direct")
-            back = routes.convert_structure(converted, row.name, "direct")
-            if io.dumps(back) != io.dumps(obj):
-                print(f"INVALID roundtrip.{to_kind}: conversion does not round-trip")
+            back = routes.convert_structure(G.from_vine(v), row.name, "direct")
+            if io.dumps(back) != text:
+                print(f"INVALID roundtrip.{G.name}: conversion does not round-trip")
                 return 1
         print(f"VALID {row.name} (strict: all round trips pass)")
         return 0
@@ -81,14 +83,14 @@ def cmd_analyze(args) -> int:
     obj = _load_valid(args.path)
     if obj is None:
         return 1
-    kind = io.kind_of(obj)
+    row = sp.species_of(obj)
     # v is valid: the input passed its validator and the maps keep validity
-    v = routes._convert_structure(obj, "vine", "direct")
+    v = row.to_vine(obj)
     # the domain's bottoms and Black axis are read off the vine
     facts = vn._analytics(v)
     axis = vn._bspd_axis(v, facts["is_d_vine"])
     info = {
-        "kind": kind,
+        "kind": row.name,
         "n": v.n,
         "richness_bounds_note": None if v.n >= 3 else "richness bounds apply for n >= 3 only",
         "bottom_alternatives": vn._bottom_alternatives(v),
@@ -97,7 +99,7 @@ def cmd_analyze(args) -> int:
         "aut_order": lt._automorphism_group_order(v),
         **facts,
     }
-    if kind == "domain":
+    if row is sp.DOMAIN:
         # domain-side cross-checks against the vine-side analytics
         if dm.richness_direct(obj) != info["richness"]:
             raise InternalInconsistencyError("richness cross-check failed")
@@ -198,11 +200,11 @@ def cmd_selftest(args) -> int:
     check("transport equals explicit map",
           sp.transport(sp.GRAPH, sp.VINE, intro) == v)
     d = routes.convert_structure(intro, "domain", "transport")
-    check("intro domain is a maximal ASPD", dm.is_maximal_aspd(d))
+    check("intro domain is a maximal ASPD", not dm.validate_domain(d))
     L = lt.vine_to_lattice(v)
     M = lt.lattice_to_matrix(L)
-    check("intro lattice is (4,3)-extremal", lt.is_extremal_lattice(L))
-    check("intro matrix is extremal", lt.is_extremal_matrix(M))
+    check("intro lattice is (4,3)-extremal", not lt.validate_lattice(L))
+    check("intro matrix is extremal", not lt.validate_matrix(M))
     check("transport equals explicit map: lattice -> matrix", sp.transport(sp.LATTICE, sp.MATRIX, L) == M)
     check("transport equals explicit map: matrix -> domain",
           sp.transport(sp.MATRIX, sp.DOMAIN, M) == routes.convert_structure(M, "domain", "direct") == d)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Optional
 
-from .errors import StructureError, Violation
+from .errors import StructureError, Violation, raise_first
 
 Preference = tuple  # tuple of alternative labels, first-ranked first
 
@@ -124,16 +124,7 @@ def validate_domain(d: PreferenceDomain) -> list[Violation]:
 
 
 def require_valid(d: PreferenceDomain) -> None:
-    """Raise ``domain.maximal-aspd``, naming the first violation, unless d is a maximal ASPD."""
-    report = validate_domain(d)
-    if report:
-        x = report[0]
-        raise StructureError("domain.maximal-aspd", f"not a maximal ASPD: {x.message}", witness=x.witness)
-
-
-def is_maximal_aspd(d: PreferenceDomain) -> bool:
-    """ASPD of the maximal size 2^(n-1)."""
-    return not validate_domain(d)
+    raise_first(validate_domain(d))
 
 
 def _glue_domains(d1: PreferenceDomain, d2: PreferenceDomain, a1: str, a2: str) -> PreferenceDomain:
@@ -214,7 +205,7 @@ def is_bspd(d: PreferenceDomain) -> Optional[tuple]:
     """
     if d.n <= 1:
         return tuple(sorted(d.alternatives))
-    if is_maximal_aspd(d):
+    if not validate_domain(d):
         for w in d.sorted_prefs():
             if tuple(reversed(w)) in d.prefs:
                 return w if _axis_fits(d, w) else None

@@ -252,10 +252,6 @@ def validate_lattice(L: BoundedLattice) -> list[Violation]:
     return report
 
 
-def is_extremal_lattice(L: BoundedLattice) -> bool:
-    return not validate_lattice(L)
-
-
 def require_extremal_lattice(L: BoundedLattice) -> None:
     raise_first(validate_lattice(L))
 
@@ -423,10 +419,6 @@ def validate_matrix(M: BinaryMatrix) -> list[Violation]:
     if len(M.columns) != size:
         report.append(Violation("matrix.size", len(M.columns), f"{len(M.columns)} columns, extremal is {size}"))
     return report
-
-
-def is_extremal_matrix(M: BinaryMatrix) -> bool:
-    return not validate_matrix(M)
 
 
 def require_extremal_matrix(M: BinaryMatrix) -> None:

@@ -9,15 +9,16 @@ target's second after the source's first.  Graphs and domains map by the
 matrix the characteristic vectors of that lattice (`lattice` module
 docstring).
 
-``convert_structure`` raises the first violation of its input's ``report``.
-Its core composes the maps' cores, which send valid structures to valid
-ones, so nothing is checked on the way.
+``convert_structure`` checks its input through the input's row,
+``Species.validate``, which raises the first violation of the row's
+``report``.  Its core composes the maps' cores, which send valid structures
+to valid ones, so nothing is checked on the way.
 """
 
 from __future__ import annotations
 
 from . import species as sp
-from .errors import StructureError, checked, raise_first
+from .errors import StructureError, checked
 
 
 def _convert_structure(obj, to_kind: str, via: str = "direct"):
@@ -34,4 +35,4 @@ def _convert_structure(obj, to_kind: str, via: str = "direct"):
     return G.from_vine(F.to_vine(obj))
 
 
-convert_structure = checked(lambda obj: raise_first(sp.species_of(obj).report(obj)), _convert_structure)
+convert_structure = checked(lambda obj: sp.species_of(obj).validate(obj), _convert_structure)

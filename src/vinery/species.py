@@ -6,10 +6,12 @@ maximal ASPDs, (n,3)-extremal lattices, triangle-free extremal binary
 matrices) is a row of the ``Species`` table, and ``SPECIES`` is the only
 list of kinds: `serialize`, `routes` and the CLI read a structure's row off
 its type with ``species_of``.  A row holds the kind's name and structure
-type, its ground-set attribute, its validator's full report and the
-raising check, its maps to and from the regular vine (the hub of
-`routes`), its trivial structure on a ground set of size <= 1, and what the
-axioms name.  ``top(x)`` is the removed pair, read off the top of the
+type, its ground-set attribute, its validator's full report, its maps to
+and from the regular vine (the hub of `routes`), its trivial structure on a
+ground set of size <= 1, and what the axioms name.  The report is the row's
+only check: ``Species.validate`` raises its first violation, the same axiom
+as the family's own raising check, and refuses a structure of another kind
+with a ``TypeError``.  ``top(x)`` is the removed pair, read off the top of the
 structure: the ends of the top-label edge, the labels missing from the two
 co-atoms, or the two bottoms.  ``restrict(x, a)`` is the half on A - {a}, for
 a in ``top(x)``; ``glue(x, y, a, b)`` assembles the structure on A from
@@ -37,7 +39,7 @@ from . import domain as dm
 from . import lattice as lt
 from . import matgraph as mg
 from . import vine as vn
-from .errors import InternalInconsistencyError, StructureError
+from .errors import InternalInconsistencyError, StructureError, raise_first
 
 
 @dataclass(frozen=True)
@@ -47,32 +49,37 @@ class SplitPair:
     right: object
 
 
+@dataclass(eq=False)
 class Species:
     """One kind, as a row of its type and functions.
 
     ``report`` returns the family validator's full violation report, empty
-    when valid; ``require`` raises a ``StructureError`` on an invalid
-    structure.  ``to_vine`` and ``from_vine`` are the cores of the hub maps,
-    which trust valid input.  ``top``, ``restrict`` and ``glue`` are as in
-    the module docstring.
+    when valid, and is the row's only check: ``validate`` raises its first
+    violation.  ``to_vine`` and ``from_vine`` are the cores of the hub maps,
+    which trust valid input.  ``trivial`` builds the structure on a ground
+    set of size <= 1, given as a collection of labels.  ``top``,
+    ``restrict`` and ``glue`` are as in the module docstring.  Rows compare
+    and hash by identity.
     """
-
-    def __init__(self, name: str, cls: type, ground_attr: str, *, report: Callable, require: Callable,
-                 to_vine: Callable, from_vine: Callable, trivial: Callable, top: Callable,
-                 restrict: Callable, glue: Callable):
-        self.name, self.cls, self.ground_attr = name, cls, ground_attr
-        self.report, self.to_vine, self.from_vine = report, to_vine, from_vine
-        self._require, self._trivial = require, trivial
-        self._top, self._restrict, self._glue = top, restrict, glue
+    name: str
+    cls: type
+    ground_attr: str
+    report: Callable
+    to_vine: Callable
+    from_vine: Callable
+    trivial: Callable
+    top: Callable
+    restrict: Callable
+    glue: Callable
 
     def ground(self, x) -> frozenset:
         return getattr(x, self.ground_attr)
 
     def validate(self, x) -> None:
-        self._require(x)
-
-    def trivial(self, ground):
-        return self._trivial(frozenset(ground))
+        """Raise the first violation of x's report; a TypeError if x is not of this kind."""
+        if type(x) is not self.cls:
+            raise TypeError(f"{self.name} expects a {self.cls.__name__}, got a {type(x).__name__}")
+        raise_first(self.report(x))
 
     def pair(self, x, y) -> SplitPair:
         """Normalized pair: halves ordered by their sorted ground sets."""
@@ -80,15 +87,11 @@ class Species:
             return SplitPair(x, y)
         return SplitPair(y, x)
 
-    def restrict(self, x, a):
-        """The half of x on its ground set without a, for a in the removed pair."""
-        return self._restrict(x, a)
-
     def split(self, x) -> SplitPair:
         if len(getattr(x, self.ground_attr)) < 2:
             raise StructureError(f"{self.name}.split", "split requires n >= 2")
-        a1, a2 = self._top(x)
-        return self.pair(self._restrict(x, a1), self._restrict(x, a2))
+        a1, a2 = self.top(x)
+        return self.pair(self.restrict(x, a1), self.restrict(x, a2))
 
     def merge(self, p: SplitPair):
         """The structure splitting into p, or None when the halves are incompatible."""
@@ -99,10 +102,10 @@ class Species:
             raise StructureError(f"{self.name}.coatoms", "ground sets are not distinct co-atoms of a common set",
                                  witness=(sorted(gx), sorted(gy)))
         (a,), (b,) = A - gx, A - gy
-        if len(A) > 2 and not (b in self._top(x) and a in self._top(y)
-                               and self._restrict(x, b) == self._restrict(y, a)):
+        if len(A) > 2 and not (b in self.top(x) and a in self.top(y)
+                               and self.restrict(x, b) == self.restrict(y, a)):
             return None
-        return self._glue(x, y, a, b)
+        return self.glue(x, y, a, b)
 
 
 def _coatom_labels(ground: frozenset, family) -> list:
@@ -114,34 +117,34 @@ def _coatom_labels(ground: frozenset, family) -> list:
 # Each report looks its validator up in the family module at call time, so
 # a patch or wrapper of the module attribute sees every call through a row.
 GRAPH = Species("matgraph", mg.MatLabeledGraph, "vertices",
-                report=lambda g: mg.validate_matgraph(g), require=mg.require_valid,
+                report=lambda g: mg.validate_matgraph(g),
                 to_vine=co._graph_to_vine, from_vine=co._vine_to_graph,
-                trivial=lambda g: mg.MatLabeledGraph(g, {}),
+                trivial=lambda g: mg.MatLabeledGraph(frozenset(g), {}),
                 top=lambda g: max(g.labels, key=g.labels.__getitem__),
                 restrict=lambda g, a: mg.induced_subgraph(g, g.vertices - {a}), glue=mg._glue_graphs)
 VINE = Species("vine", vn.RegularVine, "ground",
-               report=lambda v: vn.validate_vine(v), require=vn.require_valid,
+               report=lambda v: vn.validate_vine(v),
                to_vine=lambda v: v, from_vine=lambda v: v,
-               trivial=lambda g: vn.RegularVine(g, frozenset({g}) if g else frozenset()),
+               trivial=lambda g: vn.RegularVine(frozenset(g), frozenset({frozenset(g)}) if g else frozenset()),
                top=lambda v: _coatom_labels(v.ground, v.nodes),
                restrict=lambda v, a: vn.RegularVine(v.ground - {a}, frozenset(s for s in v.nodes if a not in s)),
                glue=vn._glue_vines)
 DOMAIN = Species("domain", dm.PreferenceDomain, "alternatives",
-                 report=lambda d: dm.validate_domain(d), require=dm.require_valid,
+                 report=lambda d: dm.validate_domain(d),
                  to_vine=co._domain_to_vine, from_vine=co._vine_to_domain,
-                 trivial=lambda g: dm.PreferenceDomain(g, frozenset({tuple(sorted(g))})),
+                 trivial=lambda g: dm.PreferenceDomain(frozenset(g), frozenset({tuple(sorted(g))})),
                  top=dm.bottom_alternatives,
                  restrict=lambda d, a: dm.PreferenceDomain(d.alternatives - {a},
                                                            frozenset(w[:-1] for w in d.prefs if w[-1] == a)),
                  glue=dm._glue_domains)
 LATTICE = Species("lattice", lt.BoundedLattice, "ground",
-                  report=lambda L: lt.validate_lattice(L), require=lt.require_extremal_lattice,
+                  report=lambda L: lt.validate_lattice(L),
                   to_vine=lt._lattice_to_vine, from_vine=lt._vine_to_lattice,
-                  trivial=lambda g: lt.BoundedLattice(frozenset({frozenset(), g})),
+                  trivial=lambda g: lt.BoundedLattice(frozenset({frozenset(), frozenset(g)})),
                   top=lambda L: _coatom_labels(L.ground, L.elements), restrict=lt._restrict_lattice,
                   glue=lambda x, y, a, b: lt.BoundedLattice(x.elements | y.elements | {x.ground | {a}}))
 MATRIX = Species("matrix", lt.BinaryMatrix, "ground",
-                 report=lambda M: lt.validate_matrix(M), require=lt.require_extremal_matrix,
+                 report=lambda M: lt.validate_matrix(M),
                  to_vine=lambda M: lt._lattice_to_vine(lt.matrix_to_lattice(M)),
                  from_vine=lambda v: lt.lattice_to_matrix(lt._vine_to_lattice(v)),
                  trivial=lambda g: lt.BinaryMatrix(tuple(sorted(g)), frozenset({(0,) * len(g), (1,) * len(g)})),

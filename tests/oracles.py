@@ -201,7 +201,7 @@ def topmost_contiguous_position_by_scan(d: dm.PreferenceDomain, x: str, y: str) 
 
 def is_maximal_aspd_by_extension(d: dm.PreferenceDomain) -> bool:
     """The literal maximality of an ASPD: every absent preference breaks the
-    never-bottom condition; the oracle for `domain.is_maximal_aspd`'s size
+    never-bottom condition; the oracle for `domain.validate_domain`'s size
     criterion, feasible only for small n."""
     if not dm.is_aspd(d)[0]:
         return False

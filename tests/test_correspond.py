@@ -59,7 +59,7 @@ def test_domain_maps_require_maximal_aspd():
     for f in (co.domain_to_graph, co.domain_to_vine):
         with pytest.raises(StructureError) as exc:
             f(d)
-        assert exc.value.axiom == "domain.maximal-aspd"
+        assert exc.value.axiom == "domain.never-bottom"
 
 
 def test_vine_maps_require_valid_vine():

@@ -44,7 +44,7 @@ def test_validator_refuses_what_the_factory_refuses(alternatives, prefs, bad):
     assert [(x.axiom, x.witness) for x in dm.validate_domain(d)] == [("domain.permutation", w) for w in bad]
     with pytest.raises(StructureError) as exc:
         co.domain_to_vine(d)
-    assert exc.value.axiom == "domain.maximal-aspd"
+    assert exc.value.axiom == "domain.permutation"
 
 
 def test_restrict_domain(fig_domain):
@@ -116,22 +116,22 @@ def test_is_aspd_matches_restriction_oracle_on_swapped_domains(seed):
 def test_worked_examples_are_maximal_aspds(intro_domain, fig_domain, trd1, trd2):
     for d in (intro_domain, fig_domain, trd1, trd2):
         assert dm.is_aspd(d) == (True, None)
-        assert dm.is_maximal_aspd(d)
+        assert not dm.validate_domain(d)
 
 
 def test_definitional_maximality_matches_size_criterion(intro_domain):
     assert is_maximal_aspd_by_extension(intro_domain)
     smaller = dm.PreferenceDomain(intro_domain.alternatives,
                                   intro_domain.prefs - {("a", "b", "c", "d")})
-    assert not dm.is_maximal_aspd(smaller)
+    assert dm.validate_domain(smaller)
     assert not is_maximal_aspd_by_extension(smaller)
 
 
 def test_tiny_maximality():
-    assert dm.is_maximal_aspd(dm.domain("", [()]))
-    assert dm.is_maximal_aspd(mkdom("a", ["a"]))
-    assert dm.is_maximal_aspd(mkdom("ab", ["ab", "ba"]))
-    assert not dm.is_maximal_aspd(mkdom("ab", ["ab"]))
+    assert not dm.validate_domain(dm.domain("", [()]))
+    assert not dm.validate_domain(mkdom("a", ["a"]))
+    assert not dm.validate_domain(mkdom("ab", ["ab", "ba"]))
+    assert dm.validate_domain(mkdom("ab", ["ab"]))
 
 
 def test_bottom_alternatives(intro_domain, trd2):
@@ -182,7 +182,7 @@ def test_split_requires_maximal_aspd():
     # the split is reached from checked entries only; check_proximity is the one that splits
     with pytest.raises(StructureError) as exc:
         sp.check_proximity(sp.DOMAIN, mkdom("abc", ["abc", "bca", "cab"]))
-    assert exc.value.axiom == "domain.maximal-aspd"
+    assert exc.value.axiom == "domain.never-bottom"
 
 
 # -------------------------------------------------------------- analytics
@@ -282,6 +282,6 @@ def test_relabel_preserves_structure(perm):
                              "cdeba", "dceba", "cedba", "ecdba"]])
     h = dict(zip("abcde", perm))
     out = dm.relabel_domain(d, h)
-    assert dm.is_maximal_aspd(out)
+    assert not dm.validate_domain(out)
     assert dm.richness_direct(out) == dm.richness_direct(d)
     assert dm.bottom_alternatives(out) == frozenset(h[x] for x in dm.bottom_alternatives(d))

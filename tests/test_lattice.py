@@ -184,7 +184,7 @@ def test_b3_checks_reject_non_lattices():
 
 
 def test_validate_lattice_checks_lattice_once(monkeypatch, seed):
-    """validate_lattice and is_extremal_lattice run is_lattice once each;
+    """validate_lattice and the raising check run is_lattice once each;
     the B(3) check below them trusts it."""
     L = lt.vine_to_lattice(gen.random_vine("abcdefgh", random.Random(seed)))
     calls = []
@@ -192,15 +192,15 @@ def test_validate_lattice_checks_lattice_once(monkeypatch, seed):
     monkeypatch.setattr(lt, "is_lattice", lambda x: calls.append(x) or is_lattice(x))
     assert lt.validate_lattice(L) == []
     assert len(calls) == 1
-    assert lt.is_extremal_lattice(L)
+    lt.require_extremal_lattice(L)
     assert len(calls) == 2
 
 
 def test_extremal_lattices_from_vines(intro_vine, fig_vine):
-    assert lt.is_extremal_lattice(lt.vine_to_lattice(intro_vine))
-    assert lt.is_extremal_lattice(lt.vine_to_lattice(fig_vine))
-    assert not lt.is_extremal_lattice(boolean_cube())       # contains B(3)
-    assert not lt.is_extremal_lattice(lt.lattice(["", "a", "ab", "abc"]))  # too small
+    assert not lt.validate_lattice(lt.vine_to_lattice(intro_vine))
+    assert not lt.validate_lattice(lt.vine_to_lattice(fig_vine))
+    assert lt.validate_lattice(boolean_cube())       # contains B(3)
+    assert lt.validate_lattice(lt.lattice(["", "a", "ab", "abc"]))  # too small
 
 
 def test_triangle_and_direct_checks_agree_on_sublattices(intro_vine):
@@ -332,7 +332,7 @@ def test_doubling_requires_maximal_chain(intro_vine):
 def test_doubling_preserves_extremality(intro_vine):
     L = lt.vine_to_lattice(intro_vine)
     for chain in lt.maximal_chains_of_lattice(L):
-        assert lt.is_extremal_lattice(lt.doubling(L, chain))
+        assert not lt.validate_lattice(lt.doubling(L, chain))
 
 
 def test_undouble_round_trip():
@@ -340,7 +340,7 @@ def test_undouble_round_trip():
         for v in gen.class_representatives(n):
             L = lt.vine_to_lattice(v)
             L1, chain = lt.undouble(L)
-            assert lt.is_extremal_lattice(L1)
+            assert not lt.validate_lattice(L1)
             redoubled = lt.doubling(L1, chain)
             assert gen.canonical_form(lt.lattice_to_vine(redoubled)) == gen.canonical_form(v)
 
@@ -405,7 +405,7 @@ def test_matrix_round_trip(intro_vine):
     M = lt.lattice_to_matrix(L)
     assert M.rows == ("a", "b", "c", "d")
     assert lt.matrix_to_lattice(M) == L
-    assert lt.is_extremal_matrix(M)
+    assert not lt.validate_matrix(M)
 
 
 def test_matrix_of_cube_has_triangle():
@@ -434,9 +434,9 @@ def test_matrix_validator_refuses_what_the_parser_refuses(columns, bad):
 
 def test_extremal_matrix_size_check(fig_vine):
     M = lt.lattice_to_matrix(lt.vine_to_lattice(fig_vine))
-    assert lt.is_extremal_matrix(M)
+    assert not lt.validate_matrix(M)
     smaller = lt.BinaryMatrix(M.rows, frozenset(list(M.columns)[:-1]))
-    assert not lt.is_extremal_matrix(smaller)
+    assert lt.validate_matrix(smaller)
 
 
 def test_triangle_detection_matches_witness_scan(monkeypatch, seed):

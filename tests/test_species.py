@@ -66,7 +66,23 @@ def test_validate_rejects_incomplete_graph():
 def test_validate_rejects_non_maximal_domain():
     with pytest.raises(StructureError) as exc:
         sp.DOMAIN.validate(dm.domain("ab", [("a", "b")]))
-    assert exc.value.axiom == "domain.maximal-aspd"
+    assert exc.value.axiom == "domain.maximal-size"
+
+
+def test_a_structure_of_another_kind_raises_a_type_error(intro_vine):
+    """Every entry that checks by a row refuses another kind's structure,
+    naming the row and the type, before any map reads it."""
+    inc = incarnations(intro_vine)
+    for F in ALL_SPECIES:
+        x = inc[F]
+        for S in ALL_SPECIES:
+            if S is F:
+                continue
+            target = sp.VINE if S is not sp.VINE else sp.GRAPH
+            for call in (lambda: S.validate(x), lambda: sp.transport(S, target, x),
+                         lambda: sp.check_proximity(S, x), lambda: sp.merge_checked(S, F.split(x))):
+                with pytest.raises(TypeError, match=f"{S.name} .*{type(x).__name__}"):
+                    call()
 
 
 # ----------------------------------------------- proximity and merging

@@ -15,6 +15,7 @@ from vinery import lattice as lt
 from vinery import matgraph as mg
 from vinery import routes
 from vinery import serialize as io
+from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
@@ -35,9 +36,9 @@ CASES = [
     (co, "graph_to_vine", "matgraph", (), "matgraph.complete"),
     (co, "vine_to_graph", "vine", (), "vine.grading"),
     (co, "graph_to_domain", "matgraph", (), "matgraph.complete"),
-    (co, "domain_to_graph", "domain", (), "domain.maximal-aspd"),
+    (co, "domain_to_graph", "domain", (), "domain.maximal-size"),
     (co, "vine_to_domain", "vine", (), "vine.grading"),
-    (co, "domain_to_vine", "domain", (), "domain.maximal-aspd"),
+    (co, "domain_to_vine", "domain", (), "domain.maximal-size"),
     (vn, "is_d_vine", "vine", (), "vine.grading"),
     (vn, "is_c_vine", "vine", (), "vine.grading"),
     (vn, "maximal_chains", "vine", (), "vine.grading"),
@@ -77,6 +78,30 @@ def test_checked_raises_the_family_axiom_and_looks_public(mod, name, kind, args,
     assert fn.__doc__ == core.__doc__ and fn.__doc__
     assert fn.__module__ == mod.__name__
     assert inspect.signature(fn) == inspect.signature(core)
+
+
+# each family's validator and its raising check
+FAMILY = {
+    "matgraph": (mg.validate_matgraph, mg.require_valid),
+    "vine": (vn.validate_vine, vn.require_valid),
+    "domain": (dm.validate_domain, dm.require_valid),
+    "lattice": (lt.validate_lattice, lt.require_extremal_lattice),
+    "matrix": (lt.validate_matrix, lt.require_extremal_matrix),
+}
+
+
+@pytest.mark.parametrize("kind", list(BAD))
+def test_every_check_raises_the_reports_first_axiom(kind):
+    """The family's raising check and every entry that checks by the row
+    name the same axiom: the first of the family validator's report."""
+    x, S = BAD[kind], sp.SPECIES[kind]
+    validate, require = FAMILY[kind]
+    target = sp.VINE if S is not sp.VINE else sp.GRAPH
+    for check in (require, S.validate, lambda y: sp.transport(S, target, y),
+                  lambda y: sp.check_proximity(S, y), lambda y: routes.convert_structure(y, target.name)):
+        with pytest.raises(StructureError) as exc:
+            check(x)
+        assert exc.value.axiom == validate(x)[0].axiom, check
 
 
 # ---------------------------------------------------------- validator traffic
@@ -175,24 +200,34 @@ def test_convert_and_verify_strict_find_the_graphs_cliques_once(five_files, monk
 def test_verify_strict_validates_every_first_leg_output(five_files, traffic, monkeypatch, capsys):
     """Every first-leg output is validated once, by the public back leg, and
     no object is validated twice."""
-    convert, legs = routes._convert_structure, []
+    convert, legs = routes.convert_structure, []
 
-    def recording(obj, to_kind, via="direct"):
-        out = convert(obj, to_kind, via)
-        legs.append((io.kind_of(obj), out))
-        return out
+    def recording(obj, *args):
+        legs.append(obj)
+        return convert(obj, *args)
 
-    # the back legs run the core too; the first legs leave the file's kind
-    monkeypatch.setattr(routes, "_convert_structure", recording)
+    # the CLI hands each first leg's output to the public back leg
+    monkeypatch.setattr(routes, "convert_structure", recording)
     for kind, path in five_files.items():
         traffic.clear()
         legs.clear()
         assert cli.main(["verify", "--strict", path]) == 0
-        first = [out for source, out in legs if source == kind]
-        assert len(first) == len(io.KINDS) - 1
+        assert sorted(io.kind_of(out) for out in legs) == sorted(k for k in io.KINDS if k != kind)
         validated = Counter(id(x) for _, x in traffic)
-        assert [validated[id(out)] for out in first] == [1] * len(first), kind
+        assert [validated[id(out)] for out in legs] == [1] * len(legs), kind
         assert max(validated.values()) == 1, kind
+    capsys.readouterr()
+
+
+def test_verify_strict_maps_its_input_to_the_vine_once(five_files, monkeypatch, capsys):
+    """The first legs all start from one vine of the input: strict verify
+    calls its row's `to_vine` once, on the input."""
+    for kind, path in five_files.items():
+        row, calls = sp.SPECIES[kind], []
+        monkeypatch.setattr(row, "to_vine",
+                            lambda x, _calls=calls, _to_vine=row.to_vine: _calls.append(x) or _to_vine(x))
+        assert cli.main(["verify", "--strict", path]) == 0
+        assert [io.kind_of(x) for x in calls] == [kind], kind
     capsys.readouterr()
 
 
