@@ -1,4 +1,4 @@
-"""The six explicit bijections between graphs, vines and domains.
+"""The four explicit bijections between the vine and graphs and domains.
 
 These are the direct, non-recursive maps; the generic ``species.transport``
 computes the same functions and the test suite holds the two routes equal.
@@ -9,8 +9,9 @@ valid input has a valid image by two bijections,
 - MAT-labeled complete graphs <-> regular vines (Forum Math. Sigma 2024)
 - maximal ASPDs <-> regular vines (this paper)
 
-and the graph <-> domain maps are their compositions through the vine.
-They are the paper's explicit maps:
+and graph <-> domain is their composition through the vine, which
+`routes.convert_structure` runs as the target row's map from the vine after
+the source row's map to it.  It gives the paper's explicit maps:
 
 1. graph -> domain lists the MAT-PEOs of g, read as preferences (first
    eliminated = first ranked); the two correspondences commute, so these
@@ -33,9 +34,9 @@ They are the paper's explicit maps:
    through it, J - {u} and J: its preference has v and u at positions
    |J| - 1 and |J|.
 
-The tests hold both against the definitions: the MAT-PEOs against the
-MAT-simplicial check of every prefix, and the labels against
-`domain.topmost_contiguous_position`.
+The tests hold `routes.convert_structure` against the definitions: the
+MAT-PEOs against the MAT-simplicial check of every prefix, and the labels
+against `domain.topmost_contiguous_position`.
 """
 
 from __future__ import annotations
@@ -86,12 +87,6 @@ def _vine_to_domain(v: vn.RegularVine) -> dm.PreferenceDomain:
     return dm.PreferenceDomain(v.ground, frozenset(prefs))
 
 
-def _graph_to_domain(g: mg.MatLabeledGraph) -> dm.PreferenceDomain:
-    """All MAT-PEOs, read as preferences (first eliminated = first ranked):
-    the chains of the graph's vine (module docstring)."""
-    return _vine_to_domain(_graph_to_vine(g))
-
-
 def _domain_to_vine(d: dm.PreferenceDomain) -> vn.RegularVine:
     """All preference prefixes, as a node set; each distinct prefix set is
     collected as a bitmask and built once."""
@@ -107,15 +102,7 @@ def _domain_to_vine(d: dm.PreferenceDomain) -> vn.RegularVine:
                                                     for m in masks))
 
 
-def _domain_to_graph(d: dm.PreferenceDomain) -> mg.MatLabeledGraph:
-    """Label every pair by its topmost contiguous position: the rank of its
-    join in the domain's vine, minus one (module docstring)."""
-    return _vine_to_graph(_domain_to_vine(d))
-
-
 graph_to_vine = checked(mg.require_valid, _graph_to_vine)
 vine_to_graph = checked(vn.require_valid, _vine_to_graph)
-graph_to_domain = checked(mg.require_valid, _graph_to_domain)
-domain_to_graph = checked(dm.require_valid, _domain_to_graph)
 vine_to_domain = checked(vn.require_valid, _vine_to_domain)
 domain_to_vine = checked(dm.require_valid, _domain_to_vine)

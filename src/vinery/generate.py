@@ -96,7 +96,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import vine as vn
-from .errors import InternalInconsistencyError, StructureError
+from .errors import InternalInconsistencyError, StructureError, checked
 
 GENERATION_CAP = 7
 # Largest n that `count --mode generate` accepts: the counting DP takes about
@@ -532,18 +532,22 @@ def _form(n: int, keys: Iterable[int]) -> tuple:
     return tuple(sorted(nodes + [(p,) for p in range(n)]))
 
 
-def canonical_form_and_aut(v: vn.RegularVine) -> tuple[tuple, int]:
+def _canonical_form_and_aut(v: vn.RegularVine) -> tuple[tuple, int]:
     """(canonical_form(v), |Aut(v)|) of a valid vine, by one chain scan."""
     keys, hits = _canonical(v.n, v._view.masks, v._view.covers)
     return _form(v.n, keys), hits
 
 
-def canonical_form(v: vn.RegularVine) -> tuple:
+def _canonical_form(v: vn.RegularVine) -> tuple:
     """Minimum node-set encoding over the maximal-chain-induced labelings of
     a valid vine: `tuple(sorted(tuple(sorted(order[x] for x in s)) ...))`,
     where `order` numbers the ground set in a chain's first-appearance order.
     """
-    return canonical_form_and_aut(v)[0]
+    return _canonical_form_and_aut(v)[0]
+
+
+canonical_form_and_aut = checked(vn.require_valid, _canonical_form_and_aut)
+canonical_form = checked(vn.require_valid, _canonical_form)
 
 
 def vine_from_form(form: tuple) -> vn.RegularVine:
@@ -562,7 +566,10 @@ class IsoClass(NamedTuple):
 
 
 def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
-    """Group labeled vines by canonical form; assert orbit sizes n!/|Aut|."""
+    """Group labeled vines by canonical form; assert orbit sizes n!/|Aut|.
+    Each vine is checked by `vine._mask_violations` on the masks the kernel
+    reads, whose bits number the labels of its ground set and its nodes as
+    in `validate_vine`; an invalid one raises the first violated axiom."""
     groups: dict[tuple, list] = {}
     n = None
     for v in vines:
@@ -570,7 +577,11 @@ def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
             n = v.n
         elif v.n != n:
             raise StructureError("enumerate.mixed", "classification requires a uniform ground size")
-        keys, aut = _canonical(n, *_sorted_covers(vn._masks(v.nodes)))
+        *masks, ground = vn._masks([*v.nodes, v.ground])
+        nodes, covers = _sorted_covers(masks)
+        if records := vn._mask_violations(ground, nodes, covers):
+            raise StructureError(records[0][0], "classification requires valid vines")
+        keys, aut = _canonical(n, nodes, covers)
         entry = groups.get(keys)
         if entry is None:
             groups[keys] = [1, aut]
@@ -760,23 +771,24 @@ def catalog_entries(n: int) -> list[dict]:
     """One catalog entry per isomorphism class, in canonical-form order; the
     classes, orbits and |Aut| come from the doubling route of
     `class_representatives`, and the four renderings are the payloads of
-    the `serialize` JSON envelopes."""
-    from . import correspond as co
-    from . import lattice as lt
+    the `serialize` JSON envelopes of the representative's images under the
+    species rows' maps from the vine.  The lattice is the vine plus the
+    empty bottom."""
     from . import serialize as io
-    classes = _doubled_classes(n)
+    from . import species as sp
     entries = []
-    for idx, cls in enumerate(classes):
-        v = cls.representative
-        L = lt._vine_to_lattice(v)  # `_doubled_classes` checked v
+    for idx, cls in enumerate(_doubled_classes(n)):
+        v = cls.representative  # `_doubled_classes` checked v
+        vine, graph, domain, matrix = (io.to_json_dict(sp.SPECIES[k].from_vine(v))
+                                       for k in ("vine", "matgraph", "domain", "matrix"))
         entries.append({
             "index": idx,
             "n": n,
-            "vine_nodes": io.to_json_dict(v)["nodes"],
-            "graph_edges": io.to_json_dict(co._vine_to_graph(v))["edges"],
-            "preferences": io.to_json_dict(co._vine_to_domain(v))["preferences"],
-            "lattice_size": len(L.elements),
-            "matrix_columns": io.to_json_dict(lt.lattice_to_matrix(L))["columns"],
+            "vine_nodes": vine["nodes"],
+            "graph_edges": graph["edges"],
+            "preferences": domain["preferences"],
+            "lattice_size": len(v.nodes) + 1,
+            "matrix_columns": matrix["columns"],
             "aut_order": cls.aut_order,
             "orbit_size": cls.orbit_size,
             **vn._analytics(v),

@@ -16,8 +16,9 @@ valid or not, whose keys are edge keys of its vertices.  Both axioms'
 checks, `triangle_partners` and the map to the vine read it.
 
 The MAT-PEOs of a valid complete graph are the maximal chains of its vine,
-so `correspond.graph_to_domain` lists them (the argument is in the
-`correspond` docstring); `is_mat_peo` checks one ordering by definition.
+so its domain, `routes.convert_structure(g, "domain")`, lists them (the
+argument is in the `correspond` docstring); `is_mat_peo` checks one
+ordering by definition.
 """
 
 from __future__ import annotations
@@ -166,7 +167,9 @@ def validate_mat_labeling(g: MatLabeledGraph) -> list[Violation]:
 
 def triangle_partners(g: MatLabeledGraph, u: str, v: str) -> set:
     """Vertices c with both labels lambda(u,c), lambda(v,c) strictly below lambda(u,v)."""
-    clique = g._view.cliques[edge_key(u, v)]
+    clique = g._view.cliques.get(edge_key(u, v))
+    if clique is None:
+        raise StructureError("matgraph.edge", f"{u!r}-{v!r} is not a labeled edge", witness=(u, v))
     return {x for i, x in enumerate(g._view.order) if clique >> i & 1} - {u, v}
 
 

@@ -5,7 +5,9 @@ generic species transport between any two rows.  ``via="direct"`` is the
 explicit hub, the regular vine: every row has one map to the vine
 (``to_vine``) and one from it (``from_vine``), and a conversion is the
 target's second after the source's first.  Graphs and domains map by the
-`correspond` cores; a lattice is the vine plus the empty bottom, and a
+`correspond` cores, so a graph's domain lists its MAT-PEOs and a domain's
+graph labels each pair by its topmost contiguous position (`correspond`
+module docstring); a lattice is the vine plus the empty bottom, and a
 matrix the characteristic vectors of that lattice (`lattice` module
 docstring).
 

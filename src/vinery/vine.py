@@ -51,7 +51,7 @@ and below-set in the package (vines, lattices, DOT, canonical forms) reads it;
 the split reads no covers, since the top covers the two rank-(n-1) nodes.
 The three checks run in one place too, `_mask_violations`, which
 `validate_vine` formats and `generate` runs on the masks of each doubling
-it builds.
+it builds and of each vine it classifies.
 
 Each vine and each lattice computes its covers once: `_index_view` of its
 ground set and its family, cached on first use as `RegularVine._view` and

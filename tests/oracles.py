@@ -25,7 +25,7 @@ the MAT axioms checked at every level up to the largest label with
 triangles found by label lookups, behind the view-backed
 `matgraph.validate_mat_labeling`; and the MAT-PEO growth that scans the
 prefix's labels for every candidate, behind the chains of the graph's vine
-that `correspond.graph_to_domain` lists; and the walks over every labeling
+that its domain, `routes.convert_structure(g, "domain")`, lists; and the walks over every labeling
 of a complete graph, every never-bottom domain of the maximal size, every
 family of subsets of the extremal size and every triangle-free matrix of
 the extremal column count, behind the maps that trust the bijection
@@ -439,7 +439,8 @@ def enumerate_mat_peos_by_prefix_check(g: mg.MatLabeledGraph) -> list[tuple[str,
     induced prefix: on a complete graph, x is MAT-simplicial after a prefix
     of p vertices iff its p labels to the prefix are 1..p and every prefix
     edge is labeled below the larger of its two labels to x.  The oracle for
-    `correspond.graph_to_domain`, which reads them off the graph's vine."""
+    the graph's domain, `routes.convert_structure(g, "domain")`, which reads
+    them off the graph's vine."""
     order = sorted(g.vertices)
     index = {x: i for i, x in enumerate(order)}
     lab = [[0] * len(order) for _ in order]

@@ -98,11 +98,10 @@ def _check_laws(v, rng, relabelings: int):
     if v.n >= 2:
         for S, x in inc.items():
             assert sp.merge_checked(S, S.split(x)) == x
-    # the six explicit maps are mutually inverse and pairwise commuting
+    # the four explicit maps are mutually inverse, and their compositions
+    # through the vine send g and d to each other
     assert co.graph_to_vine(g) == v
     assert co.domain_to_vine(d) == v
-    assert co.graph_to_domain(g) == d
-    assert co.domain_to_graph(d) == g
     assert co.vine_to_domain(co.graph_to_vine(g)) == d
     assert co.vine_to_graph(co.domain_to_vine(d)) == g
     # generic transport computes the same maps
@@ -117,8 +116,8 @@ def _check_laws(v, rng, relabelings: int):
         hg = mg.relabel_graph(g, h)
         hd = dm.relabel_domain(d, h)
         assert co.vine_to_graph(hv) == hg and co.vine_to_domain(hv) == hd
-        assert co.graph_to_vine(hg) == hv and co.graph_to_domain(hg) == hd
-        assert co.domain_to_vine(hd) == hv and co.domain_to_graph(hd) == hg
+        assert co.graph_to_vine(hg) == hv
+        assert co.domain_to_vine(hd) == hv
 
 
 def test_criterion_04_structural_laws(vines_by_n, seed):

@@ -1,5 +1,6 @@
 """The command-line front end: all subcommands, formats and exit codes."""
 
+import hashlib
 import json
 import random
 import subprocess
@@ -332,6 +333,38 @@ def test_catalog_writes_deterministic_files(tmp_path, capsys):
     assert json.loads(lines[0])["n"] == 4
 
 
+# sha256 of catalog_n{n}.jsonl and catalog_n{n}.txt: the catalog's bytes
+# stay the same whatever route builds them
+CATALOG_SHA256 = {
+    1: ("683aa18ed9975034f675029d69db2257ab052911bdb9f785fb38883d4d8b2de3",
+        "b775607684b86eaabffe4fea3ed5c755e0b5672a98cdb46af2be605e307168da"),
+    2: ("7dfe1715ac31553f7aec248b8b871f07657a0b13c8ff8b8d4c2f4b3e062a41bf",
+        "f3e71800f206a6e28b1452650f68937f81b64b6a9467b55bcf5e348fe5aa1cf1"),
+    3: ("9f74daccb83da2456e95e6c9507c9f0ea0e889374b329cec56896a379b018391",
+        "840daf7d4bddd487548d236adeab2ec45d8375ddac8a3779516fc85066692499"),
+    4: ("ffef2bedc0e85f5738111fbfc6a9b9520e46aa77834f8f88b2af20cbc795c0c6",
+        "190ca777e19002d8fe03c2e6e8a21595e12b88473fac448647fc85726aabe0c9"),
+    5: ("61be6b386c3215de484669b319b70ef42d5ba29c487c926c3c3951409469363a",
+        "166189cc7065a62d2f4e5d012eaba193313fd93f3717fdd7ef1793918414e533"),
+    6: ("4eb77485a3c73897f896e63ea6bbb4ef07041b3798485f16a952ce6eee317237",
+        "9a90658d7ab5d194cea41d6a35ec9b45a6ecf3359a13f294a14346a6d37286c8"),
+    7: ("636dd538582aea2b9ff42d4091e44e15a2090a2084394a19457a0f36efdc59a8",
+        "ace4f8a732f310d28cdd1509e472eeb6fbc7da5ee30b3c1c73438c309548808d"),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_catalog_bytes_are_pinned(tmp_path, capsys):
+    for n in range(1, 7):
+        assert cli.main(["catalog", "--n", str(n), "--out", str(tmp_path)]) == 0
+        digests = tuple(_sha256(tmp_path / f"catalog_n{n}.{ext}") for ext in ("jsonl", "txt"))
+        assert digests == CATALOG_SHA256[n], n
+    capsys.readouterr()
+
+
 def test_catalog_range(capsys, tmp_path):
     assert cli.main(["catalog", "--n", "8", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "catalog supports 1 <= n <= 7\n"
@@ -345,6 +378,7 @@ def test_catalog_at_its_cap(tmp_path, capsys, reps7):
     assert len(entries) == 560
     assert sum(e["orbit_size"] for e in entries) == gen.labeled_count_formula(7)
     assert [e["vine_nodes"] for e in entries] == [[sorted(s) for s in v.sorted_nodes()] for v in reps7]
+    assert (_sha256(tmp_path / "catalog_n7.jsonl"), _sha256(tmp_path / "catalog_n7.txt")) == CATALOG_SHA256[7]
 
 
 # ------------------------------------------------------- errors, selftest

@@ -1,4 +1,5 @@
-"""The six explicit bijections between graphs, vines and domains."""
+"""The four explicit bijections between the vine and graphs and domains,
+and graph <-> domain, their composition through the vine in `routes`."""
 
 from itertools import combinations
 
@@ -7,6 +8,7 @@ import pytest
 from vinery import correspond as co
 from vinery import domain as dm
 from vinery import matgraph as mg
+from vinery import routes
 from vinery import vine as vn
 from vinery.errors import StructureError
 
@@ -18,8 +20,8 @@ from oracles import enumerate_mat_peos_by_prefix_check
 def test_intro_triple_maps(intro_graph, intro_vine, intro_domain):
     assert co.graph_to_vine(intro_graph) == intro_vine
     assert co.vine_to_graph(intro_vine) == intro_graph
-    assert co.graph_to_domain(intro_graph) == intro_domain
-    assert co.domain_to_graph(intro_domain) == intro_graph
+    assert routes.convert_structure(intro_graph, "domain") == intro_domain
+    assert routes.convert_structure(intro_domain, "matgraph") == intro_graph
     assert co.vine_to_domain(intro_vine) == intro_domain
     assert co.domain_to_vine(intro_domain) == intro_vine
 
@@ -27,8 +29,8 @@ def test_intro_triple_maps(intro_graph, intro_vine, intro_domain):
 def test_fig_triple_maps(fig_graph, fig_vine, fig_domain):
     assert co.graph_to_vine(fig_graph) == fig_vine
     assert co.vine_to_graph(fig_vine) == fig_graph
-    assert co.graph_to_domain(fig_graph) == fig_domain
-    assert co.domain_to_graph(fig_domain) == fig_graph
+    assert routes.convert_structure(fig_graph, "domain") == fig_domain
+    assert routes.convert_structure(fig_domain, "matgraph") == fig_graph
     assert co.vine_to_domain(fig_vine) == fig_domain
     assert co.domain_to_vine(fig_domain) == fig_vine
 
@@ -38,8 +40,8 @@ def test_tiny_cases():
     assert co.vine_to_domain(vn.vine("a", ["a"])) == dm.domain("a", [("a",)])
     assert co.graph_to_vine(mg.MatLabeledGraph(frozenset("a"), {})) == vn.vine("a", ["a"])
     two = mg.mat_graph("ab", [("a", "b", 1)])
-    assert co.graph_to_domain(two) == dm.domain("ab", [("a", "b"), ("b", "a")])
-    assert co.domain_to_graph(co.graph_to_domain(two)) == two
+    assert routes.convert_structure(two, "domain") == dm.domain("ab", [("a", "b"), ("b", "a")])
+    assert routes.convert_structure(routes.convert_structure(two, "domain"), "matgraph") == two
 
 
 # --------------------------------------------------------- input checking
@@ -51,12 +53,12 @@ def test_graph_maps_require_complete_valid_input():
     assert exc.value.axiom == "matgraph.complete"
     bad = mg.mat_graph("abc", [("a", "b", 1), ("b", "c", 1), ("a", "c", 1)])
     with pytest.raises(StructureError):
-        co.graph_to_domain(bad)
+        routes.convert_structure(bad, "domain")
 
 
 def test_domain_maps_require_maximal_aspd():
     d = dm.domain("abc", [("a", "b", "c"), ("b", "c", "a"), ("c", "a", "b")])
-    for f in (co.domain_to_graph, co.domain_to_vine):
+    for f in (lambda x: routes.convert_structure(x, "matgraph"), co.domain_to_vine):
         with pytest.raises(StructureError) as exc:
             f(d)
         assert exc.value.axiom == "domain.never-bottom"
@@ -79,8 +81,6 @@ def test_maps_mutually_inverse_exhaustive_small(vines_by_n):
             d = co.vine_to_domain(v)
             assert co.graph_to_vine(g) == v
             assert co.domain_to_vine(d) == v
-            assert co.graph_to_domain(g) == d
-            assert co.domain_to_graph(d) == g
 
 
 def test_maps_commute_exhaustive_small(vines_by_n):
@@ -91,11 +91,9 @@ def test_maps_commute_exhaustive_small(vines_by_n):
             # graph <-> domain factor through the vine by definition, so they
             # are held to the paper's explicit maps: the MAT-PEOs, and the
             # topmost contiguous position of every pair
-            assert co.graph_to_domain(g).sorted_prefs() == enumerate_mat_peos_by_prefix_check(g)
-            assert co.domain_to_graph(d).labels == {
+            assert routes.convert_structure(g, "domain").sorted_prefs() == enumerate_mat_peos_by_prefix_check(g)
+            assert routes.convert_structure(d, "matgraph").labels == {
                 (x, y): dm.topmost_contiguous_position(d, x, y) for x, y in combinations(sorted(d.alternatives), 2)}
-            assert co.graph_to_domain(co.vine_to_graph(v)) == d
-            assert co.domain_to_graph(co.vine_to_domain(v)) == g
 
 
 def test_graph_labels_match_domain_positions(intro_graph, intro_domain):

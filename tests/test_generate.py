@@ -336,6 +336,21 @@ def test_classify_rejects_mixed_sizes(vines_by_n):
         gen.classify(vines_by_n[3] + vines_by_n[4])
 
 
+def test_canonical_forms_and_classify_refuse_an_invalid_vine(vines_by_n):
+    """Each raises the first axiom of the vine's report, for a vine with no
+    rank-2 nodes, one whose node abd covers only ab, and one whose nodes
+    form a vine on labels other than its ground set's."""
+    bad = {"vine.grading": vn.vine("abc", ["a", "b", "c", "abc"]),
+           "vine.two-covers": vn.vine("abcd", ["a", "b", "c", "d", "ab", "bc", "cd", "abc", "abd", "abcd"]),
+           "vine.atoms": vn.RegularVine(frozenset("ab"), frozenset(map(frozenset, ["a", "c", "ac"])))}
+    for axiom, v in bad.items():
+        assert [x.axiom for x in vn.validate_vine(v)][:1] == [axiom]
+        for f in (gen.canonical_form, gen.canonical_form_and_aut, lambda x: gen.classify(vines_by_n[x.n] + [x])):
+            with pytest.raises(StructureError) as exc:
+                f(v)
+            assert exc.value.axiom == axiom, f
+
+
 def test_class_representatives_small():
     assert len(gen.class_representatives(5)) == 6
 

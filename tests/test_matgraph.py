@@ -13,6 +13,7 @@ from vinery import cli
 from vinery import correspond as co
 from vinery import generate as gen
 from vinery import matgraph as mg
+from vinery import routes
 from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError, Violation
@@ -98,6 +99,15 @@ def test_triangle_partners(intro_graph):
     assert mg.triangle_partners(intro_graph, "a", "d") == {"b", "c"}
     assert mg.triangle_partners(intro_graph, "a", "b") == set()
     assert mg.triangle_partners(intro_graph, "c", "d") == {"b"}
+
+
+def test_triangle_partners_of_a_non_edge_names_the_pair():
+    g = mg.mat_graph("abc", [("a", "b", 1)])
+    for u, v in (("a", "c"), ("c", "a"), ("a", "z"), ("a", "a")):
+        with pytest.raises(StructureError) as exc:
+            mg.triangle_partners(g, u, v)
+        assert exc.value.axiom == "matgraph.edge"
+        assert exc.value.witness == (u, v)
 
 
 def _mutations(g: mg.MatLabeledGraph):
@@ -237,13 +247,13 @@ def test_is_mat_peo_requires_permutation(intro_graph):
 
 
 def test_enumerate_mat_peos_intro(intro_graph):
-    peos = co.graph_to_domain(intro_graph).sorted_prefs()
+    peos = routes.convert_structure(intro_graph, "domain").sorted_prefs()
     assert peos == sorted(tuple(w) for w in INTRO_PREFS)
     assert len(peos) == 2 ** (4 - 1)
 
 
 def test_enumerate_mat_peos_fig(fig_graph):
-    peos = co.graph_to_domain(fig_graph).sorted_prefs()
+    peos = routes.convert_structure(fig_graph, "domain").sorted_prefs()
     assert peos == sorted(tuple(w) for w in FIG_PREFS)
 
 
@@ -251,7 +261,7 @@ def test_enumerate_mat_peos_agrees_with_pointwise_check(intro_graph):
     from itertools import permutations
     expected = [w for w in permutations(sorted(intro_graph.vertices))
                 if mg.is_mat_peo(intro_graph, w)]
-    assert co.graph_to_domain(intro_graph).sorted_prefs() == expected
+    assert routes.convert_structure(intro_graph, "domain").sorted_prefs() == expected
 
 
 def test_enumerate_mat_peos_matches_permutation_filter():
@@ -261,7 +271,7 @@ def test_enumerate_mat_peos_matches_permutation_filter():
         for v in gen.class_representatives(n):
             g = co.vine_to_graph(v)
             expected = [w for w in permutations(sorted(g.vertices)) if mg.is_mat_peo(g, w)]
-            assert co.graph_to_domain(g).sorted_prefs() == expected
+            assert routes.convert_structure(g, "domain").sorted_prefs() == expected
 
 
 def test_enumerate_mat_peos_matches_prefix_check_oracle(vines_by_n, seed):
@@ -273,13 +283,13 @@ def test_enumerate_mat_peos_matches_prefix_check_oracle(vines_by_n, seed):
     graphs += [co.vine_to_graph(gen.random_vine(string.ascii_lowercase[:n], rng))
                for n in range(6, 12) for _ in range(2)]
     for g in graphs:
-        assert co.graph_to_domain(g).sorted_prefs() == enumerate_mat_peos_by_prefix_check(g)
+        assert routes.convert_structure(g, "domain").sorted_prefs() == enumerate_mat_peos_by_prefix_check(g)
 
 
 def test_enumerate_mat_peos_requires_complete():
     g = mg.mat_graph("abc", [("a", "b", 1), ("b", "c", 1)])
     with pytest.raises(StructureError) as exc:
-        co.graph_to_domain(g).sorted_prefs()
+        routes.convert_structure(g, "domain").sorted_prefs()
     assert exc.value.axiom == "matgraph.complete"
 
 

@@ -104,10 +104,9 @@ def checks(monkeypatch) -> list:
 
 
 def test_no_core_calls_a_validator(checks, seed):
-    """The six map cores, the lattice read and both routes between every
+    """The four map cores, the lattice read and both routes between every
     pair of kinds, on one seeded vine per n <= 6 in all five kinds."""
     cores = {("matgraph", "vine"): co._graph_to_vine, ("vine", "matgraph"): co._vine_to_graph,
-             ("matgraph", "domain"): co._graph_to_domain, ("domain", "matgraph"): co._domain_to_graph,
              ("vine", "domain"): co._vine_to_domain, ("domain", "vine"): co._domain_to_vine}
     rng = random.Random(seed)
     for n in range(7):

@@ -19,7 +19,7 @@ from vinery import species as sp
 from vinery import vine as vn
 from vinery.errors import StructureError
 
-MODULES = (co, dm, lt, mg, routes, vn)
+MODULES = (co, dm, gen, lt, mg, routes, vn)
 
 # one invalid structure per family
 BAD = {
@@ -35,8 +35,6 @@ BAD = {
 CASES = [
     (co, "graph_to_vine", "matgraph", (), "matgraph.complete"),
     (co, "vine_to_graph", "vine", (), "vine.grading"),
-    (co, "graph_to_domain", "matgraph", (), "matgraph.complete"),
-    (co, "domain_to_graph", "domain", (), "domain.maximal-size"),
     (co, "vine_to_domain", "vine", (), "vine.grading"),
     (co, "domain_to_vine", "domain", (), "domain.maximal-size"),
     (vn, "is_d_vine", "vine", (), "vine.grading"),
@@ -51,6 +49,8 @@ CASES = [
     (lt, "undouble", "lattice", (), "lattice.lattice"),
     (lt, "maximal_chains_of_lattice", "lattice", (), "lattice.lattice"),
     (lt, "automorphism_group_order", "vine", (), "vine.grading"),
+    (gen, "canonical_form", "vine", (), "vine.grading"),
+    (gen, "canonical_form_and_aut", "vine", (), "vine.grading"),
     # routes checks by the input's species row and raises its first violation
     (routes, "convert_structure", "matgraph", ("vine",), "matgraph.complete"),
     (routes, "convert_structure", "vine", ("matgraph",), "vine.grading"),
