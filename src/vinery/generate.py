@@ -39,11 +39,10 @@ Canonical forms come from one mask kernel.  It reads every node's covers
 off `vine._mask_covers` (a vine object's off its cached index view), walks
 the 2^(n-1) maximal chains without storing them, relabels the nodes by each
 chain's first-appearance order (one OR per node), and keeps the least sorted
-list of integer node keys together with the chains attaining it: their
-number is |Aut|, and each relabels the vine onto its canonical form
-(`_least_labelings`).  Only the winning list is turned back into the tuple
-form.  Vines enter the kernel as masks once, at
-the boundary.
+list of integer node keys, the number of chains attaining it, which is
+|Aut|, and the first of them, which relabels the vine onto its canonical
+form (`_least_labeling`).  Only the winning list is turned back into the
+tuple form.  Vines enter the kernel as masks once, at the boundary.
 
 The class table at every n (`class_representatives`, `catalog_entries`)
 comes from the merge step of the split/merge recursion: every extremal
@@ -63,12 +62,12 @@ two representatives would have each as its other parent, smaller both
 ways, and an isomorphism between two doublings of one representative
 whose co-atoms lie in different classes fixes the fresh label, so it is
 an automorphism taking one chain to the other, and the top level doubles
-one chain per orbit (`_doubled_classes` spells this out).  The orbits
-n!/|Aut| must add up to the labeled count at every level.  Each doubling
-built is checked by `vine._mask_violations` on the kernel's own sorted
-masks and covers.  Classifying the full generator stream
-(`classify(generate_vines(...))`) is the independent route the tests and
-`selftest` check it against.
+one chain per orbit (`_doubled_classes` spells this out), paired by the σ
+of `lattice._automorphism`.  The orbits n!/|Aut| must add up to the
+labeled count at every level.  Each doubling built is checked by
+`vine._mask_violations` on the kernel's own sorted masks and covers.
+Classifying the full generator stream (`classify(generate_vines(...))`) is
+the independent route the tests and `selftest` check it against.
 
 Counting uses the observation that the number of completions of a partial
 tree sequence depends only on the unlabeled shape of the current tree, which
@@ -95,6 +94,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from . import lattice as lt
 from . import vine as vn
 from .errors import InternalInconsistencyError, StructureError, checked
 
@@ -105,6 +105,12 @@ COUNT_CAP = 10
 
 
 # ---------------------------------------------------------------- tree tools
+
+def _require_size(n: int, least: int = 0) -> None:
+    """The range check of every enumeration entry: n >= least."""
+    if n < least:
+        raise StructureError("enumerate.range", f"n >= {least} required")
+
 
 def _decode_prufer(n: int, seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
     degree = [1] * n
@@ -125,6 +131,7 @@ def _decode_prufer(n: int, seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 def prufer_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     """All labeled trees on vertices 0..n-1, one per Prüfer sequence."""
+    _require_size(n, 1)
     if n == 1:
         yield ()
         return
@@ -200,6 +207,7 @@ def _ahu(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
 
 def tree_shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
     """AHU canonical form of an unlabeled tree (rooted at its center)."""
+    _require_size(nv, 1)
     return _ahu(nv, edges)[0]
 
 
@@ -209,6 +217,7 @@ def rooted_trees(d: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
     vertices is one on d - 1 vertices with a leaf added, so the shapes grow
     leaf by leaf and are deduplicated by the root's AHU code; a shape S
     stands for (d - 1)!/|Aut_root(S)| labeled trees on 0..d-1 rooted at 0."""
+    _require_size(d, 1)
     trees = {"()": ((), 1)}
     for nv in range(2, d + 1):
         grown: dict[str, tuple] = {}
@@ -389,12 +398,14 @@ def count_vines(n: int) -> int:
     """|generate_vines(n)|: the completions of the star with n edges, whose
     line graph K_n has the labeled level-1 trees as its spanning trees, from
     a shape-memoized DP local to this call."""
+    _require_size(n)
     return _completions(n + 1, tuple((0, k) for k in range(1, n + 1)), {})
 
 
 # ------------------------------------------------------- counting formulas
 
 def labeled_count_formula(n: int) -> int:
+    _require_size(n)
     if n <= 1:
         return 1
     value = Fraction(2) ** ((n - 2) * (n - 3) // 2 - 1) * math.factorial(n)
@@ -404,6 +415,7 @@ def labeled_count_formula(n: int) -> int:
 
 
 def unlabeled_count_formula(n: int) -> int:
+    _require_size(n)
     if n <= 3:
         return 1
     pre = Fraction(2) ** ((n - 2) * (n - 3) // 2 - 1)
@@ -420,9 +432,9 @@ def unlabeled_count_formula(n: int) -> int:
 
 def recursive_pq_counts(n: int) -> tuple[int, int]:
     """(p_n, q_n): unlabeled class counts with automorphism order 2 and 1."""
-    if n < 1:
-        raise StructureError("enumerate.range", "n >= 1 required")
-    table: dict[int, tuple[Fraction, Fraction]] = {1: (Fraction(0), Fraction(1)),
+    _require_size(n)
+    table: dict[int, tuple[Fraction, Fraction]] = {0: (Fraction(0), Fraction(1)),
+                                                   1: (Fraction(0), Fraction(1)),
                                                    2: (Fraction(1), Fraction(0))}
     for m in range(3, n + 1):
         p2, q2 = table[m - 2]
@@ -471,22 +483,21 @@ def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple
     """
     if n <= 1:
         return (), 1
-    best, winners = _scan(n, nodes, cover_bits)
-    return tuple(best), len(winners)
+    return _scan(n, nodes, cover_bits)[:2]
 
 
-def _least_labelings(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, list[list[int]]]:
-    """(`_canonical`'s keys, and per chain attaining them the position of
-    each atom, in `nodes` order, in the chain's first-appearance order): the
-    relabelings onto the canonical form, for n >= 2."""
-    best, winners = _scan(n, nodes, cover_bits)
+def _least_labeling(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, list[int]]:
+    """(`_canonical`'s keys, and the position of each atom, in `nodes`
+    order, in the first-appearance order of the first chain attaining
+    them): a relabeling onto the canonical form, for n >= 2."""
+    keys, _, first = _scan(n, nodes, cover_bits)
     # an atom at position p has the digit 11 at 2 (n - 1 - p) and no lower bit
-    return tuple(best), [[n - 1 - ((d & -d).bit_length() - 1) // 2 for d in w[:n]] for w in winners]
+    return keys, [n - 1 - ((d & -d).bit_length() - 1) // 2 for d in first[:n]]
 
 
-def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[list[int], list[list[int]]]:
-    """The kernel, for n >= 2: (the least sorted non-atom keys, the digits
-    of every chain attaining them, atoms first)."""
+def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, int, list[int]]:
+    """The kernel, for n >= 2: (the least sorted non-atom keys, how many
+    chains attain them, the digits of the first, atoms first)."""
     even = _even(n)
     weight = []  # the pre-XOR digits of an atom at position p
     missing = 0
@@ -501,7 +512,7 @@ def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[list
              for k in range(n, len(nodes))}
 
     atom_digits = [0] * n
-    best, winners = None, []
+    best, hits, first = None, 0, []
     stack = drops[len(nodes) - 1].copy()
     while stack:
         k, a, rank = stack.pop()
@@ -518,10 +529,10 @@ def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[list
         keys = [d ^ even for d in digits[n:]]
         keys.sort()
         if best is None or keys < best:
-            best, winners = keys, [digits]
+            best, hits, first = keys, 1, digits
         elif keys == best:
-            winners.append(digits)
-    return best, winners
+            hits += 1
+    return tuple(best), hits, first
 
 
 def _form(n: int, keys: Iterable[int]) -> tuple:
@@ -570,7 +581,8 @@ def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
     Each vine is checked by `vine._mask_violations` on the masks the kernel
     reads, whose bits number the labels of its ground set and its nodes as
     in `validate_vine`; an invalid one raises the first violated axiom."""
-    groups: dict[tuple, list] = {}
+    auts: dict[tuple, int] = {}
+    orbits: Counter = Counter()
     n = None
     for v in vines:
         if n is None:
@@ -581,21 +593,23 @@ def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
         nodes, covers = _sorted_covers(masks)
         if records := vn._mask_violations(ground, nodes, covers):
             raise StructureError(records[0][0], "classification requires valid vines")
-        keys, aut = _canonical(n, nodes, covers)
-        entry = groups.get(keys)
-        if entry is None:
-            groups[keys] = [1, aut]
-        else:
-            entry[0] += 1
-    out = []
-    for keys in sorted(groups):  # key order is form order
-        orbit, aut = groups[keys]
-        if n and orbit * aut != math.factorial(n):
+        keys, auts[keys] = _canonical(n, nodes, covers)
+        orbits[keys] += 1
+    for keys, aut in auts.items():
+        if orbits[keys] * aut != math.factorial(n):
             raise InternalInconsistencyError(
-                f"orbit size {orbit} with |Aut|={aut} violates n!={math.factorial(n)}")
+                f"orbit size {orbits[keys]} with |Aut|={aut} violates n!={math.factorial(n)}")
+    return _iso_classes(n, auts)
+
+
+def _iso_classes(n: int, auts: dict[tuple, int]) -> list[IsoClass]:
+    """The classes on n labels given as {keys: |Aut|}, in canonical-form
+    order, each with its orbit n!/|Aut|."""
+    classes = []
+    for keys in sorted(auts):  # key order is form order
         form = _form(n, keys)
-        out.append(IsoClass(form, vine_from_form(form), orbit, aut))
-    return out
+        classes.append(IsoClass(form, vine_from_form(form), math.factorial(n) // auts[keys], auts[keys]))
+    return classes
 
 
 def _doubled_masks(n: int, masks: list[int], chain: Sequence[int]) -> list[int]:
@@ -665,15 +679,15 @@ def _one_chain_per_orbit(n: int, nodes: list[int], covers: list[int], aut: int) 
     canonically labeled vine on n labels, given by `_representative`.
 
     The group acts freely on the chains: an automorphism fixing a chain
-    fixes its first-appearance order, so every label.  With |Aut| = 2 both
-    chains attaining the canonical form relabel the vine onto itself; one
-    is the identity, the other the non-trivial automorphism."""
+    fixes its first-appearance order, so every label.  The non-trivial one
+    is the σ of `lattice._automorphism`, found iff the kernel's aut is 2."""
     chains = vn._chains(nodes, covers)
-    if aut == 1:
+    sigma = lt._automorphism(nodes, covers)
+    if aut != (1 if sigma is None else 2):
+        raise InternalInconsistencyError(f"the kernel's |Aut|={aut} and the co-atom descent disagree at n={n}")
+    if sigma is None:
         return chains
-    _, labelings = _least_labelings(n, nodes, covers)
-    sigma = next(w for w in labelings if w != list(range(n)))
-    image = _moved(nodes, {nodes[i]: 1 << p for i, p in enumerate(sigma)})
+    image = _moved(nodes, sigma)
     seen: set[tuple] = set()
     kept = []
     for chain in chains:
@@ -696,7 +710,7 @@ def _augmented_classes(n: int) -> dict[tuple, int]:
             sub = [j for j, m in enumerate(nodes) if not m & ~nodes[z]]  # a down-set: covers stay inside
             index = {j: i for i, j in enumerate(sub)}
             below = [nodes[j] for j in sub]
-            keys, (positions, *_) = _least_labelings(
+            keys, positions = _least_labeling(
                 n - 2, below, [sum(1 << index[i] for i in vn._bits(covers[j])) for j in sub])
             parents[nodes[z]] = keys, _moved(below, {a: 1 << p for a, p in zip(below, positions)})
         for chain in _one_chain_per_orbit(n - 1, nodes, covers, aut):
@@ -743,18 +757,10 @@ def _doubled_classes(n: int) -> list[IsoClass]:
     |Aut| is the kernel's chain hit count and the orbit n!/|Aut|; at every
     level the orbits must add up to the labeled count, the classes to the
     unlabeled count formula and their |Aut| tally to the recursion's
-    (p_n, q_n).
+    (p_n, q_n), and the co-atom descent's |Aut| must match the kernel's.
     """
-    if n <= 1:
-        form = tuple((p,) for p in range(n))
-        return [IsoClass(form, vine_from_form(form), 1, 1)]
-    auts = _augmented_classes(n) if n >= 4 else _class_table(n)[0]
-    total = math.factorial(n)
-    classes = []
-    for keys in sorted(auts):  # key order is form order
-        form = _form(n, keys)
-        classes.append(IsoClass(form, vine_from_form(form), total // auts[keys], auts[keys]))
-    return classes
+    _require_size(n)
+    return _iso_classes(n, _augmented_classes(n) if n >= 4 else _class_table(n)[0])
 
 
 def class_representatives(n: int) -> list[vn.RegularVine]:

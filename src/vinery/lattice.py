@@ -50,8 +50,8 @@ of s, so s - r covers s - r - b).  σ(s - b) = t - a forces
 σ(s - r) = t - r', so σ(r) = r'; then s <- s - r and t <- t - r'.  After
 n - 2 steps every label is mapped, and |Aut| is 2 iff σ maps every node
 to a node: O(n^3) bit operations, against the 2^(n-1) chains of the
-canonical-form kernel, which `generate` keeps for the forms and the class
-table.
+canonical-form kernel, which `generate` keeps for canonical forms only:
+`analyze` and `generate`'s class table both take σ from `_automorphism`.
 """
 
 from __future__ import annotations
@@ -425,13 +425,12 @@ def require_extremal_matrix(M: BinaryMatrix) -> None:
     raise_first(validate_matrix(M))
 
 
-def _automorphism_group_order(v: vn.RegularVine) -> int:
-    """Number of ground bijections fixing the node set, 1 or 2: whether the
-    σ of the co-atom descent (module docstring) maps every node to a node,
-    read off the vine's index view."""
-    if v.n <= 1:
-        return 1
-    masks, covers = v._view.masks, v._view.covers
+def _automorphism(masks: list[int], covers: list[int]) -> Optional[dict[int, int]]:
+    """σ of the co-atom descent (module docstring) on label bits, or None if
+    n <= 1 or σ misses a node, for a valid vine's masks in a linear
+    extension of inclusion and their covers."""
+    if len(masks) <= 1:
+        return None
     index = {m: k for k, m in enumerate(masks)}
     s, t = (masks[k] for k in vn._bits(covers[-1]))
     a, b = masks[-1] ^ s, masks[-1] ^ t
@@ -451,7 +450,12 @@ def _automorphism_group_order(v: vn.RegularVine) -> int:
         image.append(sigma.get(m, 0))
         for j in vn._bits(cov):
             image[-1] |= image[j]
-    return 2 if all(m in index for m in image) else 1
+    return sigma if all(m in index for m in image) else None
+
+
+def _automorphism_group_order(v: vn.RegularVine) -> int:
+    """Number of ground bijections fixing the node set, 1 or 2."""
+    return 1 if _automorphism(v._view.masks, v._view.covers) is None else 2
 
 
 direct_b3_search = checked(_require_lattice, _direct_b3_search)

@@ -319,6 +319,17 @@ def test_count_formula_cap(capsys):
     assert cli.main(["count", "--n", "65"]) == 1
 
 
+def test_count_n0_agrees_across_modes_and_negative_n_is_refused(capsys):
+    assert cli.main(["count", "--n", "0"]) == 0
+    assert capsys.readouterr().out == "n=0 labeled=1 unlabeled=1 p=0 q=1\n"
+    assert cli.main(["count", "--n", "0", "--mode", "generate"]) == 0
+    assert capsys.readouterr().out == "n=0 labeled=1 (agrees with formula value 1)\n"
+    assert cli.main(["count", "--n", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "enumerate.range" in captured.err
+
+
 # ---------------------------------------------------------------- catalog
 
 def test_catalog_writes_deterministic_files(tmp_path, capsys):

@@ -284,6 +284,33 @@ def test_recursion_matches_formula():
 
 # --------------------------------------------------------- canonical forms
 
+@pytest.mark.parametrize("call", [
+    lambda: gen.class_representatives(-1),
+    lambda: gen.catalog_entries(-1),
+    lambda: gen.count_vines(-1),
+    lambda: gen.labeled_count_formula(-3),
+    lambda: gen.unlabeled_count_formula(-3),
+    lambda: gen.recursive_pq_counts(-1),
+    lambda: list(gen.prufer_trees(0)),
+    lambda: gen.tree_shape(0, []),
+    lambda: gen.rooted_trees(0),
+], ids=["class_representatives", "catalog_entries", "count_vines", "labeled_count_formula",
+        "unlabeled_count_formula", "recursive_pq_counts", "prufer_trees", "tree_shape", "rooted_trees"])
+def test_enumeration_entries_refuse_sizes_out_of_range(call):
+    with pytest.raises(StructureError) as exc:
+        call()
+    assert exc.value.axiom == "enumerate.range"
+
+
+def test_the_empty_vine_is_one_class_at_n0():
+    """n = 0 agrees across every route: one labeled vine, one class, |Aut| = 1."""
+    assert gen.count_vines(0) == gen.labeled_count_formula(0) == gen.unlabeled_count_formula(0) == 1
+    assert gen.recursive_pq_counts(0) == (0, 1)
+    assert gen.class_representatives(0) == list(gen.generate_vines("")) == [vn.vine("", [])]
+    (entry,) = gen.catalog_entries(0)
+    assert (entry["n"], entry["aut_order"], entry["orbit_size"]) == (0, 1, 1)
+
+
 def test_canonical_form_tiny():
     assert gen.canonical_form(vn.vine("", [])) == ()
     assert gen.canonical_form(vn.vine("a", ["a"])) == (((0,),))
@@ -427,6 +454,34 @@ def test_augmentation_falls_back_to_building_a_chain_missing_from_the_table(monk
     class_table = gen._class_table
     monkeypatch.setattr(gen, "_class_table", lambda n: (class_table(n)[0], {}))
     assert gen._doubled_classes(6) == expected
+
+
+def test_class_table_takes_sigma_from_the_descent_not_the_kernel(monkeypatch):
+    """The kernel runs once per doubling below the top, once per class and
+    per co-atom half at the top, 759 times for n = 7, and never to pair an
+    |Aut| = 2 representative's chains."""
+    calls = []
+    scan = gen._scan
+    monkeypatch.setattr(gen, "_scan", lambda *a: calls.append(a[0]) or scan(*a))
+    gen.class_representatives(7)
+    assert len(calls) == 759
+    auts = gen._class_table(6)[0]
+    calls.clear()
+    for keys, aut in auts.items():
+        gen._one_chain_per_orbit(6, *gen._representative(6, keys), aut)
+    assert calls == []
+    assert Counter(auts.values()) == Counter({2: 16, 1: 24})
+
+
+def test_class_table_cross_checks_aut_against_the_descent(monkeypatch):
+    """With the descent finding no σ, the top level at n = 4 disagrees with
+    the kernel's |Aut| = 2 on the one 3-class, and fails, naming n = 3."""
+    from vinery import lattice as lt
+    monkeypatch.setattr(lt, "_automorphism", lambda masks, covers: None)
+    assert len(gen.class_representatives(3)) == 1  # the levels below the top double every chain
+    with pytest.raises(InternalInconsistencyError,
+                       match=r"^the kernel's \|Aut\|=2 and the co-atom descent disagree at n=3$"):
+        gen.class_representatives(4)
 
 
 def test_augmentation_repeat_check(monkeypatch):
