@@ -33,7 +33,8 @@ times at n = 6, under 1,296 level-1 trees), and each vine is one loop of
 ORs over the level-2 nodes, yielded as a fresh list.  Only
 `generate_vines` turns the masks into frozenset vines, through a table of
 the 2^n label sets indexed by mask that is built once per call, so its
-vines share their node sets and those sets' cached hashes.
+vines share their node sets and those sets' cached hashes; the CLI's
+`count --mode generate` and `selftest` count the mask stream itself.
 
 Canonical forms come from one mask kernel.  It reads every node's covers
 off `vine._mask_covers` (a vine object's off its cached index view), walks
@@ -96,7 +97,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lattice as lt
 from . import vine as vn
-from .errors import InternalInconsistencyError, StructureError, checked
+from .errors import InternalInconsistencyError, StructureError, _UnionFind, checked
 
 GENERATION_CAP = 7
 # Largest n that `count --mode generate` accepts: the counting DP takes about
@@ -113,19 +114,26 @@ def _require_size(n: int, least: int = 0) -> None:
 
 
 def _decode_prufer(n: int, seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The tree of a Prüfer sequence on 0..n-1, n >= 2, in linear time: each
+    entry joins the smallest leaf left.  A pointer walks up to the next
+    unused leaf; an entry whose last use makes it a leaf below the pointer
+    is the smallest leaf at once.  The last edge joins that leaf to n - 1."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
+    ptr = leaf = degree.index(1)
     edges = []
     for x in seq:
-        for i in range(n):
-            if degree[i] == 1:
-                edges.append((min(i, x), max(i, x)))
-                degree[i] -= 1
-                degree[x] -= 1
-                break
-    last = [i for i in range(n) if degree[i] == 1]
-    edges.append((min(last), max(last)))
+        edges.append((leaf, x) if leaf < x else (x, leaf))
+        degree[x] -= 1
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    edges.append((leaf, n - 1))
     return tuple(edges)
 
 
@@ -206,8 +214,14 @@ def _ahu(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
 
 
 def tree_shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
-    """AHU canonical form of an unlabeled tree (rooted at its center)."""
+    """AHU canonical form of an unlabeled tree (rooted at its center).  The
+    edges must form a tree on 0..nv-1: nv - 1 of them, endpoints in range,
+    no cycle."""
     _require_size(nv, 1)
+    edges = tuple(edges)
+    uf = _UnionFind(range(nv))
+    if len(edges) != nv - 1 or not all(0 <= u < nv and 0 <= v < nv and uf.union(u, v) for u, v in edges):
+        raise StructureError("enumerate.tree", f"the edges are not a tree on 0..{nv - 1}", witness=edges)
     return _ahu(nv, edges)[0]
 
 
@@ -261,6 +275,7 @@ def _vine_mask_stream(n: int) -> Iterator[list[int]]:
     """Node masks (bit i for the i-th label) of every labeled vine on n
     labels, exactly once, in a deterministic order: atoms, then level by
     level.  Each yielded list is a fresh object."""
+    _require_size(n)
     if n > GENERATION_CAP:
         raise StructureError("enumerate.cap", f"generation capped at n <= {GENERATION_CAP}")
     atoms = [1 << i for i in range(n)]
@@ -370,7 +385,7 @@ def _completions(nv: int, edges: Sequence[tuple[int, int]], memo: dict[tuple, in
     """
     if nv <= 2:
         return 1
-    shape = tree_shape(nv, edges)
+    shape = _ahu(nv, edges)[0]  # edges is a tree: skip `tree_shape`'s check
     hit = memo.get(shape)
     if hit is not None:
         return hit

@@ -7,6 +7,8 @@ tables or bitmasks: the n!-relabeling scans behind the canonical form and
 join/meet tests behind the lattice order checks and the direct B(3) search;
 the per-pair domain scan behind the one-pass topmost contiguous positions;
 and the no-extension scan behind the size criterion of maximal ASPDs; and
+the Prüfer decoder that scans for the smallest leaf at every entry, behind
+the leaf pointer of `generate._decode_prufer`; and
 the backtracker over a line graph's edges with a copy-on-branch union-find,
 behind the per-clique Prüfer products of `generate._next_trees`; and
 the vine stream that enumerates every line graph's spanning trees afresh at
@@ -247,6 +249,27 @@ def join_irreducibles_by_covers(L: lt.BoundedLattice) -> list[frozenset]:
     """Elements other than the bottom with exactly one `covered_elements`."""
     bottom = min(L.elements, key=len)
     return [s for s in L.sorted_elements() if s != bottom and len(covered_elements(L, s)) == 1]
+
+
+def decode_prufer_by_scan(n: int, seq: Iterable[int]) -> tuple[tuple[int, int], ...]:
+    """The tree of a Prüfer sequence on 0..n-1, each entry joined to the
+    smallest leaf found by a scan of all vertices; the oracle for
+    `generate._decode_prufer`."""
+    seq = list(seq)
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    for x in seq:
+        for i in range(n):
+            if degree[i] == 1:
+                edges.append((min(i, x), max(i, x)))
+                degree[i] -= 1
+                degree[x] -= 1
+                break
+    last = [i for i in range(n) if degree[i] == 1]
+    edges.append((min(last), max(last)))
+    return tuple(edges)
 
 
 def spanning_trees(nv: int, edges: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:

@@ -297,6 +297,34 @@ def test_count_generate_mode(capsys):
     assert capsys.readouterr().out == "n=4 labeled=24 (agrees with formula value 24)\n"
 
 
+# (exit code, stdout, stderr) of `count --n k --mode generate`, k = 0..6, as
+# recorded from counting the frozenset vines of `generate_vines`: counting
+# the mask stream must give the same bytes
+GENERATE_MODE_OUTPUT = {
+    k: (0, f"n={k} labeled={total} (agrees with formula value {total})\n", "")
+    for k, total in enumerate((1, 1, 1, 3, 24, 480))
+}
+GENERATE_MODE_OUTPUT[6] = (0, "n=6 labeled=23040 (agrees with formula value 23040)\n",
+                           "... 5000 vines\n... 10000 vines\n... 15000 vines\n... 20000 vines\n")
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_count_generate_mode_output_is_pinned(k, capsys):
+    code = cli.main(["count", "--n", str(k), "--mode", "generate"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == GENERATE_MODE_OUTPUT[k]
+
+
+def test_count_generate_mode_builds_no_vine(monkeypatch, capsys):
+    """Up to n = 6 the command counts the mask stream, not `generate_vines`."""
+    def refuse(*args):
+        raise AssertionError("count --mode generate built frozenset vines")
+    monkeypatch.setattr(gen, "generate_vines", refuse)
+    code = cli.main(["count", "--n", "6", "--mode", "generate"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == GENERATE_MODE_OUTPUT[6]
+
+
 def test_count_generate_dp_n8(capsys):
     assert cli.main(["count", "--n", "8", "--mode", "generate"]) == 0
     assert capsys.readouterr().out == "n=8 labeled=660602880 (agrees with formula value 660602880)\n"

@@ -1,6 +1,7 @@
 """Enumeration, counting formulas, canonical forms and classification."""
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -15,9 +16,9 @@ from vinery.errors import InternalInconsistencyError, StructureError
 
 from conftest import d_vine, sample_vines
 from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce,
-                     completions_by_spanning_trees, doubled_classes_by_all_chains, generate_vines_by_scan,
-                     line_graph, next_trees_by_spanning_trees, spanning_trees, unlabeled_trees,
-                     vine_mask_stream_by_recursion)
+                     completions_by_spanning_trees, decode_prufer_by_scan, doubled_classes_by_all_chains,
+                     generate_vines_by_scan, line_graph, next_trees_by_spanning_trees, spanning_trees,
+                     unlabeled_trees, vine_mask_stream_by_recursion)
 
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
@@ -30,6 +31,12 @@ def test_prufer_tree_counts():
     assert len(list(gen.prufer_trees(2))) == 1
     assert len(list(gen.prufer_trees(4))) == 16      # n^(n-2)
     assert len(set(gen.prufer_trees(5))) == 125
+
+
+def test_prufer_decoder_matches_the_scan_on_every_sequence():
+    for n in range(2, 8):
+        for seq in itertools.product(range(n), repeat=n - 2):
+            assert gen._decode_prufer(n, seq) == decode_prufer_by_scan(n, seq)
 
 
 def test_spanning_trees():
@@ -64,6 +71,23 @@ def test_tree_shape_distinguishes_path_and_star():
     assert path != star
     relabeled_path = gen.tree_shape(4, [(2, 0), (0, 3), (3, 1)])
     assert relabeled_path == path
+
+
+@pytest.mark.parametrize("nv, edges", [
+    (4, [(0, 1), (1, 2), (0, 2)]),
+    (3, [(0, 1), (0, 1)]),
+    (2, [(0, 5)]),
+    (3, [(0, 1)]),
+    (2, [(0, -1)]),
+    (4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+], ids=["triangle", "multigraph", "endpoint_past_nv", "too_few_edges", "negative_endpoint", "too_many_edges"])
+def test_tree_shape_refuses_a_non_tree(nv, edges):
+    """A cycle would stall the center peeling, and an endpoint out of range
+    would raise IndexError or index from the end of the adjacency list."""
+    with pytest.raises(StructureError) as exc:
+        gen.tree_shape(nv, edges)
+    assert exc.value.axiom == "enumerate.tree"
+    assert exc.value.witness == tuple(edges)
 
 
 # ------------------------------------------------------------ enumeration
@@ -294,8 +318,10 @@ def test_recursion_matches_formula():
     lambda: list(gen.prufer_trees(0)),
     lambda: gen.tree_shape(0, []),
     lambda: gen.rooted_trees(0),
+    lambda: list(gen._vine_mask_stream(-1)),
 ], ids=["class_representatives", "catalog_entries", "count_vines", "labeled_count_formula",
-        "unlabeled_count_formula", "recursive_pq_counts", "prufer_trees", "tree_shape", "rooted_trees"])
+        "unlabeled_count_formula", "recursive_pq_counts", "prufer_trees", "tree_shape", "rooted_trees",
+        "vine_mask_stream"])
 def test_enumeration_entries_refuse_sizes_out_of_range(call):
     with pytest.raises(StructureError) as exc:
         call()
