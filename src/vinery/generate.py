@@ -37,13 +37,18 @@ vines share their node sets and those sets' cached hashes; the CLI's
 `count --mode generate` and `selftest` count the mask stream itself.
 
 Canonical forms come from one mask kernel.  It reads every node's covers
-off `vine._mask_covers` (a vine object's off its cached index view), walks
-the 2^(n-1) maximal chains without storing them, relabels the nodes by each
-chain's first-appearance order (one OR per node), and keeps the least sorted
-list of integer node keys, the number of chains attaining it, which is
-|Aut|, and the first of them, which relabels the vine onto its canonical
-form (`_least_labeling`).  Only the winning list is turned back into the
-tuple form.  Vines enter the kernel as masks once, at the boundary.
+off `vine._mask_covers` (a vine object's off its cached index view) and
+finds the least sorted list of integer node keys over the labelings that
+the maximal chains induce by first appearance.  It descends the chains
+from the top by branch and bound: at each chain node the keys of the nodes
+above it that miss the atom just removed are settled, and they extend a
+prefix of the chain's final sorted list; the two covers are tried best
+first, and a subtree is skipped once its prefix and a bound on the keys
+still unsettled lose to the best list found so far (`_scan` proves it
+exact).  It returns that list, the number of chains attaining it, which is
+|Aut|, and one of them, which relabels the vine onto its canonical form
+(`_least_labeling`).  Only the winning list is turned back into the tuple
+form.  Vines enter the kernel as masks once, at the boundary.
 
 The class table at every n (`class_representatives`, `catalog_entries`)
 comes from the merge step of the split/merge recursion: every extremal
@@ -503,51 +508,99 @@ def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple
 
 def _least_labeling(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, list[int]]:
     """(`_canonical`'s keys, and the position of each atom, in `nodes`
-    order, in the first-appearance order of the first chain attaining
-    them): a relabeling onto the canonical form, for n >= 2."""
-    keys, _, first = _scan(n, nodes, cover_bits)
+    order, in the first-appearance order of a chain attaining them): a
+    relabeling onto the canonical form, for n >= 2."""
+    keys, _, chain = _scan(n, nodes, cover_bits)
     # an atom at position p has the digit 11 at 2 (n - 1 - p) and no lower bit
-    return keys, [n - 1 - ((d & -d).bit_length() - 1) // 2 for d in first[:n]]
+    return keys, [n - 1 - ((d & -d).bit_length() - 1) // 2 for d in chain]
 
 
 def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, int, list[int]]:
     """The kernel, for n >= 2: (the least sorted non-atom keys, how many
-    chains attain them, the digits of the first, atoms first)."""
+    chains attain them, the atoms' digits along one chain attaining them).
+
+    It descends the chains from the top, depth first, and settles keys as
+    it goes.  At the chain node C_r of rank r, reached by removing the atom
+    a_r, positions r..n-1 are fixed, so every node X ⊇ C_r has its exact
+    key: it holds all of positions 0..r-1, whose order does not matter.
+    The search is exact for these reasons:
+
+    - Keys order nodes by their sorted position tuples, so the chain's own
+      nodes (0..s-1), s = 2..n, are the n - 1 least non-atom keys of every
+      chain, and only the other keys decide a comparison.
+    - Every non-chain X ⊇ C_r holds 0..r-1 and a later position, and every
+      non-chain node not holding C_r misses a position below r first: the
+      former keys are the smaller.  So the batch settled at C_r, the keys
+      of the nodes X ⊋ C_r that miss a_r, sorted, follows the batches
+      settled above it in the chain's final sorted list, and the batches
+      join into a prefix of it; the last, at C_0 = ∅, holds the non-atom
+      nodes that miss position 0.
+    - At C_r, every key still unsettled is that of a non-chain node missing
+      a position below r, so it is >= the key of (0..r-2, r), `bound[r]`.
+    - A child whose prefix followed by its bound exceeds the head of the
+      best list so far has every leaf below it larger than that list, so
+      larger than the final best.  A leaf attaining the final best is never
+      skipped, so the hit count is exact; `best` ends in a key past every
+      real one, so a complete prefix equal to it is kept.  The order in
+      which the two covers are tried, best first, affects only the speed.
+    """
     even = _even(n)
-    weight = []  # the pre-XOR digits of an atom at position p
-    missing = 0
+    weight, full, missing = [], [0], 0  # full[r]: the digit 11 at positions 0..r-1
     for p in range(n):
         shift = 2 * (n - 1 - p)
         weight.append(missing | 3 << shift)
         missing |= 2 << shift
-    covers = [list(vn._bits(c)) for c in cover_bits]
-    atom = {nodes[i]: i for i in range(n)}
-    # per node: (cover, the atom the step down removes, the cover's rank)
-    drops = {k: [(j, atom[nodes[k] ^ nodes[j]], nodes[k].bit_count() - 1) for j in covers[k]]
-             for k in range(n, len(nodes))}
+        full.append(full[-1] | 3 << shift)
+    bound = [0] + [(full[r - 1] | weight[r]) ^ even for r in range(1, n)]
+    above = [r * (n + 1) - r * (r + 1) // 2 for r in range(n)]  # index of the first node of rank > r
+    end = 1 << 2 * n  # past every key
+    digit = {}  # per atom mask: its weight along the chain descended
+    best, hits, chain = None, 0, []
 
-    atom_digits = [0] * n
-    best, hits, first = None, 0, []
-    stack = drops[len(nodes) - 1].copy()
-    while stack:
-        k, a, rank = stack.pop()
-        atom_digits[a] = weight[rank]
-        if rank > 1:
-            stack.extend(drops[k])
-            continue
-        atom_digits[k] = weight[0]
-        digits = atom_digits.copy()
-        for a, b in covers[n:]:
-            digits.append(digits[a] | digits[b])
-        # the atoms' keys are the same for every chain; sorted lists of equal
-        # length compare as they do without their common elements
-        keys = [d ^ even for d in digits[n:]]
+    def settle(r: int, c: int, a: int) -> list[int]:
+        """The sorted keys of the non-atom nodes X ⊋ C_r = c that miss a."""
+        keys = []
+        for i in range(above[max(r, 1)], len(nodes)):
+            x = nodes[i]
+            if x & c == c and not x & a:
+                d, rest = full[r], x ^ c
+                while rest:
+                    low = rest & -rest
+                    d |= digit[low]
+                    rest ^= low
+                keys.append(d ^ even)
         keys.sort()
-        if best is None or keys < best:
-            best, hits, first = keys, 1, digits
-        elif keys == best:
-            hits += 1
-    return tuple(best), hits, first
+        return keys
+
+    def descend(k: int, r: int, prefix: list[int]) -> None:
+        nonlocal best, hits, chain
+        c = nodes[k]
+        if r == 1:
+            digit[c] = weight[0]
+            keys = prefix + settle(0, 0, c)
+            keys.append(end)
+            if best is None or keys < best:
+                best, hits, chain = keys, 1, [digit[m] for m in nodes[:n]]
+            elif keys == best:
+                hits += 1
+            return
+        tries = []
+        low = cover_bits[k] & -cover_bits[k]
+        for j in (low.bit_length() - 1, cover_bits[k].bit_length() - 1):
+            a = c ^ nodes[j]
+            digit[a] = weight[r - 1]
+            head = prefix + settle(r - 1, nodes[j], a)
+            head.append(bound[r - 1])
+            tries.append((head, j, a))
+        tries.sort()
+        for head, j, a in tries:
+            if best is None or head <= best[:len(head)]:
+                digit[a] = weight[r - 1]
+                head.pop()
+                descend(j, r - 1, head)
+
+    descend(len(nodes) - 1, n, [])
+    return tuple([full[s] ^ even for s in range(2, n + 1)] + best[:-1]), hits, chain
 
 
 def _form(n: int, keys: Iterable[int]) -> tuple:

@@ -74,25 +74,56 @@ def _string_lists(value, field: str) -> list:
     return [_strings(x, f"every entry of {field}") for x in value]
 
 
+def _distinct(items: list, kept: int, field: str) -> None:
+    """Refuse a repeated entry in an array that names a set: the set built
+    from it, of `kept` members, would merge it silently."""
+    if kept == len(items):
+        return
+    seen = set()
+    for x in items:
+        if x in seen:
+            raise StructureError("parse.duplicate", f"{field} lists {x!r} twice", witness=x)
+        seen.add(x)
+
+
+def _family(members: list, family: frozenset, field: str) -> None:
+    """The same for a family of label sets: no member lists a label twice,
+    and no two members are one set."""
+    if len(family) != len(members) or sum(map(len, family)) != sum(map(len, members)):
+        for m in members:
+            _distinct(m, len(set(m)), f"node {m}")
+        _distinct([tuple(sorted(m)) for m in members], len(family), field)
+
+
 def from_json_dict(doc: dict):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise StructureError("parse.kind", "document has no \"kind\" field")
     kind = doc["kind"]
     try:
         if kind == "matgraph":
-            return mg.mat_graph(_strings(doc["vertices"], "vertices"),
-                                [(e["u"], e["v"], e["label"]) for e in doc["edges"]])
+            vertices = _strings(doc["vertices"], "vertices")
+            out = mg.mat_graph(vertices, [(e["u"], e["v"], e["label"]) for e in doc["edges"]])
+            _distinct(vertices, len(out.vertices), "vertices")
+            return out
         if kind == "vine":
-            return vn.vine(_strings(doc["ground"], "ground"), _string_lists(doc["nodes"], "nodes"))
+            ground, nodes = _strings(doc["ground"], "ground"), _string_lists(doc["nodes"], "nodes")
+            out = vn.vine(ground, nodes)
+            _distinct(ground, len(out.ground), "ground")
+            _family(nodes, out.nodes, "nodes")
+            return out
         if kind == "domain":
-            return dm.domain(_strings(doc["alternatives"], "alternatives"),
-                             _string_lists(doc["preferences"], "preferences"))
+            alternatives = _strings(doc["alternatives"], "alternatives")
+            out = dm.domain(alternatives, _string_lists(doc["preferences"], "preferences"))
+            _distinct(alternatives, len(out.alternatives), "alternatives")
+            return out
         if kind == "lattice":
-            ground = _strings(doc["ground"], "ground")
-            out = lt.lattice(_string_lists(doc["nodes"], "nodes"))
+            ground, nodes = _strings(doc["ground"], "ground"), _string_lists(doc["nodes"], "nodes")
+            out = lt.lattice(nodes)
             if set(ground) != out.ground:
                 raise StructureError("lattice.ground", f"ground {sorted(set(ground))} is not the union "
                                      f"{sorted(out.ground)} of the nodes", witness=sorted(set(ground) ^ out.ground))
+            _distinct(ground, len(out.ground), "ground")
+            _family(nodes, out.elements, "nodes")
             return out
         if kind == "matrix":
             rows = tuple(_strings(doc["rows"], "rows"))

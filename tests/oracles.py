@@ -2,9 +2,11 @@
 
 Each oracle computes from the definition what a kernel computes from index
 tables or bitmasks: the n!-relabeling scans behind the canonical form and
-|Aut|; the quadratic `covered_by` and `covered_elements` scans behind
-`vine._mask_covers`, and the DOT rendering built on them; the pairwise
-join/meet tests behind the lattice order checks and the direct B(3) search;
+|Aut|, and the walk over all 2^(n-1) maximal chains behind the pruned
+descent of `generate._scan`; the quadratic `covered_by` and
+`covered_elements` scans behind `vine._mask_covers`, and the DOT rendering
+built on them; the pairwise join/meet tests behind the lattice order checks
+and the direct B(3) search;
 the per-pair domain scan behind the one-pass topmost contiguous positions;
 and the no-extension scan behind the size criterion of maximal ASPDs; and
 the Prüfer decoder that scans for the smallest leaf at every entry, behind
@@ -74,6 +76,44 @@ def automorphism_group_order_bruteforce(v: vn.RegularVine) -> int:
         if vn.relabel_vine(v, dict(zip(ground, perm))).nodes == v.nodes:
             count += 1
     return count
+
+
+def canonical_keys_by_all_chains(n: int, nodes: list[int], covers: list[int]) -> tuple[tuple, int, list[int]]:
+    """The oracle for `generate._scan`, n >= 2: (the least sorted non-atom
+    keys, how many chains attain them, the atoms' digits along the first),
+    by relabeling the nodes along every one of the 2^(n-1) maximal chains,
+    one OR per non-atom node, and comparing the full sorted lists."""
+    even = gen._even(n)
+    weight = []  # the pre-XOR digits of an atom at position p
+    missing = 0
+    for p in range(n):
+        shift = 2 * (n - 1 - p)
+        weight.append(missing | 3 << shift)
+        missing |= 2 << shift
+    cover_lists = [list(vn._bits(c)) for c in covers]
+    atom = {nodes[i]: i for i in range(n)}
+    # per node: (cover, the atom the step down removes, the cover's rank)
+    drops = {k: [(j, atom[nodes[k] ^ nodes[j]], nodes[k].bit_count() - 1) for j in cover_lists[k]]
+             for k in range(n, len(nodes))}
+    atom_digits = [0] * n
+    best, hits, first = None, 0, []
+    stack = drops[len(nodes) - 1].copy()
+    while stack:
+        k, a, rank = stack.pop()
+        atom_digits[a] = weight[rank]
+        if rank > 1:
+            stack.extend(drops[k])
+            continue
+        atom_digits[k] = weight[0]
+        digits = atom_digits.copy()
+        for a, b in cover_lists[n:]:
+            digits.append(digits[a] | digits[b])
+        keys = sorted(d ^ even for d in digits[n:])
+        if best is None or keys < best:
+            best, hits, first = keys, 1, digits[:n]
+        elif keys == best:
+            hits += 1
+    return tuple(best), hits, first
 
 
 def covered_by(v: vn.RegularVine, s: frozenset) -> list[frozenset]:

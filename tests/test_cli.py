@@ -127,6 +127,28 @@ def test_lattice_ground_must_be_the_union_of_the_nodes(write, doc, err, capsys):
         assert capsys.readouterr() == ("", err)
 
 
+@pytest.mark.parametrize("doc, err", [
+    ({"kind": "vine", "ground": ["a", "b"], "nodes": [["a"], ["b"], ["a", "b"], ["b", "a"]]},
+     "nodes lists ('a', 'b') twice"),
+    ({"kind": "vine", "ground": ["a", "a", "b"], "nodes": [["a"], ["b"], ["a", "b"]]}, "ground lists 'a' twice"),
+    ({"kind": "lattice", "ground": ["a", "b"], "nodes": [[], ["a"], ["a"], ["b"], ["a", "b"]]},
+     "nodes lists ('a',) twice"),
+    ({"kind": "lattice", "ground": ["a", "b"], "nodes": [[], ["a", "a"], ["b"], ["a", "b"]]},
+     "node ['a', 'a'] lists 'a' twice"),
+    ({"kind": "domain", "alternatives": ["a", "b", "a"], "preferences": [["a", "b"], ["b", "a"]]},
+     "alternatives lists 'a' twice"),
+    ({"kind": "matgraph", "vertices": ["a", "b", "b"], "edges": [{"u": "a", "v": "b", "label": 1}]},
+     "vertices lists 'b' twice"),
+], ids=["vine-nodes", "vine-ground", "lattice-nodes", "lattice-node", "domain", "matgraph"])
+def test_a_repeated_entry_of_a_set_is_refused(write, doc, err, capsys):
+    """An array that names a set, or a node, may not repeat an entry: the
+    set would merge it, and the file would verify with more entries than
+    its structure holds."""
+    path = write("dup.json", json.dumps(doc))
+    assert cli.main(["verify", path]) == 1
+    assert capsys.readouterr() == ("", f"error: parse.duplicate: {err}\n")
+
+
 # ---------------------------------------------------------------- convert
 
 def test_convert_direct_equals_transport(write, intro_graph, intro_domain, capsys):

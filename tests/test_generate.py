@@ -14,8 +14,8 @@ from vinery import generate as gen
 from vinery import vine as vn
 from vinery.errors import InternalInconsistencyError, StructureError
 
-from conftest import d_vine, sample_vines
-from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce,
+from conftest import c_vine, d_vine, sample_vines
+from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce, canonical_keys_by_all_chains,
                      completions_by_spanning_trees, decode_prufer_by_scan, doubled_classes_by_all_chains,
                      generate_vines_by_scan, line_graph, next_trees_by_spanning_trees, spanning_trees,
                      unlabeled_trees, vine_mask_stream_by_recursion)
@@ -426,6 +426,43 @@ def test_kernel_matches_oracles_sampled(seed):
             assert aut == automorphism_group_order_bruteforce(v)
 
 
+def test_pruned_kernel_matches_the_chain_scan_on_every_small_vine(vines_by_n):
+    """The descent's keys and hits equal those of the walk over every
+    maximal chain on every labeled vine with 2 <= n <= 5."""
+    for n in range(2, 6):
+        for v in vines_by_n[n]:
+            view = v._view
+            assert gen._scan(n, view.masks, view.covers)[:2] == \
+                canonical_keys_by_all_chains(n, view.masks, view.covers)[:2]
+
+
+def test_pruned_kernel_matches_the_chain_scan_on_doublings_and_classes(reps7):
+    """The same on every doubling of an n = 5 class representative along a
+    chain, on the 560 n = 7 class representatives, and on the D-vine and the
+    C-vine at n = 12, whose 2,048 chains the descent mostly skips."""
+    cases = []
+    for rep in gen._class_table(5)[0]:
+        nodes, covers = gen._representative(5, rep)
+        cases += [(6, *gen._sorted_covers(gen._doubled_masks(5, nodes, chain))) for chain in vn._chains(nodes, covers)]
+    assert len(cases) == 6 * 16
+    order = string.ascii_lowercase[:12]
+    cases += [(v.n, v._view.masks, v._view.covers) for v in reps7 + [d_vine(order), c_vine(order)]]
+    for n, nodes, covers in cases:
+        assert gen._scan(n, nodes, covers)[:2] == canonical_keys_by_all_chains(n, nodes, covers)[:2]
+
+
+def test_least_labeling_relabels_onto_the_canonical_form(vines_by_n):
+    """The positions `_least_labeling` reads off the chain the descent
+    found relabel every vine with 2 <= n <= 5 onto its canonically labeled
+    representative."""
+    for n in range(2, 6):
+        for v in vines_by_n[n]:
+            view = v._view
+            _, positions = gen._least_labeling(n, view.masks, view.covers)
+            relabeling = {x: string.ascii_lowercase[p] for (x,), p in zip(view.nodes[:n], positions)}
+            assert vn.relabel_vine(v, relabeling) == gen.vine_from_form(gen.canonical_form(v))
+
+
 def test_mask_doubling_matches_lattice_doubling():
     from vinery import lattice as lt
     labels = "abcde"
@@ -612,8 +649,9 @@ def test_doubling_aut_tally_check(monkeypatch):
 
 
 def test_canonical_form_large_n_allocates_no_power_table(seed):
-    """The kernel streams the 2^(n-1) chains: at n = 14 its peak allocation
-    stays below one pointer per subset of the ground set."""
+    """The kernel descends the chains one at a time and keeps one prefix of
+    keys per level: at n = 14 its peak allocation stays below one pointer
+    per subset of the ground set."""
     import tracemalloc
     n = 14
     v = gen.random_vine(string.ascii_lowercase[:n], random.Random(seed))
