@@ -36,7 +36,8 @@ the source row's map to it.  It gives the paper's explicit maps:
 
 The tests hold `routes.convert_structure` against the definitions: the
 MAT-PEOs against the MAT-simplicial check of every prefix, and the labels
-against `domain.topmost_contiguous_position`.
+against `domain.topmost_contiguous_position`.  The benchmark harness
+imports this module, so it stays even if its maps move elsewhere.
 """
 
 from __future__ import annotations

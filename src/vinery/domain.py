@@ -165,8 +165,6 @@ def _contiguous_positions(d: PreferenceDomain) -> dict[tuple, int]:
 
 def richness_direct(d: PreferenceDomain) -> int:
     """Largest k such that every row up to k contains every alternative."""
-    if d.n == 0:
-        return 0
     rich = 0
     for k in range(d.n):
         if {w[k] for w in d.prefs} == set(d.alternatives):

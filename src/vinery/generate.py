@@ -148,9 +148,6 @@ def prufer_trees(n: int) -> Iterator[tuple[tuple[int, int], ...]]:
     if n == 1:
         yield ()
         return
-    if n == 2:
-        yield ((0, 1),)
-        return
 
     seq = [0] * (n - 2)
     while True:
@@ -196,8 +193,6 @@ def _ahu(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
     codes rooted at its two centers agree.
     """
     adj = _adjacency(nv, edges)
-    if nv == 1:
-        return ("()",), 1
     degree = [len(a) for a in adj]
     layer = [i for i in range(nv) if degree[i] <= 1]
     remaining = nv
@@ -646,9 +641,8 @@ class IsoClass(NamedTuple):
 
 def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
     """Group labeled vines by canonical form; assert orbit sizes n!/|Aut|.
-    Each vine is checked by `vine._mask_violations` on the masks the kernel
-    reads, whose bits number the labels of its ground set and its nodes as
-    in `validate_vine`; an invalid one raises the first violated axiom."""
+    Each vine is checked by `vine.require_valid`, as by `canonical_form`,
+    and the kernel reads its index view."""
     auts: dict[tuple, int] = {}
     orbits: Counter = Counter()
     n = None
@@ -657,11 +651,8 @@ def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
             n = v.n
         elif v.n != n:
             raise StructureError("enumerate.mixed", "classification requires a uniform ground size")
-        *masks, ground = vn._masks([*v.nodes, v.ground])
-        nodes, covers = _sorted_covers(masks)
-        if records := vn._mask_violations(ground, nodes, covers):
-            raise StructureError(records[0][0], "classification requires valid vines")
-        keys, auts[keys] = _canonical(n, nodes, covers)
+        vn.require_valid(v)
+        keys, auts[keys] = _canonical(n, v._view.masks, v._view.covers)
         orbits[keys] += 1
     for keys, aut in auts.items():
         if orbits[keys] * aut != math.factorial(n):

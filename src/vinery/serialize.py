@@ -37,6 +37,11 @@ def _name(s: frozenset) -> str:
     return "{" + ",".join(sorted(s)) + "}"
 
 
+def _quoted(x: str) -> str:
+    """A DOT ID: x in double quotes, with backslashes and quotes escaped."""
+    return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_json_dict(obj) -> dict:
     kind = kind_of(obj)
     if kind == "matgraph":
@@ -66,6 +71,17 @@ def _strings(value, field: str) -> list:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise StructureError("parse.payload", f"{field} must be an array of strings")
     return value
+
+
+def _ground(value, field: str) -> list:
+    """A ground array, which holds every label: `_strings` that UTF-8 can write."""
+    labels = _strings(value, field)
+    for x in labels:
+        try:
+            x.encode()
+        except UnicodeEncodeError:
+            raise StructureError("parse.payload", f"{field} holds {x!r}, which UTF-8 cannot encode", witness=x) from None
+    return labels
 
 
 def _string_lists(value, field: str) -> list:
@@ -101,23 +117,23 @@ def from_json_dict(doc: dict):
     kind = doc["kind"]
     try:
         if kind == "matgraph":
-            vertices = _strings(doc["vertices"], "vertices")
+            vertices = _ground(doc["vertices"], "vertices")
             out = mg.mat_graph(vertices, [(e["u"], e["v"], e["label"]) for e in doc["edges"]])
             _distinct(vertices, len(out.vertices), "vertices")
             return out
         if kind == "vine":
-            ground, nodes = _strings(doc["ground"], "ground"), _string_lists(doc["nodes"], "nodes")
+            ground, nodes = _ground(doc["ground"], "ground"), _string_lists(doc["nodes"], "nodes")
             out = vn.vine(ground, nodes)
             _distinct(ground, len(out.ground), "ground")
             _family(nodes, out.nodes, "nodes")
             return out
         if kind == "domain":
-            alternatives = _strings(doc["alternatives"], "alternatives")
+            alternatives = _ground(doc["alternatives"], "alternatives")
             out = dm.domain(alternatives, _string_lists(doc["preferences"], "preferences"))
             _distinct(alternatives, len(out.alternatives), "alternatives")
             return out
         if kind == "lattice":
-            ground, nodes = _strings(doc["ground"], "ground"), _string_lists(doc["nodes"], "nodes")
+            ground, nodes = _ground(doc["ground"], "ground"), _string_lists(doc["nodes"], "nodes")
             out = lt.lattice(nodes)
             if set(ground) != out.ground:
                 raise StructureError("lattice.ground", f"ground {sorted(set(ground))} is not the union "
@@ -126,14 +142,13 @@ def from_json_dict(doc: dict):
             _family(nodes, out.elements, "nodes")
             return out
         if kind == "matrix":
-            rows = tuple(_strings(doc["rows"], "rows"))
+            rows = tuple(_ground(doc["rows"], "rows"))
             columns = _strings(doc["columns"], "columns")
             for col in columns:
                 if len(col) != len(rows) or not set(col) <= {"0", "1"}:
                     raise StructureError("parse.matrix", f"bad column {col!r}")
             cols = frozenset(tuple(int(c) for c in col) for col in columns)
-            if len(cols) != len(columns):
-                raise StructureError("parse.matrix", "duplicate columns")
+            _distinct(columns, len(cols), "columns")
             return lt.BinaryMatrix(rows, cols)
     except (KeyError, TypeError) as exc:
         raise StructureError("parse.payload", f"malformed {kind} payload: {exc}") from exc
@@ -143,8 +158,10 @@ def from_json_dict(doc: dict):
 def loads(text: str):
     try:
         doc = json.loads(text)
-    except RecursionError:
-        raise json.JSONDecodeError("arrays or objects nested too deeply", text, 0) from None
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:  # nesting too deep, or an integer past the digit limit
+        raise json.JSONDecodeError(str(exc), text, 0) from None
     return from_json_dict(doc)
 
 
@@ -175,18 +192,13 @@ def to_text(obj) -> str:
 def to_dot(obj) -> str:
     kind = kind_of(obj)
     if kind == "matgraph":
-        lines = ["graph matgraph {"]
-        for v in sorted(obj.vertices):
-            lines.append(f'  "{v}";')
-        for (u, v) in obj.edges():
-            lines.append(f'  "{u}" -- "{v}" [label={obj.labels[(u, v)]}];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if kind in ("vine", "lattice"):
-        names = [_name(s) for s in obj._view.nodes]
-        lines = [f"digraph {kind} {{", "  rankdir=BT;"] + [f'  "{x}";' for x in names]
+        lines = ["graph matgraph {"] + [f"  {_quoted(v)};" for v in sorted(obj.vertices)]
+        lines += [f"  {_quoted(u)} -- {_quoted(v)} [label={obj.labels[(u, v)]}];" for (u, v) in obj.edges()]
+    elif kind in ("vine", "lattice"):
+        names = [_quoted(_name(s)) for s in obj._view.nodes]
+        lines = [f"digraph {kind} {{", "  rankdir=BT;"] + [f"  {x};" for x in names]
         for x, cov in zip(names, obj._view.covers):
-            lines.extend(f'  "{names[j]}" -> "{x}";' for j in vn._bits(cov))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    raise StructureError("format.dot", f"no DOT form for kind {kind!r}")
+            lines.extend(f"  {names[j]} -> {x};" for j in vn._bits(cov))
+    else:
+        raise StructureError("format.dot", f"no DOT form for kind {kind!r}")
+    return "\n".join(lines) + "\n}\n"

@@ -51,7 +51,7 @@ and below-set in the package (vines, lattices, DOT, canonical forms) reads it;
 the split reads no covers, since the top covers the two rank-(n-1) nodes.
 The three checks run in one place too, `_mask_violations`, which
 `validate_vine` formats and `generate` runs on the masks of each doubling
-it builds and of each vine it classifies.
+it builds; the vines it classifies go through `require_valid`.
 
 Each vine and each lattice computes its covers once: `_index_view` of its
 ground set and its family, cached on first use as `RegularVine._view` and
@@ -124,12 +124,6 @@ def vine(ground: Iterable[str], nodes: Iterable[Iterable[str]]) -> RegularVine:
         if not s:
             raise StructureError("vine.subsets", "empty node is not allowed", witness=[])
     return RegularVine(g, ns)
-
-
-def _masks(family: Collection[frozenset]) -> list[int]:
-    """One bitmask per member of a set family, bit i for the i-th smallest label."""
-    bit = {x: 1 << i for i, x in enumerate(sorted({x for s in family for x in s}))}
-    return [sum(map(bit.__getitem__, s)) for s in family]
 
 
 def _bits(x: int) -> Iterator[int]:

@@ -413,9 +413,9 @@ def doubled_classes_by_all_chains(n: int) -> list[gen.IsoClass]:
     auts: dict[tuple, int] = {}
     for cls in doubled_classes_by_all_chains(n - 1):
         rep = cls.representative
-        masks = vn._masks(rep.nodes)
-        for chain in vn._maximal_chains(rep):  # a chain holds every label
-            doubled = gen._sorted_covers(gen._doubled_masks(n - 1, masks, vn._masks(chain)))
+        view = rep._view
+        for chain in vn._chains(view.masks, view.covers):  # a chain holds every label
+            doubled = gen._sorted_covers(gen._doubled_masks(n - 1, view.masks, chain))
             keys, aut = gen._canonical(n, *doubled)
             auts[keys] = aut
     classes = []

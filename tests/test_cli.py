@@ -15,6 +15,7 @@ from vinery import generate as gen
 from vinery import lattice as lt
 from vinery import routes
 from vinery import serialize as io
+from vinery import species as sp
 from vinery import vine as vn
 
 
@@ -67,6 +68,16 @@ def test_verify_non_maximal_domain(write, capsys):
         {"kind": "domain", "alternatives": ["a", "b"], "preferences": [["a", "b"]]}))
     assert cli.main(["verify", path]) == 1
     assert "domain.maximal-size" in capsys.readouterr().out
+
+
+def test_verify_strict_reports_the_first_failed_round_trip(write, intro_vine, monkeypatch, capsys):
+    """A graph route that relabels the vine still yields valid structures,
+    so only the round-trip comparison catches it."""
+    to_vine = sp.GRAPH.to_vine
+    monkeypatch.setattr(sp.GRAPH, "to_vine", lambda g: vn.relabel_vine(to_vine(g), dict(zip("abcd", "wxyz"))))
+    path = write("v.json", intro_vine)
+    assert cli.main(["verify", path, "--strict"]) == 1
+    assert capsys.readouterr().out == "INVALID roundtrip.matgraph: conversion does not round-trip\n"
 
 
 def test_verify_kind_mismatch(write, intro_vine, capsys):
@@ -139,7 +150,8 @@ def test_lattice_ground_must_be_the_union_of_the_nodes(write, doc, err, capsys):
      "alternatives lists 'a' twice"),
     ({"kind": "matgraph", "vertices": ["a", "b", "b"], "edges": [{"u": "a", "v": "b", "label": 1}]},
      "vertices lists 'b' twice"),
-], ids=["vine-nodes", "vine-ground", "lattice-nodes", "lattice-node", "domain", "matgraph"])
+    ({"kind": "matrix", "rows": ["a", "b"], "columns": ["00", "10", "01", "10", "11"]}, "columns lists '10' twice"),
+], ids=["vine-nodes", "vine-ground", "lattice-nodes", "lattice-node", "domain", "matgraph", "matrix"])
 def test_a_repeated_entry_of_a_set_is_refused(write, doc, err, capsys):
     """An array that names a set, or a node, may not repeat an entry: the
     set would merge it, and the file would verify with more entries than
@@ -147,6 +159,25 @@ def test_a_repeated_entry_of_a_set_is_refused(write, doc, err, capsys):
     path = write("dup.json", json.dumps(doc))
     assert cli.main(["verify", path]) == 1
     assert capsys.readouterr() == ("", f"error: parse.duplicate: {err}\n")
+
+
+S = "\ud800"  # a lone surrogate: legal JSON, but UTF-8 cannot encode it
+
+
+@pytest.mark.parametrize("field, doc", [
+    ("ground", {"kind": "vine", "ground": [S, "c"], "nodes": [[S], ["c"], [S, "c"]]}),
+    ("vertices", {"kind": "matgraph", "vertices": [S, "c"], "edges": [{"u": S, "v": "c", "label": 1}]}),
+    ("alternatives", {"kind": "domain", "alternatives": [S, "c"], "preferences": [[S, "c"], ["c", S]]}),
+    ("ground", {"kind": "lattice", "ground": [S, "c"], "nodes": [[], [S], ["c"], [S, "c"]]}),
+    ("rows", {"kind": "matrix", "rows": ["c", S], "columns": ["00", "10", "01", "11"]}),
+], ids=["vine", "matgraph", "domain", "lattice", "matrix"])
+def test_a_label_utf8_cannot_encode_is_refused(write, field, doc, capsys):
+    """Every output writes the labels, so VALID would promise conversions
+    that cannot be written; the ground array holds every label."""
+    path = write("s.json", json.dumps(doc))
+    for argv in (["verify", path], ["convert", path, "--to", "domain", "--format", "text"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: parse.payload: {field} holds '\\ud800', which UTF-8 cannot encode\n")
 
 
 # ---------------------------------------------------------------- convert
@@ -462,6 +493,14 @@ def test_undecodable_json_is_parse_failure(tmp_path, capsys, content, command):
     assert cli.main([command[0], str(path), *command[1:]]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_an_integer_past_the_digit_limit_is_a_parse_failure(write, capsys):
+    path = write("g.json", '{"kind": "matgraph", "vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "label": 1%s}]}'
+                 % ("0" * 5000))
+    assert cli.main(["verify", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bad_envelope_is_domain_failure(write, capsys):

@@ -35,6 +35,13 @@ def test_fig_triple_maps(fig_graph, fig_vine, fig_domain):
     assert co.domain_to_vine(fig_domain) == fig_vine
 
 
+def test_convert_structure_refuses_an_unknown_route_or_kind(intro_vine):
+    for args, axiom in (((intro_vine, "domain", "teleport"), "convert.via"), ((intro_vine, "frobnicate"), "convert.kind")):
+        with pytest.raises(StructureError) as exc:
+            routes.convert_structure(*args)
+        assert exc.value.axiom == axiom
+
+
 def test_tiny_cases():
     assert co.vine_to_domain(vn.vine("", [])) == dm.domain("", [()])
     assert co.vine_to_domain(vn.vine("a", ["a"])) == dm.domain("a", [("a",)])

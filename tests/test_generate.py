@@ -390,9 +390,10 @@ def test_classify_rejects_mixed_sizes(vines_by_n):
 
 
 def test_canonical_forms_and_classify_refuse_an_invalid_vine(vines_by_n):
-    """Each raises the first axiom of the vine's report, for a vine with no
-    rank-2 nodes, one whose node abd covers only ab, and one whose nodes
-    form a vine on labels other than its ground set's."""
+    """Each raises the first violation of the vine's report, axiom and
+    message, for a vine with no rank-2 nodes, one whose node abd covers
+    only ab, and one whose nodes form a vine on labels other than its
+    ground set's."""
     bad = {"vine.grading": vn.vine("abc", ["a", "b", "c", "abc"]),
            "vine.two-covers": vn.vine("abcd", ["a", "b", "c", "d", "ab", "bc", "cd", "abc", "abd", "abcd"]),
            "vine.atoms": vn.RegularVine(frozenset("ab"), frozenset(map(frozenset, ["a", "c", "ac"])))}
@@ -402,6 +403,7 @@ def test_canonical_forms_and_classify_refuse_an_invalid_vine(vines_by_n):
             with pytest.raises(StructureError) as exc:
                 f(v)
             assert exc.value.axiom == axiom, f
+            assert str(exc.value) == f"{axiom}: {vn.validate_vine(v)[0].message}", f
 
 
 def test_class_representatives_small():
@@ -466,12 +468,15 @@ def test_least_labeling_relabels_onto_the_canonical_form(vines_by_n):
 def test_mask_doubling_matches_lattice_doubling():
     from vinery import lattice as lt
     labels = "abcde"
+
+    def mask(s):
+        return sum(1 << labels.index(x) for x in s)
+
     for rep in gen.class_representatives(5):
         L = lt.vine_to_lattice(rep)
-        masks = vn._masks(rep.nodes)
+        masks = list(map(mask, rep.nodes))
         for chain in lt.maximal_chains_of_lattice(L):
-            as_masks = [sum(1 << labels.index(x) for x in s) for s in chain[1:]]
-            keys, _ = gen._canonical(6, *gen._sorted_covers(gen._doubled_masks(5, masks, as_masks)))
+            keys, _ = gen._canonical(6, *gen._sorted_covers(gen._doubled_masks(5, masks, list(map(mask, chain[1:])))))
             assert gen._form(6, keys) == gen.canonical_form(lt.lattice_to_vine(lt.doubling(L, chain)))
 
 

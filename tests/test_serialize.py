@@ -9,7 +9,9 @@ import pytest
 from vinery import domain as dm
 from vinery import generate as gen
 from vinery import lattice as lt
+from vinery import matgraph as mg
 from vinery import serialize as io
+from vinery import vine as vn
 from vinery.errors import StructureError
 
 from oracles import to_dot_by_scan
@@ -36,7 +38,6 @@ def test_json_round_trip_all_kinds(intro_graph, intro_vine, intro_domain):
 
 
 def test_dumps_is_canonical(intro_vine):
-    from vinery import vine as vn
     shuffled = vn.vine("dcba", reversed([sorted(s) for s in intro_vine.sorted_nodes()]))
     assert io.dumps(shuffled) == io.dumps(intro_vine)
 
@@ -68,11 +69,19 @@ def test_load_file(tmp_path, intro_domain):
     ({"kind": "domain", "alternatives": ["a", "b"], "preferences": ["ab", "ba"]}, "parse.payload"),
     ({"kind": "matrix", "rows": "ab", "columns": ["11"]}, "parse.payload"),
     ({"kind": "matrix", "rows": ["a"], "columns": ["x"]}, "parse.matrix"),
+    ({"kind": "vine", "ground": ["a"], "nodes": "a"}, "parse.payload"),
+    ({"kind": "domain", "alternatives": ["a"], "preferences": {"a": 1}}, "parse.payload"),
 ])
 def test_parse_errors(doc, axiom):
     with pytest.raises(StructureError) as exc:
         io.from_json_dict(doc)
     assert exc.value.axiom == axiom
+
+
+def test_a_repeated_column_is_refused_with_its_witness():
+    with pytest.raises(StructureError) as exc:
+        io.from_json_dict({"kind": "matrix", "rows": ["a", "b"], "columns": ["00", "10", "01", "10", "11"]})
+    assert (exc.value.axiom, exc.value.witness) == ("parse.duplicate", "10")
 
 
 def test_to_text(intro_graph, intro_vine, intro_domain):
@@ -103,6 +112,19 @@ def test_to_dot(intro_graph, intro_vine, intro_domain):
     with pytest.raises(StructureError) as exc:
         io.to_dot(intro_domain)
     assert exc.value.axiom == "format.dot"
+
+
+def test_to_dot_escapes_quotes_and_backslashes():
+    """A label holding a quote or ending in a backslash stays inside its
+    DOT ID, for a vine's node names and for a graph's vertices."""
+    v = vn.vine(['a"b', "c\\"], [['a"b'], ["c\\"], ['a"b', "c\\"]])
+    assert io.to_dot(v).splitlines() == [
+        "digraph vine {", "  rankdir=BT;",
+        r'  "{a\"b}";', r'  "{c\\}";', r'  "{a\"b,c\\}";',
+        r'  "{a\"b}" -> "{a\"b,c\\}";', r'  "{c\\}" -> "{a\"b,c\\}";', "}"]
+    g = mg.mat_graph(['a"b', "c\\"], [('a"b', "c\\", 1)])
+    assert io.to_dot(g).splitlines() == [
+        "graph matgraph {", r'  "a\"b";', r'  "c\\";', r'  "a\"b" -- "c\\" [label=1];', "}"]
 
 
 def test_to_dot_matches_cover_scan(seed):

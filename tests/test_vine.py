@@ -165,7 +165,8 @@ def _assert_covers_match_oracle(v):
     """_mask_covers over sorted_nodes: each below-set is every node strictly
     under the node, each cover list the covered_by list."""
     nodes = v.sorted_nodes()
-    below, covers = vn._mask_covers(vn._masks(nodes))
+    assert v._view.nodes == nodes
+    below, covers = vn._mask_covers(v._view.masks)
     for s, under, cov in zip(nodes, below, covers):
         assert [nodes[j] for j in vn._bits(under)] == [t for t in nodes if t < s]
         assert sorted((nodes[j] for j in vn._bits(cov)), key=sorted) == covered_by(v, s)
