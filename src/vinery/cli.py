@@ -152,29 +152,28 @@ def cmd_count(args) -> int:
 
 def cmd_catalog(args) -> int:
     n = args.n
-    if not 1 <= n <= 7:
-        print("catalog supports 1 <= n <= 7", file=sys.stderr)
+    if not 1 <= n <= gen.CATALOG_CAP:
+        print(f"catalog supports 1 <= n <= {gen.CATALOG_CAP}", file=sys.stderr)
         return 1
     os.makedirs(args.out, exist_ok=True)
-    entries = gen.catalog_entries(n)
+    entries = gen.catalog_entries(n)  # the class table and its checks, before any file is opened
     jsonl_path = os.path.join(args.out, f"catalog_n{n}.jsonl")
     text_path = os.path.join(args.out, f"catalog_n{n}.txt")
-    with open(jsonl_path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
-    with open(text_path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(f"== class {entry['index']} (n={n}, |Aut|={entry['aut_order']}, "
-                     f"orbit {entry['orbit_size']}) ==\n")
-            fh.write("vine:   " + " ".join("{" + ",".join(s) + "}" for s in entry["vine_nodes"]) + "\n")
-            fh.write("graph:  " + " ".join(f"{e['u']}{e['v']}:{e['label']}" for e in entry["graph_edges"]) + "\n")
-            fh.write("domain:\n")
+    count = 0
+    with open(jsonl_path, "w", encoding="utf-8") as jsonl, open(text_path, "w", encoding="utf-8") as text:
+        for count, entry in enumerate(entries, 1):
+            jsonl.write(json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n")
+            text.write(f"== class {entry['index']} (n={n}, |Aut|={entry['aut_order']}, "
+                       f"orbit {entry['orbit_size']}) ==\n")
+            text.write("vine:   " + " ".join("{" + ",".join(s) + "}" for s in entry["vine_nodes"]) + "\n")
+            text.write("graph:  " + " ".join(f"{e['u']}{e['v']}:{e['label']}" for e in entry["graph_edges"]) + "\n")
+            text.write("domain:\n")
             for r in range(n):
-                fh.write("  " + " ".join(w[r] for w in entry["preferences"]) + "\n")
-            fh.write("matrix columns: " + " ".join(entry["matrix_columns"]) + "\n")
-            fh.write(f"richness {entry['richness']}  first-rank {entry['first_rank']}  "
-                     f"D-vine {entry['is_d_vine']}  C-vine {entry['is_c_vine']}\n\n")
-    print(f"wrote {len(entries)} entries to {jsonl_path} and {text_path}")
+                text.write("  " + " ".join(w[r] for w in entry["preferences"]) + "\n")
+            text.write("matrix columns: " + " ".join(entry["matrix_columns"]) + "\n")
+            text.write(f"richness {entry['richness']}  first-rank {entry['first_rank']}  "
+                       f"D-vine {entry['is_d_vine']}  C-vine {entry['is_c_vine']}\n\n")
+    print(f"wrote {count} entries to {jsonl_path} and {text_path}")
     return 0
 
 

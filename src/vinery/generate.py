@@ -105,6 +105,8 @@ from . import vine as vn
 from .errors import InternalInconsistencyError, StructureError, _UnionFind, checked
 
 GENERATION_CAP = 7
+# Largest n that `catalog` accepts.
+CATALOG_CAP = 7
 # Largest n that `count --mode generate` accepts: the counting DP takes about
 # 1 s at n = 10 and grows ten- to fifteenfold per step.
 COUNT_CAP = 10
@@ -598,11 +600,19 @@ def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tupl
     return tuple([full[s] ^ even for s in range(2, n + 1)] + best[:-1]), hits, chain
 
 
+@functools.lru_cache(maxsize=1 << 12)
+def _positions(n: int, digits: int) -> tuple[int, ...]:
+    """A node's sorted positions from its in-node digits `raw & raw >> 1 &
+    _even(n)`, raw = key ^ _even(n), bit 2 (n - 1 - p) for position p; the
+    class tables decode the same node sets over and over."""
+    return tuple(p for p in range(n) if digits >> 2 * (n - 1 - p) & 1)
+
+
 def _form(n: int, keys: Iterable[int]) -> tuple:
     """The encoding `tuple(sorted(tuple(sorted(positions)) ...))` of the
     kernel's keys, with the atoms' one-element tuples merged back in."""
     even = _even(n)
-    nodes = [tuple(p for p in range(n) if (k ^ even) >> 2 * (n - 1 - p) & 3 == 3) for k in keys]
+    nodes = [_positions(n, raw & raw >> 1 & even) for raw in map(even.__xor__, keys)]
     return tuple(sorted(nodes + [(p,) for p in range(n)]))
 
 
@@ -658,17 +668,15 @@ def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
         if orbits[keys] * aut != math.factorial(n):
             raise InternalInconsistencyError(
                 f"orbit size {orbits[keys]} with |Aut|={aut} violates n!={math.factorial(n)}")
-    return _iso_classes(n, auts)
+    return list(_iso_classes(n, auts))
 
 
-def _iso_classes(n: int, auts: dict[tuple, int]) -> list[IsoClass]:
+def _iso_classes(n: int, auts: dict[tuple, int]) -> Iterator[IsoClass]:
     """The classes on n labels given as {keys: |Aut|}, in canonical-form
-    order, each with its orbit n!/|Aut|."""
-    classes = []
+    order, each with its orbit n!/|Aut|, decoded as it is drawn."""
     for keys in sorted(auts):  # key order is form order
         form = _form(n, keys)
-        classes.append(IsoClass(form, vine_from_form(form), math.factorial(n) // auts[keys], auts[keys]))
-    return classes
+        yield IsoClass(form, vine_from_form(form), math.factorial(n) // auts[keys], auts[keys])
 
 
 def _doubled_masks(n: int, masks: list[int], chain: Sequence[int]) -> list[int]:
@@ -787,8 +795,9 @@ def _augmented_classes(n: int) -> dict[tuple, int]:
     return auts
 
 
-def _doubled_classes(n: int) -> list[IsoClass]:
-    """Every isomorphism class on n labels, in canonical-form order.
+def _doubled_classes(n: int) -> Iterator[IsoClass]:
+    """Every isomorphism class on n labels, in canonical-form order, each
+    decoded as it is drawn once the class table is built and checked.
 
     Every extremal lattice arises as a doubling, so doubling each
     (n - 1)-class representative along each maximal chain of its lattice
@@ -832,30 +841,31 @@ def class_representatives(n: int) -> list[vn.RegularVine]:
 
 # ---------------------------------------------------------------- catalog
 
-def catalog_entries(n: int) -> list[dict]:
-    """One catalog entry per isomorphism class, in canonical-form order; the
-    classes, orbits and |Aut| come from the doubling route of
-    `class_representatives`, and the four renderings are the payloads of
+def catalog_entries(n: int) -> Iterator[dict]:
+    """One catalog entry per isomorphism class, in canonical-form order, each
+    rendered as it is drawn from `_doubled_classes`, whose class table is
+    built and checked at the call.  The four renderings are the payloads of
     the `serialize` JSON envelopes of the representative's images under the
-    species rows' maps from the vine.  The lattice is the vine plus the
+    species rows' maps from the vine; the lattice is the vine plus the
     empty bottom."""
+    return (_catalog_entry(n, idx, cls) for idx, cls in enumerate(_doubled_classes(n)))
+
+
+def _catalog_entry(n: int, idx: int, cls: IsoClass) -> dict:
     from . import serialize as io
     from . import species as sp
-    entries = []
-    for idx, cls in enumerate(_doubled_classes(n)):
-        v = cls.representative  # `_doubled_classes` checked v
-        vine, graph, domain, matrix = (io.to_json_dict(sp.SPECIES[k].from_vine(v))
-                                       for k in ("vine", "matgraph", "domain", "matrix"))
-        entries.append({
-            "index": idx,
-            "n": n,
-            "vine_nodes": vine["nodes"],
-            "graph_edges": graph["edges"],
-            "preferences": domain["preferences"],
-            "lattice_size": len(v.nodes) + 1,
-            "matrix_columns": matrix["columns"],
-            "aut_order": cls.aut_order,
-            "orbit_size": cls.orbit_size,
-            **vn._analytics(v),
-        })
-    return entries
+    v = cls.representative  # `_doubled_classes` checked v
+    vine, graph, domain, matrix = (io.to_json_dict(sp.SPECIES[k].from_vine(v))
+                                   for k in ("vine", "matgraph", "domain", "matrix"))
+    return {
+        "index": idx,
+        "n": n,
+        "vine_nodes": vine["nodes"],
+        "graph_edges": graph["edges"],
+        "preferences": domain["preferences"],
+        "lattice_size": len(v.nodes) + 1,
+        "matrix_columns": matrix["columns"],
+        "aut_order": cls.aut_order,
+        "orbit_size": cls.orbit_size,
+        **vn._analytics(v),
+    }

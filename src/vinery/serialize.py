@@ -74,13 +74,17 @@ def _strings(value, field: str) -> list:
 
 
 def _ground(value, field: str) -> list:
-    """A ground array, which holds every label: `_strings` that UTF-8 can write."""
+    """A ground array, which holds every label: `_strings` that UTF-8 can
+    write and that hold no line boundary, which would split a line of the
+    text formats (`\\n`, `\\r`, U+2028: whatever `str.splitlines` splits at)."""
     labels = _strings(value, field)
     for x in labels:
         try:
             x.encode()
         except UnicodeEncodeError:
             raise StructureError("parse.payload", f"{field} holds {x!r}, which UTF-8 cannot encode", witness=x) from None
+        if "".join(x.splitlines()) != x:
+            raise StructureError("parse.payload", f"{field} holds {x!r}, which holds a line break", witness=x)
     return labels
 
 

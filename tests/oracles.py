@@ -3,9 +3,10 @@
 Each oracle computes from the definition what a kernel computes from index
 tables or bitmasks: the n!-relabeling scans behind the canonical form and
 |Aut|, and the walk over all 2^(n-1) maximal chains behind the pruned
-descent of `generate._scan`; the quadratic `covered_by` and
-`covered_elements` scans behind `vine._mask_covers`, and the DOT rendering
-built on them; the pairwise join/meet tests behind the lattice order checks
+descent of `generate._scan`, and the digit-by-digit decoder of its keys
+behind the memoized positions of `generate._form`; the quadratic
+`covered_by` and `covered_elements` scans behind `vine._mask_covers`, and
+the DOT rendering built on them; the pairwise join/meet tests behind the lattice order checks
 and the direct B(3) search;
 the per-pair domain scan behind the one-pass topmost contiguous positions;
 and the no-extension scan behind the size criterion of maximal ASPDs; and
@@ -114,6 +115,15 @@ def canonical_keys_by_all_chains(n: int, nodes: list[int], covers: list[int]) ->
         elif keys == best:
             hits += 1
     return tuple(best), hits, first
+
+
+def form_by_digits(n: int, keys: Iterable[int]) -> tuple:
+    """The oracle for `generate._form`: every key decoded position by
+    position, a position in the node where its digit is 11 before the XOR
+    with `_even(n)`, and the atoms merged back in."""
+    even = gen._even(n)
+    nodes = [tuple(p for p in range(n) if (k ^ even) >> 2 * (n - 1 - p) & 3 == 3) for k in keys]
+    return tuple(sorted(nodes + [(p,) for p in range(n)]))
 
 
 def covered_by(v: vn.RegularVine, s: frozenset) -> list[frozenset]:
@@ -420,7 +430,7 @@ def doubled_classes_by_all_chains(n: int) -> list[gen.IsoClass]:
             auts[keys] = aut
     classes = []
     for keys in sorted(auts):
-        form = gen._form(n, keys)
+        form = form_by_digits(n, keys)
         classes.append(gen.IsoClass(form, gen.vine_from_form(form), math.factorial(n) // auts[keys], auts[keys]))
     return classes
 

@@ -180,6 +180,17 @@ def test_a_label_utf8_cannot_encode_is_refused(write, field, doc, capsys):
         assert capsys.readouterr() == ("", f"error: parse.payload: {field} holds '\\ud800', which UTF-8 cannot encode\n")
 
 
+@pytest.mark.parametrize("label", ["a\nb", "a\u2028b", "a\n", "a\r\nb"], ids=["newline", "U+2028", "trailing", "CRLF"])
+def test_a_label_holding_a_line_break_is_refused(write, label, capsys):
+    """The text formats write one row, node or edge per line, so a label
+    that `str.splitlines` would split is refused as every output would be."""
+    doc = {"kind": "vine", "ground": [label, "c"], "nodes": [[label], ["c"], [label, "c"]]}
+    path = write("s.json", json.dumps(doc))
+    for argv in (["verify", path], ["convert", path, "--to", "domain", "--format", "text"]):
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: parse.payload: ground holds {label!r}, which holds a line break\n")
+
+
 # ---------------------------------------------------------------- convert
 
 def test_convert_direct_equals_transport(write, intro_graph, intro_domain, capsys):
@@ -460,6 +471,22 @@ def test_catalog_bytes_are_pinned(tmp_path, capsys):
 def test_catalog_range(capsys, tmp_path):
     assert cli.main(["catalog", "--n", "8", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err == "catalog supports 1 <= n <= 7\n"
+
+
+def test_catalog_reads_its_cap(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(gen, "CATALOG_CAP", 3)
+    assert cli.main(["catalog", "--n", "4", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "catalog supports 1 <= n <= 3\n"
+
+
+def test_a_failed_class_check_leaves_no_catalog_file(monkeypatch, capsys, tmp_path):
+    """`catalog_entries` builds and checks the class table when called, so
+    a failed check stops the catalog before its files are opened."""
+    formula = gen.unlabeled_count_formula
+    monkeypatch.setattr(gen, "unlabeled_count_formula", lambda n: formula(n) + (n == 5))
+    assert cli.main(["catalog", "--n", "5", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: internal: 6 doubled classes")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_catalog_at_its_cap(tmp_path, capsys, reps7):

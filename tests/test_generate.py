@@ -17,7 +17,7 @@ from vinery.errors import InternalInconsistencyError, StructureError
 from conftest import c_vine, d_vine, sample_vines
 from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce, canonical_keys_by_all_chains,
                      completions_by_spanning_trees, decode_prufer_by_scan, doubled_classes_by_all_chains,
-                     generate_vines_by_scan, line_graph, next_trees_by_spanning_trees, spanning_trees,
+                     form_by_digits, generate_vines_by_scan, line_graph, next_trees_by_spanning_trees, spanning_trees,
                      unlabeled_trees, vine_mask_stream_by_recursion)
 
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
@@ -480,13 +480,23 @@ def test_mask_doubling_matches_lattice_doubling():
             assert gen._form(6, keys) == gen.canonical_form(lt.lattice_to_vine(lt.doubling(L, chain)))
 
 
+def test_form_decodes_every_class_as_the_digit_scan():
+    """The memoized positions of `_form` against the digit-by-digit decoder
+    on the kernel keys of every class for n <= 7."""
+    for n in range(8):
+        auts = gen._augmented_classes(n) if n >= 4 else gen._class_table(n)[0]
+        assert len(auts) == gen.unlabeled_count_formula(n)
+        for keys in auts:
+            assert gen._form(n, keys) == form_by_digits(n, keys)
+
+
 def test_doubling_route_matches_enumeration(classification):
     """The production class table (doubling) against the oracle (full
     enumeration plus classification): same forms in the same order, same
     representatives, |Aut| and orbits."""
     for n in range(1, 7):
         enumerated = classification.by_n[n]
-        assert gen._doubled_classes(n) == enumerated
+        assert list(gen._doubled_classes(n)) == enumerated
         assert gen.class_representatives(n) == [c.representative for c in enumerated]
 
 
@@ -495,7 +505,7 @@ def test_augmentation_matches_doubling_along_every_chain(reps7):
     class along every chain: same classes for n <= 6, same representatives
     at n = 7."""
     for n in range(1, 7):
-        assert gen._doubled_classes(n) == doubled_classes_by_all_chains(n)
+        assert list(gen._doubled_classes(n)) == doubled_classes_by_all_chains(n)
     assert [c.representative for c in doubled_classes_by_all_chains(7)] == reps7
 
 
@@ -518,10 +528,10 @@ def test_augmentation_runs_the_kernel_once_per_class(monkeypatch, n):
 def test_augmentation_falls_back_to_building_a_chain_missing_from_the_table(monkeypatch):
     """With the table below emptied, every top-level chain is doubled,
     checked and deduplicated by canonical form: the same classes."""
-    expected = gen._doubled_classes(6)
+    expected = list(gen._doubled_classes(6))
     class_table = gen._class_table
     monkeypatch.setattr(gen, "_class_table", lambda n: (class_table(n)[0], {}))
-    assert gen._doubled_classes(6) == expected
+    assert list(gen._doubled_classes(6)) == expected
 
 
 def test_class_table_takes_sigma_from_the_descent_not_the_kernel(monkeypatch):
@@ -671,6 +681,20 @@ def test_canonical_form_large_n_allocates_no_power_table(seed):
 
 # ---------------------------------------------------------------- catalog
 
+def test_catalog_entries_render_each_class_as_it_is_drawn(monkeypatch):
+    """No representative is built before the first entry is drawn, and
+    one is built per entry drawn."""
+    built = []
+    from_form = gen.vine_from_form
+    monkeypatch.setattr(gen, "vine_from_form", lambda form: built.append(form) or from_form(form))
+    entries = gen.catalog_entries(5)
+    assert built == []
+    assert next(entries)["index"] == 0
+    assert len(built) == 1
+    assert [e["index"] for e in entries] == [1, 2, 3, 4, 5]
+    assert len(built) == 6
+
+
 def test_catalog_entries_n3():
     (entry,) = gen.catalog_entries(3)
     assert entry["index"] == 0
@@ -684,6 +708,6 @@ def test_catalog_entries_n3():
 
 
 def test_catalog_entries_n4_count_and_order():
-    entries = gen.catalog_entries(4)
+    entries = list(gen.catalog_entries(4))
     assert [e["index"] for e in entries] == [0, 1]
     assert all(len(e["preferences"]) == 8 for e in entries)

@@ -234,7 +234,7 @@ def test_verify_strict_maps_its_input_to_the_vine_once(five_files, monkeypatch, 
 def test_catalog_validates_no_representative(traffic):
     """`_doubled_classes` checks each doubling on masks, so the catalog runs
     no vine validator on the representatives it reads."""
-    entries = gen.catalog_entries(5)
+    entries = list(gen.catalog_entries(5))
     assert len(entries) == gen.unlabeled_count_formula(5)
     assert [name for name, _ in traffic if name == "validate_vine"] == []
 
