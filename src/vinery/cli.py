@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: verify, convert, analyze, count, catalog, selftest.
-Exit codes: 0 success, 1 domain-level failure, 2 I/O or parse failure.
+Exit codes: 0 success; 1 a structural failure or an internal
+inconsistency, every parser refusal that names an axiom (`parse.payload`,
+`parse.duplicate`, ...) included; 2 malformed JSON, undecodable bytes, an
+`OSError` or a usage error that argparse reports.
 All output is canonically ordered, so runs are byte-identical.
 """
 

@@ -70,7 +70,10 @@ whose co-atoms lie in different classes fixes the fresh label, so it is
 an automorphism taking one chain to the other, and the top level doubles
 one chain per orbit (`_doubled_classes` spells this out), paired by the σ
 of `lattice._automorphism`.  The orbits n!/|Aut| must add up to the
-labeled count at every level.  Each doubling built is checked by
+labeled count at every level.  A doubling's covers are not rescanned:
+`_doubled_covers` reads them off its representative's sorted masks and
+covers, which are computed once per class, and rescans only along a chain
+that is not saturated.  Each doubling built is checked by
 `vine._mask_violations` on the kernel's own sorted masks and covers.
 Classifying the full generator stream (`classify(generate_vines(...))`) is
 the independent route the tests and `selftest` check it against.
@@ -686,15 +689,52 @@ def _doubled_masks(n: int, masks: list[int], chain: Sequence[int]) -> list[int]:
     return masks + [fresh] + [c | fresh for c in chain]
 
 
-def _double(n: int, masks: list[int], chain: Sequence[int]) -> tuple[tuple, int]:
-    """`_canonical` of the vine on n labels doubled from the masks of one
-    on n - 1 labels along one of their maximal chains, once
-    `vine._mask_violations` has checked it on the kernel's own sorted masks
-    and covers."""
-    nodes, covers = _sorted_covers(_doubled_masks(n - 1, masks, chain))
-    if records := vn._mask_violations((1 << n) - 1, nodes, covers):
+def _doubled_covers(n: int, nodes: list[int], covers: list[int], chain: Sequence[int]) -> tuple[list[int], list[int]]:
+    """`_sorted_covers(_doubled_masks(n - 1, nodes, chain))` for the sorted
+    masks and covers of a vine on n - 1 labels, read off them when the chain
+    c_1 < ... < c_{n-1} is saturated: an atom, each member covered by the
+    next, the top.  Any other chain is rescanned.
+
+    The old nodes keep their covers, {f} covers nothing, c_1 | f covers c_1
+    and {f}, and c_i | f covers c_i and c_{i-1} | f.  The fresh bit f is the
+    highest, so the fresh node of each rank sorts last in it: an old node of
+    rank r moves up r - 1 places, and its covers, of rank r - 1, r - 2."""
+    k = len(nodes) - 1
+    at = [k]  # the chain's indices, top first
+    if len(chain) == n - 1 and chain[-1] == nodes[k] and chain[0].bit_count() == 1:
+        for c in chain[-2::-1]:
+            cov = covers[k]
+            k = cov.bit_length() - 1
+            if nodes[k] != c:
+                k = (cov & -cov).bit_length() - 1
+            if not cov or nodes[k] != c:
+                break
+            at.append(k)
+    if len(at) != n - 1:
+        return _sorted_covers(_doubled_masks(n - 1, nodes, chain))
+    at.reverse()
+    fresh = 1 << n - 1
+    masks, out = nodes[:n - 1] + [fresh], covers[:n - 1] + [0]
+    start = n - 1  # the first old node of rank r
+    for r in range(2, n + 1):  # old rank r holds n - r nodes
+        stop, below = start + n - r, len(out) - 1  # the fresh node of rank r - 1 is last in its rank
+        masks += nodes[start:stop]
+        masks.append(chain[r - 2] | fresh)
+        out += [c << r - 2 for c in covers[start:stop]]
+        out.append(1 << at[r - 2] + r - 2 | 1 << below)
+        start = stop
+    return masks, out
+
+
+def _double(n: int, nodes: list[int], covers: list[int], chain: Sequence[int]) -> tuple[tuple, int]:
+    """`_canonical` of the vine on n labels doubled from the sorted masks
+    and covers of one on n - 1 labels along one of their maximal chains,
+    once `vine._mask_violations` has checked it on the kernel's own sorted
+    masks and covers, those `_doubled_covers` derives."""
+    masks, cover_bits = _doubled_covers(n, nodes, covers, chain)
+    if records := vn._mask_violations((1 << n) - 1, masks, cover_bits):
         raise InternalInconsistencyError(f"doubling produced an invalid vine at n={n}: {records[0][0]}")
-    return _canonical(n, nodes, covers)
+    return _canonical(n, masks, cover_bits)
 
 
 def _representative(n: int, keys: tuple) -> tuple[list[int], list[int]]:
@@ -735,7 +775,7 @@ def _class_table(n: int) -> tuple[dict[tuple, int], dict[tuple, tuple]]:
     for rep in _class_table(n - 1)[0]:
         nodes, covers = _representative(n - 1, rep)
         for chain in vn._chains(nodes, covers):
-            keys, auts[keys] = _double(n, nodes, chain)
+            keys, auts[keys] = _double(n, nodes, covers, chain)
             table[rep, chain] = keys
     _check_classes(n, auts)
     return auts, table
@@ -786,7 +826,7 @@ def _augmented_classes(n: int) -> dict[tuple, int]:
             other = parent and table.get((parent[0], tuple(map(parent[1].get, chain[:-1]))))
             if other is not None and other < rep:
                 continue  # kept from the other parent
-            keys, hits = _double(n, nodes, chain)
+            keys, hits = _double(n, nodes, covers, chain)
             if other not in (None, rep) and keys in auts:
                 raise InternalInconsistencyError(
                     f"a doubling kept from its smaller parent repeated a class at n={n}")

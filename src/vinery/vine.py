@@ -47,8 +47,10 @@ outside A.
 
 Which members of a set family lie under or cover which is decided in one
 place, `_mask_covers`, exactly for any family, valid or not; every cover
-and below-set in the package (vines, lattices, DOT, canonical forms) reads it;
-the split reads no covers, since the top covers the two rank-(n-1) nodes.
+and below-set in the package (vines, lattices, DOT, canonical forms) reads it,
+but for the covers of a doubling, which `generate._doubled_covers` derives
+from those of the vine it doubles; the split reads no covers, since the top
+covers the two rank-(n-1) nodes.
 The three checks run in one place too, `_mask_violations`, which
 `validate_vine` formats and `generate` runs on the masks of each doubling
 it builds; the vines it classifies go through `require_valid`.
@@ -176,8 +178,11 @@ def _cover_table(v: RegularVine) -> dict[frozenset, list[frozenset]]:
 def _mask_violations(ground: int, masks: Sequence[int], covers: Sequence[int]) -> list[tuple]:
     """Records of the atoms, grading and two-covers axioms, which imply the
     other two, in report order, for distinct node masks in a linear
-    extension of inclusion, their `_mask_covers` covers and the ground's
-    mask: (axiom, ...) with node indices; empty means valid."""
+    extension of inclusion, their `_mask_covers` covers (or
+    `generate._doubled_covers`', equal to them) and the ground's mask:
+    (axiom, ...) with node indices; empty means valid.  A node of rank i
+    passes the two-covers check iff its cover bitset has two bits, both in
+    the index bitset of rank i - 1."""
     n = ground.bit_count()
     missing = ground & ~sum(m for m in masks if m.bit_count() == 1)
     records: list[tuple] = [("vine.atoms", missing)] if missing else []
@@ -189,8 +194,9 @@ def _mask_violations(ground: int, masks: Sequence[int], covers: Sequence[int]) -
         records.append(("vine.grading", None))
     if records:
         return records  # the cover check assumes the counts are right
+    span = [sum(1 << k for k in level) for level in levels]  # per rank: its nodes' indices
     return [("vine.two-covers", k) for i in range(2, n + 1) for k in levels[i]
-            if covers[k].bit_count() != 2 or any(masks[j].bit_count() != i - 1 for j in _bits(covers[k]))]
+            if covers[k].bit_count() != 2 or covers[k] & ~span[i - 1]]
 
 
 def validate_vine(v: RegularVine) -> list[Violation]:

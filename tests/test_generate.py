@@ -480,6 +480,44 @@ def test_mask_doubling_matches_lattice_doubling():
             assert gen._form(6, keys) == gen.canonical_form(lt.lattice_to_vine(lt.doubling(L, chain)))
 
 
+def test_doubled_covers_match_the_rescan_on_every_doubling():
+    """The masks and covers `_doubled_covers` reads off a representative's
+    equal those of the rescan, `_sorted_covers` of the doubled masks, on
+    all 1,399 doublings of a class representative along a chain for
+    n <= 7."""
+    count = 0
+    for n in range(2, 8):
+        for rep in gen._class_table(n - 1)[0]:
+            nodes, covers = gen._representative(n - 1, rep)
+            for chain in vn._chains(nodes, covers):
+                assert gen._doubled_covers(n, nodes, covers, chain) == \
+                    gen._sorted_covers(gen._doubled_masks(n - 1, nodes, chain))
+                count += 1
+    assert count == 1399
+
+
+def test_doubled_covers_rescan_a_chain_that_is_not_saturated(monkeypatch):
+    """A chain with an atom off its rank-2 node, one with a rank-3 node off
+    its rank-2 node, and one missing its top are rescanned, and give the
+    rescan's masks and covers; a saturated chain builds no cover table."""
+    tables = []
+    mask_covers = vn._mask_covers
+    monkeypatch.setattr(vn, "_mask_covers", lambda masks: tables.append(len(masks)) or mask_covers(masks))
+    rep = max(gen._class_table(5)[0])
+    nodes, covers = gen._representative(5, rep)
+    chain = vn._chains(nodes, covers)[0]
+    tables.clear()
+    gen._doubled_covers(6, nodes, covers, chain)
+    assert tables == []
+    perturbed = [_off_chain_atom(nodes, chain), _off_chain_rank3(nodes, chain), chain[:-1]]
+    assert chain not in perturbed
+    for bad in perturbed:
+        expected = gen._sorted_covers(gen._doubled_masks(5, nodes, bad))
+        tables.clear()
+        assert gen._doubled_covers(6, nodes, covers, bad) == expected
+        assert tables == [len(expected[0])]
+
+
 def test_form_decodes_every_class_as_the_digit_scan():
     """The memoized positions of `_form` against the digit-by-digit decoder
     on the kernel keys of every class for n <= 7."""
@@ -511,18 +549,18 @@ def test_augmentation_matches_doubling_along_every_chain(reps7):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_augmentation_runs_the_kernel_once_per_class(monkeypatch, n):
-    """The top level runs `_canonical` once per class, 6, 40 and 560 times,
-    and builds one cover table per kept doubling and one per (n - 1)-class
-    representative; the level below doubles every chain."""
+    """The top level runs `_canonical` once per class, 6, 40 and 560 times;
+    the level below doubles every chain.  A cover table is built once per
+    class representative on m < n labels and never for a doubling, whose
+    covers are read off its representative's."""
     kernel, tables = Counter(), Counter()
     canonical, mask_covers = gen._canonical, vn._mask_covers
     monkeypatch.setattr(gen, "_canonical", lambda m, *rest: kernel.update([m]) or canonical(m, *rest))
     monkeypatch.setattr(vn, "_mask_covers", lambda masks: tables.update([len(masks)]) or mask_covers(masks))
     gen._doubled_classes(n)
-    assert kernel[n] == tables[n * (n + 1) // 2] == gen.unlabeled_count_formula(n) == UNLABELED[n]
-    below = gen.unlabeled_count_formula(n - 2) * 2 ** (n - 3)  # 2^(n-3) chains per class on n - 2 labels
-    assert kernel[n - 1] == below
-    assert tables[n * (n - 1) // 2] == below + gen.unlabeled_count_formula(n - 1)
+    assert kernel[n] == gen.unlabeled_count_formula(n) == UNLABELED[n]
+    assert kernel[n - 1] == gen.unlabeled_count_formula(n - 2) * 2 ** (n - 3)  # 2^(n-3) chains per class on n - 2 labels
+    assert tables == Counter({m * (m + 1) // 2: gen.unlabeled_count_formula(m) for m in range(1, n)})
 
 
 def test_augmentation_falls_back_to_building_a_chain_missing_from_the_table(monkeypatch):
@@ -590,13 +628,14 @@ def test_doubling_completeness_check(monkeypatch):
         gen.class_representatives(6)
     monkeypatch.setattr(vn, "_chains", chains)
     double, kept = gen._double, []
-    monkeypatch.setattr(gen, "_double", lambda n, masks, chain: kept.append((n, masks, chain)) or double(n, masks, chain))
+    monkeypatch.setattr(gen, "_double", lambda n, masks, covers, chain:
+                        kept.append((n, masks, covers, chain)) or double(n, masks, covers, chain))
     gen.class_representatives(6)
     monkeypatch.setattr(gen, "_double", double)
-    _, family, chain = next(k for k in kept if k[0] == 6)
-    lost = double(6, family, chain)[0]
+    _, family, family_covers, chain = next(k for k in kept if k[0] == 6)
+    lost = double(6, family, family_covers, chain)[0]
     monkeypatch.setattr(vn, "_chains", lambda f, covers: [c for c in chains(f, covers)
-                                                         if f != family or double(6, f, c)[0] != lost])
+                                                         if f != family or double(6, f, covers, c)[0] != lost])
     with pytest.raises(InternalInconsistencyError, match=r"of the 23040 labeled vines at n=6"):
         gen.class_representatives(6)
 
@@ -627,19 +666,21 @@ def test_doubling_check_rejects_an_unsaturated_chain(monkeypatch, perturb):
         gen.class_representatives(6)
 
 
-def test_doubling_shares_one_cover_table_per_doubled_vine(monkeypatch):
-    """One `_mask_covers` call per doubled vine built, read by the axiom
-    check and by the kernel, plus one per representative for its chains:
-    the levels below the top build every chain's doubling, the top one per
-    class."""
-    calls = []
-    mask_covers = vn._mask_covers
+def test_doubling_shares_one_cover_table_per_representative(monkeypatch):
+    """One `_mask_covers` call per representative, read for its chains and
+    for the covers of every doubling along them, which the axiom check and
+    the kernel read: none per doubled vine, though the levels below the top
+    build every chain's doubling, 23 of them, and the top one per class."""
+    calls, doubled = [], Counter()
+    mask_covers, double = vn._mask_covers, gen._double
     monkeypatch.setattr(vn, "_mask_covers", lambda masks: calls.append(masks) or mask_covers(masks))
+    monkeypatch.setattr(gen, "_double", lambda n, *rest: doubled.update([n]) or double(n, *rest))
     gen._doubled_classes(6)
     reps = [gen.unlabeled_count_formula(m) for m in range(1, 6)]  # 1, 1, 1, 2, 6
     below = sum(r * 2 ** (m - 1) for m, r in enumerate(reps[:4], 1))  # 2^(m-1) chains per class on m labels
-    assert below == 23
-    assert len(calls) == sum(reps) + below + gen.unlabeled_count_formula(6)
+    assert below == sum(doubled[m] for m in range(2, 6)) == 23
+    assert doubled[6] == gen.unlabeled_count_formula(6)
+    assert len(calls) == sum(reps) == 11
 
 
 def test_doubling_class_count_check(monkeypatch):

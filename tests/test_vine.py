@@ -1,5 +1,6 @@
 """Regular vines: axioms, associated trees, split/merge, chains, analytics."""
 
+import itertools
 import random
 import string
 
@@ -159,6 +160,30 @@ def test_validate_vine_matches_set_oracle(vines_by_n, seed):
     reports = [vn.validate_vine(v) for v in cases]
     assert reports == [validate_vine_by_sets(v) for v in cases]
     assert {x.axiom for report in reports for x in report} == {"vine.atoms", "vine.grading", "vine.two-covers"}
+
+
+def test_two_covers_check_matches_set_oracle_on_every_family_with_the_rank_counts():
+    """The same reports as the set oracle on all 120 families on 4 labels
+    with the vine rank counts: the atoms, the top, 3 of the 6 pairs and 2
+    of the 4 triples.  Among them are families where a node's two covers
+    are not both one rank down, which only the rank bitset test flags."""
+    labels = "abcd"
+    ground = frozenset(labels)
+    atoms = [frozenset(x) for x in labels]
+    pairs, triples = (list(map(frozenset, itertools.combinations(labels, r))) for r in (2, 3))
+    families = [vn.RegularVine(ground, frozenset(atoms + list(two) + list(three) + [ground]))
+                for two in itertools.combinations(pairs, 3) for three in itertools.combinations(triples, 2)]
+    assert len(families) == 120
+    reports = [vn.validate_vine(v) for v in families]
+    assert reports == [validate_vine_by_sets(v) for v in families]
+    assert sum(not report for report in reports) == gen.labeled_count_formula(4)
+
+    def two_covers_off_rank(v):
+        masks, covers = v._view.masks, v._view.covers
+        return any(cov.bit_count() == 2 and any(masks[j].bit_count() != m.bit_count() - 1 for j in vn._bits(cov))
+                   for m, cov in zip(masks, covers))
+
+    assert any(map(two_covers_off_rank, families))
 
 
 def _assert_covers_match_oracle(v):
