@@ -5,9 +5,12 @@ set.  Arrow's single-peaked domains (ASPDs) are characterized by the
 never-bottom condition on triples; the maximal ones have size 2^(n-1),
 exactly two bottom alternatives, and split/merge along those bottoms.
 
-`is_aspd` reads the never-bottom condition off a bitset pair table built
-from the distinct (alternative, set ranked above it) pairs of the
-preferences, instead of ranking every triple in every preference.
+`is_aspd` runs the triangle test of the matrix and lattice checks,
+`lattice._least_triangle`, on the distinct sets ranked above an
+alternative: x is last among {x, y, z} exactly when the set ranked above x
+holds y and z (a set ranked above another alternative that holds y and z
+but not x ranks them above x too), so the first triple found is the least
+that breaks never-bottom, without ranking every triple in every preference.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Mapping, Optional
 
+from . import lattice as lt
 from .errors import StructureError, Violation, raise_first
 
 Preference = tuple  # tuple of alternative labels, first-ranked first
@@ -72,32 +76,20 @@ def is_aspd(d: PreferenceDomain) -> tuple[bool, Optional[tuple]]:
     """Never-bottom check on all triples; returns (flag, first violating triple).
 
     A triple violates the condition when each of its three members is ranked
-    last among them by some preference.  x is last among {x, y, z} iff some
-    preference ranks y and z above x, so the distinct (x, set ranked above
-    x) pairs go into a pair table: bit z of above[x][y] is set iff some
-    preference ranks both y and z above x.
+    last among them by some preference, that is when the distinct sets
+    ranked above an alternative carry a triangle on it (module docstring).
+    Every label the preferences hold gets a row, so any domain is answered.
     """
-    alts = sorted(d.alternatives)
-    index = {x: i for i, x in enumerate(alts)}
-    pairs = set()
+    labels = sorted(d.alternatives.union(*d.prefs))
+    bit = {x: 1 << p for p, x in enumerate(reversed(labels))}
+    above = set()
     for w in d.prefs:
         seen = 0
         for x in w:
-            i = index[x]
-            pairs.add((i, seen))
-            seen |= 1 << i
-    above = [[0] * len(alts) for _ in alts]
-    for i, seen in pairs:
-        row = above[i]
-        rest = seen
-        while rest:
-            j = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            row[j] |= seen
-    for i, j, k in combinations(range(len(alts)), 3):
-        if above[i][j] >> k & 1 and above[j][i] >> k & 1 and above[k][i] >> j & 1:
-            return False, (alts[i], alts[j], alts[k])
-    return True, None
+            above.add(seen)
+            seen |= bit[x]
+    tri = lt._least_triangle(len(labels), above)
+    return (True, None) if tri is None else (False, tuple(labels[r] for r in tri[0]))
 
 
 def bottom_alternatives(d: PreferenceDomain) -> frozenset:

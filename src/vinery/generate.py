@@ -789,12 +789,11 @@ def _one_chain_per_orbit(n: int, nodes: list[int], covers: list[int], aut: int) 
     fixes its first-appearance order, so every label.  The non-trivial one
     is the σ of `lattice._automorphism`, found iff the kernel's aut is 2."""
     chains = vn._chains(nodes, covers)
-    sigma = lt._automorphism(nodes, covers)
-    if aut != (1 if sigma is None else 2):
+    image = lt._automorphism(nodes, covers)
+    if aut != (1 if image is None else 2):
         raise InternalInconsistencyError(f"the kernel's |Aut|={aut} and the co-atom descent disagree at n={n}")
-    if sigma is None:
+    if image is None:
         return chains
-    image = _moved(nodes, sigma)
     seen: set[tuple] = set()
     kept = []
     for chain in chains:

@@ -14,8 +14,13 @@ direct B(3) search find a pair's meet (the search also its join) in a few
 integer operations instead of a scan of the element family, and
 `join_irreducibles`, the maximal chains and the DOT rendering read the
 covers.  `join` and `meet` stay the definitional pairwise versions.
-`has_no_triangles` detects a triangle from a table of row pairs and scans
-row triples for the least witness only when there is one.
+`_least_triangle` is one test behind three checks: rows a < b < c carry a
+triangle when a family of sets holds a set with each weight-two pattern on
+them, and the family is a matrix's columns (`has_no_triangles`), the
+elements of a lattice holding every singleton (`_is_b3_free`) or a
+domain's sets ranked above an alternative (`domain.is_aspd`).  It reads
+every triple off one table of row pairs, in the order of the row-triple
+scan it replaced, so the first triple it finds is the scan's.
 
 `_lattice_to_vine` reads a vine off a valid lattice L without a check.
 The paper makes L order-isomorphic to a regular vine V on n = |ground|
@@ -57,10 +62,11 @@ canonical-form kernel, which `generate` keeps for canonical forms only:
 from __future__ import annotations
 
 import functools
+import operator
 import string
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from . import vine as vn
 from .errors import StructureError, Violation, checked, raise_first
@@ -202,7 +208,7 @@ def _direct_b3_search(L: BoundedLattice) -> Optional[tuple]:
 def _is_b3_free(L: BoundedLattice) -> Optional[tuple]:
     """None if B(3)-free, else an 8-element induced-B(3) witness.
 
-    Uses the matrix triangle criterion when all singletons are elements,
+    Uses the triangle test on the elements when all singletons are elements,
     the direct 3-generator search otherwise.  The triangle's witness is
     always an induced B(3): L is then a lattice holding every singleton, so
     its bottom is the empty meet of two singletons and its top is the
@@ -214,20 +220,14 @@ def _is_b3_free(L: BoundedLattice) -> Optional[tuple]:
     s3, top are distinct and ordered by inclusion exactly as the subsets of
     {1, 2, 3}.
     """
-    ground = L.ground
-    if all(frozenset([a]) in L.elements for a in sorted(ground)):
-        M = lattice_to_matrix(L)
-        tri = has_no_triangles(M)
+    if all(frozenset([a]) in L.elements for a in sorted(L.ground)):
+        view = L._view
+        tri = _least_triangle(len(view.labels), view.masks)
         if tri is None:
             return None
-        (a1, a2, a3), cols = tri
-        by_restriction = {}
-        for col in cols:
-            s = _column_to_set(M.rows, col)
-            by_restriction[frozenset(s & {a1, a2, a3})] = s
-        s1 = by_restriction[frozenset({a1, a2})]
-        s2 = by_restriction[frozenset({a1, a3})]
-        s3 = by_restriction[frozenset({a2, a3})]
+        rows, cols = tri
+        a1, a2, a3 = (view.labels[r] for r in rows)
+        s3, s2, s1 = map(dict(zip(view.masks, view.nodes)).get, cols)  # patterns 011, 101, 110
         bottom = min(L.elements, key=len)
         top = max(L.elements, key=len)
         return (bottom, frozenset([a1]), frozenset([a2]), frozenset([a3]), s1, s2, s3, top)
@@ -359,45 +359,43 @@ def _glue_matrices(M1: BinaryMatrix, M2: BinaryMatrix, a1: str, a2: str) -> Bina
     return BinaryMatrix(rows, frozenset(cols))
 
 
-def has_no_triangles(M: BinaryMatrix) -> Optional[tuple]:
-    """None if triangle-free; else ((rows), (columns)) of the least witness.
+def _least_triangle(n: int, columns: Collection[int]) -> Optional[tuple]:
+    """((a, b, c), (s011, s101, s110)) for the least row triple carrying a
+    triangle among distinct column masks on n rows, row r at bit n - 1 - r,
+    with the least column of each pattern on it; or None.  The columns are a
+    matrix's, a lattice's elements or a domain's sets ranked above an
+    alternative (module docstring).
 
-    A triangle is three rows and three columns whose restrictions are the
-    three weight-2 vectors in some order.  Rows a < b < c carry one iff c is
-    in miss[a][b], b in miss[a][c] and a in miss[b][c], where miss[a][b]
-    holds the rows outside some column that contains a and b; only then is
-    the least witness searched for.
+    miss[p][q], bits p < q, holds the bits outside some column holding bits
+    p and q, so a triple is three lookups.  The triples are walked in
+    `combinations` order of the rows, as the row-triple scan walks them, and
+    only the first found is scanned for its columns: with row r at bit
+    n - 1 - r, integer order is 0/1-tuple order.
     """
-    n = len(M.rows)
     full = (1 << n) - 1
     miss = [[0] * n for _ in range(n)]
-    for col in M.columns:
-        inside = [r for r in range(n) if col[r]]
-        outside = full & ~sum(1 << r for r in inside)
-        for i, a in enumerate(inside):
-            row = miss[a]
-            for b in inside[i + 1:]:
-                row[b] |= outside
-    for a, b, c in combinations(range(n), 3):
-        if miss[a][b] >> c & 1 and miss[a][c] >> b & 1 and miss[b][c] >> a & 1:
-            return _triangle_witness(M)
+    for col in columns:
+        outside = full ^ col
+        inside = [p for p in range(n) if col >> p & 1]
+        for i, p in enumerate(inside):
+            row = miss[p]
+            for q in inside[i + 1:]:
+                row[q] |= outside
+    for p, q, r in combinations(range(n - 1, -1, -1), 3):  # bits of rows a < b < c
+        if miss[r][q] >> p & 1 and miss[r][p] >> q & 1 and miss[q][p] >> r & 1:
+            t = 1 << p | 1 << q | 1 << r
+            return ((n - 1 - p, n - 1 - q, n - 1 - r),
+                    tuple(min(c for c in columns if c & t == t ^ x) for x in (1 << p, 1 << q, 1 << r)))
     return None
 
 
-def _triangle_witness(M: BinaryMatrix) -> Optional[tuple]:
-    """The least triangle of has_no_triangles, by a scan over row triples."""
-    cols = sorted(M.columns)
-    for rows3 in combinations(range(len(M.rows)), 3):
-        found = {}
-        for col in cols:
-            pat = tuple(col[r] for r in rows3)
-            if sum(pat) == 2 and pat not in found:
-                found[pat] = col
-        if len(found) == 3:
-            witness_rows = tuple(M.rows[r] for r in rows3)
-            witness_cols = tuple(found[p] for p in sorted(found))
-            return witness_rows, witness_cols
-    return None
+def has_no_triangles(M: BinaryMatrix) -> Optional[tuple]:
+    """None if triangle-free; else ((rows), (columns)) of the least witness,
+    its columns with the patterns 011, 101 and 110 on its rows."""
+    weight = [1 << p for p in range(len(M.rows) - 1, -1, -1)]
+    cols = {sum(map(operator.mul, col, weight)): col for col in M.columns}
+    tri = _least_triangle(len(M.rows), cols)
+    return tri and (tuple(M.rows[r] for r in tri[0]), tuple(map(cols.get, tri[1])))
 
 
 def validate_matrix(M: BinaryMatrix) -> list[Violation]:
@@ -426,9 +424,9 @@ def require_extremal_matrix(M: BinaryMatrix) -> None:
 
 
 def _automorphism(masks: list[int], covers: list[int]) -> Optional[dict[int, int]]:
-    """σ of the co-atom descent (module docstring) on label bits, or None if
-    n <= 1 or σ misses a node, for a valid vine's masks in a linear
-    extension of inclusion and their covers."""
+    """σ of the co-atom descent (module docstring) as a map of node masks,
+    or None if n <= 1 or σ misses a node, for a valid vine's masks in a
+    linear extension of inclusion and their covers."""
     if len(masks) <= 1:
         return None
     index = {m: k for k, m in enumerate(masks)}
@@ -450,7 +448,7 @@ def _automorphism(masks: list[int], covers: list[int]) -> Optional[dict[int, int
         image.append(sigma.get(m, 0))
         for j in vn._bits(cov):
             image[-1] |= image[j]
-    return sigma if all(m in index for m in image) else None
+    return dict(zip(masks, image)) if all(m in index for m in image) else None
 
 
 def _automorphism_group_order(v: vn.RegularVine) -> int:

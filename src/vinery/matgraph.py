@@ -13,7 +13,8 @@ Each graph object finds them once: `MatLabeledGraph._view`, cached on first
 use, holds the sorted vertices, their indices, one label matrix and one
 principal-clique bitmask per labeled edge, for any graph, complete or not,
 valid or not, whose keys are edge keys of its vertices.  Both axioms'
-checks, `triangle_partners` and the map to the vine read it.
+checks, `triangle_partners` and the map to the vine read it; its public
+readers first refuse a malformed graph (`_malformed_edges`).
 
 The MAT-PEOs of a valid complete graph are the maximal chains of its vine,
 so its domain, `routes.convert_structure(g, "domain")`, lists them (the
@@ -167,6 +168,7 @@ def validate_mat_labeling(g: MatLabeledGraph) -> list[Violation]:
 
 def triangle_partners(g: MatLabeledGraph, u: str, v: str) -> set:
     """Vertices c with both labels lambda(u,c), lambda(v,c) strictly below lambda(u,v)."""
+    raise_first(_malformed_edges(g))
     clique = g._view.cliques.get(edge_key(u, v))
     if clique is None:
         raise StructureError("matgraph.edge", f"{u!r}-{v!r} is not a labeled edge", witness=(u, v))
@@ -215,6 +217,7 @@ def induced_subgraph(g: MatLabeledGraph, subset: Iterable[str]) -> MatLabeledGra
 
 def is_mat_peo(g: MatLabeledGraph, ordering: Sequence[str]) -> bool:
     """True iff each ordering prefix leaves its newest vertex MAT-simplicial."""
+    raise_first(_malformed_edges(g))
     if sorted(ordering) != sorted(g.vertices):
         raise StructureError("matgraph.ordering", "ordering is not a permutation of the vertex set",
                              witness=tuple(ordering))

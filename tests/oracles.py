@@ -7,7 +7,9 @@ descent of `generate._scan`, and the digit-by-digit decoder of its keys
 behind the memoized positions of `generate._form`; the quadratic
 `covered_by` and `covered_elements` scans behind `vine._mask_covers`, and
 the DOT rendering built on them; the pairwise join/meet tests behind the lattice order checks
-and the direct B(3) search;
+and the direct B(3) search; the row-triple scan behind the triangle table
+of `lattice._least_triangle`, and the B(3) check through the lattice's
+matrix behind the one on its index view;
 the per-pair domain scan behind the one-pass topmost contiguous positions;
 and the no-extension scan behind the size criterion of maximal ASPDs; and
 the Prüfer decoder that scans for the smallest leaf at every entry, behind
@@ -293,6 +295,44 @@ def direct_b3_search_by_joins(L: lt.BoundedLattice) -> tuple | None:
         if lt._is_induced_b3(cand):
             return tuple(cand)
     return None
+
+
+def triangle_by_row_triples(M: lt.BinaryMatrix) -> tuple | None:
+    """The first row triple, in `combinations` order, whose sorted columns
+    restrict to all three weight-2 patterns, with the first column of each
+    pattern in pattern order; the oracle for `lattice.has_no_triangles`."""
+    cols = sorted(M.columns)
+    for rows3 in combinations(range(len(M.rows)), 3):
+        found = {}
+        for col in cols:
+            pat = tuple(col[r] for r in rows3)
+            if sum(pat) == 2 and pat not in found:
+                found[pat] = col
+        if len(found) == 3:
+            return tuple(M.rows[r] for r in rows3), tuple(found[p] for p in sorted(found))
+    return None
+
+
+def b3_witness_by_matrix(L: lt.BoundedLattice) -> tuple | None:
+    """`lattice._is_b3_free` by the lattice's matrix: on a family holding
+    every singleton, the triangle of `has_no_triangles(lattice_to_matrix(L))`
+    with its columns read back as sets and keyed by their restriction to the
+    triangle's rows; otherwise the direct search."""
+    if not all(frozenset([a]) in L.elements for a in L.ground):
+        return lt._direct_b3_search(L)
+    M = lt.lattice_to_matrix(L)
+    tri = lt.has_no_triangles(M)
+    if tri is None:
+        return None
+    (a1, a2, a3), cols = tri
+    by_restriction = {}
+    for col in cols:
+        s = lt._column_to_set(M.rows, col)
+        by_restriction[s & {a1, a2, a3}] = s
+    bottom = min(L.elements, key=len)
+    top = max(L.elements, key=len)
+    return (bottom, frozenset([a1]), frozenset([a2]), frozenset([a3]), by_restriction[frozenset({a1, a2})],
+            by_restriction[frozenset({a1, a3})], by_restriction[frozenset({a2, a3})], top)
 
 
 def join_irreducibles_by_covers(L: lt.BoundedLattice) -> list[frozenset]:

@@ -16,9 +16,9 @@ from vinery import vine as vn
 from vinery.errors import StructureError
 
 from conftest import c_vine, d_vine, random_relabeling, split_with_shared
-from oracles import (automorphism_group_order_bruteforce, covered_elements, direct_b3_search_by_joins,
-                     extremal_size_families, is_lattice_pairwise, join_irreducibles_by_covers,
-                     undouble_by_vine_split)
+from oracles import (automorphism_group_order_bruteforce, b3_witness_by_matrix, covered_elements,
+                     direct_b3_search_by_joins, extremal_size_families, is_lattice_pairwise,
+                     join_irreducibles_by_covers, triangle_by_row_triples, undouble_by_vine_split)
 
 
 def boolean_cube():
@@ -271,6 +271,27 @@ def test_triangle_witness_is_an_induced_b3():
         assert w is None or lt._is_induced_b3(list(w))
 
 
+def test_b3_check_matches_the_matrix_route(seed):
+    """`_is_b3_free` on the lattice's index view returns what the route
+    through its matrix returns, `b3_witness_by_matrix`: on every lattice of
+    `small_lattices` holding its singletons, and on every class lattice with
+    n <= 6 with one element other than a singleton swapped for a seeded
+    subset of the ground set that it lacks (a family without a singleton
+    takes the same direct search both ways)."""
+    rng = random.Random(seed)
+    families = [L for L in small_lattices() if all(frozenset(a) in L.elements for a in L.ground)]
+    for n in range(3, 7):
+        for v in gen.class_representatives(n):
+            L = lt.vine_to_lattice(v)
+            lacking = [frozenset(s) for k in range(n + 1) for s in combinations(sorted(L.ground), k)
+                       if frozenset(s) not in L.elements]
+            families += [lt.BoundedLattice(L.elements - {out} | {rng.choice(lacking)})
+                         for out in L.sorted_elements() if len(out) != 1]
+    witnesses = [lt._is_b3_free(L) for L in families]
+    assert witnesses == [b3_witness_by_matrix(L) for L in families]
+    assert None in witnesses and any(w is not None for w in witnesses)
+
+
 def test_validate_lattice_without_a_singleton_is_fast(seed):
     """A lattice lacking a singleton takes the direct B(3) search, which
     reads meets and joins off the order table: a seeded n = 12 vine lattice
@@ -439,21 +460,17 @@ def test_extremal_matrix_size_check(fig_vine):
     assert lt.validate_matrix(smaller)
 
 
-def test_triangle_detection_matches_witness_scan(monkeypatch, seed):
-    """Same result as the row-triple scan, which runs only on a triangle."""
+def test_triangle_detection_matches_witness_scan(seed):
+    """Same result as the row-triple scan, `triangle_by_row_triples`."""
     rng = random.Random(seed)
-    scan = lt._triangle_witness
-    scans = []
-    monkeypatch.setattr(lt, "_triangle_witness", lambda M: scans.append(M) or scan(M))
     found = []
     for _ in range(300):
         r = rng.randint(4, 7)
         cols = frozenset(tuple(rng.randint(0, 1) for _ in range(r)) for _ in range(rng.randint(1, 3 * r)))
         M = lt.BinaryMatrix(tuple("abcdefg"[:r]), cols)
         found.append(lt.has_no_triangles(M))
-        assert found[-1] == scan(M)
+        assert found[-1] == triangle_by_row_triples(M)
     assert None in found and any(w is not None for w in found)
-    assert len(scans) == sum(w is not None for w in found)
 
 
 # ---------------------------------------------------------- automorphisms

@@ -11,6 +11,7 @@ import pytest
 
 from vinery import cli
 from vinery import correspond as co
+from vinery import domain as dm
 from vinery import generate as gen
 from vinery import matgraph as mg
 from vinery import routes
@@ -108,6 +109,27 @@ def test_triangle_partners_of_a_non_edge_names_the_pair():
             mg.triangle_partners(g, u, v)
         assert exc.value.axiom == "matgraph.edge"
         assert exc.value.witness == (u, v)
+
+
+UNKNOWN_VERTEX_GRAPH = mg.MatLabeledGraph(frozenset("ab"), {("a", "x"): 1})
+
+
+@pytest.mark.parametrize("call, axiom", [
+    (lambda: mg.triangle_partners(UNKNOWN_VERTEX_GRAPH, "a", "x"), "matgraph.vertices"),
+    (lambda: mg.is_mat_peo(UNKNOWN_VERTEX_GRAPH, ("a", "b")), "matgraph.vertices"),
+    (lambda: dm.is_aspd(dm.PreferenceDomain(frozenset("ab"), frozenset({("a", "x")}))), None),
+], ids=["triangle_partners", "is_mat_peo", "is_aspd"])
+def test_a_label_outside_the_ground_set_raises_no_key_error(call, axiom):
+    """A graph whose label key names a vertex it lacks is refused under the
+    axiom `validate_mat_labeling` reports; `is_aspd` gives every label the
+    preferences hold a row and answers."""
+    if axiom is None:
+        assert call() == (True, None)
+        return
+    assert mg.validate_mat_labeling(UNKNOWN_VERTEX_GRAPH)[0].axiom == axiom
+    with pytest.raises(StructureError) as exc:
+        call()
+    assert exc.value.axiom == axiom
 
 
 def _mutations(g: mg.MatLabeledGraph):
