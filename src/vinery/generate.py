@@ -46,9 +46,9 @@ prefix of the chain's final sorted list; the two covers are tried best
 first, and a subtree is skipped once its prefix and a bound on the keys
 still unsettled lose to the best list found so far (`_scan` proves it
 exact).  It returns that list, the number of chains attaining it, which is
-|Aut|, and one of them, which relabels the vine onto its canonical form
-(`_least_labeling`).  Only the winning list is turned back into the tuple
-form.  Vines enter the kernel as masks once, at the boundary.
+|Aut|, and the atoms' positions along one of them, which relabel the vine
+onto its canonical form.  Only the winning list is turned back into the
+tuple form.  Vines enter the kernel as masks once, at the boundary.
 
 The class table at every n (`class_representatives`, `catalog_entries`)
 comes from the merge step of the split/merge recursion: every extremal
@@ -104,6 +104,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import lattice as lt
+from . import serialize as io
+from . import species as sp
 from . import vine as vn
 from .errors import InternalInconsistencyError, StructureError, _UnionFind, checked
 
@@ -124,26 +126,19 @@ def _require_size(n: int, least: int = 0) -> None:
 
 
 def _decode_prufer(n: int, seq: Sequence[int]) -> tuple[tuple[int, int], ...]:
-    """The tree of a Prüfer sequence on 0..n-1, n >= 2, in linear time: each
-    entry joins the smallest leaf left.  A pointer walks up to the next
-    unused leaf; an entry whose last use makes it a leaf below the pointer
-    is the smallest leaf at once.  The last edge joins that leaf to n - 1."""
+    """The tree of a Prüfer sequence on 0..n-1, n >= 2: each entry joins the
+    smallest leaf left, found by a scan of the degrees, and the leaf leaves.
+    The last edge joins the smallest leaf left to n - 1."""
     degree = [1] * n
     for x in seq:
         degree[x] += 1
-    ptr = leaf = degree.index(1)
     edges = []
     for x in seq:
-        edges.append((leaf, x) if leaf < x else (x, leaf))
+        leaf = degree.index(1)
+        degree[leaf] = 0
         degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
-            leaf = x
-        else:
-            ptr += 1
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-    edges.append((leaf, n - 1))
+        edges.append((leaf, x) if leaf < x else (x, leaf))
+    edges.append((degree.index(1), n - 1))
     return tuple(edges)
 
 
@@ -487,37 +482,22 @@ def _even(n: int) -> int:
 
 
 def _sorted_covers(masks: Iterable[int]) -> tuple[list[int], list[int]]:
-    """A vine's node masks in (rank, mask) order and their covers: `_canonical`'s input."""
+    """A vine's node masks in (rank, mask) order and their covers: `_scan`'s input."""
     nodes = sorted(masks, key=lambda m: (m.bit_count(), m))
     return nodes, vn._mask_covers(nodes)[1]
 
 
-def _canonical(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, int]:
-    """(sorted non-atom keys of the least chain-induced encoding, chains
-    attaining it) for the node masks of a valid vine, by rank, and their
-    covers: those of `_sorted_covers` or of the vine's index view.
+def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, int, list[int]]:
+    """The kernel: (the sorted non-atom keys of the least chain-induced
+    encoding, how many chains attain it, the position of each atom, in
+    `nodes` order, in the first-appearance order of one chain attaining it)
+    for the node masks of a valid vine, by rank, and their covers: those of
+    `_sorted_covers` or of the vine's index view.  The positions relabel the
+    vine onto its canonical form.
 
     Every relabeling permutes the maximal chains, so the least encoding is a
     complete isomorphism invariant and the chains attaining it are one orbit
     of the automorphism group: their number is |Aut|.
-    """
-    if n <= 1:
-        return (), 1
-    return _scan(n, nodes, cover_bits)[:2]
-
-
-def _least_labeling(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, list[int]]:
-    """(`_canonical`'s keys, and the position of each atom, in `nodes`
-    order, in the first-appearance order of a chain attaining them): a
-    relabeling onto the canonical form, for n >= 2."""
-    keys, _, chain = _scan(n, nodes, cover_bits)
-    # an atom at position p has the digit 11 at 2 (n - 1 - p) and no lower bit
-    return keys, [n - 1 - ((d & -d).bit_length() - 1) // 2 for d in chain]
-
-
-def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tuple, int, list[int]]:
-    """The kernel, for n >= 2: (the least sorted non-atom keys, how many
-    chains attain them, the atoms' digits along one chain attaining them).
 
     It descends the chains from the top, depth first, and settles keys as
     it goes.  At the chain node C_r of rank r, reached by removing the atom
@@ -544,6 +524,8 @@ def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tupl
       real one, so a complete prefix equal to it is kept.  The order in
       which the two covers are tried, best first, affects only the speed.
     """
+    if n <= 1:
+        return (), 1, list(range(n))
     even = _even(n)
     weight, full, missing = [], [0], 0  # full[r]: the digit 11 at positions 0..r-1
     for p in range(n):
@@ -600,7 +582,9 @@ def _scan(n: int, nodes: Sequence[int], cover_bits: Sequence[int]) -> tuple[tupl
                 descend(j, r - 1, head)
 
     descend(len(nodes) - 1, n, [])
-    return tuple([full[s] ^ even for s in range(2, n + 1)] + best[:-1]), hits, chain
+    # an atom at position p has the digit 11 at 2 (n - 1 - p) and no lower bit
+    positions = [n - 1 - ((d & -d).bit_length() - 1) // 2 for d in chain]
+    return tuple([full[s] ^ even for s in range(2, n + 1)] + best[:-1]), hits, positions
 
 
 @functools.lru_cache(maxsize=1 << 12)
@@ -621,7 +605,7 @@ def _form(n: int, keys: Iterable[int]) -> tuple:
 
 def _canonical_form_and_aut(v: vn.RegularVine) -> tuple[tuple, int]:
     """(canonical_form(v), |Aut(v)|) of a valid vine, by one chain scan."""
-    keys, hits = _canonical(v.n, v._view.masks, v._view.covers)
+    keys, hits, _ = _scan(v.n, v._view.masks, v._view.covers)
     return _form(v.n, keys), hits
 
 
@@ -665,7 +649,7 @@ def classify(vines: Iterable[vn.RegularVine]) -> list[IsoClass]:
         elif v.n != n:
             raise StructureError("enumerate.mixed", "classification requires a uniform ground size")
         vn.require_valid(v)
-        keys, auts[keys] = _canonical(n, v._view.masks, v._view.covers)
+        keys, auts[keys], _ = _scan(n, v._view.masks, v._view.covers)
         orbits[keys] += 1
     for keys, aut in auts.items():
         if orbits[keys] * aut != math.factorial(n):
@@ -726,26 +710,21 @@ def _doubled_covers(n: int, nodes: list[int], covers: list[int], chain: Sequence
     return masks, out
 
 
-def _double(n: int, nodes: list[int], covers: list[int], chain: Sequence[int]) -> tuple[tuple, int]:
-    """`_canonical` of the vine on n labels doubled from the sorted masks
+def _double(n: int, nodes: list[int], covers: list[int], chain: Sequence[int]) -> tuple[tuple, int, list[int]]:
+    """`_scan` of the vine on n labels doubled from the sorted masks
     and covers of one on n - 1 labels along one of their maximal chains,
     once `vine._mask_violations` has checked it on the kernel's own sorted
     masks and covers, those `_doubled_covers` derives."""
     masks, cover_bits = _doubled_covers(n, nodes, covers, chain)
     if records := vn._mask_violations((1 << n) - 1, masks, cover_bits):
         raise InternalInconsistencyError(f"doubling produced an invalid vine at n={n}: {records[0][0]}")
-    return _canonical(n, masks, cover_bits)
+    return _scan(n, masks, cover_bits)
 
 
 def _representative(n: int, keys: tuple) -> tuple[list[int], list[int]]:
     """`_sorted_covers` of the canonically labeled vine with these kernel
     keys, bit p for position p."""
     return _sorted_covers([sum(1 << p for p in node) for node in _form(n, keys)])
-
-
-def _moved(nodes: Sequence[int], atoms: dict[int, int]) -> dict[int, int]:
-    """Every node mask with each of its atoms replaced by the atom's image."""
-    return {m: sum(atoms[1 << b] for b in vn._bits(m)) for m in nodes}
 
 
 def _check_classes(n: int, auts: dict[tuple, int]) -> None:
@@ -775,7 +754,7 @@ def _class_table(n: int) -> tuple[dict[tuple, int], dict[tuple, tuple]]:
     for rep in _class_table(n - 1)[0]:
         nodes, covers = _representative(n - 1, rep)
         for chain in vn._chains(nodes, covers):
-            keys, auts[keys] = _double(n, nodes, covers, chain)
+            keys, auts[keys], _ = _double(n, nodes, covers, chain)
             table[rep, chain] = keys
     _check_classes(n, auts)
     return auts, table
@@ -816,16 +795,16 @@ def _augmented_classes(n: int) -> dict[tuple, int]:
             sub = [j for j, m in enumerate(nodes) if not m & ~nodes[z]]  # a down-set: covers stay inside
             index = {j: i for i, j in enumerate(sub)}
             below = [nodes[j] for j in sub]
-            keys, positions = _least_labeling(
-                n - 2, below, [sum(1 << index[i] for i in vn._bits(covers[j])) for j in sub])
-            parents[nodes[z]] = keys, _moved(below, {a: 1 << p for a, p in zip(below, positions)})
+            keys, _, positions = _scan(n - 2, below, [sum(1 << index[i] for i in vn._bits(covers[j])) for j in sub])
+            position = dict(zip(below, positions))  # per atom
+            parents[nodes[z]] = keys, {m: sum(1 << position[1 << b] for b in vn._bits(m)) for m in below}
         for chain in _one_chain_per_orbit(n - 1, nodes, covers, aut):
             # a chain that is not saturated misses a co-atom or the table
             parent = parents.get(chain[-2])
             other = parent and table.get((parent[0], tuple(map(parent[1].get, chain[:-1]))))
             if other is not None and other < rep:
                 continue  # kept from the other parent
-            keys, hits = _double(n, nodes, covers, chain)
+            keys, hits, _ = _double(n, nodes, covers, chain)
             if other not in (None, rep) and keys in auts:
                 raise InternalInconsistencyError(
                     f"a doubling kept from its smaller parent repeated a class at n={n}")
@@ -891,8 +870,6 @@ def catalog_entries(n: int) -> Iterator[dict]:
 
 
 def _catalog_entry(n: int, idx: int, cls: IsoClass) -> dict:
-    from . import serialize as io
-    from . import species as sp
     v = cls.representative  # `_doubled_classes` checked v
     vine, graph, domain, matrix = (io.to_json_dict(sp.SPECIES[k].from_vine(v))
                                    for k in ("vine", "matgraph", "domain", "matrix"))

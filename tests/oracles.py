@@ -12,8 +12,8 @@ of `lattice._least_triangle`, and the B(3) check through the lattice's
 matrix behind the one on its index view;
 the per-pair domain scan behind the one-pass topmost contiguous positions;
 and the no-extension scan behind the size criterion of maximal ASPDs; and
-the Prüfer decoder that scans for the smallest leaf at every entry, behind
-the leaf pointer of `generate._decode_prufer`; and
+the Prüfer decoder that scans every vertex for the smallest leaf at every
+entry, behind the degree-list lookup of `generate._decode_prufer`; and
 the backtracker over a line graph's edges with a copy-on-branch union-find,
 behind the per-clique Prüfer products of `generate._next_trees`; and
 the vine stream that enumerates every line graph's spanning trees afresh at
@@ -466,7 +466,7 @@ def doubled_classes_by_all_chains(n: int) -> list[gen.IsoClass]:
         view = rep._view
         for chain in vn._chains(view.masks, view.covers):  # a chain holds every label
             doubled = gen._sorted_covers(gen._doubled_masks(n - 1, view.masks, chain))
-            keys, aut = gen._canonical(n, *doubled)
+            keys, aut, _ = gen._scan(n, *doubled)
             auts[keys] = aut
     classes = []
     for keys in sorted(auts):

@@ -453,16 +453,26 @@ def test_pruned_kernel_matches_the_chain_scan_on_doublings_and_classes(reps7):
         assert gen._scan(n, nodes, covers)[:2] == canonical_keys_by_all_chains(n, nodes, covers)[:2]
 
 
-def test_least_labeling_relabels_onto_the_canonical_form(vines_by_n):
-    """The positions `_least_labeling` reads off the chain the descent
-    found relabel every vine with 2 <= n <= 5 onto its canonically labeled
+def test_scan_positions_relabel_onto_the_canonical_form(vines_by_n):
+    """The positions `_scan` reads off the chain the descent found relabel
+    every vine with 2 <= n <= 5 onto its canonically labeled
     representative."""
     for n in range(2, 6):
         for v in vines_by_n[n]:
             view = v._view
-            _, positions = gen._least_labeling(n, view.masks, view.covers)
+            _, _, positions = gen._scan(n, view.masks, view.covers)
             relabeling = {x: string.ascii_lowercase[p] for (x,), p in zip(view.nodes[:n], positions)}
             assert vn.relabel_vine(v, relabeling) == gen.vine_from_form(gen.canonical_form(v))
+
+
+def test_scan_answers_zero_and_one_labels():
+    """The kernel answers n <= 1 itself: no keys, one chain, the atoms in
+    place; and the canonical form of the 0- and 1-label vines is theirs."""
+    for n in (0, 1):
+        nodes, covers = gen._sorted_covers(1 << i for i in range(n))
+        assert gen._scan(n, nodes, covers) == ((), 1, list(range(n)))
+        form = tuple((p,) for p in range(n))
+        assert gen.canonical_form_and_aut(gen.vine_from_form(form)) == (form, 1)
 
 
 def test_mask_doubling_matches_lattice_doubling():
@@ -476,7 +486,7 @@ def test_mask_doubling_matches_lattice_doubling():
         L = lt.vine_to_lattice(rep)
         masks = list(map(mask, rep.nodes))
         for chain in lt.maximal_chains_of_lattice(L):
-            keys, _ = gen._canonical(6, *gen._sorted_covers(gen._doubled_masks(5, masks, list(map(mask, chain[1:])))))
+            keys, _, _ = gen._scan(6, *gen._sorted_covers(gen._doubled_masks(5, masks, list(map(mask, chain[1:])))))
             assert gen._form(6, keys) == gen.canonical_form(lt.lattice_to_vine(lt.doubling(L, chain)))
 
 
@@ -549,13 +559,13 @@ def test_augmentation_matches_doubling_along_every_chain(reps7):
 
 @pytest.mark.parametrize("n", [5, 6, 7])
 def test_augmentation_runs_the_kernel_once_per_class(monkeypatch, n):
-    """The top level runs `_canonical` once per class, 6, 40 and 560 times;
+    """The top level runs `_scan` once per class, 6, 40 and 560 times;
     the level below doubles every chain.  A cover table is built once per
     class representative on m < n labels and never for a doubling, whose
     covers are read off its representative's."""
     kernel, tables = Counter(), Counter()
-    canonical, mask_covers = gen._canonical, vn._mask_covers
-    monkeypatch.setattr(gen, "_canonical", lambda m, *rest: kernel.update([m]) or canonical(m, *rest))
+    scan, mask_covers = gen._scan, vn._mask_covers
+    monkeypatch.setattr(gen, "_scan", lambda m, *rest: kernel.update([m]) or scan(m, *rest))
     monkeypatch.setattr(vn, "_mask_covers", lambda masks: tables.update([len(masks)]) or mask_covers(masks))
     gen._doubled_classes(n)
     assert kernel[n] == gen.unlabeled_count_formula(n) == UNLABELED[n]
