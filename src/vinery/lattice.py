@@ -116,24 +116,32 @@ def meet(L: BoundedLattice, x: frozenset, y: frozenset) -> Optional[frozenset]:
 
 
 def is_lattice(L: BoundedLattice) -> bool:
-    """Every pair has a join and a meet.
+    """Every pair has a join and a meet: a non-empty family with no pair
+    that `_missing_bound` finds."""
+    return bool(L.elements) and _missing_bound(L) is None
+
+
+def _missing_bound(L: BoundedLattice) -> Optional[tuple[frozenset, frozenset]]:
+    """A pair of a non-empty family with no meet, or with no join when the
+    last element is not the top; None when every pair has both.
 
     Over the view's elements, a linear extension of inclusion, the common
     lower bounds D of x and y have a greatest element iff D is non-empty and
     lies below its highest index.  When every pair has a meet, every pair
     has a join iff the family has a greatest element (the meet of the common
-    upper bounds is then the join), which is the last index if there is one."""
-    if not L.elements:
-        return False
+    upper bounds is then the join), which is the last index if there is one.
+    Nothing lies above the last element, so an element not below it has no
+    common upper bound with it."""
+    nodes = L._view.nodes
     down = [b | 1 << i for i, b in enumerate(L._view.below)]
-    if down[-1] != (1 << len(down)) - 1:
-        return False
+    if missing := ~down[-1] & (1 << len(down)) - 1:
+        return nodes[(missing & -missing).bit_length() - 1], nodes[-1]
     for i, down_x in enumerate(down):
         for j in range(i + 1, len(down)):
             d = down_x & down[j]
             if not d or d & ~down[d.bit_length() - 1]:
-                return False
-    return True
+                return nodes[i], nodes[j]
+    return None
 
 
 def _require_lattice(L: BoundedLattice) -> None:
@@ -143,7 +151,7 @@ def _require_lattice(L: BoundedLattice) -> None:
 
 def join_irreducibles(L: BoundedLattice) -> list[frozenset]:
     """Elements covering exactly one element (the standard finite-lattice
-    test; a bottom covers none)."""
+    test; a bottom covers none), in `sorted_elements` order."""
     return [s for s, cov in zip(L._view.nodes, L._view.covers) if cov.bit_count() == 1]
 
 
@@ -238,7 +246,8 @@ def validate_lattice(L: BoundedLattice) -> list[Violation]:
     """Lattice, then B(3)-freeness, the extremal size and at most n join-irreducibles
     for n = |ground|; empty report means (n,3)-extremal."""
     if not is_lattice(L):
-        return [Violation("lattice.lattice", None, "element family is not a lattice under inclusion")]
+        witness = _missing_bound(L) if L.elements else None
+        return [Violation("lattice.lattice", witness, "element family is not a lattice under inclusion")]
     report: list[Violation] = []
     n = len(L.ground)
     witness = _is_b3_free(L)
@@ -247,8 +256,9 @@ def validate_lattice(L: BoundedLattice) -> list[Violation]:
     size = 1 + n + n * (n - 1) // 2
     if len(L.elements) != size:
         report.append(Violation("lattice.size", len(L.elements), f"{len(L.elements)} elements, extremal is {size}"))
-    if len(join_irreducibles(L)) > n:
-        report.append(Violation("lattice.join-irreducibles", n, f"more than {n} join-irreducibles"))
+    irreducibles = join_irreducibles(L)
+    if len(irreducibles) > n:
+        report.append(Violation("lattice.join-irreducibles", irreducibles, f"more than {n} join-irreducibles"))
     return report
 
 

@@ -23,7 +23,12 @@ the undoubling by the vine split of the lattice's vine, behind the lattice
 restriction of `lattice.undouble`; and the doubling of every class along
 every chain, behind the canonical augmentation of the class table; and the
 unrooted tree shapes and the counting DP that enumerates every line graph's
-spanning trees, behind the clique-weighted `generate._completions`; and
+spanning trees, behind the orbit-weighted `generate._completions`; the
+recursive AHU encoder and the rooted shapes grown from one vertex at every
+call, behind the iterative `generate._encode`, `_ahu` and the cached growth
+of `generate.rooted_trees`; and the orbits of every tree under the
+permutations of a clique's leaf edges, found by applying each permutation,
+behind the tagged codes of `generate._clique_choices`; and
 the vine axioms checked on frozenset nodes, behind the mask check of
 `vine.validate_vine`, together with the walk over every family that
 passes its counts and two covers, behind the proof that the mask check
@@ -489,6 +494,80 @@ def unlabeled_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
                 grown.setdefault(gen.tree_shape(nv, tree), tree)
         trees = grown
     return [(trees[shape], gen._ahu(n, trees[shape])[1]) for shape in sorted(trees)]
+
+
+def encode_by_recursion(adj: list[list[int]], root: int, parent: int) -> tuple[str, int]:
+    """(AHU code, automorphisms fixing the root) of the subtree at root that
+    leads away from parent, by recursion; the oracle for `generate._encode`."""
+    subs = [encode_by_recursion(adj, w, root) for w in adj[root] if w != parent]
+    if not subs:
+        return "()", 1
+    subs.sort()
+    aut, run, prev = 1, 0, None
+    for code, sub_aut in subs:
+        run = run + 1 if code == prev else 1
+        aut *= sub_aut * run
+        prev = code
+    return "(" + "".join([code for code, _ in subs]) + ")", aut
+
+
+def ahu_by_recursion(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
+    """(AHU canonical form rooted at the center, |Aut|) of a tree, the whole
+    tree encoded by recursion from each center; the oracle for
+    `generate._ahu` and `generate.tree_shape`."""
+    adj = gen._adjacency(nv, edges)
+    degree = [len(a) for a in adj]
+    layer = [i for i in range(nv) if degree[i] <= 1]
+    remaining = nv
+    while remaining > 2:
+        nxt = []
+        for leaf in layer:
+            remaining -= 1
+            degree[leaf] = 0
+            for w in adj[leaf]:
+                if degree[w] > 0:
+                    degree[w] -= 1
+                    if degree[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    centers = [i for i in range(nv) if degree[i] >= 1] or layer
+    rooted = [encode_by_recursion(adj, c, -1) for c in centers]
+    codes = tuple(sorted(code for code, _ in rooted))
+    return codes, rooted[0][1] * (2 if len(set(codes)) < len(codes) else 1)
+
+
+def rooted_trees_from_scratch(d: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
+    """`generate.rooted_trees(d)` grown leaf by leaf from one vertex at every
+    call, deduplicated by `encode_by_recursion`; the oracle for the table
+    grown from the cached one of d - 1."""
+    trees = {"()": ((), 1)}
+    for nv in range(2, d + 1):
+        grown: dict[str, tuple] = {}
+        for edges, _ in trees.values():
+            for v in range(nv - 1):
+                tree = edges + ((v, nv - 1),)
+                code, aut = encode_by_recursion(gen._adjacency(nv, tree), 0, -1)
+                grown.setdefault(code, (tree, aut))
+        trees = grown
+    return [trees[code] for code in sorted(trees)]
+
+
+def tree_orbits_by_permutations(d: int, k: int) -> list[frozenset]:
+    """The orbits of the labeled trees on 0..d-1 under every permutation of
+    vertices k..d-1, each tree as the frozenset of its edges' vertex sets;
+    the oracle for `generate._clique_choices`."""
+    def key(tree: Iterable[tuple[int, int]]) -> frozenset:
+        return frozenset(frozenset(e) for e in tree)
+    fixed = list(range(k))
+    orbits, seen = [], set()
+    for tree in gen.prufer_trees(d):
+        if key(tree) in seen:
+            continue
+        orbit = frozenset(key((pi[u], pi[v]) for u, v in tree)
+                          for pi in (fixed + list(p) for p in permutations(range(k, d))))
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
 
 
 def completions_by_spanning_trees(nv: int, edges: tuple, memo: dict[tuple, int]) -> int:

@@ -15,10 +15,11 @@ from vinery import vine as vn
 from vinery.errors import InternalInconsistencyError, StructureError
 
 from conftest import c_vine, d_vine, sample_vines
-from oracles import (automorphism_group_order_bruteforce, canonical_form_bruteforce, canonical_keys_by_all_chains,
-                     completions_by_spanning_trees, decode_prufer_by_scan, doubled_classes_by_all_chains,
-                     form_by_digits, generate_vines_by_scan, line_graph, next_trees_by_spanning_trees, spanning_trees,
-                     unlabeled_trees, vine_mask_stream_by_recursion)
+from oracles import (ahu_by_recursion, automorphism_group_order_bruteforce, canonical_form_bruteforce,
+                     canonical_keys_by_all_chains, completions_by_spanning_trees, decode_prufer_by_scan,
+                     doubled_classes_by_all_chains, encode_by_recursion, form_by_digits, generate_vines_by_scan,
+                     line_graph, next_trees_by_spanning_trees, rooted_trees_from_scratch, spanning_trees,
+                     tree_orbits_by_permutations, unlabeled_trees, vine_mask_stream_by_recursion)
 
 LABELED = {1: 1, 2: 1, 3: 3, 4: 24, 5: 480, 6: 23040, 7: 2580480, 8: 660602880}
 UNLABELED = {1: 1, 2: 1, 3: 1, 4: 2, 5: 6, 6: 40, 7: 560, 8: 17024}
@@ -196,7 +197,7 @@ def test_rooted_trees_counts_and_weights():
     for d, want in ROOTED_SHAPES.items():
         trees = gen.rooted_trees(d)
         assert len(trees) == want
-        assert len({gen._encode(gen._adjacency(d, edges), 0, -1)[0] for edges, _ in trees}) == want
+        assert len({gen._encode(gen._adjacency(d, edges), 0)[0] for edges, _ in trees}) == want
         assert sum(math.factorial(d - 1) // aut for _, aut in trees) == max(1, d ** (d - 2))
 
 
@@ -204,11 +205,50 @@ def test_rooted_shape_weight_is_its_pruefer_tree_count():
     """(d - 1)!/|Aut_root| is the number of labeled trees on 0..d-1 that,
     rooted at 0, have that rooted shape."""
     def code(d, edges):
-        return gen._encode(gen._adjacency(d, edges), 0, -1)[0]
+        return gen._encode(gen._adjacency(d, edges), 0)[0]
     for d in range(1, 7):
         by_code = Counter(code(d, t) for t in gen.prufer_trees(d))
         weights = {code(d, edges): math.factorial(d - 1) // aut for edges, aut in gen.rooted_trees(d)}
         assert weights == dict(by_code)
+
+
+def test_encoders_match_the_recursive_oracles():
+    """On every labeled tree with up to 7 vertices and every 31st with 8,
+    `_ahu` and `tree_shape` equal the recursive encoder's, and so does the
+    memo key of `_completions`; `_encode` does, rooted at 0, and up to 6
+    vertices so does the walk of `_branches` from either end of every edge
+    away from the other, which gives a bicentral tree's halves.  (All
+    262,144 trees with 8 vertices take about 30 s.)"""
+    for n in range(1, 9):
+        for t in itertools.islice(gen.prufer_trees(n), 0, None, 31 if n == 8 else 1):
+            codes, aut = gen._ahu(n, t)
+            assert (codes, aut) == ahu_by_recursion(n, t)
+            assert gen._shape(n, t) == gen.tree_shape(n, t) == codes
+            adj = gen._adjacency(n, t)
+            assert gen._encode(adj, 0) == encode_by_recursion(adj, 0, -1)
+            if n <= 6:
+                for u, v in t:
+                    assert gen._fold(gen._branches(adj, u, v, gen._fold)) == encode_by_recursion(adj, u, v)
+                    assert gen._fold(gen._branches(adj, v, u, gen._fold)) == encode_by_recursion(adj, v, u)
+
+
+def test_rooted_trees_grow_like_from_scratch():
+    for d in range(1, 10):
+        assert gen.rooted_trees(d) == rooted_trees_from_scratch(d)
+
+
+def test_clique_choices_are_the_leaf_edge_orbits():
+    """One tree per orbit under the permutations of vertices k..d-1 (1..d-1
+    for k = 0), weighted by the orbit's size, for every d <= 6 and k."""
+    for d in range(1, 7):
+        for k in range(d + 1):
+            orbits = tree_orbits_by_permutations(d, max(k, 1))
+            orbit_of = {tree: i for i, orbit in enumerate(orbits) for tree in orbit}
+            choices = gen._clique_choices(d, k)
+            found = {orbit_of[frozenset(frozenset(e) for e in tree)]: weight for tree, weight in choices}
+            assert len(choices) == len(orbits)
+            assert found == {i: len(orbit) for i, orbit in enumerate(orbits)}
+            assert sum(weight for _, weight in choices) == max(1, d ** (d - 2))
 
 
 def test_completions_match_spanning_tree_dp():
@@ -227,6 +267,21 @@ def test_completions_match_spanning_tree_dp():
 
 def test_count_vines_nine_matches_formula():
     assert gen.count_vines(9) == gen.labeled_count_formula(9)
+
+
+def test_count_vines_ten_matches_formula():
+    assert gen.count_vines(10) == gen.labeled_count_formula(10)
+
+
+def test_orbit_weighting_cuts_the_dp_calls(monkeypatch):
+    """Weighing only pendant cliques by shape, the DP made 605 `_completions`
+    calls at n = 8, 604 of them recursive; weighing every clique by the
+    orbits of its leaf edges makes fewer."""
+    calls = []
+    completions = gen._completions
+    monkeypatch.setattr(gen, "_completions", lambda *args: calls.append(args[0]) or completions(*args))
+    assert gen.count_vines(8) == LABELED[8]
+    assert len(calls) < 604
 
 
 def test_shape_weighted_sum_matches_pruefer_loop():

@@ -13,7 +13,7 @@ from vinery import lattice as lt
 from vinery import routes
 from vinery import species as sp
 from vinery import vine as vn
-from vinery.errors import StructureError
+from vinery.errors import StructureError, Violation
 
 from conftest import c_vine, d_vine, random_relabeling, split_with_shared
 from oracles import (automorphism_group_order_bruteforce, b3_witness_by_matrix, covered_elements,
@@ -61,6 +61,48 @@ def test_covered_elements_and_join_irreducibles(intro_vine):
     assert covered_elements(L, frozenset("a")) == [frozenset()]
     # exactly the atoms are join-irreducible here
     assert lt.join_irreducibles(L) == [frozenset(x) for x in "abcd"]
+
+
+NOT_A_LATTICE = "element family is not a lattice under inclusion"
+
+
+@pytest.mark.parametrize("elements, pair, bound", [
+    (["", "a", "b", "ab", "abx", "aby"], ("abx", "aby"), "join"),  # no top: abx is not below aby
+    (["a", "b", "ab"], ("a", "b"), "meet"),                        # no common lower bound
+    (["", "x", "y", "wxy", "xyz", "wxyz"], ("wxy", "xyz"), "meet"),  # x and y are both maximal below
+], ids=["no-join", "no-lower-bound", "two-maximal-lower-bounds"])
+def test_non_lattice_witness_is_a_pair_without_a_bound(elements, pair, bound):
+    L = lt.lattice(elements)
+    (report,) = lt.validate_lattice(L)
+    assert (report.axiom, report.message) == ("lattice.lattice", NOT_A_LATTICE)
+    assert report.witness == tuple(map(frozenset, pair))
+    assert getattr(lt, bound)(L, *report.witness) is None
+    assert lt.validate_lattice(lt.BoundedLattice(frozenset())) == [Violation("lattice.lattice", None, NOT_A_LATTICE)]
+
+
+def test_non_lattice_witnesses_lack_a_meet_or_a_join(seed):
+    rng = random.Random(seed)
+    found = 0
+    for n in range(2, 7):
+        for _ in range(6):
+            for fam in _mutated_families(rng, lt.vine_to_lattice(gen.random_vine("abcdefg"[:n], rng))):
+                if not lt.is_lattice(fam):
+                    (report,) = lt.validate_lattice(fam)
+                    x, y = report.witness
+                    assert lt.meet(fam, x, y) is None or lt.join(fam, x, y) is None
+                    found += 1
+    assert found
+
+
+def test_join_irreducibles_witness_lists_them():
+    # two chains a < ab and c < bc under one top: four join-irreducibles on three labels
+    L = lt.lattice(["", "a", "ab", "c", "bc", "abc"])
+    report = {x.axiom: x for x in lt.validate_lattice(L)}["lattice.join-irreducibles"]
+    assert report.message == "more than 3 join-irreducibles"
+    assert report.witness == [frozenset(s) for s in ("a", "c", "ab", "bc")]  # in sorted_elements order
+    for x in L.elements:  # join-irreducible: not the bottom, nor the join of two elements below it
+        below = [y for y in L.elements if y < x]
+        assert (x in report.witness) == (bool(below) and x not in {lt.join(L, y, z) for y in below for z in below})
 
 
 def _mutated_families(rng, L):
