@@ -191,12 +191,13 @@ def _code(subs: list[str]) -> str:
     return "(" + "".join(subs) + ")"
 
 
-def _branches(adj: list[list[int]], root: int, parent: int, fold, tagged: int = 0) -> list:
+def _branches(adj: list[list[int]], root: int, parent: int, fold, subs: list[list] | None = None) -> list:
     """The sorted folds of the subtrees at root's neighbours other than
     parent, each leading away from root.  A subtree's fold is `fold` of its
-    children's sorted folds, with its vertex's number in front when that is
-    below `tagged` (for `_code` only).  No recursion: the walk lists the vertices breadth
-    first and folds them in reverse, each before its parent."""
+    children's sorted folds, together with the entries that `subs` gives its
+    vertex in advance (none by default).  No recursion: the walk lists the
+    vertices breadth first and folds them in reverse, each before its
+    parent."""
     order, above = [root], [parent] * len(adj)
     for v in order:
         up = above[v]
@@ -204,7 +205,8 @@ def _branches(adj: list[list[int]], root: int, parent: int, fold, tagged: int = 
             if w != up:
                 above[w] = v
                 order.append(w)
-    subs: list[list] = [[] for _ in adj]
+    if subs is None:
+        subs = [[] for _ in adj]
     leaf = fold([])
     for v in order[:0:-1]:
         kids = subs[v]
@@ -213,23 +215,22 @@ def _branches(adj: list[list[int]], root: int, parent: int, fold, tagged: int = 
             sub = fold(kids)
         else:
             sub = leaf
-        subs[above[v]].append(sub if v >= tagged else f"{v}{sub}")
+        subs[above[v]].append(sub)
     kids = subs[root]
     kids.sort()
     return kids
 
 
-def _encode(adj: list[list[int]], root: int, fold=_fold, tagged: int = 0):
-    """`fold` of a tree rooted at root, by default (AHU code, automorphisms
-    fixing the root); `_branches` explains `tagged`."""
-    return fold(_branches(adj, root, -1, fold, tagged))
+def _encode(adj: list[list[int]], root: int) -> tuple[str, int]:
+    """(AHU code, automorphisms fixing the root) of a tree rooted at root."""
+    return _fold(_branches(adj, root, -1, _fold))
 
 
-def _center_folds(nv: int, edges: Iterable[tuple[int, int]], fold) -> list:
-    """`fold` of a tree on 0..nv-1 rooted at each of its one or two centers.
-    A bicentral tree's halves, each center's subtree away from the other,
-    are walked once, and each center's children are its half's with the
-    other half inserted."""
+def _shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
+    """The sorted AHU codes of a tree on 0..nv-1 rooted at each of its one
+    or two centers.  A bicentral tree's halves, each center's subtree away
+    from the other, are walked once, and each center's children are its
+    half's with the other half inserted."""
     adj = _adjacency(nv, edges)
     degree = [len(a) for a in adj]
     layer = [i for i in range(nv) if degree[i] <= 1]
@@ -246,42 +247,25 @@ def _center_folds(nv: int, edges: Iterable[tuple[int, int]], fold) -> list:
                         nxt.append(w)
         layer = nxt
     if len(layer) == 1:  # the last layer holds the centers
-        return [_encode(adj, layer[0], fold)]
+        return (_code(_branches(adj, layer[0], -1, _code)),)
     c, e = layer
-    a, b = _branches(adj, c, e, fold), _branches(adj, e, c, fold)
-    half_a, half_b = fold(a), fold(b)
+    a, b = _branches(adj, c, e, _code), _branches(adj, e, c, _code)
+    half_a, half_b = _code(a), _code(b)
     bisect.insort(a, half_b)
     bisect.insort(b, half_a)
-    return [fold(a), fold(b)]
-
-
-def _ahu(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
-    """(AHU canonical form rooted at the center, |Aut|) of a tree on 0..nv-1.
-
-    Rooted at one center, the fold counts the automorphisms fixing it; a
-    bicentral tree has one more (the swap of its centers) exactly when the
-    codes rooted at its two centers agree.
-    """
-    (code, aut), *other = _center_folds(nv, edges, _fold)
-    codes = tuple(sorted([code] + [c for c, _ in other]))
-    return codes, aut * (2 if len(set(codes)) < len(codes) else 1)
-
-
-def _shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
-    """`_ahu(nv, edges)[0]` by codes alone, without the automorphism counts."""
-    return tuple(sorted(_center_folds(nv, edges, _code)))
+    return tuple(sorted([_code(a), _code(b)]))
 
 
 def tree_shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
-    """AHU canonical form of an unlabeled tree (rooted at its center).  The
-    edges must form a tree on 0..nv-1: nv - 1 of them, endpoints in range,
-    no cycle."""
+    """AHU canonical form of an unlabeled tree: its sorted codes rooted at
+    each center.  The edges must form a tree on 0..nv-1: nv - 1 of them,
+    endpoints in range, no cycle."""
     _require_size(nv, 1)
     edges = tuple(edges)
     uf = _UnionFind(range(nv))
     if len(edges) != nv - 1 or not all(0 <= u < nv and 0 <= v < nv and uf.union(u, v) for u, v in edges):
         raise StructureError("enumerate.tree", f"the edges are not a tree on 0..{nv - 1}", witness=edges)
-    return _ahu(nv, edges)[0]
+    return _shape(nv, edges)
 
 
 @functools.cache
@@ -443,16 +427,18 @@ def _clique_choices(d: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], 
 
     For k <= 1 the orbits are the `rooted_trees(d)` shapes, each standing
     for (d - 1)!/|Aut_root| trees.  Otherwise every Prüfer tree is keyed by
-    its AHU code rooted at 0 with vertices 1..k-1 tagged by number, which
-    two trees share exactly when a permutation of k..d-1 maps one onto the
-    other; the first tree found stands for its orbit.  Immutable, so one
-    table serves every call."""
+    its AHU code rooted at 0 with each vertex v < k tagged: its number is
+    one more entry among its children's codes, and sorts after them.  Two
+    trees share the key exactly when a permutation of k..d-1 maps one onto
+    the other; the first tree found stands for its orbit.  Immutable, so
+    one table serves every call."""
     if k <= 1:
         return tuple((edges, math.factorial(d - 1) // aut) for edges, aut in rooted_trees(d))
     first: dict[str, tuple] = {}
     weight: Counter = Counter()
     for tree in prufer_trees(d):
-        code = _encode(_adjacency(d, tree), 0, _code, k)
+        tags = [[str(v)] for v in range(k)] + [[] for _ in range(k, d)]
+        code = _code(_branches(_adjacency(d, tree), 0, -1, _code, tags))
         first.setdefault(code, tree)
         weight[code] += 1
     return tuple((tree, weight[code]) for code, tree in first.items())

@@ -25,7 +25,7 @@ every chain, behind the canonical augmentation of the class table; and the
 unrooted tree shapes and the counting DP that enumerates every line graph's
 spanning trees, behind the orbit-weighted `generate._completions`; the
 recursive AHU encoder and the rooted shapes grown from one vertex at every
-call, behind the iterative `generate._encode`, `_ahu` and the cached growth
+call, behind the iterative `generate._encode`, `tree_shape` and the cached growth
 of `generate.rooted_trees`; and the orbits of every tree under the
 permutations of a clique's leaf edges, found by applying each permutation,
 behind the tagged codes of `generate._clique_choices`; and
@@ -493,7 +493,7 @@ def unlabeled_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
                 tree = edges + ((v, nv - 1),)
                 grown.setdefault(gen.tree_shape(nv, tree), tree)
         trees = grown
-    return [(trees[shape], gen._ahu(n, trees[shape])[1]) for shape in sorted(trees)]
+    return [(trees[shape], ahu_by_recursion(n, trees[shape])[1]) for shape in sorted(trees)]
 
 
 def encode_by_recursion(adj: list[list[int]], root: int, parent: int) -> tuple[str, int]:
@@ -514,7 +514,7 @@ def encode_by_recursion(adj: list[list[int]], root: int, parent: int) -> tuple[s
 def ahu_by_recursion(nv: int, edges: Iterable[tuple[int, int]]) -> tuple[tuple, int]:
     """(AHU canonical form rooted at the center, |Aut|) of a tree, the whole
     tree encoded by recursion from each center; the oracle for
-    `generate._ahu` and `generate.tree_shape`."""
+    `generate.tree_shape`."""
     adj = gen._adjacency(nv, edges)
     degree = [len(a) for a in adj]
     layer = [i for i in range(nv) if degree[i] <= 1]
