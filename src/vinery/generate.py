@@ -88,10 +88,11 @@ ones that end in a leaf, lie in no other clique, so permuting them relabels
 the next tree without changing its shape.  So each clique, its inner edges
 first, contributes one labeled tree per orbit under the permutations of its
 leaf edges, weighted by the orbit's size (`_clique_choices`, one cached
-table per clique size d and inner-edge count k).  For a pendant clique,
-k <= 1, the orbits are the rooted shapes (`rooted_trees`), each standing
-for (d - 1)!/|Aut_root| labeled trees; for k >= 2 one scan of the Prüfer
-trees of size d keys each tree by its AHU code with the inner edges tagged.
+table per clique size d and inner-edge count k), each counted from the one
+below it without listing a labeled tree.  For a pendant clique, k <= 1, the
+orbits are the rooted shapes, whose counts follow from their parents' by
+marking a leaf (`_rooted_table`); for k >= 2 each orbit of (d, k - 1) splits
+by the vertex that takes label k - 1, keyed by its tagged AHU code.
 Rooted and unrooted shapes come from one iterative AHU encoder, and the
 memo is keyed by codes alone, without automorphism counts.
 """
@@ -117,8 +118,8 @@ from .errors import InternalInconsistencyError, StructureError, _UnionFind, chec
 GENERATION_CAP = 7
 # Largest n that `catalog` accepts.
 CATALOG_CAP = 7
-# Largest n that `count --mode generate` accepts: the counting DP takes about
-# 0.35 s at n = 10 and grows eight- to tenfold per step.
+# Largest n that `count --mode generate` accepts: on a 2-vCPU Xeon the counting
+# DP takes about 0.1 s at n = 10 and 0.4 s at n = 11.
 COUNT_CAP = 10
 
 
@@ -174,27 +175,15 @@ def _adjacency(nv: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return adj
 
 
-def _fold(subs: list[tuple[str, int]]) -> tuple[str, int]:
-    """(AHU code, automorphisms fixing the root) of a rooted tree from its
-    children's, sorted.  A rooted tree's automorphisms are its children's
-    times m! for every m children with equal codes."""
-    aut, run, prev = 1, 0, None
-    for code, sub_aut in subs:
-        run = run + 1 if code == prev else 1
-        aut *= sub_aut * run
-        prev = code
-    return "(" + "".join([code for code, _ in subs]) + ")", aut
-
-
 def _code(subs: list[str]) -> str:
     """The AHU code of a rooted tree from its children's, sorted."""
     return "(" + "".join(subs) + ")"
 
 
-def _branches(adj: list[list[int]], root: int, parent: int, fold, subs: list[list] | None = None) -> list:
-    """The sorted folds of the subtrees at root's neighbours other than
-    parent, each leading away from root.  A subtree's fold is `fold` of its
-    children's sorted folds, together with the entries that `subs` gives its
+def _branches(adj: list[list[int]], root: int, parent: int, subs: list[list] | None = None) -> list[str]:
+    """The sorted AHU codes of the subtrees at root's neighbours other than
+    parent, each leading away from root.  A subtree's code is `_code` of its
+    children's sorted codes, together with the entries that `subs` gives its
     vertex in advance (none by default).  No recursion: the walk lists the
     vertices breadth first and folds them in reverse, each before its
     parent."""
@@ -207,23 +196,17 @@ def _branches(adj: list[list[int]], root: int, parent: int, fold, subs: list[lis
                 order.append(w)
     if subs is None:
         subs = [[] for _ in adj]
-    leaf = fold([])
     for v in order[:0:-1]:
         kids = subs[v]
         if kids:
             kids.sort()
-            sub = fold(kids)
+            sub = _code(kids)
         else:
-            sub = leaf
+            sub = "()"
         subs[above[v]].append(sub)
     kids = subs[root]
     kids.sort()
     return kids
-
-
-def _encode(adj: list[list[int]], root: int) -> tuple[str, int]:
-    """(AHU code, automorphisms fixing the root) of a tree rooted at root."""
-    return _fold(_branches(adj, root, -1, _fold))
 
 
 def _shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
@@ -247,9 +230,9 @@ def _shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
                         nxt.append(w)
         layer = nxt
     if len(layer) == 1:  # the last layer holds the centers
-        return (_code(_branches(adj, layer[0], -1, _code)),)
+        return (_code(_branches(adj, layer[0], -1)),)
     c, e = layer
-    a, b = _branches(adj, c, e, _code), _branches(adj, e, c, _code)
+    a, b = _branches(adj, c, e), _branches(adj, e, c)
     half_a, half_b = _code(a), _code(b)
     bisect.insort(a, half_b)
     bisect.insort(b, half_a)
@@ -270,33 +253,33 @@ def tree_shape(nv: int, edges: Iterable[tuple[int, int]]) -> tuple:
 
 @functools.cache
 def _rooted_table(d: int) -> dict[str, tuple[tuple[tuple[int, int], ...], int]]:
-    """{root code: (edges, |Aut_root|)} of one tree per rooted shape on d
-    vertices, in the order found: d - 1's table with a leaf added."""
+    """{root code: (edges, count)} of one tree per rooted shape on d
+    vertices, in the order found: d - 1's table with a leaf added, and the
+    number of labeled trees on 0..d-1 with that shape rooted at 0.  Such a
+    tree with one of its L non-root leaves marked is the leaf's label (d - 1
+    choices), the labeled tree left and the vertex the leaf hangs from, so
+    count * L = (d - 1) * the parents' counts summed over the ways to grow."""
     if d == 1:
         return {"()": ((), 1)}
-    grown: dict[str, tuple] = {}
-    for edges, _ in _rooted_table(d - 1).values():
+    grown: dict[str, list] = {}
+    for edges, count in _rooted_table(d - 1).values():
         adj = _adjacency(d, edges)  # the new vertex d - 1 alone
         for v in range(d - 1):
             adj[v].append(d - 1)
             adj[d - 1].append(v)
-            code, aut = _encode(adj, 0)
-            grown.setdefault(code, (edges + ((v, d - 1),), aut))
+            grown.setdefault(_code(_branches(adj, 0, -1)), [edges + ((v, d - 1),), 0])[1] += count
             adj[v].pop()
             adj[d - 1].pop()
-    return grown
+    # each leaf's code is the one "()" in it, and the root is no leaf
+    return {code: (edges, (d - 1) * total // code.count("()")) for code, (edges, total) in grown.items()}
 
 
 def rooted_trees(d: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
     """(edges on 0..d-1, |Aut_root|) of one tree per rooted shape on d >= 1
-    vertices, rooted at 0, in AHU code order.  Each rooted shape on d
-    vertices is one on d - 1 vertices with a leaf added, so the shapes grow
-    leaf by leaf from the cached table of d - 1 and are deduplicated by the
-    root's AHU code; a shape S stands for (d - 1)!/|Aut_root(S)| labeled
-    trees on 0..d-1 rooted at 0."""
+    vertices, rooted at 0, in AHU code order: the shapes of `_rooted_table`,
+    each standing for count = (d - 1)!/|Aut_root| labeled trees."""
     _require_size(d, 1)
-    table = _rooted_table(d)
-    return [table[code] for code in sorted(table)]
+    return [(edges, math.factorial(d - 1) // count) for edges, count in _clique_choices(d, 1)]
 
 
 # ------------------------------------------------------------- vine streams
@@ -425,23 +408,27 @@ def _clique_choices(d: int, k: int) -> tuple[tuple[tuple[tuple[int, int], ...], 
     clique, takes k = 1's table (any edge stands in for vertex 0), which
     splits the same trees more finely and is just as exact.
 
-    For k <= 1 the orbits are the `rooted_trees(d)` shapes, each standing
-    for (d - 1)!/|Aut_root| trees.  Otherwise every Prüfer tree is keyed by
-    its AHU code rooted at 0 with each vertex v < k tagged: its number is
-    one more entry among its children's codes, and sorts after them.  Two
-    trees share the key exactly when a permutation of k..d-1 maps one onto
-    the other; the first tree found stands for its orbit.  Immutable, so
-    one table serves every call."""
+    For k <= 1 the orbits are the rooted shapes of `_rooted_table`, in AHU
+    code order.  Above, each orbit of (d, k - 1) splits by the untagged
+    vertex u that takes label k - 1: its trees put that label on each of
+    their d - k + 1 untagged vertices equally often, so each u adds
+    weight/(d - k + 1).  Every tree is keyed by its AHU code rooted at 0 with
+    each vertex v < k tagged: its number is one more entry among its
+    children's codes, and sorts after them.  Two trees share the key exactly
+    when a permutation of k..d-1 maps one onto the other; the first u found
+    stands for its orbit.  Immutable, so one table serves every call."""
     if k <= 1:
-        return tuple((edges, math.factorial(d - 1) // aut) for edges, aut in rooted_trees(d))
-    first: dict[str, tuple] = {}
-    weight: Counter = Counter()
-    for tree in prufer_trees(d):
-        tags = [[str(v)] for v in range(k)] + [[] for _ in range(k, d)]
-        code = _code(_branches(_adjacency(d, tree), 0, -1, _code, tags))
-        first.setdefault(code, tree)
-        weight[code] += 1
-    return tuple((tree, weight[code]) for code, tree in first.items())
+        table = _rooted_table(d)
+        return tuple(table[code] for code in sorted(table))
+    found: dict[str, list] = {}
+    for tree, weight in _clique_choices(d, k - 1):
+        adj = _adjacency(d, tree)
+        for u in range(k - 1, d):
+            h = list(range(d))
+            h[u], h[k - 1] = k - 1, u  # the relabeling that puts label k - 1 on u
+            code = _code(_branches(adj, 0, -1, [[str(h[v])] if h[v] < k else [] for v in range(d)]))
+            found.setdefault(code, [tuple((h[p], h[q]) for p, q in tree), 0])[1] += weight
+    return tuple((tree, total // (d - k + 1)) for tree, total in found.values())
 
 
 def _completions(nv: int, edges: Sequence[tuple[int, int]], memo: dict[tuple, int]) -> int:

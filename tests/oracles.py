@@ -12,6 +12,8 @@ of `lattice._least_triangle`, and the B(3) check through the lattice's
 matrix behind the one on its index view;
 the per-pair domain scan behind the one-pass topmost contiguous positions;
 and the no-extension scan behind the size criterion of maximal ASPDs; and
+every axis checked by Black's definition, behind the pruned axis search of
+`domain.is_bspd`; and
 the Prüfer decoder that scans every vertex for the smallest leaf at every
 entry, behind the degree-list lookup of `generate._decode_prufer`; and
 the backtracker over a line graph's edges with a copy-on-branch union-find,
@@ -24,11 +26,13 @@ restriction of `lattice.undouble`; and the doubling of every class along
 every chain, behind the canonical augmentation of the class table; and the
 unrooted tree shapes and the counting DP that enumerates every line graph's
 spanning trees, behind the orbit-weighted `generate._completions`; the
-recursive AHU encoder and the rooted shapes grown from one vertex at every
-call, behind the iterative `generate._encode`, `tree_shape` and the cached growth
-of `generate.rooted_trees`; and the orbits of every tree under the
+recursive AHU encoder, with each rooted tree's automorphisms, and the rooted
+shapes grown from one vertex at every call, behind the iterative walk of
+`generate._branches`, `tree_shape` and the cached growth and leaf-marking
+counts of `generate.rooted_trees`; and the orbits of every tree under the
 permutations of a clique's leaf edges, found by applying each permutation,
-behind the tagged codes of `generate._clique_choices`; and
+behind the tables of `generate._clique_choices` that each split the one
+below by one more tag; and
 the vine axioms checked on frozenset nodes, behind the mask check of
 `vine.validate_vine`, together with the walk over every family that
 passes its counts and two covers, behind the proof that the mask check
@@ -256,6 +260,20 @@ def topmost_contiguous_position_by_scan(d: dm.PreferenceDomain, x: str, y: str) 
     if best is None:
         raise StructureError("domain.contiguity", f"{x!r} and {y!r} are never contiguous", witness=(x, y))
     return best
+
+
+def bspd_axes_by_all_axes(d: dm.PreferenceDomain) -> list[tuple]:
+    """Every axis, a permutation of the alternatives, along which each
+    preference is single-peaked by Black's definition: of two alternatives
+    on one side of its peak, the nearer one ranks higher.  The oracle for
+    the pruned axis search of `domain.is_bspd`."""
+    def fits(pos: dict, w: tuple) -> bool:
+        rank = {x: i for i, x in enumerate(w)}
+        peak = pos[w[0]]
+        return all(rank[y] < rank[x] for x in w for y in w
+                   if peak <= pos[y] < pos[x] or pos[x] < pos[y] <= peak)
+    axes = (dict(zip(axis, range(d.n))) for axis in permutations(sorted(d.alternatives)))
+    return [tuple(pos) for pos in axes if all(fits(pos, w) for w in d.prefs)]
 
 
 def is_maximal_aspd_by_extension(d: dm.PreferenceDomain) -> bool:
@@ -498,7 +516,9 @@ def unlabeled_trees(n: int) -> list[tuple[tuple[tuple[int, int], ...], int]]:
 
 def encode_by_recursion(adj: list[list[int]], root: int, parent: int) -> tuple[str, int]:
     """(AHU code, automorphisms fixing the root) of the subtree at root that
-    leads away from parent, by recursion; the oracle for `generate._encode`."""
+    leads away from parent, by recursion; the oracle for the code of
+    `generate._branches` and `_code`, and, through `rooted_trees_from_scratch`,
+    for the |Aut_root| that `generate.rooted_trees` derives from its counts."""
     subs = [encode_by_recursion(adj, w, root) for w in adj[root] if w != parent]
     if not subs:
         return "()", 1

@@ -255,6 +255,15 @@ def test_analyze_cross_check_failure_raises(write, intro_domain, monkeypatch, ca
     assert captured.err == "error: internal: richness cross-check failed\n"
 
 
+def test_analyze_first_rank_cross_check_failure_raises(write, intro_domain, monkeypatch, capsys):
+    path = write("d.json", intro_domain)
+    monkeypatch.setattr(dm, "first_rank_distribution", lambda d: {})
+    assert cli.main(["analyze", path, "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal: first-rank cross-check failed\n"
+
+
 def test_analyze_validates_the_vine_once(write, monkeypatch, seed, capsys):
     """On input only: the maps trust valid input and check nothing they
     build, and the analytics run on the cores."""

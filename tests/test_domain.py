@@ -15,7 +15,7 @@ from vinery import species as sp
 from vinery.errors import StructureError
 
 from conftest import split_with_shared
-from oracles import is_maximal_aspd_by_extension, topmost_contiguous_position_by_scan
+from oracles import bspd_axes_by_all_axes, is_maximal_aspd_by_extension, topmost_contiguous_position_by_scan
 
 
 def mkdom(alts, words):
@@ -270,6 +270,22 @@ def test_bspd_non_maximal_fallback():
         for k in range(1, 5):
             chunk = sorted(positions[:k])
             assert chunk == list(range(chunk[0], chunk[0] + k))
+
+
+def test_bspd_search_agrees_with_every_axis():
+    """On every domain of two or three preferences over abcd, none of them
+    maximal, the pruned axis search finds an axis exactly when one of all
+    24 fits, and one that fits.  {abcd, adcb} has two bottoms and no axis."""
+    prefs = list(permutations("abcd"))
+    found = 0
+    for size in (2, 3):
+        for chosen in combinations(prefs, size):
+            d = mkdom("abcd", chosen)
+            axis, axes = dm.is_bspd(d), bspd_axes_by_all_axes(d)
+            assert axis in axes if axis is not None else not axes
+            found += axis is not None
+    assert 0 < found < len(list(combinations(prefs, 2))) + len(list(combinations(prefs, 3)))
+    assert dm.is_bspd(mkdom("abcd", ["abcd", "adcb"])) is None
 
 
 # ------------------------------------------------- relabeling, rendering

@@ -197,7 +197,7 @@ def test_rooted_trees_counts_and_weights():
     for d, want in ROOTED_SHAPES.items():
         trees = gen.rooted_trees(d)
         assert len(trees) == want
-        assert len({gen._encode(gen._adjacency(d, edges), 0)[0] for edges, _ in trees}) == want
+        assert len({gen._code(gen._branches(gen._adjacency(d, edges), 0, -1)) for edges, _ in trees}) == want
         assert sum(math.factorial(d - 1) // aut for _, aut in trees) == max(1, d ** (d - 2))
 
 
@@ -205,7 +205,7 @@ def test_rooted_shape_weight_is_its_pruefer_tree_count():
     """(d - 1)!/|Aut_root| is the number of labeled trees on 0..d-1 that,
     rooted at 0, have that rooted shape."""
     def code(d, edges):
-        return gen._encode(gen._adjacency(d, edges), 0)[0]
+        return gen._code(gen._branches(gen._adjacency(d, edges), 0, -1))
     for d in range(1, 7):
         by_code = Counter(code(d, t) for t in gen.prufer_trees(d))
         weights = {code(d, edges): math.factorial(d - 1) // aut for edges, aut in gen.rooted_trees(d)}
@@ -215,20 +215,20 @@ def test_rooted_shape_weight_is_its_pruefer_tree_count():
 def test_encoders_match_the_recursive_oracles():
     """On every labeled tree with up to 7 vertices and every 31st with 8,
     `tree_shape` and the memo key of `_completions` equal the recursive
-    encoder's codes; `_encode` does, rooted at 0, and up to 6 vertices so
-    does the walk of `_branches` from either end of every edge away from
-    the other, which gives a bicentral tree's halves.  (All 262,144 trees
+    encoder's codes; the walk of `_branches` does, rooted at 0, and up to 6
+    vertices also from either end of every edge away from the other, which
+    gives a bicentral tree's halves.  (All 262,144 trees
     with 8 vertices take about 30 s.)"""
     for n in range(1, 9):
         for t in itertools.islice(gen.prufer_trees(n), 0, None, 31 if n == 8 else 1):
             codes, _ = ahu_by_recursion(n, t)
             assert gen._shape(n, t) == gen.tree_shape(n, t) == codes
             adj = gen._adjacency(n, t)
-            assert gen._encode(adj, 0) == encode_by_recursion(adj, 0, -1)
+            assert gen._code(gen._branches(adj, 0, -1)) == encode_by_recursion(adj, 0, -1)[0]
             if n <= 6:
                 for u, v in t:
-                    assert gen._fold(gen._branches(adj, u, v, gen._fold)) == encode_by_recursion(adj, u, v)
-                    assert gen._fold(gen._branches(adj, v, u, gen._fold)) == encode_by_recursion(adj, v, u)
+                    assert gen._code(gen._branches(adj, u, v)) == encode_by_recursion(adj, u, v)[0]
+                    assert gen._code(gen._branches(adj, v, u)) == encode_by_recursion(adj, v, u)[0]
 
 
 def test_rooted_trees_grow_like_from_scratch():
@@ -270,6 +270,35 @@ def test_count_vines_nine_matches_formula():
 
 def test_count_vines_ten_matches_formula():
     assert gen.count_vines(10) == gen.labeled_count_formula(10)
+
+
+def test_count_vines_eleven_matches_formula():
+    """One past the generate-mode cap, in under a second."""
+    assert gen.count_vines(11) == gen.labeled_count_formula(11)
+
+
+def test_clique_tables_scan_no_pruefer_tree(monkeypatch):
+    """Every table is counted from the one below it, never from a list of
+    labeled trees: with the caches cleared and `prufer_trees` refusing,
+    each table for d <= 7, and each for d = 8, 9 that `count_vines(11)`
+    can reach (a vertex of degree d with k non-leaf neighbours needs
+    d + k + 1 <= 11 vertices), has weights summing to Cayley's d^(d-2)
+    and one tagged code per tree.  (d = 9, k >= 8 would list all 9^7
+    labeled trees.)"""
+    def refuse(n):
+        raise AssertionError("a clique table scanned the Prüfer trees")
+    gen._rooted_table.cache_clear()
+    gen._clique_choices.cache_clear()
+    monkeypatch.setattr(gen, "prufer_trees", refuse)
+    for d in range(1, 10):
+        for k in range(d + 1 if d <= 7 else 11 - d):
+            choices = gen._clique_choices(d, k)
+            assert sum(weight for _, weight in choices) == max(1, d ** (d - 2))
+            codes = set()
+            for tree, _ in choices:
+                tags = [[str(v)] for v in range(max(k, 1))] + [[] for _ in range(max(k, 1), d)]
+                codes.add(gen._code(gen._branches(gen._adjacency(d, tree), 0, -1, tags)))
+            assert len(codes) == len(choices)
 
 
 def test_orbit_weighting_cuts_the_dp_calls(monkeypatch):
