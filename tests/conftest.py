@@ -4,12 +4,14 @@ The two worked examples used throughout ("intro": 4 elements, "fig": 5
 elements) are written out literally in every representation so the suite can
 check conversions bit for bit.  Expensive corpora (full enumeration,
 classification) are session-scoped.  Randomized suites draw from a seeded RNG;
-override with ``pytest --seed N``.
+override with ``pytest --seed N``.  A test marked ``exhaustive(seconds)`` runs
+only under ``pytest -m exhaustive`` and fails past its time bound.
 """
 
 from __future__ import annotations
 
 import random
+import signal
 import string
 import time
 from typing import NamedTuple, Sequence
@@ -34,6 +36,29 @@ def pytest_addoption(parser):
 @pytest.fixture(scope="session")
 def seed(request) -> int:
     return request.config.getoption("--seed")
+
+
+OLD_ALARM_HANDLER = pytest.StashKey()
+
+
+def pytest_runtest_setup(item):
+    """Arm SIGALRM for the setup and the call of an `exhaustive(seconds)`
+    test, so that a slowdown fails the test instead of hanging."""
+    if (mark := item.get_closest_marker("exhaustive")) is None:
+        return
+    (seconds,) = mark.args
+
+    def expire(signum, frame):
+        pytest.fail(f"ran past its time bound of {seconds} s", pytrace=False)
+
+    item.stash[OLD_ALARM_HANDLER] = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+
+
+def pytest_runtest_teardown(item):
+    if OLD_ALARM_HANDLER in item.stash:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, item.stash[OLD_ALARM_HANDLER])
 
 
 # ------------------------------------------------------- the worked examples

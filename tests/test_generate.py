@@ -4,7 +4,9 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import random
+import resource
 import string
 from collections import Counter
 
@@ -34,10 +36,23 @@ def test_prufer_tree_counts():
     assert len(set(gen.prufer_trees(5))) == 125
 
 
+def assert_decoder_matches_the_scan(n: int) -> None:
+    count = 0
+    for seq in itertools.product(range(n), repeat=n - 2):
+        assert gen._decode_prufer(n, seq) == decode_prufer_by_scan(n, seq)
+        count += 1
+    assert count == n ** (n - 2)
+
+
 def test_prufer_decoder_matches_the_scan_on_every_sequence():
     for n in range(2, 8):
-        for seq in itertools.product(range(n), repeat=n - 2):
-            assert gen._decode_prufer(n, seq) == decode_prufer_by_scan(n, seq)
+        assert_decoder_matches_the_scan(n)
+
+
+@pytest.mark.exhaustive(60)
+def test_prufer_decoder_matches_the_scan_at_eight_vertices():
+    """All 262,144 sequences."""
+    assert_decoder_matches_the_scan(8)
 
 
 def test_spanning_trees():
@@ -49,21 +64,34 @@ def test_spanning_trees():
     assert list(spanning_trees(1, [])) == [()]
 
 
-def test_next_trees_are_the_line_graph_spanning_trees():
+def assert_next_trees_are_the_line_graph_spanning_trees(nv: int) -> None:
     """The line graph of a tree is one clique K_d per vertex of degree d, so
     it has prod d^(d-2) spanning trees (Cayley per clique); `_next_trees`
     lists each once, in the lexicographic order of their `spanning_trees`
     index tuples, which `random_vine`'s draws depend on: the backtracker's
-    own list, on every labeled tree with up to 6 vertices."""
+    own list, on every labeled tree with nv vertices."""
+    count = 0
+    for edges in gen.prufer_trees(nv):
+        degrees = Counter(x for e in edges for x in e).values()
+        index = {e: k for k, e in enumerate(line_graph(edges))}
+        trees = gen._next_trees(edges)
+        found = [tuple(index[e] for e in tree) for tree in trees]
+        assert len(found) == math.prod(d ** (d - 2) for d in degrees if d > 1)
+        assert all(a < b for a, b in zip(found, found[1:]))
+        assert trees == next_trees_by_spanning_trees(edges)
+        count += 1
+    assert count == nv ** (nv - 2)
+
+
+def test_next_trees_are_the_line_graph_spanning_trees():
     for nv in range(2, 7):
-        for edges in gen.prufer_trees(nv):
-            degrees = Counter(x for e in edges for x in e).values()
-            index = {e: k for k, e in enumerate(line_graph(edges))}
-            trees = gen._next_trees(edges)
-            found = [tuple(index[e] for e in tree) for tree in trees]
-            assert len(found) == math.prod(d ** (d - 2) for d in degrees if d > 1)
-            assert all(a < b for a, b in zip(found, found[1:]))
-            assert trees == next_trees_by_spanning_trees(edges)
+        assert_next_trees_are_the_line_graph_spanning_trees(nv)
+
+
+@pytest.mark.exhaustive(60)
+def test_next_trees_are_the_line_graph_spanning_trees_at_seven_vertices():
+    """All 16,807 trees."""
+    assert_next_trees_are_the_line_graph_spanning_trees(7)
 
 
 def test_tree_shape_distinguishes_path_and_star():
@@ -128,6 +156,11 @@ def test_generators_advanced_in_lockstep_agree():
 def test_mask_stream_yields_distinct_lists():
     streamed = list(gen._vine_mask_stream(5))
     assert len({id(masks) for masks in streamed}) == len(streamed) == LABELED[5]
+
+
+@pytest.mark.exhaustive(60)
+def test_mask_stream_at_the_generation_cap():
+    assert sum(1 for _ in gen._vine_mask_stream(7)) == gen.labeled_count_formula(7) == LABELED[7]
 
 
 def test_mask_stream_enumerates_each_line_graph_once(monkeypatch):
@@ -322,11 +355,17 @@ def test_shape_weighted_sum_matches_pruefer_loop():
 
 
 def test_random_vine_is_valid(seed):
+    """Five draws from one seeded generator per n, and one draw on 18 and 20
+    labels from each of the generators seeded 0..9."""
     rng = random.Random(seed)
     for n in (1, 2, 4, 6, 7):
         for _ in range(5):
             v = gen.random_vine(string.ascii_lowercase[:n], rng)
             assert vn.validate_vine(v) == []
+    for n in (18, 20):
+        for draw_seed in range(10):
+            v = gen.random_vine(string.ascii_lowercase[:n], random.Random(draw_seed))
+            assert vn.validate_vine(v) == [], (n, draw_seed)
 
 
 # SHA-256 of the sorted node lists drawn below, recorded before the vine
@@ -521,6 +560,19 @@ def test_pruned_kernel_matches_the_chain_scan_on_every_small_vine(vines_by_n):
                 canonical_keys_by_all_chains(n, view.masks, view.covers)[:2]
 
 
+@pytest.mark.exhaustive(60)
+def test_pruned_kernel_matches_the_chain_scan_on_every_vine_at_five_and_six():
+    """The same on all 23,520 labeled vines with n = 5 and 6, read off the
+    mask stream, since `vines_by_n` stops at n = 5."""
+    count = 0
+    for n in (5, 6):
+        for masks in gen._vine_mask_stream(n):
+            nodes, covers = gen._sorted_covers(masks)
+            assert gen._scan(n, nodes, covers)[:2] == canonical_keys_by_all_chains(n, nodes, covers)[:2], masks
+            count += 1
+    assert count == LABELED[5] + LABELED[6]
+
+
 def test_pruned_kernel_matches_the_chain_scan_on_doublings_and_classes(reps7):
     """The same on every doubling of an n = 5 class representative along a
     chain, on the 560 n = 7 class representatives, and on the D-vine and the
@@ -573,20 +625,29 @@ def test_mask_doubling_matches_lattice_doubling():
             assert gen._form(6, keys) == gen.canonical_form(lt.lattice_to_vine(lt.doubling(L, chain)))
 
 
-def test_doubled_covers_match_the_rescan_on_every_doubling():
+def check_doubled_covers_against_the_rescan(n: int) -> tuple[int, int]:
     """The masks and covers `_doubled_covers` reads off a representative's
     equal those of the rescan, `_sorted_covers` of the doubled masks, on
-    all 1,399 doublings of a class representative along a chain for
-    n <= 7."""
-    count = 0
-    for n in range(2, 8):
-        for rep in gen._class_table(n - 1)[0]:
-            nodes, covers = gen._representative(n - 1, rep)
-            for chain in vn._chains(nodes, covers):
-                assert gen._doubled_covers(n, nodes, covers, chain) == \
-                    gen._sorted_covers(gen._doubled_masks(n - 1, nodes, chain))
-                count += 1
-    assert count == 1399
+    every doubling of an (n - 1)-class representative along a chain: the
+    number of representatives and of doublings."""
+    reps, count = gen._class_table(n - 1)[0], 0
+    for rep in reps:
+        nodes, covers = gen._representative(n - 1, rep)
+        for chain in vn._chains(nodes, covers):
+            assert gen._doubled_covers(n, nodes, covers, chain) == \
+                gen._sorted_covers(gen._doubled_masks(n - 1, nodes, chain)), (nodes, chain)
+            count += 1
+    return len(reps), count
+
+
+def test_doubled_covers_match_the_rescan_on_every_doubling():
+    """All 1,399 doublings for n <= 7."""
+    assert sum(check_doubled_covers_against_the_rescan(n)[1] for n in range(2, 8)) == 1399
+
+
+@pytest.mark.exhaustive(60)
+def test_doubled_covers_match_the_rescan_at_eight():
+    assert check_doubled_covers_against_the_rescan(8) == (UNLABELED[7], 35840)
 
 
 def test_doubled_covers_rescan_a_chain_that_is_not_saturated(monkeypatch):
@@ -640,20 +701,22 @@ def test_augmentation_matches_doubling_along_every_chain(reps7):
     assert [c.representative for c in doubled_classes_by_all_chains(7)] == reps7
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", [5, 6, 7, pytest.param(8, marks=pytest.mark.exhaustive(60))])
 def test_augmentation_runs_the_kernel_once_per_class(monkeypatch, n):
-    """The top level runs `_scan` once per class, 6, 40 and 560 times;
-    the level below doubles every chain.  A cover table is built once per
-    class representative on m < n labels and never for a doubling, whose
-    covers are read off its representative's."""
+    """The top level runs `_scan` once per class, 6, 40, 560 and 17,024
+    times; the level below doubles every chain.  A cover table is built
+    once per class representative on m < n labels and never for a doubling,
+    whose covers are read off its representative's.  Then every class is
+    drawn, each decoded to its representative."""
     kernel, tables = Counter(), Counter()
     scan, mask_covers = gen._scan, vn._mask_covers
     monkeypatch.setattr(gen, "_scan", lambda m, *rest: kernel.update([m]) or scan(m, *rest))
     monkeypatch.setattr(vn, "_mask_covers", lambda masks: tables.update([len(masks)]) or mask_covers(masks))
-    gen._doubled_classes(n)
+    classes = gen._doubled_classes(n)
     assert kernel[n] == gen.unlabeled_count_formula(n) == UNLABELED[n]
     assert kernel[n - 1] == gen.unlabeled_count_formula(n - 2) * 2 ** (n - 3)  # 2^(n-3) chains per class on n - 2 labels
     assert tables == Counter({m * (m + 1) // 2: gen.unlabeled_count_formula(m) for m in range(1, n)})
+    assert sum(1 for _ in classes) == UNLABELED[n]
 
 
 def test_augmentation_falls_back_to_building_a_chain_missing_from_the_table(monkeypatch):
@@ -827,6 +890,27 @@ def test_catalog_entries_render_each_class_as_it_is_drawn(monkeypatch):
     assert len(built) == 1
     assert [e["index"] for e in entries] == [1, 2, 3, 4, 5]
     assert len(built) == 6
+
+
+def draw_catalog(n: int) -> tuple[int, float]:
+    """Draw every catalog entry on n labels, checking that their indices run
+    in order: the number drawn and this process's peak RSS in MB."""
+    count = 0
+    for entry in gen.catalog_entries(n):
+        assert entry["index"] == count, f"entry {count} has index {entry['index']}"
+        count += 1
+    return count, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+@pytest.mark.exhaustive(120)
+def test_catalog_entries_stream_at_eight():
+    """All 17,024 entries arrive in index order, and a fresh interpreter
+    drawing them peaks under 150 MB: the class table, not the entries.  In
+    a shared session `class_representatives(8)` alone peaks near 300 MB."""
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        count, peak_mb = pool.apply(draw_catalog, (8,))
+    assert count == UNLABELED[8]
+    assert peak_mb < 150, f"peak RSS {peak_mb:.1f} MB"
 
 
 def test_catalog_entries_n3():

@@ -4,7 +4,7 @@ import random
 import string
 import time
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -513,6 +513,21 @@ def test_triangle_detection_matches_witness_scan(seed):
         found.append(lt.has_no_triangles(M))
         assert found[-1] == triangle_by_row_triples(M)
     assert None in found and any(w is not None for w in found)
+
+
+@pytest.mark.exhaustive(60)
+def test_triangle_detection_matches_witness_scan_on_four_rows():
+    """The same, witnesses included, on every non-empty set of the 16
+    columns on 4 rows."""
+    columns = list(product((0, 1), repeat=4))
+    count = found = 0
+    for pick in range(1, 1 << len(columns)):
+        M = lt.BinaryMatrix(tuple("abcd"), frozenset(c for i, c in enumerate(columns) if pick >> i & 1))
+        witness = lt.has_no_triangles(M)
+        assert witness == triangle_by_row_triples(M), sorted(M.columns)
+        count += 1
+        found += witness is not None
+    assert (count, found) == (65535, 48832)
 
 
 # ---------------------------------------------------------- automorphisms

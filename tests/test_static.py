@@ -1,10 +1,13 @@
-"""Static checks of the runtime's source, `src/vinery`, read as syntax trees."""
+"""Checks of the repository's files: the runtime's source, `src/vinery`,
+read as syntax trees, the README's Python examples and the CI workflow."""
 
 import ast
 import pathlib
+import re
 import sys
 
-RUNTIME = pathlib.Path(__file__).resolve().parent.parent / "src" / "vinery"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RUNTIME = ROOT / "src" / "vinery"
 
 
 def _trees() -> dict[pathlib.Path, ast.Module]:
@@ -57,3 +60,22 @@ def test_the_runtime_checks_nothing_with_a_plain_assert():
     found = [f"{path}:{node.lineno}" for path, tree in _trees().items()
              for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, "plain assert in the runtime (raise a named error instead):\n" + "\n".join(found)
+
+
+def test_the_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks, "README.md has no ```python block"
+    for i, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__main__"})
+
+
+def test_the_ci_workflow_runs_no_inline_program_of_vinery():
+    """A check of vinery's code belongs in the test tree, where the tier-1
+    command or `pytest -m exhaustive` runs it; the workflow drives the CLI.
+    An import statement starts a line of a heredoc or follows a quote or a
+    semicolon in a `python -c` string."""
+    workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+    imports = re.findall(r"""(?:^|["';])\s*((?:from\s+|import\s+(?:[\w.]+\s*,\s*)*)(?:vinery|oracles)\b.*)""",
+                         workflow, re.MULTILINE)
+    assert not imports, "inline programs in ci.yml import:\n" + "\n".join(imports)

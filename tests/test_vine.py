@@ -81,16 +81,27 @@ def test_bd_to_cd_mutation_is_the_path_vine(intro_vine):
     assert vn.is_d_vine(v)
 
 
-def test_counts_and_two_covers_imply_a_vine():
+def assert_counts_and_two_covers_imply_a_vine(n: int) -> None:
     """Every family with the vine rank counts in which each node holds
     exactly two nodes one rank down is a vine, by the set oracle's five
     axioms and by the mask check's three, and there are as many as labeled
-    vines: no family reaches a tree or proximity failure at n <= 5."""
+    vines: no family reaches a tree or proximity failure."""
+    count = 0
+    for v in vine_shaped_families(n):
+        assert validate_vine_by_sets(v) == [] and vn.validate_vine(v) == [], sorted(map(sorted, v.nodes))
+        count += 1
+    assert count == gen.labeled_count_formula(n)
+
+
+def test_counts_and_two_covers_imply_a_vine():
     for n in range(1, 6):
-        families = list(vine_shaped_families(n))
-        assert len(families) == gen.labeled_count_formula(n)
-        for v in families:
-            assert validate_vine_by_sets(v) == [] and vn.validate_vine(v) == []
+        assert_counts_and_two_covers_imply_a_vine(n)
+
+
+@pytest.mark.exhaustive(60)
+def test_counts_and_two_covers_imply_a_vine_at_six():
+    """All 23,040 families."""
+    assert_counts_and_two_covers_imply_a_vine(6)
 
 
 def _mutations(rng, v):
